@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -40,21 +40,6 @@ class CurvePoint:
     @staticmethod
     def infinity() -> "CurvePoint":
         return CurvePoint(at_infinity=True)
-
-
-@dataclass(frozen=True)
-class PathOnCurve:
-    """A sheet-consistent chain of waypoints."""
-
-    waypoints: tuple
-
-    @property
-    def start(self) -> CurvePoint:
-        return self.waypoints[0]
-
-    @property
-    def end(self) -> CurvePoint:
-        return self.waypoints[-1]
 
 
 @dataclass
@@ -96,12 +81,6 @@ class HyperellipticCurve:
         if y_hint is not None and abs(y - y_hint) > abs(-y - y_hint):
             y = -y
         return CurvePoint(complex(x), complex(y))
-
-    def contains(self, pt: CurvePoint, rtol=1e-10) -> bool:
-        if pt.at_infinity:
-            return True
-        scale = 1.0 + abs(pt.y) ** 2 + abs(self.p(pt.x))
-        return abs(pt.y**2 - self.p(pt.x)) <= rtol * scale
 
     def nearest_branch_distance(self, x) -> float:
         return float(np.min(np.abs(self.branch_points - x)))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .curves import _sheet_step
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
 from .spectral import SpectralPoint, eval_R, lambda_roots
@@ -21,11 +22,7 @@ from .separation import PhaseConfiguration, implicit_gradients, \
 
 def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
     """dx-density of the j-th angle differential at a spectral point."""
-    ev = eval_R(layout, curve, ham, pt)
-    if abs(ev.d_lambda) < 1e-10:
-        raise BranchLocus(
-            f"|dR/dlambda| = {abs(ev.d_lambda):.2e} at x={pt.x}")
-    return -ev.grad_h[j] / (ev.d_lambda * pt.y)
+    return _integrand_vector(layout, curve, ham, pt)[j]
 
 
 def _integrand_vector(layout, curve, ham, pt):
@@ -47,31 +44,55 @@ def jacobi_matrix(layout, curve, ham, cfg):
     return jm
 
 
-def _continue_sqrt(curve, x, y_prev):
-    """Sheet choice at x nearest to the previous y."""
-    y = np.sqrt(curve.p(x))
-    return y if abs(y - y_prev) <= abs(y + y_prev) else -y
+def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
+    """Explicit Euler or classical RK4; returns the nsteps + 1 states.
+
+    rhs(state) is the velocity vector and advance(state, incr) the state
+    moved by incr; after(state, step), when given, turns each step's
+    result into the accepted state (a re-projection or a chart switch).
+    A stage velocity that is not finite raises StepRejected.
+    """
+    if scheme not in ("euler", "rk4"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+    def velocity(s, step):
+        k = rhs(s)
+        if not np.all(np.isfinite(k)):
+            raise StepRejected(f"non-finite velocity in step {step}",
+                               suggested_dt=dt / 2)
+        return k
+
+    states = [state]
+    for step in range(nsteps):
+        k1 = velocity(state, step)
+        if scheme == "euler":
+            state = advance(state, dt * k1)
+        else:
+            k2 = velocity(advance(state, 0.5 * dt * k1), step)
+            k3 = velocity(advance(state, 0.5 * dt * k2), step)
+            k4 = velocity(advance(state, dt * k3), step)
+            state = advance(state, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        if after is not None:
+            state = after(state, step)
+        states.append(state)
+    return states
+
+
+def _continue_sheets(curve, xs, ys_prev):
+    """y above each x on the sheet nearest the previous y."""
+    ys = np.empty_like(ys_prev)
+    for i, x in enumerate(xs):
+        if curve.nearest_branch_distance(x) < curve.exclusion_radius:
+            raise BranchCollision(
+                f"separating point {i} hit the branch locus at x={x}")
+        ys[i] = _sheet_step(curve, x, ys_prev[i])
+    return ys
 
 
 def _refit_lambda(layout, curve, ham, x, y, lam_prev):
     """Fiber root at (x, y) nearest the predictor lam_prev."""
     roots = lambda_roots(layout, curve, ham, x, y)
-    lam = roots[np.argmin(np.abs(roots - lam_prev))]
-    return lam
-
-
-def _advance(layout, curve, ham, xs, ys, lams, dxs):
-    """Move every point by dx, carrying sheet and fiber root along."""
-    new_xs = xs + dxs
-    new_ys = np.empty_like(ys)
-    new_lams = np.empty_like(lams)
-    for i, x in enumerate(new_xs):
-        if curve.nearest_branch_distance(x) < curve.exclusion_radius:
-            raise BranchCollision(
-                f"separating point {i} hit the branch locus at x={x}")
-        new_ys[i] = _continue_sqrt(curve, x, ys[i])
-        new_lams[i] = _refit_lambda(layout, curve, ham, x, new_ys[i], lams[i])
-    return new_xs, new_ys, new_lams
+    return roots[np.argmin(np.abs(roots - lam_prev))]
 
 
 @dataclass
@@ -85,47 +106,39 @@ class Trajectory:
         cfg = self.states[k]
         return cfg.xs(), cfg.ys(), cfg.lambdas()
 
-    def lams_list(self, k):
-        return self.states[k].lambdas()
-
 
 def _cfg_from_arrays(xs, ys, lams):
     return PhaseConfiguration(
         [SpectralPoint(x, y, l) for x, y, l in zip(xs, ys, lams)])
 
 
+def _trajectory(states, dt, scheme, c):
+    return Trajectory(times=np.arange(len(states)) * dt,
+                      states=[_cfg_from_arrays(*s) for s in states],
+                      scheme=scheme, direction=c)
+
+
 def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
     """Route 1: integrate x_dot = J^{-1} c with the coefficients frozen."""
     c = np.asarray(c, dtype=complex)
-    xs = cfg0.xs()
-    ys = cfg0.ys()
-    lams = cfg0.lambdas()
-    nsteps = int(round(t_end / dt))
-    times = [0.0]
-    states = [_cfg_from_arrays(xs, ys, lams)]
 
-    def velocity(xs_, ys_, lams_):
-        cfg = _cfg_from_arrays(xs_, ys_, lams_)
-        jm = jacobi_matrix(layout, curve, ham, cfg)
+    def velocity(state):
+        jm = jacobi_matrix(layout, curve, ham, _cfg_from_arrays(*state))
         return np.linalg.solve(jm, c)
 
-    for step in range(nsteps):
-        if scheme == "euler":
-            k1 = velocity(xs, ys, lams)
-            xs, ys, lams = _advance(layout, curve, ham, xs, ys, lams, dt * k1)
-        elif scheme == "rk4":
-            k1 = velocity(xs, ys, lams)
-            s2 = _advance(layout, curve, ham, xs, ys, lams, 0.5 * dt * k1)
-            k2 = velocity(*s2)
-            s3 = _advance(layout, curve, ham, xs, ys, lams, 0.5 * dt * k2)
-            k3 = velocity(*s3)
-            s4 = _advance(layout, curve, ham, xs, ys, lams, dt * k3)
-            k4 = velocity(*s4)
-            incr = dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            xs, ys, lams = _advance(layout, curve, ham, xs, ys, lams, incr)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+    def advance(state, dxs):
+        # move every point by dx, carrying sheet and fiber root along
+        xs, ys, lams = state
+        new_xs = xs + dxs
+        new_ys = _continue_sheets(curve, new_xs, ys)
+        new_lams = np.array([
+            _refit_lambda(layout, curve, ham, x, y, lam)
+            for x, y, lam in zip(new_xs, new_ys, lams)])
+        return new_xs, new_ys, new_lams
+
+    def reproject(state, step):
         # on-fiber re-projection: one Newton step on R = 0 in lambda
+        xs, ys, lams = state
         for i in range(len(xs)):
             pt = SpectralPoint(xs[i], ys[i], lams[i])
             ev = eval_R(layout, curve, ham, pt)
@@ -138,61 +151,35 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
             raise StepRejected(
                 f"fiber residual {resid:.2e} after step {step}",
                 suggested_dt=dt / 2)
-        times.append((step + 1) * dt)
-        states.append(_cfg_from_arrays(xs, ys, lams))
-    return Trajectory(times=np.array(times), states=states, scheme=scheme,
-                      direction=c)
+        return state
+
+    states = integrate(velocity, advance,
+                       (cfg0.xs(), cfg0.ys(), cfg0.lambdas()),
+                       dt, int(round(t_end / dt)), scheme, reproject)
+    return _trajectory(states, dt, scheme, c)
 
 
 def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
     """Route 2: canonical flow of c . H through the implicit gradients."""
     c = np.asarray(c, dtype=complex)
-    xs = cfg0.xs()
-    ys = cfg0.ys()
-    lams = cfg0.lambdas()
-    nsteps = int(round(t_end / dt))
-    times = [0.0]
-    states = [_cfg_from_arrays(xs, ys, lams)]
 
-    def velocity(xs_, ys_, lams_):
-        cfg = _cfg_from_arrays(xs_, ys_, lams_)
+    def velocity(state):
+        cfg = _cfg_from_arrays(*state)
         ham = solve_hamiltonians(layout, curve, cfg)
         dh_dlam, dh_dx = implicit_gradients(layout, curve, cfg, ham)
-        xdot = ys_ * (c @ dh_dlam)
-        ldot = -ys_ * (c @ dh_dx)
-        return xdot, ldot
+        ys = state[1]
+        return np.concatenate((ys * (c @ dh_dlam), -ys * (c @ dh_dx)))
 
-    def advance(xs_, ys_, lams_, dxs, dls):
-        new_xs = xs_ + dxs
-        new_ys = np.empty_like(ys_)
-        for i, x in enumerate(new_xs):
-            if curve.nearest_branch_distance(x) < curve.exclusion_radius:
-                raise BranchCollision(
-                    f"separating point {i} hit the branch locus at x={x}")
-            new_ys[i] = _continue_sqrt(curve, x, ys_[i])
-        return new_xs, new_ys, lams_ + dls
+    def advance(state, incr):
+        xs, ys, lams = state
+        n = len(xs)
+        new_xs = xs + incr[:n]
+        return new_xs, _continue_sheets(curve, new_xs, ys), lams + incr[n:]
 
-    for step in range(nsteps):
-        if scheme == "euler":
-            kx, kl = velocity(xs, ys, lams)
-            xs, ys, lams = advance(xs, ys, lams, dt * kx, dt * kl)
-        elif scheme == "rk4":
-            kx1, kl1 = velocity(xs, ys, lams)
-            s2 = advance(xs, ys, lams, 0.5 * dt * kx1, 0.5 * dt * kl1)
-            kx2, kl2 = velocity(*s2)
-            s3 = advance(xs, ys, lams, 0.5 * dt * kx2, 0.5 * dt * kl2)
-            kx3, kl3 = velocity(*s3)
-            s4 = advance(xs, ys, lams, dt * kx3, dt * kl3)
-            kx4, kl4 = velocity(*s4)
-            dxs = dt / 6.0 * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-            dls = dt / 6.0 * (kl1 + 2 * kl2 + 2 * kl3 + kl4)
-            xs, ys, lams = advance(xs, ys, lams, dxs, dls)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        times.append((step + 1) * dt)
-        states.append(_cfg_from_arrays(xs, ys, lams))
-    return Trajectory(times=np.array(times), states=states, scheme=scheme,
-                      direction=c)
+    states = integrate(velocity, advance,
+                       (cfg0.xs(), cfg0.ys(), cfg0.lambdas()),
+                       dt, int(round(t_end / dt)), scheme)
+    return _trajectory(states, dt, scheme, c)
 
 
 def match_states(cfg_a, cfg_b):
@@ -246,11 +233,11 @@ def _integrate_density(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
         y_c, lam_c = y_in, lam_in
         for t, wgt in zip(nodes, weights):
             x = mid + half * t
-            y_c = _continue_sqrt(curve, x, y_c)
+            y_c = _sheet_step(curve, x, y_c)
             lam_c = _refit_lambda(layout, curve, ham, x, y_c, lam_c)
             acc += wgt * _integrand_vector(
                 layout, curve, ham, SpectralPoint(x, y_c, lam_c))
-        y_end = _continue_sqrt(curve, b, y_c)
+        y_end = _sheet_step(curve, b, y_c)
         lam_end = _refit_lambda(layout, curve, ham, b, y_end, lam_c)
         return acc * half, y_end, lam_end
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (SingularConfiguration, SingularJacobian,
                      NewtonDivergence)
-from .spectral import SpectralPoint, eval_R
+from .spectral import eval_R
 
 
 @dataclass
@@ -51,11 +51,6 @@ class PhaseConfiguration:
 
     def ys(self):
         return np.array([p.y for p in self.points])
-
-
-def residual_scale(cfg):
-    """Degree-d residual scale max_i (1+|lambda_i|)^d is applied per layout."""
-    return np.max(1.0 + np.abs(cfg.lambdas()))
 
 
 def _design_matrix(layout, curve, cfg):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateLine, PoleCollision, ChartSingularity)
+from .flows import integrate
 
 # rows of epsilon_i as (source index, sign) per output component
 _EPSILON_SPECS = (
@@ -33,22 +34,25 @@ def _emat(spec):
     return e
 
 
-EPSILON = [_emat(s) for s in _EPSILON_SPECS]
+EPSILON = np.array([_emat(s) for s in _EPSILON_SPECS])
+
+
+def _klein_tensor(sigma):
+    """KLEIN[i, j] = d_i d_j epsilon_i^T C_j of the convention sigma.
+
+    C_j = (sigma_j / 2) epsilon_j, and d_i = i where sigma_i < 0, else 1.
+    """
+    d = np.where(sigma < 0, 1j, 1.0 + 0j)
+    c = 0.5 * sigma[:, None, None] * EPSILON
+    return np.einsum('i,j,iba,jbc->ijac', d, d, EPSILON, c)
+
 
 # Frozen calibration of the Klein convention (see calibrate_convention):
-# C_j = (sigma_j / 2) epsilon_j and the conjugation d_i = i where
-# sigma_i < 0 make the x-matrix skew and the so(6) relations exact.
+# this sigma makes the x-matrix skew and the so(6) relations exact.
 SIGMA = np.array([-1, 1, 1, -1, -1, 1])
-DFACT = np.where(SIGMA < 0, 1j, 1.0 + 0j)
-KLEIN_C = [0.5 * SIGMA[j] * EPSILON[j] for j in range(6)]
+KLEIN = _klein_tensor(SIGMA)
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def epsilon_maps(q):
-    """The six hyperplane images of q, rows of a 6x4 array."""
-    q = np.asarray(q, dtype=complex)
-    return np.array([e @ q for e in EPSILON])
 
 
 def plucker(a, p):
@@ -65,16 +69,6 @@ def plucker(a, p):
 def plucker_relation(pi):
     """The quadric identity pi01 pi23 - pi02 pi13 + pi03 pi12 of a line."""
     return pi[0] * pi[5] - pi[1] * pi[4] + pi[2] * pi[3]
-
-
-def klein_x(a, p):
-    """Klein 6-vector of the line through a and p (frozen convention)."""
-    pi = plucker(a, p)
-    out = np.empty(6, dtype=complex)
-    for j in range(6):
-        cj = KLEIN_C[j]
-        out[j] = sum(cj[m, n] * pi[k] for k, (m, n) in enumerate(_PAIRS)) * 2
-    return out
 
 
 @dataclass
@@ -111,37 +105,39 @@ class GeomPhasePoint:
         return GeomPhasePoint(q[keep], p[keep], chart)
 
 
+def _klein_x(pp, klein):
+    q, p = pp.homogeneous()
+    return np.einsum('a,ijab,b->ij', q, klein, p)
+
+
+def _klein_gradients(pp, klein):
+    q, p = pp.homogeneous()
+    c = pp.chart
+    keep = [a for a in range(4) if a != c]
+    mp = np.einsum('ijab,b->ija', klein, p)
+    qm = np.einsum('a,ijab->ijb', q, klein)
+    # p_c = -pa . qa depends on both arguments
+    gq = mp[:, :, keep] - qm[:, :, c, None] * pp.pa
+    gp = qm[:, :, keep] - qm[:, :, c, None] * pp.qa
+    return gq, gp
+
+
 def x_matrix(pp: GeomPhasePoint):
     """Skew 6x6 Klein matrix of the phase point."""
-    q, p = pp.homogeneous()
-    x0 = np.array([[q @ EPSILON[i].T @ KLEIN_C[j] @ p for j in range(6)]
-                   for i in range(6)])
-    return np.diag(DFACT) @ x0 @ np.diag(DFACT)
+    return _klein_x(pp, KLEIN)
 
 
 def x_gradients(pp: GeomPhasePoint):
     """d x_ij / d(qa, pa) in the chart, shape (6, 6, 3) each."""
-    q, p = pp.homogeneous()
-    qa, pa = pp.qa, pp.pa
-    c = pp.chart
-    keep = [a for a in range(4) if a != c]
-    gq = np.zeros((6, 6, 3), dtype=complex)
-    gp = np.zeros((6, 6, 3), dtype=complex)
-    for i in range(6):
-        for j in range(6):
-            m = DFACT[i] * DFACT[j] * EPSILON[i].T @ KLEIN_C[j]
-            mp = m @ p
-            qm = q @ m
-            for a in range(3):
-                # p_c = -pa . qa depends on both arguments
-                gq[i, j, a] = mp[keep[a]] - qm[c] * pa[a]
-                gp[i, j, a] = qm[keep[a]] - qm[c] * qa[a]
-    return gq, gp
+    return _klein_gradients(pp, KLEIN)
+
+
+def _skew(x):
+    return np.linalg.norm(x + x.T) / max(np.linalg.norm(x), 1e-300)
 
 
 def skew_defect(pp):
-    x = x_matrix(pp)
-    return np.linalg.norm(x + x.T) / max(np.linalg.norm(x), 1e-300)
+    return _skew(x_matrix(pp))
 
 
 def calibrate_convention(rng=None, trials=3):
@@ -154,51 +150,23 @@ def calibrate_convention(rng=None, trials=3):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    global SIGMA, DFACT, KLEIN_C
-    saved = SIGMA
     pts = [GeomPhasePoint(rng.standard_normal(3) + 1j * rng.standard_normal(3),
                           rng.standard_normal(3) + 1j * rng.standard_normal(3))
            for _ in range(trials)]
     best, best_def = None, np.inf
-    try:
-        for bits in itertools.product((1, -1), repeat=6):
-            SIGMA = np.array(bits)
-            DFACT = np.where(SIGMA < 0, 1j, 1.0 + 0j)
-            KLEIN_C = [0.5 * SIGMA[j] * EPSILON[j] for j in range(6)]
-            defect = max(skew_defect(pp) for pp in pts)
-            if defect < 1e-10:
-                defect += _so6_defect(pts[0])
-            if defect < best_def:
-                best, best_def = SIGMA.copy(), defect
-    finally:
-        SIGMA = saved
-        DFACT = np.where(SIGMA < 0, 1j, 1.0 + 0j)
-        KLEIN_C = [0.5 * SIGMA[j] * EPSILON[j] for j in range(6)]
+    for bits in itertools.product((1, -1), repeat=6):
+        sigma = np.array(bits)
+        klein = _klein_tensor(sigma)
+        defect = max(_skew(_klein_x(pp, klein)) for pp in pts)
+        if defect < 1e-10:
+            defect += _bracket_residuals(
+                _klein_x(pts[0], klein), *_klein_gradients(pts[0], klein))[0]
+        if defect < best_def:
+            best, best_def = sigma, defect
     return best, best_def
 
 
-def _so6_defect(pp):
-    gq, gp = x_gradients(pp)
-    x = x_matrix(pp)
-
-    def pb(i1, j1, i2, j2):
-        return np.sum(gq[i1, j1] * gp[i2, j2] - gp[i1, j1] * gq[i2, j2])
-
-    worst = 0.0
-    for n, m, p_ in itertools.permutations(range(6), 3):
-        worst = max(worst, abs(pb(n, m, m, p_) + x[n, p_]))
-    return worst
-
-
-def so6_relations(pp):
-    """Worst residuals of the so(6) bracket relations at a phase point.
-
-    Returns (adjacent, disjoint): max |{x_nm, x_mp} + x_np| over triples
-    and max |{x_nm, x_pq}| over disjoint index pairs.
-    """
-    gq, gp = x_gradients(pp)
-    x = x_matrix(pp)
-
+def _bracket_residuals(x, gq, gp):
     def pb(i1, j1, i2, j2):
         return np.sum(gq[i1, j1] * gp[i2, j2] - gp[i1, j1] * gq[i2, j2])
 
@@ -207,6 +175,15 @@ def so6_relations(pp):
     disjoint = max(abs(pb(n, m, p, q))
                    for n, m, p, q in itertools.permutations(range(6), 4))
     return adjacent, disjoint
+
+
+def so6_relations(pp):
+    """Worst residuals of the so(6) bracket relations at a phase point.
+
+    Returns (adjacent, disjoint): max |{x_nm, x_mp} + x_np| over triples
+    and max |{x_nm, x_pq}| over disjoint index pairs.
+    """
+    return _bracket_residuals(x_matrix(pp), *x_gradients(pp))
 
 
 def gp_hamiltonians(pp, z6):
@@ -249,6 +226,42 @@ def _trace_power_gradient(pp, z6, zeta, l):
     return fq, fp
 
 
+def _lax_velocity(z6, zeta, l):
+    """Flow of {tr L(zeta)^l, .} on (qa, pa): qdot = -F_p, pdot = F_q."""
+    def rhs(pp):
+        fq, fp = _trace_power_gradient(pp, z6, zeta, l)
+        return np.concatenate((-fp, fq))
+    return rhs
+
+
+def _shift(pp, incr):
+    return GeomPhasePoint(pp.qa + incr[:3], pp.pa + incr[3:], pp.chart)
+
+
+def _recenter(pp, step):
+    """Switch to the chart of the largest homogeneous coordinate once the
+    affine coordinates grow large."""
+    if np.abs(pp.qa).max() > 1e3:
+        q_hom, _ = pp.homogeneous()
+        return pp.to_chart(int(np.argmax(np.abs(q_hom))))
+    return pp
+
+
+def lax_drift(states, z6, zeta, l, probe=None):
+    """Drift from states[0] along states, one row per state.
+
+    Column 0 is max_i |H_i - H_i(0)| of the quadratic Hamiltonians and
+    column 1 the largest move of the sorted eigenvalues of L(probe).
+    """
+    if probe is None:
+        probe = 0.5 * zeta + 0.25j
+    hams = np.array([gp_hamiltonians(pp, z6) for pp in states])
+    spectra = np.array([np.sort_complex(np.linalg.eigvals(
+        lax_pair(pp, z6, zeta, probe, l)[0])) for pp in states])
+    return np.column_stack((np.abs(hams - hams[0]).max(axis=1),
+                            np.abs(spectra - spectra[0]).max(axis=1)))
+
+
 def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt, probe=None):
     """RK4 canonical flow of tr L(zeta)^l with an isospectrality report.
 
@@ -256,51 +269,26 @@ def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt, probe=None):
     large.  Returns (states, report) with the eigenvalue drift of
     L(probe) and the drift of the quadratic Hamiltonians.
     """
-    if probe is None:
-        probe = 0.5 * zeta + 0.25j
     z6 = np.asarray(z6, dtype=complex)
     pp = GeomPhasePoint(pp0.qa.copy(), pp0.pa.copy(), pp0.chart)
-    nsteps = int(round(t_end / dt))
-    states = [pp]
-    ev0 = np.sort_complex(np.linalg.eigvals(
-        lax_pair(pp, z6, zeta, probe, l)[0]))
-    h0 = gp_hamiltonians(pp, z6)
-
-    def rhs(qa, pa, chart):
-        # flow of {tr L(zeta)^l, .}: qdot = -F_p, pdot = F_q
-        fq, fp = _trace_power_gradient(GeomPhasePoint(qa, pa, chart),
-                                       z6, zeta, l)
-        return -fp, fq
-
-    for _ in range(nsteps):
-        qa, pa, ch = pp.qa, pp.pa, pp.chart
-        k1q, k1p = rhs(qa, pa, ch)
-        k2q, k2p = rhs(qa + 0.5 * dt * k1q, pa + 0.5 * dt * k1p, ch)
-        k3q, k3p = rhs(qa + 0.5 * dt * k2q, pa + 0.5 * dt * k2p, ch)
-        k4q, k4p = rhs(qa + dt * k3q, pa + dt * k3p, ch)
-        qa = qa + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        pa = pa + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        pp = GeomPhasePoint(qa, pa, ch)
-        if np.abs(qa).max() > 1e3:
-            q_hom, _ = pp.homogeneous()
-            target = int(np.argmax(np.abs(q_hom)))
-            pp = pp.to_chart(target)
-        states.append(pp)
-    ev1 = np.sort_complex(np.linalg.eigvals(
-        lax_pair(pp, z6, zeta, probe, l)[0]))
-    h1 = gp_hamiltonians(pp, z6)
+    states = integrate(_lax_velocity(z6, zeta, l), _shift, pp, dt,
+                       int(round(t_end / dt)), after=_recenter)
+    ham_drift, eig_drift = lax_drift(
+        [states[0], states[-1]], z6, zeta, l, probe)[-1]
     report = {
-        "eigenvalue_drift": float(np.abs(ev1 - ev0).max()),
-        "hamiltonian_drift": float(np.abs(h1 - h0).max()),
+        "eigenvalue_drift": float(eig_drift),
+        "hamiltonian_drift": float(ham_drift),
     }
     return states, report
 
 
 def lax_residual(pp, z6, zeta, zeta_p, l, h=1e-5):
     """|dL/dt - [M_l, L]| with the time derivative by Richardson FD."""
+    rhs = _lax_velocity(z6, zeta, l)
+
     def deriv(step):
-        fwd, _ = _flow_steps(pp, z6, zeta, l, step)
-        bwd, _ = _flow_steps(pp, z6, zeta, l, -step)
+        fwd = integrate(rhs, _shift, pp, step, 1)[-1]
+        bwd = integrate(rhs, _shift, pp, -step, 1)[-1]
         la = lax_pair(fwd, z6, zeta, zeta_p, l)[0]
         lb = lax_pair(bwd, z6, zeta, zeta_p, l)[0]
         return (la - lb) / (2 * step)
@@ -310,19 +298,3 @@ def lax_residual(pp, z6, zeta, zeta_p, l, h=1e-5):
     dl_dt = (4 * d2 - d1) / 3
     lz, m = lax_pair(pp, z6, zeta, zeta_p, l)
     return np.linalg.norm(dl_dt - (m @ lz - lz @ m))
-
-
-def _flow_steps(pp, z6, zeta, l, dt):
-    """One RK4 step of the tr L(zeta)^l flow (dt may be negative)."""
-    def rhs(qa, pa):
-        fq, fp = _trace_power_gradient(GeomPhasePoint(qa, pa, pp.chart),
-                                       z6, zeta, l)
-        return -fp, fq
-    qa, pa = pp.qa, pp.pa
-    k1q, k1p = rhs(qa, pa)
-    k2q, k2p = rhs(qa + 0.5 * dt * k1q, pa + 0.5 * dt * k1p)
-    k3q, k3p = rhs(qa + 0.5 * dt * k2q, pa + 0.5 * dt * k2p)
-    k4q, k4p = rhs(qa + dt * k3q, pa + dt * k3p)
-    qa = qa + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    pa = pa + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return GeomPhasePoint(qa, pa, pp.chart), dt

@@ -11,7 +11,7 @@ a y-part sum_s H1[j,s] x^s y.  For so(2n) the last block enters squared.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,14 +121,6 @@ class REval:
     d_lambda: complex
     grad_h: np.ndarray      # length-h gradient over all coefficients
     d_x: complex            # on-curve total derivative (dy/dx = P'/(2y))
-
-
-def _blocks(layout, ham, x, y):
-    """Values B_j, dB_j/dx (on-curve) and the per-coefficient monomials."""
-    nb = len(layout.spec.deltas)
-    b = np.zeros(nb, dtype=complex)
-    db = np.zeros(nb, dtype=complex)
-    return b, db
 
 
 def eval_R(layout: CoefficientLayout, curve, ham, pt: SpectralPoint) -> REval:

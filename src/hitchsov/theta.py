@@ -14,7 +14,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import (TruncationOverflow, ThetaDivisor, ResidueUnstable,
                      CycleDegenerate)
-from .curves import (CurvePoint, abel_map, abel_jets, differential_series,
+from .curves import (CurvePoint, abel_map, differential_series,
                      lattice_reduce)
 
 

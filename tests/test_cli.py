@@ -243,6 +243,22 @@ class TestSl2Demo:
         lines = (tmp_path / "sl2_demo.csv").read_text().splitlines()
         assert lines[0] == "t,ham_drift,eig_drift"
 
+    def test_overflow_exits_4(self, tmp_path):
+        rng = np.random.default_rng([1, 13])   # the flow blows up by t=0.1
+        data = {key: [_pair(z) for z in rng.standard_normal(n)
+                      + 1j * rng.standard_normal(n)]
+                for key, n in (("z6", 6), ("q", 3), ("p", 3))}
+        data["zeta"] = _pair(0.3)
+        f = tmp_path / "sl2.json"
+        f.write_text(json.dumps(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = runner.invoke(main, ["sl2", "demo", "--input", str(f),
+                                       "--output", str(tmp_path),
+                                       "--t-end", "0.2"])
+        assert res.exit_code == 4, res.output
+        assert "StepRejected" in res.stderr
+        assert not (tmp_path / "sl2_report.json").exists()
+
 
 class TestParabolicCli:
     def test_dims(self, tmp_path):

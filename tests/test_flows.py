@@ -4,10 +4,11 @@ import pytest
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint)
 from hitchsov.separation import solve_hamiltonians
+from hitchsov.errors import StepRejected
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             flow_poisson, match_states, angle_shift,
                             hamiltonian_drift, newton_sums,
-                            discriminant_zero_count)
+                            discriminant_zero_count, integrate)
 
 from conftest import sample_fiber_config
 
@@ -106,3 +107,44 @@ class TestDiscriminant:
         n, g = 2, curve_c.genus
         ghat = 2 * g - 1 + count // 4
         assert ghat == n * n * (g - 1) + 1
+
+
+class TestIntegrate:
+    # y' = A y with A = -0.5 + 2 J: exp(A t) = exp(-t/2) R(2t)
+    A = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+    Y0 = np.array([1.0, 0.3j])
+
+    def _error(self, scheme, n):
+        ys = integrate(lambda y: self.A @ y, lambda y, d: y + d, self.Y0,
+                       1.0 / n, n, scheme)
+        c, s = np.cos(2.0), np.sin(2.0)
+        exact = np.exp(-0.5) * np.array([[c, s], [-s, c]]) @ self.Y0
+        assert len(ys) == n + 1 and ys[0] is self.Y0
+        return np.abs(ys[-1] - exact).max()
+
+    @pytest.mark.parametrize("scheme, order", [("euler", 1), ("rk4", 4)])
+    def test_convergence_order(self, scheme, order):
+        ratio = self._error(scheme, 20) / self._error(scheme, 40)
+        assert 0.85 * 2 ** order < ratio < 1.15 * 2 ** order
+
+    def test_after_hook_sees_every_step(self):
+        seen = []
+
+        def after(y, step):
+            seen.append(step)
+            return y
+        integrate(lambda y: -y, lambda y, d: y + d, np.ones(2), 0.1, 5,
+                  after=after)
+        assert seen == [0, 1, 2, 3, 4]
+
+    def test_non_finite_velocity_rejected(self):
+        # the velocity is NaN beyond y = 1, first met by a stage of step 2
+        with pytest.raises(StepRejected, match="step 2") as info:
+            integrate(lambda y: np.where(y > 1.0, np.nan, 1.0),
+                      lambda y, d: y + d, np.zeros(1), 0.5, 10)
+        assert info.value.suggested_dt == 0.25
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError):
+            integrate(lambda y: y, lambda y, d: y + d, np.ones(1), 0.1, 1,
+                      "midpoint")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hitchsov import sl2
-from hitchsov.errors import DegenerateLine, PoleCollision, ChartSingularity
+from hitchsov.errors import (DegenerateLine, PoleCollision, ChartSingularity,
+                             StepRejected)
 
 
 def random_point(rng):
@@ -63,6 +64,42 @@ class TestKleinCalibration:
         sigma, defect = sl2.calibrate_convention(np.random.default_rng(0))
         assert tuple(sigma) in (tuple(sl2.SIGMA), tuple(-sl2.SIGMA))
         assert defect < 1e-10
+
+    def test_tensor_matches_loop_reference(self):
+        """x and its chart gradients against the per-entry definition
+        x_ij = d_i d_j q^T epsilon_i^T C_j p, in every chart."""
+        d = np.where(sl2.SIGMA < 0, 1j, 1.0)
+        c = [0.5 * sl2.SIGMA[j] * sl2.EPSILON[j] for j in range(6)]
+        rng = np.random.default_rng(15)
+        for chart in range(4):
+            pp = random_point(rng)
+            pp.chart = chart
+            q, p = pp.homogeneous()
+            keep = [a for a in range(4) if a != chart]
+            x = np.empty((6, 6), dtype=complex)
+            gq = np.empty((6, 6, 3), dtype=complex)
+            gp = np.empty((6, 6, 3), dtype=complex)
+            for i in range(6):
+                for j in range(6):
+                    m = d[i] * d[j] * sl2.EPSILON[i].T @ c[j]
+                    mp, qm = m @ p, q @ m
+                    x[i, j] = q @ mp
+                    for a in range(3):
+                        # p_chart = -pa . qa depends on both arguments
+                        gq[i, j, a] = mp[keep[a]] - qm[chart] * pp.pa[a]
+                        gp[i, j, a] = qm[keep[a]] - qm[chart] * pp.qa[a]
+            tol = 1e-13 * np.abs(x).max()
+            assert np.abs(sl2.x_matrix(pp) - x).max() < tol
+            for got, ref in zip(sl2.x_gradients(pp), (gq, gp)):
+                assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+
+    def test_calibration_is_pure(self):
+        pp = random_point(np.random.default_rng(14))
+        before = (sl2.SIGMA.copy(), sl2.KLEIN.copy(), sl2.x_matrix(pp))
+        sl2.calibrate_convention(np.random.default_rng(0))
+        after = (sl2.SIGMA, sl2.KLEIN, sl2.x_matrix(pp))
+        for a, b in zip(before, after):
+            assert a.tobytes() == b.tobytes()
 
     def test_gradients_fd(self):
         rng = np.random.default_rng(4)
@@ -146,3 +183,14 @@ class TestLax:
         pp = random_point(rng)
         res = sl2.lax_residual(pp, z6, 0.3, 0.51, 4)
         assert res < 1e-6
+
+    def test_overflow_rejected(self):
+        """Standard complex normal z6, q, p whose level-4 flow blows up
+        (|p| near 1e36 at step 95): a typed error, not a NaN eigensolve."""
+        rng = np.random.default_rng([1, 13])
+        z6, qa, pa = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                      for n in (6, 3, 3))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StepRejected) as info:
+            sl2.lax_flow(sl2.GeomPhasePoint(qa, pa), z6, 0.3, 4, 0.2, 1e-3)
+        assert info.value.suggested_dt == 5e-4
