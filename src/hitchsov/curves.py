@@ -200,6 +200,24 @@ def _sheet_step(curve, x, y_prev):
     return s if abs(s - y_prev) <= abs(-s - y_prev) else -s
 
 
+def _track_sheets(curve, xs, y_start):
+    """y along the samples xs, each on the sheet nearest the one before.
+
+    The same choice as repeated ``_sheet_step`` from y_start, made in one
+    pass: with s = sqrt(P(xs)) and s_{-1} = y_start, the sheet flips at
+    sample i when s_i is nearer -s_{i-1} than s_{i-1}, because
+    |y_{i-1}| = |s_{i-1}|; y is s times the running parity of the flips.
+    """
+    s = np.sqrt(curve.p(xs))
+    prev = np.r_[complex(y_start), s[:-1]]
+    tied = np.abs(s) < 1e-13 * (1 + np.abs(prev))
+    if tied.any():
+        raise ContinuationAmbiguity(
+            f"sheets indistinguishable at x={xs[np.argmax(tied)]}")
+    flip = np.abs(s - prev) > np.abs(-s - prev)
+    return np.where(np.cumsum(flip) % 2 == 1, -s, s)
+
+
 def _continue_segment(curve, a, b, y0, depth=0):
     y1 = _sheet_step(curve, b, y0)
     if abs(y1 - y0) <= 0.1 * max(abs(y0), abs(y1)) or depth >= 48:
@@ -404,7 +422,11 @@ def _anchor(curve):
 
 def _cycle_periods(curve, contour, anchor_x, anchor_y, tol=1e-11):
     """Integrals of the g monomial differentials around a closed contour,
-    started on the sheet continued from the anchor point."""
+    started on the sheet continued from the anchor point.
+
+    The sample count doubles from 256 until two successive values agree to
+    tol; raises CycleDegenerate when 2^15 samples do not get there.
+    """
     xs0, _, _ = contour.sample(8)
     start = xs0[0]
     way = route_path(curve, anchor_x, start)
@@ -413,51 +435,86 @@ def _cycle_periods(curve, contour, anchor_x, anchor_y, tol=1e-11):
     n = 256
     while n <= 1 << 15:
         xs, dxs, dth = contour.sample(n)
-        ys = np.empty(n, dtype=complex)
-        yp = y_start
-        for i in range(n):
-            yp = _sheet_step(curve, xs[i], yp)
-            ys[i] = yp
-        y_close = _sheet_step(curve, xs[0], yp)
+        ys = _track_sheets(curve, np.r_[xs, xs[:1]], y_start)
+        ys, y_close = ys[:-1], ys[-1]
         powers = np.vander(xs, curve.genus, increasing=True).T
         vals = (powers * dxs / ys) @ np.ones(n) * dth
         if abs(y_close - y_start) > 0.5 * abs(y_start):
             raise CycleDegenerate("contour encloses an odd number of branch points")
-        if prev is not None and np.max(np.abs(vals - prev)) < tol * (1 + np.max(np.abs(vals))):
-            return vals
+        if prev is not None:
+            diff = np.max(np.abs(vals - prev))
+            if diff < tol * (1 + np.max(np.abs(vals))):
+                return vals
         prev = vals
         n *= 2
-    return prev
+    raise CycleDegenerate(
+        f"contour periods not converged at {n // 2} samples "
+        f"(last refinement difference {diff:.3e})"
+    )
 
 
 def _sample_cycle_with_sheets(curve, contour, anchor_x, anchor_y, n=1024):
     xs, _, _ = contour.sample(n)
     way = route_path(curve, anchor_x, xs[0])
-    yp = continue_y(curve, way, anchor_y)[-1]
-    ys = np.empty(n, dtype=complex)
-    for i in range(n):
-        yp = _sheet_step(curve, xs[i], yp)
-        ys[i] = yp
-    return xs, ys
+    y_start = continue_y(curve, way, anchor_y)[-1]
+    return xs, _track_sheets(curve, xs, y_start)
+
+
+# segments per block in _segment_crossings: two ellipses cross at most four
+# times, so few of the block pairs have overlapping bounding boxes
+_CROSSING_BLOCK = 64
+
+
+def _block_boxes(xs, pad):
+    """Padded closed bounding boxes (re_lo, re_hi, im_lo, im_hi) of the
+    blocks of _CROSSING_BLOCK consecutive segments of a closed polyline."""
+    n = len(xs)
+    starts = np.arange(0, n, _CROSSING_BLOCK)
+    ends = np.minimum(starts + _CROSSING_BLOCK, n) % n  # last vertex of block
+    boxes = []
+    for part in (xs.real, xs.imag):
+        lo = np.minimum(np.minimum.reduceat(part, starts), part[ends])
+        hi = np.maximum(np.maximum.reduceat(part, starts), part[ends])
+        boxes += [lo - pad, hi + pad]
+    return boxes
 
 
 def _segment_crossings(xs1, xs2):
-    """Indices and parameters of crossings between two closed polylines."""
-    a = xs1
-    b = np.r_[xs1[1:], xs1[:1]]
-    c = xs2
-    d = np.r_[xs2[1:], xs2[:1]]
-    d1 = (b - a)[:, None]
-    d2 = (d - c)[None, :]
-    rel = c[None, :] - a[:, None]
+    """Indices and parameters of crossings between two closed polylines.
+
+    Segment i of xs1 runs from xs1[i] to xs1[i+1] (cyclically) and meets
+    segment j of xs2 at xs1[i] + t (xs1[i+1] - xs1[i]) for t and the
+    matching s in [0, 1).  Returns (i, j, t, orientation) in row-major
+    (i, j) order.  The segment-pair test runs only on blocks of segments
+    whose bounding boxes, padded by 1e-12 (1 + max|x|) against roundoff,
+    overlap, so time and memory stay near-linear in the sample counts.
+    """
+    pad = 1e-12 * (1 + max(np.abs(xs1).max(), np.abs(xs2).max()))
+    r1lo, r1hi, i1lo, i1hi = _block_boxes(xs1, pad)
+    r2lo, r2hi, i2lo, i2hi = _block_boxes(xs2, pad)
+    overlap = (
+        (r1lo[:, None] <= r2hi[None, :]) & (r2lo[None, :] <= r1hi[:, None])
+        & (i1lo[:, None] <= i2hi[None, :]) & (i2lo[None, :] <= i1hi[:, None])
+    )
+    a, b = xs1, np.r_[xs1[1:], xs1[:1]]
+    c, d = xs2, np.r_[xs2[1:], xs2[:1]]
     cross = lambda u, v: u.real * v.imag - u.imag * v.real
-    denom = cross(d1, d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross(rel, d2) / denom
-        s = cross(rel, d1) / denom
-    hit = (denom != 0) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
-    idx = np.argwhere(hit)
-    return [(i, j, t[i, j], np.sign(denom[i, j])) for i, j in idx]
+    hits = []
+    for k1, k2 in np.argwhere(overlap):
+        r1 = slice(k1 * _CROSSING_BLOCK, (k1 + 1) * _CROSSING_BLOCK)
+        r2 = slice(k2 * _CROSSING_BLOCK, (k2 + 1) * _CROSSING_BLOCK)
+        d1 = (b[r1] - a[r1])[:, None]
+        d2 = (d[r2] - c[r2])[None, :]
+        rel = c[r2][None, :] - a[r1][:, None]
+        denom = cross(d1, d2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = cross(rel, d2) / denom
+            s = cross(rel, d1) / denom
+        hit = (denom != 0) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
+        for i, j in np.argwhere(hit):
+            hits.append((i + r1.start, j + r2.start, t[i, j], np.sign(denom[i, j])))
+    hits.sort(key=lambda h: (h[0], h[1]))
+    return hits
 
 
 def _lifted_intersection(curve, cyc1, cyc2):
@@ -547,6 +604,11 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
     The normalization matrix N maps monomial differentials to the basis
     normalized against the a-cycles: sum_k N[s,k] x^k dx/y has a_j-period
     delta_sj; tau is the matrix of its b-periods.
+
+    Postconditions (Riemann bilinear relations), else CycleDegenerate: tau
+    is symmetric to |tau - tau^T| < 1e-6 (1 + |tau|) and is returned
+    symmetrized; Im tau is positive definite once the b-cycles are flipped
+    (tau -> -tau) for the opposite orientation convention.
     """
     g = curve.genus
     a_cycles, b_cycles = homology_contours(curve)
@@ -581,16 +643,32 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
             )
     t = _symplectic_transform(j_mat)
     new_periods = periods @ t.T.astype(float)
-    pa = new_periods[:, :g]
-    pb = new_periods[:, g:]
+    tau, norm = _normalized_tau(new_periods[:, :g], new_periods[:, g:])
+    return ThetaData(tau=tau, normalization=norm)
+
+
+def _normalized_tau(pa, pb):
+    """tau = N pb and N, where N pa = I, with tau's two postconditions.
+
+    Raises CycleDegenerate when |tau - tau^T| >= 1e-6 (1 + |tau|) (Frobenius
+    norms), and when Im tau is not positive definite after the b-cycles are
+    flipped (tau -> -tau) for an Im tau with a negative eigenvalue.
+    """
+    g = pa.shape[0]
     norm = np.linalg.solve(pa.T, np.eye(g)).T  # N @ pa = I
     tau = norm @ pb
-    if np.linalg.norm(tau - tau.T) < 1e-6 * (1 + np.linalg.norm(tau)):
-        tau = 0.5 * (tau + tau.T)
+    asym = np.linalg.norm(tau - tau.T)
+    if not asym < 1e-6 * (1 + np.linalg.norm(tau)):
+        raise CycleDegenerate(f"period matrix not symmetric (|tau - tau^T| = {asym:.3e})")
+    tau = 0.5 * (tau + tau.T)
     if np.min(np.linalg.eigvalsh(tau.imag)) < 0:
         # opposite orientation convention; flip the b-cycles
         tau = -tau
-    return ThetaData(tau=tau, normalization=norm)
+    least = np.min(np.linalg.eigvalsh(tau.imag))
+    if not least > 0:
+        raise CycleDegenerate(
+            f"Im tau not positive definite (least eigenvalue {least:.3e})")
+    return tau, norm
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,9 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
     rhs(state) is the velocity vector and advance(state, incr) the state
     moved by incr; after(state, step), when given, turns each step's
     result into the accepted state (a re-projection or a chart switch).
-    A stage velocity that is not finite raises StepRejected.
+    A stage velocity that is not finite raises StepRejected; numpy's
+    overflow and invalid-value warnings are silenced while stepping, since
+    that check is what reports a blow-up.
     """
     if scheme not in ("euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -63,18 +65,19 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
         return k
 
     states = [state]
-    for step in range(nsteps):
-        k1 = velocity(state, step)
-        if scheme == "euler":
-            state = advance(state, dt * k1)
-        else:
-            k2 = velocity(advance(state, 0.5 * dt * k1), step)
-            k3 = velocity(advance(state, 0.5 * dt * k2), step)
-            k4 = velocity(advance(state, dt * k3), step)
-            state = advance(state, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        if after is not None:
-            state = after(state, step)
-        states.append(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(nsteps):
+            k1 = velocity(state, step)
+            if scheme == "euler":
+                state = advance(state, dt * k1)
+            else:
+                k2 = velocity(advance(state, 0.5 * dt * k1), step)
+                k3 = velocity(advance(state, 0.5 * dt * k2), step)
+                k4 = velocity(advance(state, dt * k3), step)
+                state = advance(state, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+            if after is not None:
+                state = after(state, step)
+            states.append(state)
     return states
 
 

@@ -184,13 +184,14 @@ class TestLax:
         res = sl2.lax_residual(pp, z6, 0.3, 0.51, 4)
         assert res < 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_rejected(self):
         """Standard complex normal z6, q, p whose level-4 flow blows up
-        (|p| near 1e36 at step 95): a typed error, not a NaN eigensolve."""
+        (|p| near 1e36 at step 95): a typed error, not a NaN eigensolve,
+        and no numpy overflow warning on the way."""
         rng = np.random.default_rng([1, 13])
         z6, qa, pa = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
                       for n in (6, 3, 3))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(StepRejected) as info:
+        with pytest.raises(StepRejected) as info:
             sl2.lax_flow(sl2.GeomPhasePoint(qa, pa), z6, 0.3, 4, 0.2, 1e-3)
         assert info.value.suggested_dt == 5e-4
