@@ -183,14 +183,15 @@ def continue_y(curve: HyperellipticCurve, path, y_start):
     scale = 1.0 + abs(curve.p(path[0]))
     if abs(y0**2 - curve.p(path[0])) > 1e-8 * scale * (1 + abs(y0) ** 2):
         raise ContinuationAmbiguity("y_start does not lie on the curve above path[0]")
-    for x in path:
-        if curve.nearest_branch_distance(x) < curve.exclusion_radius:
-            raise BranchProximity(f"waypoint {x} within exclusion radius of a branch point")
-    out = [y0]
-    for a, b in zip(path[:-1], path[1:]):
-        y0 = _continue_segment(curve, a, b, y0)
-        out.append(y0)
-    return np.array(out)
+    near = _branch_distances(curve, path) < curve.exclusion_radius
+    if near.any():
+        raise BranchProximity(
+            f"waypoint {path[np.argmax(near)]} within exclusion radius of a branch point")
+    return np.r_[y0, _continue_nodes(curve, path[0], path[1:], y0)]
+
+
+def _branch_distances(curve, xs):
+    return np.min(np.abs(xs[:, None] - curve.branch_points[None, :]), axis=1)
 
 
 def _sheet_step(curve, x, y_prev):
@@ -218,15 +219,47 @@ def _track_sheets(curve, xs, y_start):
     return np.where(np.cumsum(flip) % 2 == 1, -s, s)
 
 
-def _continue_segment(curve, a, b, y0, depth=0):
-    y1 = _sheet_step(curve, b, y0)
-    if abs(y1 - y0) <= 0.1 * max(abs(y0), abs(y1)) or depth >= 48:
-        return y1
-    mid = 0.5 * (a + b)
-    if curve.nearest_branch_distance(mid) < curve.exclusion_radius:
-        raise BranchProximity(f"continuation forced through x={mid} near a branch point")
-    ym = _continue_segment(curve, a, mid, y0, depth + 1)
-    return _continue_segment(curve, mid, b, ym, depth + 1)
+# points of a polyline refined by _continue_nodes: far above what a path
+# that keeps the exclusion radius needs, and a bound on the memory when the
+# failing steps double every round
+_CONTINUATION_POINTS = 1 << 16
+
+
+def _continue_nodes(curve, a, xs, y0):
+    """y at the nodes xs of the polyline a, xs[0], xs[1], ..., from y(a) = y0.
+
+    Every step of the polyline, tracked by ``_track_sheets``, may change y
+    by at most 10% of the larger |y|; each step that changes it more is
+    halved, all of them in one pass, and the refined polyline is tracked
+    again.  The test is invariant under y -> -y, so the halvings are those
+    of a depth-first bisection of each step.  Raises BranchProximity for a
+    midpoint within the exclusion radius and ContinuationAmbiguity when 48
+    rounds of halving leave a step too large, or when halving would take the
+    polyline past _CONTINUATION_POINTS points.
+    """
+    pts = np.r_[complex(a), np.asarray(xs, dtype=complex)]
+    node = np.ones(len(pts), dtype=bool)
+    node[0] = False
+    for halvings in range(49):
+        ys = _track_sheets(curve, pts[1:], y0)
+        prev = np.r_[complex(y0), ys[:-1]]
+        size = np.maximum(np.abs(prev), np.abs(ys))
+        big = np.abs(ys - prev) > 0.1 * size
+        if not big.any():
+            return ys[node[1:]]
+        if halvings == 48 or len(pts) + big.sum() > _CONTINUATION_POINTS:
+            worst = np.max(np.abs(ys - prev)[big] / size[big])
+            raise ContinuationAmbiguity(
+                f"continuation step still changes y by {worst:.2e} relatively "
+                f"after {halvings} halvings ({len(pts)} points)")
+        step = np.flatnonzero(big)  # step i runs from pts[i] to pts[i+1]
+        mids = 0.5 * (pts[step] + pts[step + 1])
+        near = _branch_distances(curve, mids) < curve.exclusion_radius
+        if near.any():
+            raise BranchProximity(
+                f"continuation forced through x={mids[np.argmax(near)]} near a branch point")
+        pts = np.insert(pts, step + 1, mids)
+        node = np.insert(node, step + 1, False)
 
 
 # ----------------------------------------------------------------------
@@ -311,28 +344,31 @@ def integrate_monomials(curve: HyperellipticCurve, waypoints, y_start, tol=1e-10
 def _segment_gl(curve, a, b, y0):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     xs = mid + half * _GL_NODES
-    ys = np.empty(len(xs), dtype=complex)
-    yp = y0
-    for i, x in enumerate(xs):
-        yp = _continue_segment(curve, a if i == 0 else xs[i - 1], x, yp)
-        ys[i] = yp
-    y_end = _continue_segment(curve, xs[-1], b, yp)
+    ys = _continue_nodes(curve, a, np.r_[xs, b], y0)
     powers = np.vander(xs, curve.genus, increasing=True).T  # x^0..x^(g-1)
-    vals = (powers / ys) @ _GL_WEIGHTS * half
-    return vals, y_end
+    vals = (powers / ys[:-1]) @ _GL_WEIGHTS * half
+    return vals, ys[-1]
 
 
-def _integrate_segment(curve, a, b, y0, tol, depth=0):
-    coarse, _ = _segment_gl(curve, a, b, y0)
+def _integrate_segment(curve, a, b, y0, tol, depth=0, coarse=None):
+    """Adaptive Gauss-Legendre integral over [a, b], comparing one panel
+    (``coarse``, computed when not given) with its two halves; raises
+    CycleDegenerate when the halves still disagree at depth 24."""
+    if coarse is None:
+        coarse, _ = _segment_gl(curve, a, b, y0)
     mid = 0.5 * (a + b)
     left, ym = _segment_gl(curve, a, mid, y0)
     right, y_end = _segment_gl(curve, mid, b, ym)
     fine = left + right
     err = np.max(np.abs(fine - coarse))
-    if err <= tol or depth >= 24:
+    if err <= tol:
         return fine, y_end
-    left, ym = _integrate_segment(curve, a, mid, y0, tol / 2, depth + 1)
-    right, y_end = _integrate_segment(curve, mid, b, ym, tol / 2, depth + 1)
+    if depth >= 24:
+        raise CycleDegenerate(
+            f"quadrature not converged at depth {depth} "
+            f"(panel difference {err:.3e} > tol {tol:.3e})")
+    left, ym = _integrate_segment(curve, a, mid, y0, tol / 2, depth + 1, left)
+    right, y_end = _integrate_segment(curve, mid, b, ym, tol / 2, depth + 1, right)
     return left + right, y_end
 
 
@@ -420,17 +456,19 @@ def _anchor(curve):
     return complex(x0), complex(np.sqrt(curve.p(x0)))
 
 
-def _cycle_periods(curve, contour, anchor_x, anchor_y, tol=1e-11):
+def _contour_start_y(curve, contour, anchor_x, anchor_y):
+    """y at the contour's first sample, continued from the anchor point."""
+    start = contour.sample(1)[0][0]
+    return continue_y(curve, route_path(curve, anchor_x, start), anchor_y)[-1]
+
+
+def _cycle_periods(curve, contour, y_start, tol=1e-11):
     """Integrals of the g monomial differentials around a closed contour,
-    started on the sheet continued from the anchor point.
+    started on the sheet of y_start at its first sample.
 
     The sample count doubles from 256 until two successive values agree to
     tol; raises CycleDegenerate when 2^15 samples do not get there.
     """
-    xs0, _, _ = contour.sample(8)
-    start = xs0[0]
-    way = route_path(curve, anchor_x, start)
-    y_start = continue_y(curve, way, anchor_y)[-1]
     prev = None
     n = 256
     while n <= 1 << 15:
@@ -453,10 +491,8 @@ def _cycle_periods(curve, contour, anchor_x, anchor_y, tol=1e-11):
     )
 
 
-def _sample_cycle_with_sheets(curve, contour, anchor_x, anchor_y, n=1024):
+def _sample_cycle_with_sheets(curve, contour, y_start, n=1024):
     xs, _, _ = contour.sample(n)
-    way = route_path(curve, anchor_x, xs[0])
-    y_start = continue_y(curve, way, anchor_y)[-1]
     return xs, _track_sheets(curve, xs, y_start)
 
 
@@ -614,15 +650,17 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
     a_cycles, b_cycles = homology_contours(curve)
     contours = a_cycles + b_cycles
     ax, ay = _anchor(curve)
+    starts = [_contour_start_y(curve, c, ax, ay) for c in contours]
     periods = np.column_stack(
-        [_cycle_periods(curve, c, ax, ay, tol) for c in contours]
+        [_cycle_periods(curve, c, y0, tol) for c, y0 in zip(contours, starts)]
     )  # g x 2g, columns per candidate cycle
     n = 2 * g
     scale = np.abs(periods).max() ** 2
     nsamp = 4096
     while True:
         sampled = [
-            _sample_cycle_with_sheets(curve, c, ax, ay, n=nsamp) for c in contours
+            _sample_cycle_with_sheets(curve, c, y0, n=nsamp)
+            for c, y0 in zip(contours, starts)
         ]
         j_mat = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
@@ -751,21 +789,28 @@ def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target: CurvePoin
     return _abel_from_infinity(curve, norm, target, tol)
 
 
-def _abel_from_infinity(curve, norm, target: CurvePoint, tol=1e-10):
-    if target.at_infinity:
-        return np.zeros(curve.genus, dtype=complex)
-    g = curve.genus
-    z0 = _chart_radius(curve)
-    series_part = _abel_series_part(curve, norm, z0)
-    x_start = z0 ** (-2.0)
+def _chart_exit(curve, z0):
+    """The point (x, y) at z = z0 where an Abel path leaves the z-chart.
+
+    x = z0^-2 and y = z0^-(2g+1) sqrt(Q(z0^2)), Q(u) = u^(2g+1) P(1/u), on
+    the sheet of the series z^-(2g+1) S(z^2) with S(0) = 1 that the series
+    part of the Abel map integrates.
+    """
     q = curve.coeffs[::-1]
     u = z0**2
-    s_val = np.sqrt(npoly.polyval(u, q) * u ** (2 * g + 1))
-    # fix the sqrt branch to the series normalization S(0)=1
+    s_val = np.sqrt(npoly.polyval(u, q))
     s_series = 1.0 / npoly.polyval(u, _series_invsqrt(np.pad(q, (0, 40))[:40], 40))
     if abs(s_val - s_series) > abs(s_val + s_series):
         s_val = -s_val
-    y_start = z0 ** (-(2 * g + 1)) * s_val
+    return z0 ** (-2.0), z0 ** (-(2 * curve.genus + 1)) * s_val
+
+
+def _abel_from_infinity(curve, norm, target: CurvePoint, tol=1e-10):
+    if target.at_infinity:
+        return np.zeros(curve.genus, dtype=complex)
+    z0 = _chart_radius(curve)
+    series_part = _abel_series_part(curve, norm, z0)
+    x_start, y_start = _chart_exit(curve, z0)
     way = route_path(curve, x_start, target.x)
     x_part, y_end = integrate_monomials(curve, way, y_start, tol)
     x_part = np.asarray(norm, dtype=complex) @ x_part

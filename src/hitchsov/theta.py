@@ -5,6 +5,17 @@ a point phi of the Jacobian in two independent ways: by extracting a
 Taylor coefficient of ln theta composed with the Abel series at infinity,
 and by a contour residue on a small circle in the z-chart.  Agreement of
 the two routes is the module's central consistency check.
+
+Theta sums are truncated to a lattice built once for a batch of arguments
+(Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
+functions*, Math. Comp. 73, 2004): the union of the ellipsoids
+(n - c).Y.(n - c) <= lam_min r^2 about the centres c = -Y^{-1} Im z of all
+rows z, Y = Im tau.  For one row it is that row's own ellipsoid; for many it
+holds every term any row would have summed alone, and each row also sums
+the other rows' points, whose terms lie below the truncation level.  The
+contour route evaluates theta and its gradient on all samples of a circle
+from one lattice, and the Riemann-constant search scores every half-period
+against every divisor from one lattice.
 """
 
 import itertools
@@ -18,15 +29,18 @@ from .curves import (CurvePoint, abel_map, differential_series,
                      lattice_reduce)
 
 
-def _lattice_points(tau, z, extra_radius, radius_cap):
-    """Integer points covering the significant Gaussian mass of the sum.
+def _lattice_points(tau, zs, extra_radius, radius_cap):
+    """Integer points covering the significant Gaussian mass of the sums at
+    all rows of zs (shape (m, g)).
 
-    The sum is centered at the peak of |exp(pi i n.tau.n + 2 pi i n.z)|,
-    which sits at n = -Y^{-1} Im z for Y = Im tau.
+    The sum at z is centered at the peak of |exp(pi i n.tau.n + 2 pi i n.z)|,
+    which sits at n = -Y^{-1} Im z for Y = Im tau.  A point is kept when it
+    lies in the ellipsoid of radius r about any row's center, so for one row
+    the set is that row's own and for many rows a superset of each.
     """
     y = np.ascontiguousarray(tau.imag)
     g = y.shape[0]
-    center = -np.linalg.solve(y, np.imag(z))
+    centers = -np.linalg.solve(y, np.imag(zs).T).T  # (m, g)
     lam_min = np.linalg.eigvalsh(y).min()
     if lam_min <= 0:
         raise ValueError("Im tau not positive definite")
@@ -34,20 +48,33 @@ def _lattice_points(tau, z, extra_radius, radius_cap):
     if radius > radius_cap:
         raise TruncationOverflow(
             f"lattice radius {radius:.1f} exceeds cap {radius_cap}")
-    ranges = [range(int(np.floor(c - radius)), int(np.ceil(c + radius)) + 1)
-              for c in center]
-    pts = np.array(list(itertools.product(*ranges)), dtype=float)
-    d = pts - center
-    keep = np.einsum('ij,jk,ik->i', d, y, d) <= lam_min * radius ** 2
+    lo = np.floor(centers.min(axis=0) - radius).astype(int)
+    hi = np.ceil(centers.max(axis=0) + radius).astype(int)
+    pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
+    # q(n - c) = n.Y.n - 2 n.Y.c + c.Y.c for every point n and center c,
+    # summed in place: (npts, m) can be large
+    yc = centers @ y
+    quad = pts @ (-2.0 * yc.T)
+    quad += np.einsum('ij,jk,ik->i', pts, y, pts)[:, None]
+    quad += np.einsum('ij,ij->i', yc, centers)[None, :]
+    keep = (quad <= lam_min * radius ** 2).any(axis=1)
     return pts[keep] if keep.any() else pts
 
 
-def _lattice_terms(z, tau, extra_radius=3.0, radius_cap=60.0):
-    """Lattice points and the common exponential term of the theta sum."""
-    pts = _lattice_points(tau, z, extra_radius, radius_cap)
-    expo = (np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
-            + 2j * np.pi * pts @ z)
-    return pts, np.exp(expo)
+def _lattice_terms(zs, tau, extra_radius=3.0, radius_cap=60.0):
+    """Lattice points and the exponential terms of the theta sums at the
+    rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r])."""
+    pts = _lattice_points(tau, zs, extra_radius, radius_cap)
+    expo = zs @ (2j * np.pi * pts).T  # updated in place, like quad above
+    expo += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
+    return pts, np.exp(expo, out=expo)
+
+
+def _theta_and_gradient(zs, tau):
+    """theta and its gradient at the rows of zs (shape (m, g)), summed over
+    one lattice with the radius of a first derivative."""
+    pts, terms = _lattice_terms(zs, tau, 5.0)
+    return terms.sum(axis=1), 2j * np.pi * (terms @ pts)
 
 
 def riemann_theta(z, tau, deriv=None, tol=1e-12, radius_cap=60.0):
@@ -59,7 +86,8 @@ def riemann_theta(z, tau, deriv=None, tol=1e-12, radius_cap=60.0):
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     extra = 3.0 + (2.0 * sum(deriv) if deriv else 0.0)
-    pts, terms = _lattice_terms(z, tau, extra, radius_cap)
+    pts, terms = _lattice_terms(z[None, :], tau, extra, radius_cap)
+    terms = terms[0]
     if deriv is not None:
         for s, order in enumerate(deriv):
             if order:
@@ -75,7 +103,9 @@ def theta_deriv_table(z, tau, max_order, radius_cap=60.0):
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     g = len(z)
-    pts, terms = _lattice_terms(z, tau, 3.0 + 2.0 * max_order, radius_cap)
+    pts, terms = _lattice_terms(z[None, :], tau, 3.0 + 2.0 * max_order,
+                                radius_cap)
+    terms = terms[0]
     factors = 2j * np.pi * pts  # (npts, g)
     table = {}
     for j in itertools.product(range(max_order + 1), repeat=g):
@@ -119,20 +149,20 @@ def riemann_constants(curve, theta_data, rng=None, nsamples=6):
                 y = -y
             pts.append(CurvePoint(x, y))
         if len(pts) == g - 1:
-            divisors.append(sum(
-                (abel_map(curve, theta_data, p) for p in pts),
-                np.zeros(g, dtype=complex)))
-    scale = abs(riemann_theta(np.zeros(g), tau))
-    best, best_score = None, np.inf
-    for mbits in itertools.product((0, 1), repeat=g):
-        for nbits in itertools.product((0, 1), repeat=g):
-            k = 0.5 * (np.array(mbits, dtype=complex)
-                       + tau @ np.array(nbits, dtype=complex))
-            score = max(abs(riemann_theta(lattice_reduce(theta_data, a + k),
-                                          tau))
-                        for a in divisors)
-            if score < best_score:
-                best, best_score = k, score
+            divisors.append(_divisor_image(curve, theta_data, pts))
+    halves = [0.5 * (np.array(mbits, dtype=complex)
+                     + tau @ np.array(nbits, dtype=complex))
+              for mbits in itertools.product((0, 1), repeat=g)
+              for nbits in itertools.product((0, 1), repeat=g)]
+    # row 0 gives the scale, then each half-period against every divisor
+    zs = np.array([np.zeros(g, dtype=complex)]
+                  + [lattice_reduce(theta_data, a + k)
+                     for k in halves for a in divisors])
+    _, terms = _lattice_terms(zs, tau)
+    vals = np.abs(terms.sum(axis=1))
+    scores = vals[1:].reshape(len(halves), len(divisors)).max(axis=1)
+    best_at = int(np.argmin(scores))  # the first of equal scores
+    best, best_score, scale = halves[best_at], scores[best_at], vals[0]
     if best_score > 1e-5 * scale:
         raise CycleDegenerate(
             f"no half-period satisfies Riemann vanishing "
@@ -235,19 +265,13 @@ def sigma_contour(curve, theta_data, phi, k, const=0.0, radius=None,
 
     def residue(nn):
         zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
-        acc = 0.0 + 0.0j
-        for z in zs:
-            zp = z ** np.arange(nterms + 1)
-            az = a_coeff @ zp
-            daz = w @ (z ** np.arange(nterms))
-            v = v0 + az
-            th = riemann_theta(v, tau)
-            if abs(th) < 1e-12:
-                raise ThetaDivisor("theta vanishes on the sampling circle")
-            grad = np.array([riemann_theta(v, tau, deriv=tuple(
-                1 if s == t else 0 for t in range(g))) for s in range(g)])
-            acc += (grad @ daz) / th * z ** (1 - 2 * k)
-        return acc / nn
+        zp = zs[:, None] ** np.arange(nterms + 1)  # (nn, nterms + 1)
+        th, grad = _theta_and_gradient(v0 + zp @ a_coeff.T, tau)
+        if np.any(np.abs(th) < 1e-12):
+            raise ThetaDivisor("theta vanishes on the sampling circle")
+        daz = zp[:, :nterms] @ w.T  # dA/dz at the samples
+        return np.sum(np.sum(grad * daz, axis=1) / th
+                      * zs ** (1 - 2 * k)) / nn
 
     r1 = residue(nsamples)
     r2 = residue(2 * nsamples)
@@ -257,13 +281,22 @@ def sigma_contour(curve, theta_data, phi, k, const=0.0, radius=None,
     return const - r2
 
 
-def sigma_constant(curve, theta_data, k, ref_points):
-    """Calibrate the additive constant of sigma_k on a known configuration."""
-    phi = sum((abel_map(curve, theta_data, p) for p in ref_points),
-              np.zeros(theta_data.tau.shape[0], dtype=complex))
-    raw = sigma_series(curve, theta_data, phi, k, const=0.0)
+def _divisor_image(curve, theta_data, points):
+    """Sum of the Abel images of the points."""
+    return sum((abel_map(curve, theta_data, p) for p in points),
+               np.zeros(theta_data.tau.shape[0], dtype=complex))
+
+
+def _calibrated_constant(curve, theta_data, k, ref_points, ref_phi):
+    raw = sigma_series(curve, theta_data, ref_phi, k, const=0.0)
     truth = sum(p.x ** k for p in ref_points)
     return truth - raw
+
+
+def sigma_constant(curve, theta_data, k, ref_points):
+    """Calibrate the additive constant of sigma_k on a known configuration."""
+    return _calibrated_constant(curve, theta_data, k, ref_points,
+                                _divisor_image(curve, theta_data, ref_points))
 
 
 def jacobi_inversion_check(curve, theta_data, points, ref_points):
@@ -275,11 +308,11 @@ def jacobi_inversion_check(curve, theta_data, points, ref_points):
     g = theta_data.tau.shape[0]
     if theta_data.riemann_constants is None:
         riemann_constants(curve, theta_data)
-    phi = sum((abel_map(curve, theta_data, p) for p in points),
-              np.zeros(g, dtype=complex))
+    phi = _divisor_image(curve, theta_data, points)
+    ref_phi = _divisor_image(curve, theta_data, ref_points)
     sigmas, sigmas_contour = [], []
     for k in range(1, g + 1):
-        const = sigma_constant(curve, theta_data, k, ref_points)
+        const = _calibrated_constant(curve, theta_data, k, ref_points, ref_phi)
         sigmas.append(sigma_series(curve, theta_data, phi, k, const))
         sigmas_contour.append(
             sigma_contour(curve, theta_data, phi, k, const))

@@ -218,6 +218,24 @@ class TestThetaSigma:
         assert out["route_gap"] < 1e-6
         assert len(out["tau"]) == 2
 
+    def test_theta_divisor_exits_4(self, curve15, theta15, tmp_path):
+        # phi = -A(P) puts theta(-phi - K) on the theta divisor
+        from hitchsov.curves import abel_map
+        x = 0.4 + 0.3j
+        p = curve15.point(x, np.sqrt(complex(curve15.p(x))))
+        data = {
+            "curve": {"coeffs": [_pair(z) for z in curve15.coeffs]},
+            "phi": [_pair(z) for z in -abel_map(curve15, theta15, p)],
+            "k": 1,
+        }
+        f = tmp_path / "theta.json"
+        f.write_text(json.dumps(data))
+        res = runner.invoke(main, ["theta", "sigma", "--input", str(f),
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == 4, res.output
+        assert "ThetaDivisor" in res.output
+        assert not (tmp_path / "theta_sigma.json").exists()
+
 
 class TestSl2Demo:
     def test_demo(self, tmp_path):

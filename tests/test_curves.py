@@ -41,6 +41,19 @@ def dense_crossings(xs1, xs2):
     return [(i, j, t[i, j], np.sign(denom[i, j])) for i, j in idx]
 
 
+def bisection_continue(curve, a, b, y0, depth=0):
+    """Continuation by recursive step halving, one scalar sheet choice per
+    point: the reference for the array continuation."""
+    y1 = curves._sheet_step(curve, b, y0)
+    if abs(y1 - y0) <= 0.1 * max(abs(y0), abs(y1)) or depth >= 48:
+        return y1
+    mid = 0.5 * (a + b)
+    if curve.nearest_branch_distance(mid) < curve.exclusion_radius:
+        raise BranchProximity(f"continuation forced through x={mid} near a branch point")
+    ym = bisection_continue(curve, a, mid, y0, depth + 1)
+    return bisection_continue(curve, mid, b, ym, depth + 1)
+
+
 def ellipse(center, axes, angle, n):
     return curves._Contour(center, axes, angle).sample(n)[0]
 
@@ -119,6 +132,74 @@ class TestContinuation:
             continue_y(curve15, path, y0)
 
 
+    @pytest.mark.parametrize("name", ["curve15", "curve_c"])
+    def test_nodes_match_bisection(self, name, request):
+        curve = request.getfixturevalue(name)
+        x_start, y_start = curves._chart_exit(curve, curves._chart_radius(curve))
+        e = curve.branch_points[0]
+        arc = curves.route_path(curve, e - 0.5, e + 0.5)
+        assert len(arc) > 2  # detours round e on a circular arc
+        gl = 0.5 * (x_start + 0.3j) + 0.5 * (0.3j - x_start) * curves._GL_NODES
+        y_arc = np.sqrt(complex(curve.p(arc[0])))
+        for a, xs, y0 in [(arc[0], arc[1:], y_arc), (arc[0], arc[1:], -y_arc),
+                          (x_start, np.r_[gl, 0.3j], y_start),
+                          (1.0 + 0.4, loop_around(1.0, 0.4)[1:],
+                           np.sqrt(complex(curve.p(1.4))))]:
+            ref, yp, prev = [], y0, a
+            for x in xs:
+                yp = bisection_continue(curve, prev, x, yp)
+                ref.append(yp)
+                prev = x
+            ref = np.array(ref)
+            ys = curves._continue_nodes(curve, a, xs, y0)
+            assert np.all(np.abs(ys - ref) < np.abs(ys + ref))
+            assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
+
+    def test_halving_cap_raises(self, curve15):
+        # y0 a thousandth of a sheet value: no step is ever within 10%
+        y0 = 1e-3 * np.sqrt(complex(curve15.p(100.0)))
+        with pytest.raises(ContinuationAmbiguity, match="48 halvings"):
+            curves._continue_nodes(curve15, 100.0, np.array([90.0]), y0)
+
+    def test_point_cap_raises(self, curve15, monkeypatch):
+        # a tracker that flips the sheet at every sample fails every step
+        # in every round, so the polyline doubles until the next doubling
+        # would pass the 65536-point cap
+        monkeypatch.setattr(curves, "_track_sheets", lambda curve, xs, y0:
+                            np.sqrt(curve.p(xs)) * (-1.0) ** np.arange(len(xs)))
+        y0 = -np.sqrt(complex(curve15.p(10.0)))
+        with pytest.raises(ContinuationAmbiguity, match=r"14 halvings \(32769 points\)"):
+            curves._continue_nodes(curve15, 10.0, np.array([11.0, 12.0]), y0)
+
+    def test_midpoint_near_branch_point_raises(self, curve15):
+        # the waypoints clear the branch point 3; the halving midpoint
+        # of the step between them does not
+        d = 20 * curve15.exclusion_radius
+        y0 = np.sqrt(complex(curve15.p(3.0 - d)))
+        with pytest.raises(BranchProximity, match="forced through"):
+            continue_y(curve15, [3.0 - d, 3.0 + d], y0)
+
+
+class TestChartExit:
+    @pytest.mark.parametrize("name", ["curve15", "curve_c"])
+    def test_start_on_curve_and_series_sheet(self, name, request):
+        curve = request.getfixturevalue(name)
+        z0 = curves._chart_radius(curve)
+        x, y = curves._chart_exit(curve, z0)
+        assert abs(x - z0 ** -2.0) <= 1e-15 * abs(x)
+        px = curve.p(x)
+        assert abs(y * y - px) <= 1e-10 * abs(px)
+        # the series sheet: y z^(2g+1) = sqrt(Q(z^2)) continued from
+        # sqrt(Q(0)) = 1 along the ray u in [0, z0^2]
+        q = curve.coeffs[::-1]
+        s = 1.0 + 0j
+        for u in np.linspace(0.0, z0 ** 2, 201)[1:]:
+            r = np.sqrt(complex(npoly.polyval(u, q)))
+            s = r if abs(r - s) <= abs(r + s) else -r
+        ref = z0 ** -(2 * curve.genus + 1) * s
+        assert abs(y - ref) <= 1e-12 * abs(ref)
+
+
 class TestRouting:
     def test_route_keeps_clearance(self, curve15):
         wp = route_path(curve15, 0.0, 6.0)
@@ -154,6 +235,12 @@ class TestPeriods:
             curve15, [-2.0 + 0.75j, -2.0 + 1.5j], y_mid)[0]
         assert np.abs(whole - (half + rest)).max() < 1e-9
 
+    def test_quadrature_cap_raises(self, curve15):
+        y0 = np.sqrt(complex(curve15.p(-2.0)))
+        with pytest.raises(CycleDegenerate, match="depth 24"):
+            curves._integrate_segment(curve15, -2.0, -2.0 + 1.5j, y0,
+                                      tol=0.0, depth=24)
+
     def test_period_matrix_peak_memory(self, curve15):
         tracemalloc.start()
         try:
@@ -166,8 +253,9 @@ class TestPeriods:
     def test_cycle_periods_cap_raises(self, curve15):
         a_cycles, _ = curves.homology_contours(curve15)
         with pytest.raises(CycleDegenerate, match="32768 samples"):
-            curves._cycle_periods(curve15, a_cycles[0],
-                                  *curves._anchor(curve15), tol=0.0)
+            y0 = curves._contour_start_y(curve15, a_cycles[0],
+                                         *curves._anchor(curve15))
+            curves._cycle_periods(curve15, a_cycles[0], y0, tol=0.0)
 
 
 class TestTauPostconditions:

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hitchsov.errors import TruncationOverflow
+from hitchsov import theta
+from hitchsov.curves import abel_map
+from hitchsov.errors import (TruncationOverflow, ThetaDivisor,
+                             ResidueUnstable)
 from hitchsov.theta import (riemann_theta, theta_deriv_table, q_series_theta,
                             riemann_constants, sigma_series, sigma_contour,
                             sigma_constant, jacobi_inversion_check)
@@ -66,6 +71,85 @@ class TestLatticeSum:
             riemann_theta(np.array([0.3]), tau)
 
 
+def product_lattice(tau, z, extra_radius, radius_cap):
+    """The one-centre lattice built point by point with itertools.product:
+    the reference for the array builder."""
+    y = np.ascontiguousarray(tau.imag)
+    center = -np.linalg.solve(y, np.imag(z))
+    lam_min = np.linalg.eigvalsh(y).min()
+    radius = np.sqrt(-np.log(1e-18) / (np.pi * lam_min)) + extra_radius
+    assert radius <= radius_cap
+    ranges = [range(int(np.floor(c - radius)), int(np.ceil(c + radius)) + 1)
+              for c in center]
+    pts = np.array(list(itertools.product(*ranges)), dtype=float)
+    d = pts - center
+    keep = np.einsum('ij,jk,ik->i', d, y, d) <= lam_min * radius ** 2
+    return pts[keep] if keep.any() else pts
+
+
+def spread_rows(tau, rng, m, spread):
+    """m arguments whose lattice centres -Y^-1 Im z lie up to `spread`
+    apart in each coordinate."""
+    g = tau.shape[0]
+    centres = rng.uniform(-spread / 2, spread / 2, (m, g))
+    return rng.standard_normal((m, g)) - 1j * centres @ tau.imag
+
+
+class TestBatchedTheta:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("spread", [1.0, 12.0])
+    def test_matches_scalar_sums(self, g, spread):
+        # centres 12 apart lie outside each other's lattice radius, so the
+        # batch needs every row's ellipsoid, not one shared one
+        rng = np.random.default_rng(10 * g + int(spread))
+        tau = random_tau(g, rng)
+        zs = spread_rows(tau, rng, 5, spread)
+        th, grad = theta._theta_and_gradient(zs, tau)
+        assert th.shape == (5,) and grad.shape == (5, g)
+        for z, t, gr in zip(zs, th, grad):
+            ref = riemann_theta(z, tau)
+            assert abs(t - ref) <= 1e-12 * abs(ref)
+            ref_grad = np.array([riemann_theta(z, tau, deriv=tuple(
+                int(s == u) for u in range(g))) for s in range(g)])
+            assert np.abs(gr - ref_grad).max() \
+                <= 1e-12 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_one_row_lattice_is_the_product_lattice(self, g):
+        rng = np.random.default_rng(40 + g)
+        for _ in range(4):
+            tau = random_tau(g, rng)
+            z = spread_rows(tau, rng, 1, 4.0)
+            for extra in (3.0, 5.0, 7.0):
+                np.testing.assert_array_equal(
+                    theta._lattice_points(tau, z, extra, 60.0),
+                    product_lattice(tau, z[0], extra, 60.0))
+
+    def test_rows_share_the_union_lattice(self):
+        rng = np.random.default_rng(2)
+        tau = random_tau(2, rng)
+        zs = spread_rows(tau, rng, 3, 12.0)
+        union = {tuple(p) for p in theta._lattice_points(tau, zs, 3.0, 60.0)}
+        own = [{tuple(p) for p in product_lattice(tau, z, 3.0, 60.0)}
+               for z in zs]
+        assert union == set().union(*own)
+
+    def test_jacobi_inversion_lattice_count(self, curve15, theta15,
+                                            monkeypatch):
+        builds = []
+        real = theta._lattice_points
+
+        def counted(*args):
+            builds.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(theta, "_lattice_points", counted)
+        pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
+        refs = [curve15.point(0.2 - 0.7j), curve15.point(1.3 + 0.9j)]
+        jacobi_inversion_check(curve15, theta15, pts, refs)
+        assert 0 < len(builds) <= 20
+
+
 class TestRiemannConstants:
     def test_vanishing_on_divisors(self, curve15, theta15):
         from hitchsov.curves import abel_map
@@ -122,3 +206,17 @@ class TestSigma:
         report = jacobi_inversion_check(curve15, theta15, pick(), pick())
         assert report["route_gap"] < 1e-6
         assert report["error"] < 1e-5
+
+    def test_theta_divisor(self, curve15, theta15):
+        # theta(A(P) - K) = 0 by Riemann vanishing (K is a half-period)
+        x = 0.4 + 0.3j
+        phi = -abel_map(curve15, theta15,
+                        curve15.point(x, np.sqrt(complex(curve15.p(x)))))
+        with pytest.raises(ThetaDivisor):
+            sigma_series(curve15, theta15, phi, 1)
+
+    def test_residue_unstable(self, curve15, theta15):
+        pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
+        phi = sum(abel_map(curve15, theta15, p) for p in pts)
+        with pytest.raises(ResidueUnstable, match="sample doubling"):
+            sigma_contour(curve15, theta15, phi, 1, nsamples=2)
