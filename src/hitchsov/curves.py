@@ -195,10 +195,15 @@ def _branch_distances(curve, xs):
 
 
 def _sheet_step(curve, x, y_prev):
+    """y above x on the sheet nearest y_prev: scalars, or elementwise on
+    arrays of one shape.  ContinuationAmbiguity names the first x where the
+    two sheets are too close to tell apart."""
     s = np.sqrt(curve.p(x))
-    if abs(s) < 1e-13 * (1 + abs(y_prev)):
-        raise ContinuationAmbiguity(f"sheets indistinguishable at x={x}")
-    return s if abs(s - y_prev) <= abs(-s - y_prev) else -s
+    tied = np.abs(s) < 1e-13 * (1 + np.abs(y_prev))
+    if np.any(tied):
+        raise ContinuationAmbiguity(
+            f"sheets indistinguishable at x={np.ravel(x)[np.argmax(tied)]}")
+    return np.where(np.abs(s - y_prev) <= np.abs(-s - y_prev), s, -s)[()]
 
 
 def _track_sheets(curve, xs, y_start):

@@ -12,33 +12,33 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .curves import _sheet_step
+from .curves import _branch_distances, _sheet_step, _track_sheets
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
 from .spectral import SpectralPoint, eval_R, lambda_roots
-from .separation import PhaseConfiguration, implicit_gradients, \
+from .separation import PhaseConfiguration, _stacked, implicit_gradients, \
     solve_hamiltonians
 
 
 def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
     """dx-density of the j-th angle differential at a spectral point."""
-    return _integrand_vector(layout, curve, ham, pt)[j]
+    return _integrand_vector(layout, curve, ham, pt)[..., j]
 
 
 def _integrand_vector(layout, curve, ham, pt):
+    """The h angle densities at pt: shape (h,), or (n, h) for n points."""
     ev = eval_R(layout, curve, ham, pt)
-    if abs(ev.d_lambda) < 1e-10:
-        raise BranchLocus(
-            f"|dR/dlambda| = {abs(ev.d_lambda):.2e} at x={pt.x}")
-    return -ev.grad_h / (ev.d_lambda * pt.y)
+    small = np.abs(ev.d_lambda) < 1e-10
+    if np.any(small):
+        i = np.argmax(small)
+        raise BranchLocus(f"|dR/dlambda| = {abs(np.ravel(ev.d_lambda)[i]):.2e}"
+                          f" at x={np.ravel(pt.x)[i]}")
+    return -ev.grad_h / np.asarray(ev.d_lambda * pt.y)[..., None]
 
 
 def jacobi_matrix(layout, curve, ham, cfg):
     """J[j, k] = angle density j evaluated at the k-th separating point."""
-    h = layout.h
-    jm = np.empty((h, h), dtype=complex)
-    for k, p in enumerate(cfg.points):
-        jm[:, k] = _integrand_vector(layout, curve, ham, p)
+    jm = _integrand_vector(layout, curve, ham, _stacked(cfg)).T
     if np.linalg.cond(jm) > 1e12:
         raise IllConditioned("Jacobi matrix condition estimate above 1e12")
     return jm
@@ -83,19 +83,12 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
 
 def _continue_sheets(curve, xs, ys_prev):
     """y above each x on the sheet nearest the previous y."""
-    ys = np.empty_like(ys_prev)
-    for i, x in enumerate(xs):
-        if curve.nearest_branch_distance(x) < curve.exclusion_radius:
-            raise BranchCollision(
-                f"separating point {i} hit the branch locus at x={x}")
-        ys[i] = _sheet_step(curve, x, ys_prev[i])
-    return ys
-
-
-def _refit_lambda(layout, curve, ham, x, y, lam_prev):
-    """Fiber root at (x, y) nearest the predictor lam_prev."""
-    roots = lambda_roots(layout, curve, ham, x, y)
-    return roots[np.argmin(np.abs(roots - lam_prev))]
+    near = _branch_distances(curve, xs) < curve.exclusion_radius
+    if near.any():
+        i = np.argmax(near)
+        raise BranchCollision(
+            f"separating point {i} hit the branch locus at x={xs[i]}")
+    return _sheet_step(curve, xs, ys_prev)
 
 
 @dataclass
@@ -134,27 +127,24 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
         xs, ys, lams = state
         new_xs = xs + dxs
         new_ys = _continue_sheets(curve, new_xs, ys)
-        new_lams = np.array([
-            _refit_lambda(layout, curve, ham, x, y, lam)
-            for x, y, lam in zip(new_xs, new_ys, lams)])
-        return new_xs, new_ys, new_lams
+        # each point's fiber root nearest its previous lambda
+        roots = lambda_roots(layout, curve, ham, new_xs, new_ys)
+        pick = np.argmin(np.abs(roots - lams[:, None]), axis=1)
+        return new_xs, new_ys, roots[np.arange(len(xs)), pick]
 
     def reproject(state, step):
         # on-fiber re-projection: one Newton step on R = 0 in lambda
         xs, ys, lams = state
-        for i in range(len(xs)):
-            pt = SpectralPoint(xs[i], ys[i], lams[i])
-            ev = eval_R(layout, curve, ham, pt)
-            if abs(ev.d_lambda) > 1e-12:
-                lams[i] = lams[i] - ev.value / ev.d_lambda
-        resid = max(abs(eval_R(layout, curve, ham,
-                               SpectralPoint(x, y, l)).value)
-                    for x, y, l in zip(xs, ys, lams))
+        ev = eval_R(layout, curve, ham, SpectralPoint(xs, ys, lams))
+        ok = np.abs(ev.d_lambda) > 1e-12
+        lams = lams - np.where(ok, ev.value / np.where(ok, ev.d_lambda, 1), 0)
+        resid = np.abs(eval_R(layout, curve, ham,
+                              SpectralPoint(xs, ys, lams)).value).max()
         if not np.isfinite(resid) or resid > 1e-3:
             raise StepRejected(
                 f"fiber residual {resid:.2e} after step {step}",
                 suggested_dt=dt / 2)
-        return state
+        return xs, ys, lams
 
     states = integrate(velocity, advance,
                        (cfg0.xs(), cfg0.ys(), cfg0.lambdas()),
@@ -206,8 +196,7 @@ def angle_shift(layout, curve, ham, trajectory: Trajectory):
     h = layout.h
     dens = np.empty((n, h, h), dtype=complex)  # (time, j, point)
     for k, cfg in enumerate(trajectory.states):
-        for i, p in enumerate(cfg.points):
-            dens[k, :, i] = _integrand_vector(layout, curve, ham, p)
+        dens[k] = _integrand_vector(layout, curve, ham, _stacked(cfg)).T
     xs = np.array([cfg.xs() for cfg in trajectory.states])  # (n, h)
     shifts = np.zeros((n, h), dtype=complex)
     for k in range(1, n):
@@ -230,19 +219,16 @@ def _integrate_density(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
     y, lam = y0, lam0
 
     def panel(a, b, y_in, lam_in):
-        mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        acc = np.zeros(layout.h, dtype=complex)
-        y_c, lam_c = y_in, lam_in
-        for t, wgt in zip(nodes, weights):
-            x = mid + half * t
-            y_c = _sheet_step(curve, x, y_c)
-            lam_c = _refit_lambda(layout, curve, ham, x, y_c, lam_c)
-            acc += wgt * _integrand_vector(
-                layout, curve, ham, SpectralPoint(x, y_c, lam_c))
-        y_end = _sheet_step(curve, b, y_c)
-        lam_end = _refit_lambda(layout, curve, ham, b, y_end, lam_c)
-        return acc * half, y_end, lam_end
+        xs = np.r_[0.5 * (a + b) + half * nodes, b]
+        ys = _track_sheets(curve, xs, y_in)
+        lams = np.empty(len(xs), dtype=complex)
+        lam = lam_in
+        for i, roots in enumerate(lambda_roots(layout, curve, ham, xs, ys)):
+            lam = lams[i] = roots[np.argmin(np.abs(roots - lam))]
+        dens = _integrand_vector(layout, curve, ham,
+                                 SpectralPoint(xs[:-1], ys[:-1], lams[:-1]))
+        return weights @ dens * half, ys[-1], lams[-1]
 
     for a, b in zip(way[:-1], way[1:]):
         stack = [(a, b, y, lam)]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (SingularConfiguration, SingularJacobian,
                      NewtonDivergence)
-from .spectral import eval_R
+from .spectral import SpectralPoint, eval_R
 
 
 @dataclass
@@ -30,13 +30,14 @@ class PhaseConfiguration:
         if layout is not None and len(self.points) != layout.h:
             raise SingularConfiguration(
                 f"expected {layout.h} points, got {len(self.points)}")
-        xs = np.array([p.x for p in self.points])
-        for p in self.points:
-            scale = 1.0 + abs(curve.p(p.x))
-            if abs(p.y ** 2 - curve.p(p.x)) > tol * scale:
-                raise SingularConfiguration(
-                    f"point off curve: x={p.x}, |y^2-P| = "
-                    f"{abs(p.y**2 - curve.p(p.x)):.2e}")
+        xs, ys = self.xs(), self.ys()
+        pxs = curve.p(xs)
+        off = np.abs(ys ** 2 - pxs)
+        bad = off > tol * (1.0 + np.abs(pxs))
+        if bad.any():
+            i = np.argmax(bad)
+            raise SingularConfiguration(
+                f"point off curve: x={xs[i]}, |y^2-P| = {off[i]:.2e}")
         if len(xs) > 1:
             sep = np.abs(xs[:, None] - xs[None, :])
             np.fill_diagonal(sep, np.inf)
@@ -53,13 +54,14 @@ class PhaseConfiguration:
         return np.array([p.y for p in self.points])
 
 
+def _stacked(cfg):
+    """The configuration's points as one SpectralPoint of arrays."""
+    return SpectralPoint(cfg.xs(), cfg.ys(), cfg.lambdas())
+
+
 def _design_matrix(layout, curve, cfg):
     """Rows: gradient of R in H at each point (valid for linear blocks)."""
-    zero = np.zeros(layout.h, dtype=complex)
-    m = np.empty((layout.h, layout.h), dtype=complex)
-    for i, p in enumerate(cfg.points):
-        m[i] = eval_R(layout, curve, zero, p).grad_h
-    return m
+    return eval_R(layout, curve, np.zeros(layout.h), _stacked(cfg)).grad_h
 
 
 def solve_hamiltonians(layout, curve, cfg: PhaseConfiguration,
@@ -91,13 +93,13 @@ def solve_hamiltonians(layout, curve, cfg: PhaseConfiguration,
     if rng is None:
         rng = np.random.default_rng(0)
 
+    pts = _stacked(cfg)
+
     def fvec(ham):
-        return np.array([eval_R(layout, curve, ham, p).value
-                         for p in cfg.points])
+        return eval_R(layout, curve, ham, pts).value
 
     def jac(ham):
-        return np.array([eval_R(layout, curve, ham, p).grad_h
-                         for p in cfg.points])
+        return eval_R(layout, curve, ham, pts).grad_h
 
     best = np.inf
     for start in range(max_starts):
@@ -136,25 +138,12 @@ def implicit_gradients(layout, curve, cfg, ham):
     Returns (dh_dlam, dh_dx), each h x h with column m the derivative of H
     with respect to lambda_m resp. x_m (y following x on the curve).
     """
-    h = layout.h
-    m = np.empty((h, h), dtype=complex)
-    r_lam = np.empty(h, dtype=complex)
-    r_x = np.empty(h, dtype=complex)
-    for i, p in enumerate(cfg.points):
-        ev = eval_R(layout, curve, ham, p)
-        m[i] = ev.grad_h
-        r_lam[i] = ev.d_lambda
-        r_x[i] = ev.d_x
-    dh_dlam = np.zeros((h, h), dtype=complex)
-    dh_dx = np.zeros((h, h), dtype=complex)
+    ev = eval_R(layout, curve, ham, _stacked(cfg))
     try:
-        minv = np.linalg.inv(m)
+        minv = np.linalg.inv(ev.grad_h)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(str(exc)) from exc
-    for k in range(h):
-        dh_dlam[:, k] = -minv[:, k] * r_lam[k]
-        dh_dx[:, k] = -minv[:, k] * r_x[k]
-    return dh_dlam, dh_dx
+    return -minv * ev.d_lambda, -minv * ev.d_x
 
 
 def poisson_bracket(f_grads, g_grads, cfg):

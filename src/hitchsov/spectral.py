@@ -109,7 +109,8 @@ def coefficient_layout(spec: LieTypeSpec, curve) -> CoefficientLayout:
 
 @dataclass
 class SpectralPoint:
-    """A point (x, y, lambda) of the spectral cover over the base curve."""
+    """A point (x, y, lambda) of the spectral cover over the base curve,
+    or n points when x, y and lam are arrays of shape (n,)."""
     x: complex
     y: complex
     lam: complex
@@ -119,7 +120,7 @@ class SpectralPoint:
 class REval:
     value: complex
     d_lambda: complex
-    grad_h: np.ndarray      # length-h gradient over all coefficients
+    grad_h: np.ndarray      # gradient over all coefficients, (h,) or (n, h)
     d_x: complex            # on-curve total derivative (dy/dx = P'/(2y))
 
 
@@ -129,87 +130,105 @@ def eval_R(layout: CoefficientLayout, curve, ham, pt: SpectralPoint) -> REval:
     ham is the flat coefficient vector in the layout's order.  The gradient
     is analytic; for so(2n) the squared block carries the factor 2 B_n.
     The x-derivative treats y as a function of x on the base curve.
+
+    A point of scalars gives scalars and a length-h gradient.  A point of
+    arrays of shape (n,) gives value, d_lambda and d_x of shape (n,) and
+    grad_h of shape (n, h), one row per point, from one power matrix.
     """
     spec = layout.spec
     ham = np.asarray(ham, dtype=complex)
-    x, y, lam = pt.x, pt.y, pt.lam
-    dy_dx = curve.dp(x) / (2.0 * y)
+    scalar = np.ndim(pt.x) == 0
+    x, y, lam = (np.atleast_1d(np.asarray(v, dtype=complex))
+                 for v in (pt.x, pt.y, pt.lam))
+    if any(layout.y_sizes):
+        dy_dx = curve.dp(x) / (2.0 * y)
+    # one power matrix for all blocks, and its x-derivative
+    xpow = x[:, None] ** np.arange(max(layout.x_sizes))
+    dpow = xpow[:, :-1] * np.arange(1, xpow.shape[1])
     value = lam ** spec.d
     d_lambda = spec.d * lam ** (spec.d - 1)
-    d_x = 0.0 + 0.0j
-    grad = np.zeros(layout.h, dtype=complex)
+    d_x = np.zeros(len(x), dtype=complex)
+    grad = np.zeros((len(x), layout.h), dtype=complex)
     for j, dj in enumerate(spec.dees):
         hx = ham[layout.x_slice(j)]
         hy = ham[layout.y_slice(j)]
-        kx = np.arange(len(hx))
-        ks = np.arange(len(hy))
-        xpow = x ** kx
-        b = hx @ xpow
-        db = hx[1:] @ (kx[1:] * x ** (kx[1:] - 1)) if len(hx) > 1 else 0.0
-        gx = xpow.astype(complex)
-        gy = np.zeros(0, dtype=complex)
+        b = xpow[:, :len(hx)] @ hx
+        db = dpow[:, :len(hx) - 1] @ hx[1:]
         if len(hy):
-            spow = x ** ks
-            b = b + (hy @ spow) * y
-            db = db + (hy[1:] @ (ks[1:] * x ** (ks[1:] - 1))) * y \
-                if len(hy) > 1 else db
-            db = db + (hy @ spow) * dy_dx
-            gy = spow * y
+            by = xpow[:, :len(hy)] @ hy
+            b = b + by * y
+            db = db + (dpow[:, :len(hy) - 1] @ hy[1:]) * y + by * dy_dx
         lam_fac = lam ** (spec.d - dj)
         squared = spec.square_last and j == len(spec.dees) - 1
-        if squared:
-            value += lam_fac * b * b
-            d_x += lam_fac * 2.0 * b * db
-            grad[layout.x_slice(j)] = lam_fac * 2.0 * b * gx
-            if len(gy):
-                grad[layout.y_slice(j)] = lam_fac * 2.0 * b * gy
-        else:
-            value += lam_fac * b
-            d_x += lam_fac * db
-            grad[layout.x_slice(j)] = lam_fac * gx
-            if len(gy):
-                grad[layout.y_slice(j)] = lam_fac * gy
+        fac = lam_fac * 2.0 * b if squared else lam_fac
+        value = value + (lam_fac * b * b if squared else lam_fac * b)
+        d_x = d_x + fac * db
+        grad[:, layout.x_slice(j)] = fac[:, None] * xpow[:, :len(hx)]
+        if len(hy):
+            grad[:, layout.y_slice(j)] = \
+                fac[:, None] * (xpow[:, :len(hy)] * y[:, None])
         if spec.d != dj:
             contrib = (spec.d - dj) * lam ** (spec.d - dj - 1)
-            d_lambda += contrib * (b * b if squared else b)
-    return REval(value=value, d_lambda=d_lambda, grad_h=grad, d_x=d_x)
+            d_lambda = d_lambda + contrib * (b * b if squared else b)
+    out = (value, d_lambda, grad, d_x)
+    return REval(*(a[0] for a in out) if scalar else out)
 
 
 def lambda_poly(layout: CoefficientLayout, ham, x, y):
-    """Coefficients (ascending) of R as a polynomial in lambda at fixed (x,y)."""
+    """Coefficients (ascending) of R as a polynomial in lambda at fixed (x,y).
+
+    Arrays x, y of shape (n,) give shape (n, d + 1).  Scalars stay numpy
+    scalars past the power vector, whose products round as before.
+    """
     spec = layout.spec
     ham = np.asarray(ham, dtype=complex)
-    coeffs = np.zeros(spec.d + 1, dtype=complex)
-    coeffs[spec.d] = 1.0
+    x = np.asarray(x, dtype=complex)
+    coeffs = np.zeros(x.shape + (spec.d + 1,), dtype=complex)
+    coeffs[..., spec.d] = 1.0
     for j, dj in enumerate(spec.dees):
         hx = ham[layout.x_slice(j)]
         hy = ham[layout.y_slice(j)]
-        b = hx @ x ** np.arange(len(hx))
+        xpow = x[..., None] ** np.arange(len(hx))
+        b = xpow @ hx
         if len(hy):
-            b = b + (hy @ x ** np.arange(len(hy))) * y
+            b = b + (xpow[..., :len(hy)] @ hy) * y
         if spec.square_last and j == len(spec.dees) - 1:
             b = b * b
-        coeffs[spec.d - dj] += b
+        coeffs[..., spec.d - dj] += b
     return coeffs
 
 
 def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):
     """All d fiber roots of R(., x, y), companion eigensolve + Newton polish.
 
-    Issues a ``ConditioningWarning`` when ``root_cluster_margin`` cannot
-    certify the d roots as distinct (a repeated fiber root, or a pair too
-    close to resolve in double precision); the roots are returned anyway.
+    Scalars x, y give the d roots sorted as ``polyroots`` sorts them.
+    Arrays of shape (n,) give shape (n, d), row i sorted the same way: the
+    n companion matrices, built as in ``polycompanion``, go through one
+    stacked eigensolve and both Newton polishes run on all rows at once.
+
+    Issues a ``ConditioningWarning``, naming x, for every point where
+    ``root_cluster_margin`` cannot certify the d roots as distinct (a
+    repeated fiber root, or a pair too close to resolve in double
+    precision); the roots are returned anyway.
     """
+    d = layout.spec.d
     coeffs = lambda_poly(layout, ham, x, y)
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
+    comp = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
+    comp[..., np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[..., -1] -= coeffs[..., :-1] / coeffs[..., -1:]
+    roots = np.sort(np.linalg.eigvals(comp), axis=-1)
+    # coefficient axis first: polyval then takes each row at its own roots
+    c, dc = (np.moveaxis(a, -1, 0)[..., None]
+             for a in (coeffs, coeffs[..., 1:] * np.arange(1, d + 1)))
     for _ in range(2):
-        val = np.polynomial.polynomial.polyval(roots, coeffs)
-        der = np.polynomial.polynomial.polyval(roots, dcoeffs)
+        val = np.polynomial.polynomial.polyval(roots, c, tensor=False)
+        der = np.polynomial.polynomial.polyval(roots, dc, tensor=False)
         safe = np.abs(der) > 1e-300
         roots = roots - np.where(safe, val / np.where(safe, der, 1.0), 0.0)
-    margin = root_cluster_margin(coeffs, roots)
-    if not margin > 1.0:
-        warnings.warn(f"fiber roots not certified distinct (cluster margin "
-                      f"{margin:.3g} <= 1)", ConditioningWarning)
+    for i in np.ndindex(coeffs.shape[:-1]):
+        margin = root_cluster_margin(coeffs[i], roots[i])
+        if not margin > 1.0:
+            warnings.warn(f"fiber roots not certified distinct at "
+                          f"x={np.asarray(x)[i]} (cluster margin "
+                          f"{margin:.3g} <= 1)", ConditioningWarning)
     return roots

@@ -130,6 +130,38 @@ class TestExitCodes:
 
 
 class TestFlowRun:
+    def test_branch_locus_exits_4(self, tmp_path):
+        """GL(2) whose fiber above the first point is (lambda - a)^2."""
+        from hitchsov.curves import build_curve
+        from hitchsov.spectral import (resolve_type, coefficient_layout,
+                                       lambda_roots)
+
+        coeffs = npoly.polyfromroots([0.0, 1.0, -1.2, 2.0 + 0.5j,
+                                      -0.3 - 1.1j])
+        cv = build_curve(coeffs)
+        layout = coefficient_layout(resolve_type("GL", 2), cv)
+        x0, a = 0.3 - 0.2j, 1.3 + 0.4j
+        ham = np.array([-2 * a - 0.5 * x0, 0.5, 0.0, -0.2 * x0, 0.1])
+        ham[2] = a * a - ham[3] * x0 - ham[4] * x0 * x0
+        xs = np.array([x0, -0.7 + 0.1j, 0.9 + 0.6j, -0.2 + 0.8j, 0.5 - 0.9j])
+        ys = np.sqrt(cv.p(xs))
+        lams = np.r_[a, lambda_roots(layout, cv, ham, xs[1:], ys[1:])[:, 0]]
+        f = tmp_path / "system.json"
+        f.write_text(json.dumps({
+            "curve": {"coeffs": [_pair(z) for z in coeffs]},
+            "lie_type": {"family": "GL", "rank": 2},
+            "points": [{"x": _pair(x), "y": _pair(y), "lambda": _pair(lam)}
+                       for x, y, lam in zip(xs, ys, lams)],
+            "flow": {"direction": [[0.01, 0.0]] * layout.h},
+        }))
+        res = runner.invoke(main, [
+            "flow", "run", "--input", str(f), "--output", str(tmp_path),
+            "--route", "both", "--t-end", "0.01"])
+        assert res.exit_code == 4, res.output
+        assert "BranchLocus: |dR/dlambda|" in res.output
+        assert f"at x={complex(x0)}" in res.output
+        assert not (tmp_path / "flow_fiber.csv").exists()
+
     def test_both_routes(self, gl2_input, tmp_path):
         path, _ = gl2_input
         res = runner.invoke(main, [

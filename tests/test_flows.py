@@ -1,14 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
+from hitchsov import flows, separation, spectral
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint)
-from hitchsov.separation import solve_hamiltonians
-from hitchsov.errors import StepRejected
+from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
+                                 implicit_gradients)
+from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
+                             SingularJacobian, BranchCollision,
+                             NewtonDivergence)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             flow_poisson, match_states, angle_shift,
                             hamiltonian_drift, newton_sums,
-                            discriminant_zero_count, integrate)
+                            discriminant_zero_count, integrate,
+                            _integrand_vector, _continue_sheets)
 
 from conftest import sample_fiber_config
 
@@ -148,3 +155,106 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda y: y, lambda y, d: y + d, np.ones(1), 0.1, 1,
                       "midpoint")
+
+
+def planted(family, curve, seed):
+    """A planted system of the given family on the curve, with a tame
+    flow direction, as in the ``system`` fixture."""
+    rng = np.random.default_rng(seed)
+    layout = coefficient_layout(resolve_type(family, 2), curve)
+    ham = rng.standard_normal(layout.h) + 1j * rng.standard_normal(layout.h)
+    cfg = sample_fiber_config(layout, curve, ham, rng)
+    c = jacobi_matrix(layout, curve, ham, cfg) \
+        @ (0.1 * rng.standard_normal(layout.h))
+    return layout, ham, cfg, c
+
+
+class TestTypedErrors:
+    """Each typed error of the flow layer, raised through the array path
+    from a constructed input, with the offending point in the message."""
+
+    def test_branch_locus(self, curve_c, gl2):
+        # R = (lambda - a)^2 above every x: dR/dlambda = 0 at lambda = a
+        a = 1.3 + 0.4j
+        ham = np.zeros(gl2.h, dtype=complex)
+        ham[0], ham[2] = -2 * a, a * a
+        xs = np.array([0.4 + 0.1j, -0.6 + 0.5j, 0.2 - 0.9j])
+        pts = SpectralPoint(xs, np.sqrt(curve_c.p(xs)),
+                            np.array([a + 0.5, a, a]))
+        with pytest.raises(BranchLocus, match=re.escape(f"at x={xs[1]}")):
+            _integrand_vector(gl2, curve_c, ham, pts)
+
+    def test_ill_conditioned(self, curve_c, gl2, system):
+        ham, cfg, _ = system
+        copies = PhaseConfiguration([cfg.points[0]] * gl2.h)
+        with pytest.raises(IllConditioned, match="above 1e12"):
+            jacobi_matrix(gl2, curve_c, ham, copies)
+
+    def test_singular_jacobian(self, curve_c, gl2, system):
+        ham, cfg, _ = system
+        copies = PhaseConfiguration([cfg.points[0]] * gl2.h)
+        with pytest.raises(SingularJacobian):
+            implicit_gradients(gl2, curve_c, copies, ham)
+
+    def test_branch_collision(self, curve_c):
+        e = curve_c.branch_points[2]
+        xs = np.array([0.4 + 0.1j, e, 0.2 - 0.9j])
+        ys = np.sqrt(curve_c.p(xs + 1e-2))
+        with pytest.raises(BranchCollision, match=re.escape(
+                f"point 1 hit the branch locus at x={e}")):
+            _continue_sheets(curve_c, xs, ys)
+
+    def test_newton_divergence(self, curve_c):
+        layout, _, cfg, _ = planted("SO_even", curve_c, 5)
+        with pytest.raises(NewtonDivergence, match="no Newton start") as info:
+            solve_hamiltonians(layout, curve_c, cfg, tol=0.0, max_starts=1)
+        assert np.isfinite(info.value.best_residual)
+
+
+class TestCallCounts:
+    """One eval_R and one lambda_roots call per RK stage, whatever h."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        counts = {"eval_R": 0, "lambda_roots": 0}
+
+        def counter(name):
+            real = getattr(spectral, name)
+
+            def wrapped(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapped
+
+        for mod in (flows, separation):
+            monkeypatch.setattr(mod, "eval_R", counter("eval_R"))
+        monkeypatch.setattr(flows, "lambda_roots", counter("lambda_roots"))
+        return counts
+
+    @pytest.mark.parametrize("route", ["fiber", "poisson"])
+    def test_calls_per_step(self, curve_c, monkeypatch, route):
+        dt = 1e-3
+        systems = [planted(family, curve_c, 8) for family in ("GL", "SP")]
+        counts = self.counted(monkeypatch)
+        per_system = []                  # h = 5 and h = 10
+        for layout, ham, cfg, c in systems:
+            per_n = []
+            for n in (2, 5):
+                for name in counts:
+                    counts[name] = 0
+                if route == "fiber":
+                    flow_fiber(layout, curve_c, ham, cfg, c, n * dt, dt)
+                else:
+                    flow_poisson(layout, curve_c, cfg, c, n * dt, dt)
+                per_n.append(dict(counts))
+            per_system.append(per_n)
+        assert per_system[0] == per_system[1]
+        (short, long), _ = per_system
+        if route == "fiber":
+            assert long["eval_R"] - short["eval_R"] == 6 * 3
+            assert long["lambda_roots"] - short["lambda_roots"] == 4 * 3
+            assert short["eval_R"] <= 6 * 2 + 2
+        else:
+            assert long["eval_R"] - short["eval_R"] == 8 * 3
+            assert long["lambda_roots"] == 0
+            assert short["eval_R"] <= 8 * 2 + 2

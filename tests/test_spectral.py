@@ -10,6 +10,8 @@ from hitchsov.spectral import (resolve_type, coefficient_layout,
 
 from conftest import make_curve
 
+npoly = np.polynomial.polynomial
+
 FAMILIES = ["GL", "SL", "SO_odd", "SP", "SO_even"]
 
 
@@ -176,3 +178,143 @@ class TestEvalR:
         direct = eval_R(gl2, curve_c, ham, SpectralPoint(x, y, lam)).value
         horner = np.polynomial.polynomial.polyval(lam, poly)
         assert abs(direct - horner) < 1e-12 * (1 + abs(direct))
+
+
+def reference_eval_R(layout, curve, ham, pt):
+    """The per-point evaluation that the array form replaced, kept as the
+    oracle: a Python loop over the blocks for one point."""
+    spec = layout.spec
+    ham = np.asarray(ham, dtype=complex)
+    x, y, lam = pt.x, pt.y, pt.lam
+    dy_dx = curve.dp(x) / (2.0 * y)
+    value = lam ** spec.d
+    d_lambda = spec.d * lam ** (spec.d - 1)
+    d_x = 0.0 + 0.0j
+    grad = np.zeros(layout.h, dtype=complex)
+    for j, dj in enumerate(spec.dees):
+        hx = ham[layout.x_slice(j)]
+        hy = ham[layout.y_slice(j)]
+        kx = np.arange(len(hx))
+        ks = np.arange(len(hy))
+        xpow = x ** kx
+        b = hx @ xpow
+        db = hx[1:] @ (kx[1:] * x ** (kx[1:] - 1)) if len(hx) > 1 else 0.0
+        gx = xpow.astype(complex)
+        gy = np.zeros(0, dtype=complex)
+        if len(hy):
+            spow = x ** ks
+            b = b + (hy @ spow) * y
+            db = db + (hy[1:] @ (ks[1:] * x ** (ks[1:] - 1))) * y \
+                if len(hy) > 1 else db
+            db = db + (hy @ spow) * dy_dx
+            gy = spow * y
+        lam_fac = lam ** (spec.d - dj)
+        squared = spec.square_last and j == len(spec.dees) - 1
+        if squared:
+            value += lam_fac * b * b
+            d_x += lam_fac * 2.0 * b * db
+            grad[layout.x_slice(j)] = lam_fac * 2.0 * b * gx
+            if len(gy):
+                grad[layout.y_slice(j)] = lam_fac * 2.0 * b * gy
+        else:
+            value += lam_fac * b
+            d_x += lam_fac * db
+            grad[layout.x_slice(j)] = lam_fac * gx
+            if len(gy):
+                grad[layout.y_slice(j)] = lam_fac * gy
+        if spec.d != dj:
+            contrib = (spec.d - dj) * lam ** (spec.d - dj - 1)
+            d_lambda += contrib * (b * b if squared else b)
+    return value, d_lambda, grad, d_x
+
+
+def reference_lambda_roots(layout, ham, x, y):
+    """polyroots on the fiber polynomial, then two Newton polishes."""
+    coeffs = lambda_poly(layout, ham, x, y)
+    roots = npoly.polyroots(coeffs)
+    dcoeffs = npoly.polyder(coeffs)
+    for _ in range(2):
+        val = npoly.polyval(roots, coeffs)
+        der = npoly.polyval(roots, dcoeffs)
+        safe = np.abs(der) > 1e-300
+        roots = roots - np.where(safe, val / np.where(safe, der, 1.0), 0.0)
+    return roots
+
+
+def random_points(curve, rng, n):
+    x = 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    y = np.sqrt(curve.p(x)) * rng.choice([-1.0, 1.0], n)
+    lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return x, y, lam
+
+
+# GL, SL and SO_odd/SP at rank 2 and 3 cover the x-blocks and the y-blocks;
+# SO_even(3) has a y-part in its squared block
+ARRAY_TYPES = [(f, r) for f in FAMILIES for r in (2, 3)]
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("family, rank", ARRAY_TYPES)
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_eval_R_matches_per_point(self, family, rank, genus):
+        rng = np.random.default_rng(23)
+        curve = make_curve(np.arange(2 * genus + 1) - 0.5 * genus
+                           + 0.3j * np.cos(np.arange(2 * genus + 1)))
+        layout = coefficient_layout(resolve_type(family, rank), curve)
+        ham = rng.standard_normal(layout.h) \
+            + 1j * rng.standard_normal(layout.h)
+        x, y, lam = random_points(curve, rng, 7)
+        ev = eval_R(layout, curve, ham, SpectralPoint(x, y, lam))
+        assert ev.value.shape == ev.d_lambda.shape == ev.d_x.shape == (7,)
+        assert ev.grad_h.shape == (7, layout.h)
+        for i in range(7):
+            ref = reference_eval_R(layout, curve, ham,
+                                   SpectralPoint(x[i], y[i], lam[i]))
+            got = (ev.value[i], ev.d_lambda[i], ev.grad_h[i], ev.d_x[i])
+            for r, g in zip(ref, got):
+                assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_scalar_point_gives_scalars(self, curve_c):
+        layout = coefficient_layout(resolve_type("SP", 2), curve_c)
+        ham = np.arange(layout.h) * (0.3 - 0.1j)
+        x = 0.2 - 0.5j
+        y = np.sqrt(complex(curve_c.p(x)))
+        ev = eval_R(layout, curve_c, ham, SpectralPoint(x, y, 0.4 + 1j))
+        assert np.ndim(ev.value) == np.ndim(ev.d_lambda) \
+            == np.ndim(ev.d_x) == 0
+        assert ev.grad_h.shape == (layout.h,)
+        roots = lambda_roots(layout, curve_c, ham, x, y)
+        assert roots.shape == (layout.spec.d,)
+        assert lambda_poly(layout, ham, x, y).shape == (layout.spec.d + 1,)
+
+    @pytest.mark.parametrize("family, rank", ARRAY_TYPES)
+    def test_lambda_roots_match_polyroots(self, family, rank, curve_c):
+        rng = np.random.default_rng(31)
+        layout = coefficient_layout(resolve_type(family, rank), curve_c)
+        ham = rng.standard_normal(layout.h) \
+            + 1j * rng.standard_normal(layout.h)
+        x, y, _ = random_points(curve_c, rng, 6)
+        rows = lambda_roots(layout, curve_c, ham, x, y)
+        assert rows.shape == (6, layout.spec.d)
+        for i in range(6):
+            ref = reference_lambda_roots(layout, ham, x[i], y[i])
+            # a scalar call is the per-point computation, bit for bit
+            assert np.array_equal(lambda_roots(layout, curve_c, ham,
+                                               x[i], y[i]), ref)
+            assert np.abs(rows[i] - ref).max() \
+                <= 1e-13 * np.abs(ref).max()
+
+    def test_warning_names_the_point(self, curve_c):
+        """GL(2) with a double fiber root above x0 only."""
+        x0, a = 0.3 - 0.2j, 1.3 + 0.4j
+        layout = coefficient_layout(resolve_type("GL", 2), curve_c)
+        ham = np.array([-2 * a - 0.5 * x0, 0.5, 0.0, -0.2 * x0, 0.1],
+                       dtype=complex)
+        ham[2] = a * a - ham[3] * x0 - ham[4] * x0 * x0
+        xs = np.array([-0.7 + 0.1j, x0, 0.9 + 0.6j])
+        ys = np.sqrt(curve_c.p(xs))
+        with pytest.warns(ConditioningWarning) as record:
+            roots = lambda_roots(layout, curve_c, ham, xs, ys)
+        assert len(record) == 1
+        assert f"x={xs[1]}" in str(record[0].message)
+        assert np.abs(roots[1] - a).max() < 1e-6
