@@ -23,8 +23,8 @@ from .errors import (HitchsovError, ValidationError, DegreeError,
                      DuplicateBranchPoint)
 from .curves import build_curve, period_matrix
 from .spectral import resolve_type, coefficient_layout, SpectralPoint
-from .separation import (PhaseConfiguration, solve_hamiltonians,
-                         involution_check, gradient_scale)
+from .separation import (PhaseConfiguration, validate_configuration,
+                         solve_hamiltonians, involution_check, gradient_scale)
 from .flows import flow_fiber, flow_poisson, match_states
 from .theta import riemann_constants, sigma_series, sigma_contour
 from . import sl2
@@ -44,10 +44,25 @@ def _cplx(v, path):
     raise ValidationError(f"expected number or [re, im] pair", path)
 
 
-def _cvec(v, path):
+def _num(v, path, kind=int, lo=-np.inf, hi=np.inf):
+    """v as a JSON integer (kind=int) or number (kind=float) in [lo, hi]."""
+    types = int if kind is int else (int, float)
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise ValidationError(f"expected {kind.__name__}", path)
+    if not lo <= v <= hi:
+        raise ValidationError(f"expected a value in [{lo}, {hi}]", path)
+    return kind(v)
+
+
+def _list(v, path):
     if not isinstance(v, list):
         raise ValidationError("expected a list", path)
-    return np.array([_cplx(u, f"{path}[{i}]") for i, u in enumerate(v)])
+    return v
+
+
+def _cvec(v, path):
+    return np.array([_cplx(u, f"{path}[{i}]")
+                     for i, u in enumerate(_list(v, path))])
 
 
 def _pair(z):
@@ -98,14 +113,13 @@ def _parse_curve(data):
 def _parse_layout(data, curve):
     lt = _field(data, "lie_type")
     spec = resolve_type(_field(lt, "family", "$.lie_type"),
-                        int(_field(lt, "rank", "$.lie_type")))
+                        _num(_field(lt, "rank", "$.lie_type"),
+                             "$.lie_type.rank"))
     return coefficient_layout(spec, curve)
 
 
 def _parse_points(data, layout, curve):
-    pts = _field(data, "points")
-    if not isinstance(pts, list):
-        raise ValidationError("expected a list", "$.points")
+    pts = _list(_field(data, "points"), "$.points")
     if len(pts) != layout.h:
         raise ValidationError(
             f"layout needs h={layout.h} points, got {len(pts)}", "$.points")
@@ -117,7 +131,7 @@ def _parse_points(data, layout, curve):
             _cplx(_field(p, "y", path), f"{path}.y"),
             _cplx(_field(p, "lambda", path), f"{path}.lambda")))
     cfg = PhaseConfiguration(points)
-    cfg.validate(curve, layout)
+    validate_configuration(cfg, curve, layout)
     return cfg
 
 
@@ -280,14 +294,12 @@ def flow():
 
 def _traj_csv(path, traj):
     lines = ["t,i,re_x,im_x,re_y,im_y,re_lambda,im_lambda"]
-    for k, t in enumerate(traj.times):
-        xs, ys, lams = traj.state_arrays(k)
-        for i in range(len(xs)):
-            lines.append(",".join(
-                [f"{float(t):.12g}", str(i + 1)]
-                + [_fmt(v) for v in (xs[i].real, xs[i].imag,
-                                     ys[i].real, ys[i].imag,
-                                     lams[i].real, lams[i].imag)]))
+    for t, s in zip(traj.times, traj.states):
+        # row i: re, im of x_i, y_i and lambda_i
+        rows = np.column_stack((s.x, s.y, s.lam)).astype(complex).view(float)
+        for i, row in enumerate(rows):
+            lines.append(",".join([f"{float(t):.12g}", str(i + 1)]
+                                  + [_fmt(v) for v in row]))
     Path(path).write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -301,8 +313,7 @@ def export_plot(trajectory, path):
     times = np.asarray(trajectory.times, dtype=float)
     if len(times) == 0:
         raise ValidationError("empty trajectory")
-    series = np.array([trajectory.state_arrays(k)[0].real
-                       for k in range(len(times))])  # (n, h)
+    series = np.array([s.x.real for s in trajectory.states])  # (n, h)
     width, height, margin = 640.0, 400.0, 50.0
     t_lo, t_hi = times.min(), max(times.max(), times.min() + 1e-12)
     v_lo, v_hi = series.min(), series.max()
@@ -436,13 +447,11 @@ def theta_sigma(input_file, outdir, seed, strict, tolerance):
     t0 = time.perf_counter()
     data = _load_json(input_file)
     cv = _parse_curve(data)
-    k = int(_field(data, "k"))
+    k = _num(_field(data, "k"), "$.k", lo=1, hi=cv.genus)
     phi = _cvec(_field(data, "phi"), "$.phi")
     if len(phi) != cv.genus:
         raise ValidationError(f"phi must have length g={cv.genus}", "$.phi")
-    if not 1 <= k <= cv.genus:
-        raise ValidationError(f"k must be in 1..{cv.genus}", "$.k")
-    const = float(data.get("const", 0.0))
+    const = _num(data.get("const", 0.0), "$.const", float)
     td = period_matrix(cv)
     riemann_constants(cv, td, rng=np.random.default_rng(seed))
     s_series = sigma_series(cv, td, phi, k, const)
@@ -488,7 +497,8 @@ def sl2_demo(input_file, outdir, seed, strict, tolerance, t_end, dt, l):
     if len(qa) != 3 or len(pa) != 3:
         raise ValidationError("q and p must have three components", "$")
     zeta = _cplx(data.get("zeta", 0.3), "$.zeta")
-    pp0 = sl2.GeomPhasePoint(qa, pa, int(data.get("chart", 3)))
+    pp0 = sl2.GeomPhasePoint(qa, pa,
+                             _num(data.get("chart", 3), "$.chart", lo=0, hi=3))
     states, report = sl2.lax_flow(pp0, z6, zeta, l, t_end, dt)
     stride = max(1, len(states) // 200)
     drift = sl2.lax_drift(states[::stride], z6, zeta, l)
@@ -518,18 +528,19 @@ def parabolic_group():
 
 def _parse_ptype(data):
     pts = []
-    for i, p in enumerate(_field(data, "points")):
+    for i, p in enumerate(_list(_field(data, "points"), "$.points")):
         path = f"$.points[{i}]"
-        part = _field(p, "partition", path)
-        weights = p.get("weights", [])
+        part = _list(_field(p, "partition", path), f"{path}.partition")
+        part = [_num(m, f"{path}.partition[{j}]", lo=1)
+                for j, m in enumerate(part)]
         try:
-            weights = [Fraction(w) if isinstance(w, str) else Fraction(w)
-                       for w in weights]
-        except (ValueError, ZeroDivisionError) as exc:
+            weights = [Fraction(w) for w in
+                       _list(p.get("weights", []), f"{path}.weights")]
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ValidationError(str(exc), f"{path}.weights")
         pts.append(pb.MarkedPoint(tuple(part), tuple(weights)))
-    return pb.ParabolicType(int(_field(data, "genus")),
-                            int(_field(data, "rank")), pts)
+    return pb.ParabolicType(_num(_field(data, "genus"), "$.genus"),
+                            _num(_field(data, "rank"), "$.rank"), pts)
 
 
 @parabolic_group.command("dims")
@@ -560,7 +571,7 @@ def parabolic_delta(input_file, outdir, seed, strict, tolerance):
     data = _load_json(input_file)
     ptype = _parse_ptype(data)
     value = pb.delta_p(ptype)
-    pdeg = pb.parabolic_degree(data.get("deg_e", 0), ptype)
+    pdeg = pb.parabolic_degree(_num(data.get("deg_e", 0), "$.deg_e"), ptype)
     Path(outdir).mkdir(parents=True, exist_ok=True)
     out = _write_json(Path(outdir) / "parabolic_delta.json", {
         "delta_p": value,
@@ -579,15 +590,18 @@ def parabolic_local(input_file, outdir, seed, strict, tolerance):
     t0 = time.perf_counter()
     data = _load_json(input_file)
     local = _field(data, "local")
-    trunc = int(local.get("truncation", pb.DEFAULT_TRUNCATION))
     raw = _field(local, "coeffs", "$.local")
+    trunc = _num(local.get("truncation", pb.DEFAULT_TRUNCATION),
+                 "$.local.truncation", lo=1)
     try:
         coeff_lists = [[Fraction(c) for c in series]
                        for series in raw]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValidationError(str(exc), "$.local.coeffs")
     f = pb.LocalCharPoly.from_lists(coeff_lists, trunc)
-    expected = local.get("expected_mu")
+    path = "$.local.expected_mu"
+    expected = [_num(m, f"{path}[{i}]") for i, m in
+                enumerate(_list(local.get("expected_mu", []), path))]
     report = pb.newton_eisenstein_check(
         f, tuple(expected) if expected else None)
     Path(outdir).mkdir(parents=True, exist_ok=True)

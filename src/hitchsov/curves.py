@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -340,8 +341,9 @@ def integrate_monomials(curve: HyperellipticCurve, waypoints, y_start, tol=1e-10
     g = curve.genus
     acc = np.zeros(g, dtype=complex)
     y0 = complex(y_start)
+    panel = partial(_segment_gl, curve)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
-        val, y0 = _integrate_segment(curve, a, b, y0, tol)
+        val, y0 = _integrate_segment(panel, a, b, y0, tol)
         acc += val
     return acc, y0
 
@@ -355,15 +357,17 @@ def _segment_gl(curve, a, b, y0):
     return vals, ys[-1]
 
 
-def _integrate_segment(curve, a, b, y0, tol, depth=0, coarse=None):
+def _integrate_segment(panel, a, b, y0, tol, depth=0, coarse=None):
     """Adaptive Gauss-Legendre integral over [a, b], comparing one panel
     (``coarse``, computed when not given) with its two halves; raises
-    CycleDegenerate when the halves still disagree at depth 24."""
+    CycleDegenerate when the halves still disagree at depth 24.
+    panel(a, b, y0) -> (values, datum at b) integrates one panel from the
+    datum y0 continued along the path (y, or y and a fiber root)."""
     if coarse is None:
-        coarse, _ = _segment_gl(curve, a, b, y0)
+        coarse, _ = panel(a, b, y0)
     mid = 0.5 * (a + b)
-    left, ym = _segment_gl(curve, a, mid, y0)
-    right, y_end = _segment_gl(curve, mid, b, ym)
+    left, ym = panel(a, mid, y0)
+    right, y_end = panel(mid, b, ym)
     fine = left + right
     err = np.max(np.abs(fine - coarse))
     if err <= tol:
@@ -372,8 +376,8 @@ def _integrate_segment(curve, a, b, y0, tol, depth=0, coarse=None):
         raise CycleDegenerate(
             f"quadrature not converged at depth {depth} "
             f"(panel difference {err:.3e} > tol {tol:.3e})")
-    left, ym = _integrate_segment(curve, a, mid, y0, tol / 2, depth + 1, left)
-    right, y_end = _integrate_segment(curve, mid, b, ym, tol / 2, depth + 1, right)
+    left, ym = _integrate_segment(panel, a, mid, y0, tol / 2, depth + 1, left)
+    right, y_end = _integrate_segment(panel, mid, b, ym, tol / 2, depth + 1, right)
     return left + right, y_end
 
 

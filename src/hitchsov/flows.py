@@ -1,10 +1,15 @@
-"""Angle coordinates and trajectory integration by two independent routes.
+"""Angle coordinates and trajectory integration by two routes.
 
 Route 1 integrates x_dot = J^{-1} c where J is the matrix of angle
-densities (the quadrature scheme); route 2 integrates the canonical
-equations of the Hamiltonian c . H directly through the implicit
-gradients.  Agreement of the two is the module's central consistency
-check.
+densities, with the coefficients H frozen and each lambda kept on its
+fiber; route 2 integrates the canonical equations of the Hamiltonian
+c . H through the implicit gradients, re-solving H at every stage.  Both
+carry the h separating points as one stacked SpectralPoint.
+
+The two routes integrate the same vector field (J^{-1} c equals
+y c dH/dlambda) with the same RK4 stages, so their distance certifies
+the algebra (Jacobi matrix, separation solve, implicit gradients), not
+the time integration: a step-size error common to both stays unseen.
 """
 
 from dataclasses import dataclass
@@ -12,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .curves import _branch_distances, _sheet_step, _track_sheets
+from .curves import (_GL_NODES, _GL_WEIGHTS, _branch_distances,
+                     _integrate_segment, _sheet_step, _track_sheets,
+                     route_path)
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
 from .spectral import SpectralPoint, eval_R, lambda_roots
-from .separation import PhaseConfiguration, _stacked, implicit_gradients, \
-    solve_hamiltonians
+from .separation import implicit_gradients, solve_hamiltonians
 
 
 def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
@@ -38,7 +44,7 @@ def _integrand_vector(layout, curve, ham, pt):
 
 def jacobi_matrix(layout, curve, ham, cfg):
     """J[j, k] = angle density j evaluated at the k-th separating point."""
-    jm = _integrand_vector(layout, curve, ham, _stacked(cfg)).T
+    jm = _integrand_vector(layout, curve, ham, cfg).T
     if np.linalg.cond(jm) > 1e12:
         raise IllConditioned("Jacobi matrix condition estimate above 1e12")
     return jm
@@ -94,24 +100,7 @@ def _continue_sheets(curve, xs, ys_prev):
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: list              # list of PhaseConfiguration
-    scheme: str
-    direction: np.ndarray
-
-    def state_arrays(self, k):
-        cfg = self.states[k]
-        return cfg.xs(), cfg.ys(), cfg.lambdas()
-
-
-def _cfg_from_arrays(xs, ys, lams):
-    return PhaseConfiguration(
-        [SpectralPoint(x, y, l) for x, y, l in zip(xs, ys, lams)])
-
-
-def _trajectory(states, dt, scheme, c):
-    return Trajectory(times=np.arange(len(states)) * dt,
-                      states=[_cfg_from_arrays(*s) for s in states],
-                      scheme=scheme, direction=c)
+    states: list              # one stacked SpectralPoint per time
 
 
 def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
@@ -119,37 +108,33 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
     c = np.asarray(c, dtype=complex)
 
     def velocity(state):
-        jm = jacobi_matrix(layout, curve, ham, _cfg_from_arrays(*state))
-        return np.linalg.solve(jm, c)
+        return np.linalg.solve(jacobi_matrix(layout, curve, ham, state), c)
 
     def advance(state, dxs):
         # move every point by dx, carrying sheet and fiber root along
-        xs, ys, lams = state
-        new_xs = xs + dxs
-        new_ys = _continue_sheets(curve, new_xs, ys)
+        xs = state.x + dxs
+        ys = _continue_sheets(curve, xs, state.y)
         # each point's fiber root nearest its previous lambda
-        roots = lambda_roots(layout, curve, ham, new_xs, new_ys)
-        pick = np.argmin(np.abs(roots - lams[:, None]), axis=1)
-        return new_xs, new_ys, roots[np.arange(len(xs)), pick]
+        roots = lambda_roots(layout, curve, ham, xs, ys)
+        pick = np.argmin(np.abs(roots - state.lam[:, None]), axis=1)
+        return SpectralPoint(xs, ys, roots[np.arange(len(xs)), pick])
 
     def reproject(state, step):
         # on-fiber re-projection: one Newton step on R = 0 in lambda
-        xs, ys, lams = state
-        ev = eval_R(layout, curve, ham, SpectralPoint(xs, ys, lams))
+        ev = eval_R(layout, curve, ham, state)
         ok = np.abs(ev.d_lambda) > 1e-12
-        lams = lams - np.where(ok, ev.value / np.where(ok, ev.d_lambda, 1), 0)
-        resid = np.abs(eval_R(layout, curve, ham,
-                              SpectralPoint(xs, ys, lams)).value).max()
+        state = SpectralPoint(state.x, state.y, state.lam - np.where(
+            ok, ev.value / np.where(ok, ev.d_lambda, 1), 0))
+        resid = np.abs(eval_R(layout, curve, ham, state).value).max()
         if not np.isfinite(resid) or resid > 1e-3:
             raise StepRejected(
                 f"fiber residual {resid:.2e} after step {step}",
                 suggested_dt=dt / 2)
-        return xs, ys, lams
+        return state
 
-    states = integrate(velocity, advance,
-                       (cfg0.xs(), cfg0.ys(), cfg0.lambdas()),
-                       dt, int(round(t_end / dt)), scheme, reproject)
-    return _trajectory(states, dt, scheme, c)
+    states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
+                       scheme, reproject)
+    return Trajectory(np.arange(len(states)) * dt, states)
 
 
 def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
@@ -157,28 +142,26 @@ def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
     c = np.asarray(c, dtype=complex)
 
     def velocity(state):
-        cfg = _cfg_from_arrays(*state)
-        ham = solve_hamiltonians(layout, curve, cfg)
-        dh_dlam, dh_dx = implicit_gradients(layout, curve, cfg, ham)
-        ys = state[1]
-        return np.concatenate((ys * (c @ dh_dlam), -ys * (c @ dh_dx)))
+        ham = solve_hamiltonians(layout, curve, state)
+        dh_dlam, dh_dx = implicit_gradients(layout, curve, state, ham)
+        return np.concatenate((state.y * (c @ dh_dlam),
+                               -state.y * (c @ dh_dx)))
 
     def advance(state, incr):
-        xs, ys, lams = state
-        n = len(xs)
-        new_xs = xs + incr[:n]
-        return new_xs, _continue_sheets(curve, new_xs, ys), lams + incr[n:]
+        n = len(state.x)
+        xs = state.x + incr[:n]
+        return SpectralPoint(xs, _continue_sheets(curve, xs, state.y),
+                             state.lam + incr[n:])
 
-    states = integrate(velocity, advance,
-                       (cfg0.xs(), cfg0.ys(), cfg0.lambdas()),
-                       dt, int(round(t_end / dt)), scheme)
-    return _trajectory(states, dt, scheme, c)
+    states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
+                       scheme)
+    return Trajectory(np.arange(len(states)) * dt, states)
 
 
 def match_states(cfg_a, cfg_b):
     """Optimal pairing distance between two unordered point sets."""
-    pa = np.array([[p.x, p.y, p.lam] for p in cfg_a.points])
-    pb = np.array([[p.x, p.y, p.lam] for p in cfg_b.points])
+    pa = np.column_stack((cfg_a.x, cfg_a.y, cfg_a.lam))
+    pb = np.column_stack((cfg_b.x, cfg_b.y, cfg_b.lam))
     cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].max(), cols
@@ -192,70 +175,54 @@ def angle_shift(layout, curve, ham, trajectory: Trajectory):
     The quadrature is trapezoid in t on the stored states, which are the
     natural sample points of the deformation.
     """
-    n = len(trajectory.states)
-    h = layout.h
-    dens = np.empty((n, h, h), dtype=complex)  # (time, j, point)
-    for k, cfg in enumerate(trajectory.states):
-        dens[k] = _integrand_vector(layout, curve, ham, _stacked(cfg)).T
-    xs = np.array([cfg.xs() for cfg in trajectory.states])  # (n, h)
-    shifts = np.zeros((n, h), dtype=complex)
-    for k in range(1, n):
-        dx = xs[k] - xs[k - 1]
-        avg = 0.5 * (dens[k - 1] + dens[k])
-        shifts[k] = shifts[k - 1] + avg @ dx
-    return shifts
+    n, h = len(trajectory.states), layout.h
+    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
+                    for a in ("x", "y", "lam"))            # (n, h) each
+    dens = _integrand_vector(layout, curve, ham, SpectralPoint(
+        xs.ravel(), ys.ravel(), lams.ravel())).reshape(n, h, h)
+    # trapezoid on each step, dens[k, point, j] against that point's dx
+    steps = np.einsum("kij,ki->kj", 0.5 * (dens[:-1] + dens[1:]),
+                      np.diff(xs, axis=0))
+    return np.vstack((np.zeros((1, h), dtype=complex),
+                      np.cumsum(steps, axis=0)))
 
 
 def _integrate_density(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
     """Integrate all angle densities along the routed x-path x0 -> x1.
 
     y is continued by nearest-sheet steps and lambda by nearest fiber
-    root; Gauss-Legendre panels are halved until two refinements agree.
+    root, on the adaptive Gauss-Legendre panels of ``_integrate_segment``.
     """
-    from .curves import route_path
-    way = route_path(curve, x0, x1)
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    total = np.zeros(layout.h, dtype=complex)
-    y, lam = y0, lam0
-
-    def panel(a, b, y_in, lam_in):
+    def panel(a, b, start):
         half = 0.5 * (b - a)
-        xs = np.r_[0.5 * (a + b) + half * nodes, b]
-        ys = _track_sheets(curve, xs, y_in)
+        xs = np.r_[0.5 * (a + b) + half * _GL_NODES, b]
+        ys = _track_sheets(curve, xs, start[0])
         lams = np.empty(len(xs), dtype=complex)
-        lam = lam_in
+        lam = start[1]
         for i, roots in enumerate(lambda_roots(layout, curve, ham, xs, ys)):
             lam = lams[i] = roots[np.argmin(np.abs(roots - lam))]
         dens = _integrand_vector(layout, curve, ham,
                                  SpectralPoint(xs[:-1], ys[:-1], lams[:-1]))
-        return weights @ dens * half, ys[-1], lams[-1]
+        return _GL_WEIGHTS @ dens * half, (ys[-1], lams[-1])
 
+    total = np.zeros(layout.h, dtype=complex)
+    start = (y0, lam0)
+    way = route_path(curve, x0, x1)
     for a, b in zip(way[:-1], way[1:]):
-        stack = [(a, b, y, lam)]
-        while stack:
-            sa, sb, sy, slam = stack.pop()
-            coarse, _, _ = panel(sa, sb, sy, slam)
-            smid = 0.5 * (sa + sb)
-            left, ym, lm = panel(sa, smid, sy, slam)
-            right, ye, le = panel(smid, sb, ym, lm)
-            if np.abs(coarse - (left + right)).max() < tol:
-                total += left + right
-                y, lam = ye, le
-            else:
-                stack.append((smid, sb, ym, lm))
-                stack.append((sa, smid, sy, slam))
-    return total, y, lam
+        part, start = _integrate_segment(panel, a, b, start, tol)
+        total += part
+    return (total, *start)
 
 
 def angle_coordinates(layout, curve, ham, cfg, base: SpectralPoint,
                       tol=1e-10):
     """phi_j = sum_i integral from base to gamma_i of the j-th density."""
     phi = np.zeros(layout.h, dtype=complex)
-    for p in cfg.points:
+    for x, y, lam in zip(cfg.x, cfg.y, cfg.lam):
         part, y_end, lam_end = _integrate_density(
-            layout, curve, ham, base.x, base.y, base.lam, p.x, tol)
-        if abs(y_end - p.y) > abs(y_end + p.y) or \
-                abs(lam_end - p.lam) > 1e-6 * (1 + abs(p.lam)):
+            layout, curve, ham, base.x, base.y, base.lam, x, tol)
+        if abs(y_end - y) > abs(y_end + y) or \
+                abs(lam_end - lam) > 1e-6 * (1 + abs(lam)):
             # arrival datum on a different sheet of the cover than the
             # target: the caller's configuration fixes the homotopy class
             raise BranchLocus(
@@ -267,8 +234,7 @@ def angle_coordinates(layout, curve, ham, cfg, base: SpectralPoint,
 
 def newton_sums(cfg, k_max):
     """Power sums sigma_k = sum_i x_i^k of the separating x-coordinates."""
-    xs = cfg.xs()
-    return np.array([np.sum(xs ** k) for k in range(1, k_max + 1)])
+    return np.array([np.sum(cfg.x ** k) for k in range(1, k_max + 1)])
 
 
 def hamiltonian_drift(layout, curve, trajectory):

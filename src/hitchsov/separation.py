@@ -1,12 +1,12 @@
 """Separating equations: coefficients from points, gradients, brackets.
 
-A phase configuration is a collection of h spectral points gamma_i =
-(x_i, y_i, lambda_i).  Requiring R(gamma_i) = 0 for all i determines the
-full coefficient vector H: linearly for types whose blocks are linear in
-H, by damped Newton for so(2n) where the last block enters squared.
+A phase configuration is h spectral points gamma_i = (x_i, y_i, lambda_i),
+held as one stacked SpectralPoint whose x, y and lam are arrays of shape
+(h,); every function here reads those arrays.  Requiring R(gamma_i) = 0
+for all i determines the full coefficient vector H: linearly for types
+whose blocks are linear in H, by damped Newton for so(2n) where the last
+block enters squared.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,56 +15,43 @@ from .errors import (SingularConfiguration, SingularJacobian,
 from .spectral import SpectralPoint, eval_R
 
 
-@dataclass
-class PhaseConfiguration:
-    """h separating points with their sheet bookkeeping."""
-    points: list
+class PhaseConfiguration(SpectralPoint):
+    """h separating points, stacked once into a SpectralPoint of (h,)
+    arrays; ``points`` gives them back one by one."""
 
-    def __post_init__(self):
-        self.points = list(self.points)
+    def __init__(self, points):
+        points = list(points)
+        super().__init__(np.array([p.x for p in points]),
+                         np.array([p.y for p in points]),
+                         np.array([p.lam for p in points]))
 
-    def __len__(self):
-        return len(self.points)
-
-    def validate(self, curve, layout=None, tol=1e-10):
-        if layout is not None and len(self.points) != layout.h:
-            raise SingularConfiguration(
-                f"expected {layout.h} points, got {len(self.points)}")
-        xs, ys = self.xs(), self.ys()
-        pxs = curve.p(xs)
-        off = np.abs(ys ** 2 - pxs)
-        bad = off > tol * (1.0 + np.abs(pxs))
-        if bad.any():
-            i = np.argmax(bad)
-            raise SingularConfiguration(
-                f"point off curve: x={xs[i]}, |y^2-P| = {off[i]:.2e}")
-        if len(xs) > 1:
-            sep = np.abs(xs[:, None] - xs[None, :])
-            np.fill_diagonal(sep, np.inf)
-            if sep.min() < 1e-8:
-                raise SingularConfiguration("x-coordinates not separated")
-
-    def lambdas(self):
-        return np.array([p.lam for p in self.points])
-
-    def xs(self):
-        return np.array([p.x for p in self.points])
-
-    def ys(self):
-        return np.array([p.y for p in self.points])
+    @property
+    def points(self):
+        return [SpectralPoint(*p) for p in zip(self.x, self.y, self.lam)]
 
 
-def _stacked(cfg):
-    """The configuration's points as one SpectralPoint of arrays."""
-    return SpectralPoint(cfg.xs(), cfg.ys(), cfg.lambdas())
+def validate_configuration(cfg, curve, layout=None, tol=1e-10):
+    """Raise SingularConfiguration unless the stacked point cfg has the
+    layout's h points, all on the curve and with separated x."""
+    xs, ys = cfg.x, cfg.y
+    if layout is not None and len(xs) != layout.h:
+        raise SingularConfiguration(
+            f"expected {layout.h} points, got {len(xs)}")
+    pxs = curve.p(xs)
+    off = np.abs(ys ** 2 - pxs)
+    bad = off > tol * (1.0 + np.abs(pxs))
+    if bad.any():
+        i = np.argmax(bad)
+        raise SingularConfiguration(
+            f"point off curve: x={xs[i]}, |y^2-P| = {off[i]:.2e}")
+    if len(xs) > 1:
+        sep = np.abs(xs[:, None] - xs[None, :])
+        np.fill_diagonal(sep, np.inf)
+        if sep.min() < 1e-8:
+            raise SingularConfiguration("x-coordinates not separated")
 
 
-def _design_matrix(layout, curve, cfg):
-    """Rows: gradient of R in H at each point (valid for linear blocks)."""
-    return eval_R(layout, curve, np.zeros(layout.h), _stacked(cfg)).grad_h
-
-
-def solve_hamiltonians(layout, curve, cfg: PhaseConfiguration,
+def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
                        rng=None, tol=1e-9, max_starts=8):
     """Coefficient vector H with R(gamma_i; H) = 0 for every point.
 
@@ -72,14 +59,15 @@ def solve_hamiltonians(layout, curve, cfg: PhaseConfiguration,
     so(2n) the system is quadratic in the last block and is solved by
     damped Newton with multi-start seeding.
     """
-    cfg.validate(curve, layout)
+    validate_configuration(cfg, curve, layout)
     spec = layout.spec
     d = spec.d
-    lams = cfg.lambdas()
+    lams = cfg.lam
     rhs = -lams ** d
     scale = np.max(1.0 + np.abs(lams)) ** d
     if not spec.square_last:
-        m = _design_matrix(layout, curve, cfg)
+        # rows: gradient of R in H at each point, R being linear in H
+        m = eval_R(layout, curve, np.zeros(layout.h), cfg).grad_h
         try:
             ham = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError as exc:
@@ -93,13 +81,11 @@ def solve_hamiltonians(layout, curve, cfg: PhaseConfiguration,
     if rng is None:
         rng = np.random.default_rng(0)
 
-    pts = _stacked(cfg)
-
     def fvec(ham):
-        return eval_R(layout, curve, ham, pts).value
+        return eval_R(layout, curve, ham, cfg).value
 
     def jac(ham):
-        return eval_R(layout, curve, ham, pts).grad_h
+        return eval_R(layout, curve, ham, cfg).grad_h
 
     best = np.inf
     for start in range(max_starts):
@@ -138,7 +124,7 @@ def implicit_gradients(layout, curve, cfg, ham):
     Returns (dh_dlam, dh_dx), each h x h with column m the derivative of H
     with respect to lambda_m resp. x_m (y following x on the curve).
     """
-    ev = eval_R(layout, curve, ham, _stacked(cfg))
+    ev = eval_R(layout, curve, ham, cfg)
     try:
         minv = np.linalg.inv(ev.grad_h)
     except np.linalg.LinAlgError as exc:
@@ -150,8 +136,7 @@ def poisson_bracket(f_grads, g_grads, cfg):
     """{f, g} = sum_i y_i (f_lam_i g_x_i - g_lam_i f_x_i)."""
     f_lam, f_x = f_grads
     g_lam, g_x = g_grads
-    ys = cfg.ys()
-    return np.sum(ys * (np.asarray(f_lam) * np.asarray(g_x)
+    return np.sum(cfg.y * (np.asarray(f_lam) * np.asarray(g_x)
                         - np.asarray(g_lam) * np.asarray(f_x)))
 
 
@@ -160,9 +145,8 @@ def involution_check(layout, curve, cfg, ham=None):
     if ham is None:
         ham = solve_hamiltonians(layout, curve, cfg)
     dh_dlam, dh_dx = implicit_gradients(layout, curve, cfg, ham)
-    ys = cfg.ys()
     # bracket[j,k] = sum_i y_i (dHj/dlam_i dHk/dx_i - dHk/dlam_i dHj/dx_i)
-    a = dh_dlam * ys[None, :]
+    a = dh_dlam * cfg.y[None, :]
     br = a @ dh_dx.T - dh_dx @ a.T
     return np.abs(br)
 
@@ -171,5 +155,5 @@ def gradient_scale(layout, curve, cfg, ham):
     """Normalization for bracket magnitudes: gradient norms times |y|."""
     dh_dlam, dh_dx = implicit_gradients(layout, curve, cfg, ham)
     norms = np.sqrt(np.sum(np.abs(dh_dlam) ** 2 + np.abs(dh_dx) ** 2, axis=1))
-    ymax = np.abs(cfg.ys()).max()
+    ymax = np.abs(cfg.y).max()
     return np.outer(norms, norms) * ymax + 1e-300

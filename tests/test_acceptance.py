@@ -83,7 +83,7 @@ def test_criterion_3_forward_backward(curve_c):
             if layout.spec.square_last:
                 # quadratic last block: interpolation through h samples is
                 # not injective, so verify on the separating identity
-                scale = (1 + np.abs(cfg.lambdas()).max()) ** layout.spec.d
+                scale = (1 + np.abs(cfg.lam).max()) ** layout.spec.d
                 err = max(abs(eval_R(layout, curve_c, got, p).value)
                           for p in cfg.points) / scale
             else:

@@ -129,6 +129,40 @@ class TestExitCodes:
         assert res.exit_code == 4
 
 
+CURVE15 = {"coeffs": [_pair(z) for z in
+                     npoly.polyfromroots([1.0, 2.0, 3.0, 4.0, 5.0])]}
+SL2 = {key: [[0.1 * i, 0.2] for i in range(n)]
+       for key, n in (("z6", 6), ("q", 3), ("p", 3))}
+
+
+class TestMalformedFields:
+    """A field of the wrong type or out of range exits 3 with its path."""
+
+    @pytest.mark.parametrize("command, data, path", [
+        ("parabolic dims", {"genus": 2, "rank": 4, "points": 5}, "$.points"),
+        ("parabolic dims", {"genus": "two", "rank": 4,
+                            "points": [{"partition": [2, 2]}]}, "$.genus"),
+        ("parabolic dims", {"genus": 2, "rank": 4,
+                            "points": [{"partition": 3}]},
+         "$.points[0].partition"),
+        ("sl2 demo", dict(SL2, chart=7), "$.chart"),
+        ("ham solve", {"curve": CURVE15,
+                       "lie_type": {"family": "GL", "rank": "x"}},
+         "$.lie_type.rank"),
+        ("theta sigma", {"curve": CURVE15, "k": "one",
+                         "phi": [[0.1, 0.0], [0.2, 0.0]]}, "$.k"),
+        ("parabolic local", {"local": {"coeffs": [[0, 1]], "expected_mu": 5}},
+         "$.local.expected_mu"),
+    ])
+    def test_exit_3_with_path(self, tmp_path, command, data, path):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(data))
+        res = runner.invoke(main, command.split() + [
+            "--input", str(f), "--output", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert f"(at {path})" in res.output
+
+
 class TestFlowRun:
     def test_branch_locus_exits_4(self, tmp_path):
         """GL(2) whose fiber above the first point is (lambda - a)^2."""
@@ -208,7 +242,7 @@ class TestExportPlot:
     def _traj(self, series, times):
         states = [PhaseConfiguration(
             [SpectralPoint(x, 1.0, 0.0) for x in row]) for row in series]
-        return Trajectory(np.array(times), states, "rk4", np.zeros(1))
+        return Trajectory(np.array(times), states)
 
     def test_constant_trajectory_horizontal(self, tmp_path):
         traj = self._traj([[0.5, -0.25]] * 3, [0.0, 0.5, 1.0])

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -238,8 +239,8 @@ class TestPeriods:
     def test_quadrature_cap_raises(self, curve15):
         y0 = np.sqrt(complex(curve15.p(-2.0)))
         with pytest.raises(CycleDegenerate, match="depth 24"):
-            curves._integrate_segment(curve15, -2.0, -2.0 + 1.5j, y0,
-                                      tol=0.0, depth=24)
+            curves._integrate_segment(partial(curves._segment_gl, curve15),
+                                      -2.0, -2.0 + 1.5j, y0, tol=0.0, depth=24)
 
     def test_period_matrix_peak_memory(self, curve15):
         tracemalloc.start()

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hitchsov import flows, separation, spectral
+from hitchsov.curves import route_path, _track_sheets
 from hitchsov.spectral import (resolve_type, coefficient_layout,
-                               SpectralPoint)
+                               SpectralPoint, lambda_roots)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
                                  implicit_gradients)
 from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
                              SingularJacobian, BranchCollision,
-                             NewtonDivergence)
+                             NewtonDivergence, CycleDegenerate)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             flow_poisson, match_states, angle_shift,
                             hamiltonian_drift, newton_sums,
@@ -75,7 +76,7 @@ class TestAngles:
     def test_newton_sums(self, system):
         _, cfg, _ = system
         s = newton_sums(cfg, 3)
-        xs = cfg.xs()
+        xs = cfg.x
         for k in range(1, 4):
             assert abs(s[k - 1] - np.sum(xs ** k)) < 1e-12
 
@@ -258,3 +259,117 @@ class TestCallCounts:
             assert long["eval_R"] - short["eval_R"] == 8 * 3
             assert long["lambda_roots"] == 0
             assert short["eval_R"] <= 8 * 2 + 2
+
+
+class TestStackedStates:
+    """Flow states are stacked points, not lists of per-point objects."""
+
+    @pytest.mark.parametrize("route", ["fiber", "poisson"])
+    def test_constructions_per_step(self, curve_c, monkeypatch, route):
+        dt = 1e-3
+        systems = [planted(family, curve_c, 8) for family in ("GL", "SP")]
+        built = []
+        real = SpectralPoint.__init__
+
+        def counting(self, *args):
+            built.append(None)
+            real(self, *args)
+        monkeypatch.setattr(SpectralPoint, "__init__", counting)
+        per_system = []                  # h = 5 and h = 10
+        for layout, ham, cfg, c in systems:
+            per_n = []
+            for n in (2, 5):
+                built.clear()
+                if route == "fiber":
+                    flow_fiber(layout, curve_c, ham, cfg, c, n * dt, dt)
+                else:
+                    flow_poisson(layout, curve_c, cfg, c, n * dt, dt)
+                per_n.append(len(built))
+            per_system.append(per_n)
+        assert per_system[0] == per_system[1]
+        short, long = per_system[0]
+        # one point per advanced stage, and on the fiber route one more
+        # for the re-projected state of each step
+        assert long - short == 3 * (5 if route == "fiber" else 4)
+        assert short <= 2 * 5
+
+    @pytest.mark.parametrize("family", ["GL", "SP"])
+    def test_angle_shift_matches_state_loop(self, curve_c, family):
+        layout, ham, cfg, c = planted(family, curve_c, 8)
+        traj = flow_fiber(layout, curve_c, ham, cfg, c, 0.05, 1e-3)
+        # the per-state loop that angle_shift replaced
+        n, h = len(traj.states), layout.h
+        dens = np.empty((n, h, h), dtype=complex)      # (time, j, point)
+        for k, s in enumerate(traj.states):
+            dens[k] = _integrand_vector(layout, curve_c, ham, s).T
+        xs = np.array([s.x for s in traj.states])
+        expect = np.zeros((n, h), dtype=complex)
+        for k in range(1, n):
+            avg = 0.5 * (dens[k - 1] + dens[k])
+            expect[k] = expect[k - 1] + avg @ (xs[k] - xs[k - 1])
+        got = angle_shift(layout, curve_c, ham, traj)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def density_loop(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
+    """The angle-density integral as an unbounded panel stack with a fixed
+    tolerance: the driver _integrate_density ran before it moved onto
+    curves._integrate_segment."""
+    way = route_path(curve, x0, x1)
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    total = np.zeros(layout.h, dtype=complex)
+    y, lam = y0, lam0
+
+    def panel(a, b, y_in, lam_in):
+        half = 0.5 * (b - a)
+        xs = np.r_[0.5 * (a + b) + half * nodes, b]
+        ys = _track_sheets(curve, xs, y_in)
+        lams = np.empty(len(xs), dtype=complex)
+        lam = lam_in
+        for i, roots in enumerate(lambda_roots(layout, curve, ham, xs, ys)):
+            lam = lams[i] = roots[np.argmin(np.abs(roots - lam))]
+        dens = _integrand_vector(layout, curve, ham,
+                                 SpectralPoint(xs[:-1], ys[:-1], lams[:-1]))
+        return weights @ dens * half, ys[-1], lams[-1]
+
+    for a, b in zip(way[:-1], way[1:]):
+        stack = [(a, b, y, lam)]
+        while stack:
+            sa, sb, sy, slam = stack.pop()
+            coarse, _, _ = panel(sa, sb, sy, slam)
+            smid = 0.5 * (sa + sb)
+            left, ym, lm = panel(sa, smid, sy, slam)
+            right, ye, le = panel(smid, sb, ym, lm)
+            if np.abs(coarse - (left + right)).max() < tol:
+                total += left + right
+                y, lam = ye, le
+            else:
+                stack.append((smid, sb, ym, lm))
+                stack.append((sa, smid, sy, slam))
+    return total, y, lam
+
+
+class TestDensityIntegral:
+    X0, X1 = -0.6 + 0.05j, 1.6 - 0.05j     # passes 0 and 1 closely
+
+    def start(self, curve_c, gl2, ham):
+        y0 = np.sqrt(complex(curve_c.p(self.X0)))
+        lam0 = lambda_roots(gl2, curve_c, ham, self.X0, y0)[0]
+        return y0, lam0
+
+    def test_matches_panel_stack(self, curve_c, gl2, system):
+        ham, _, _ = system
+        assert len(route_path(curve_c, self.X0, self.X1)) > 2   # routed
+        y0, lam0 = self.start(curve_c, gl2, ham)
+        got = flows._integrate_density(gl2, curve_c, ham, self.X0, y0, lam0,
+                                       self.X1)
+        expect = density_loop(gl2, curve_c, ham, self.X0, y0, lam0, self.X1)
+        for g, e in zip(got, expect):
+            assert np.abs(g - e).max() < 1e-9 * (1 + np.abs(e).max())
+
+    def test_zero_tolerance_raises(self, curve_c, gl2, system):
+        ham, _, _ = system
+        y0, lam0 = self.start(curve_c, gl2, ham)
+        with pytest.raises(CycleDegenerate, match="depth 24"):
+            flows._integrate_density(gl2, curve_c, ham, self.X0, y0, lam0,
+                                     self.X1, tol=0.0)

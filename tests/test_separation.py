@@ -6,7 +6,8 @@ from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, eval_R)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
                                  implicit_gradients, poisson_bracket,
-                                 involution_check, gradient_scale)
+                                 involution_check, gradient_scale,
+                                 validate_configuration)
 
 from conftest import sample_fiber_config, random_config
 
@@ -17,21 +18,28 @@ class TestValidation:
     def test_point_off_curve(self, curve_c, gl2):
         pts = [SpectralPoint(0.1 * k + 0.2j, 1.0, 0.5) for k in range(5)]
         with pytest.raises(SingularConfiguration):
-            PhaseConfiguration(pts).validate(curve_c, gl2)
+            validate_configuration(PhaseConfiguration(pts), curve_c, gl2)
 
     def test_wrong_count(self, curve_c, gl2):
         x = 0.3 + 0.1j
         y = np.sqrt(complex(curve_c.p(x)))
         with pytest.raises(SingularConfiguration):
-            PhaseConfiguration([SpectralPoint(x, y, 0.5)]).validate(
-                curve_c, gl2)
+            validate_configuration(
+                PhaseConfiguration([SpectralPoint(x, y, 0.5)]), curve_c, gl2)
+
+    def test_points_round_trip(self):
+        pts = [SpectralPoint(0.1 * k + 0.2j, 1.0 - k, 0.5j * k)
+               for k in range(5)]
+        cfg = PhaseConfiguration(pts)
+        assert cfg.x.shape == cfg.y.shape == cfg.lam.shape == (5,)
+        assert cfg.points == pts
 
     def test_coincident_x_rejected(self, curve_c, gl2):
         x = 0.3 + 0.1j
         y = np.sqrt(complex(curve_c.p(x)))
         pts = [SpectralPoint(x, y, 0.1 * k) for k in range(5)]
         with pytest.raises(SingularConfiguration):
-            PhaseConfiguration(pts).validate(curve_c, gl2)
+            validate_configuration(PhaseConfiguration(pts), curve_c, gl2)
 
 
 class TestForwardBackward:
@@ -63,7 +71,7 @@ class TestForwardBackward:
             cfg = sample_fiber_config(layout, curve_c, ham, rng)
             got = solve_hamiltonians(layout, curve_c, cfg,
                                      rng=np.random.default_rng(0))
-            scale = (1 + np.abs(cfg.lambdas()).max()) ** layout.spec.d
+            scale = (1 + np.abs(cfg.lam).max()) ** layout.spec.d
             for p in cfg.points:
                 assert abs(eval_R(layout, curve_c, got, p).value) \
                     < 1e-8 * scale

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hitchsov
@@ -13,3 +14,26 @@ def test_no_global_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def _referenced(node):
+    """Names read anywhere under node, as bare names or as attributes."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_no_dead_private_functions():
+    """Every private module-level function and private method is referenced
+    in the package somewhere outside its own def."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    used = sum((_referenced(tree) for tree in trees), Counter())
+    defs = [node for tree in trees for top in tree.body
+            for node in ([top] if not isinstance(top, ast.ClassDef)
+                         else top.body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+    dead = [d.name for d in defs
+            if used[d.name] == _referenced(d)[d.name]]
+    assert defs
+    assert dead == []
