@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (HitchsovError, ValidationError, DegreeError,
-                     DuplicateBranchPoint)
+                     DuplicateBranchPoint, RankError)
 from .curves import build_curve, period_matrix
-from .spectral import resolve_type, coefficient_layout, SpectralPoint
+from .spectral import FAMILIES, resolve_type, coefficient_layout, SpectralPoint
 from .separation import (PhaseConfiguration, validate_configuration,
                          solve_hamiltonians, involution_check, gradient_scale)
 from .flows import flow_fiber, flow_poisson, match_states
@@ -112,9 +112,13 @@ def _parse_curve(data):
 
 def _parse_layout(data, curve):
     lt = _field(data, "lie_type")
-    spec = resolve_type(_field(lt, "family", "$.lie_type"),
-                        _num(_field(lt, "rank", "$.lie_type"),
-                             "$.lie_type.rank"))
+    family = _field(lt, "family", "$.lie_type")
+    rank = _num(_field(lt, "rank", "$.lie_type"), "$.lie_type.rank")
+    try:
+        spec = resolve_type(family, rank)
+    except RankError as exc:
+        name = "family" if family not in FAMILIES else "rank"
+        raise ValidationError(str(exc), f"$.lie_type.{name}") from exc
     return coefficient_layout(spec, curve)
 
 
@@ -174,6 +178,20 @@ def _strict_gate(strict, name, value, tol):
     if strict and not value < tol:
         click.echo(f"strict: {name} {value:.3e} exceeds {tol:.1e}", err=True)
         sys.exit(4)
+
+
+def _time_option(ctx, param, value):
+    """Callback of --t-end and --dt: both finite, dt nonzero, and t_end/dt
+    >= 0, so a negative pair integrates backward and no pair runs away
+    from t_end.  The option read second checks the sign."""
+    need = "finite and nonzero" if param.name == "dt" else "finite"
+    if not np.isfinite(value) or (param.name == "dt" and value == 0):
+        raise click.BadParameter(f"must be {need}, got {value!r}")
+    other = ctx.params.get("dt" if param.name == "t_end" else "t_end")
+    if other is not None and np.sign(value) * np.sign(other) < 0:
+        raise click.BadParameter(
+            "--t-end and --dt have opposite signs (t_end/dt must be >= 0)")
+    return value
 
 
 def _common(fn):
@@ -357,8 +375,8 @@ def export_plot(trajectory, path):
 
 @flow.command("run")
 @_common
-@click.option("--t-end", default=1.0, type=float)
-@click.option("--dt", default=1e-3, type=float)
+@click.option("--t-end", default=1.0, type=float, callback=_time_option)
+@click.option("--dt", default=1e-3, type=float, callback=_time_option)
 @click.option("--scheme", default="rk4",
               type=click.Choice(["euler", "rk4"]))
 @click.option("--direction", default=None,
@@ -479,9 +497,9 @@ def sl2_group():
 
 @sl2_group.command("demo")
 @_common
-@click.option("--t-end", default=0.2, type=float)
-@click.option("--dt", default=1e-3, type=float)
-@click.option("--level", "l", default=4, type=int,
+@click.option("--t-end", default=0.2, type=float, callback=_time_option)
+@click.option("--dt", default=1e-3, type=float, callback=_time_option)
+@click.option("--level", "l", default=4, type=click.IntRange(min=1),
               help="power l of tr L(zeta)^l generating the flow")
 @_guarded
 def sl2_demo(input_file, outdir, seed, strict, tolerance, t_end, dt, l):

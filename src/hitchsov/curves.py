@@ -4,9 +4,9 @@ A curve is given by ``y^2 = P(x)`` with ``P`` monic of odd degree ``2g+1``,
 so there is a single point at infinity.  The module provides analytic
 continuation of ``y`` along paths in the ``x``-plane, holomorphic
 differentials ``x^(k-1) dx / y``, period matrices for the standard
-hyperelliptic homology basis, Abel maps based at infinity and the jet
-expansion of the Abel map in the local parameter ``z`` at infinity
-(``x = z^-2``).
+hyperelliptic homology basis, and Abel maps based at infinity.  Every
+series at infinity, in the local parameter ``z`` with ``x = z^-2``, is
+read from one expansion of ``1/sqrt(Q(z^2))`` held by the curve.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -28,6 +28,9 @@ from .errors import (
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+# terms in z of the series at infinity: the longest any caller reads
+SERIES_TERMS = 96
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,11 @@ class CurvePoint:
 @dataclass
 class ThetaData:
     """Period data of a curve: tau, a-period normalization, and (optionally)
-    the Riemann constant vector and the Abel jets at infinity."""
+    the Riemann constant vector."""
 
     tau: np.ndarray
     normalization: np.ndarray
     riemann_constants: np.ndarray | None = None
-    abel_jets: np.ndarray | None = None
 
 
 class HyperellipticCurve:
@@ -85,6 +87,17 @@ class HyperellipticCurve:
 
     def nearest_branch_distance(self, x) -> float:
         return float(np.min(np.abs(self.branch_points - x)))
+
+    @cached_property
+    def invsqrt_series(self):
+        """1/sqrt(Q(u)) to SERIES_TERMS // 2 + 2 terms in u = z^2, where
+        Q(u) = u^(2g+1) P(1/u), so y = z^-(2g+1) sqrt(Q(z^2)).  Built on
+        first use, once per curve, and read-only: every caller shares it."""
+        n_u = SERIES_TERMS // 2 + 2
+        q = np.pad(self.coeffs[::-1], (0, max(0, n_u - len(self.coeffs))))
+        series = _series_invsqrt(q[:n_u], n_u)
+        series.flags.writeable = False
+        return series
 
 
 def build_curve(coeffs, genus_one_ok=False) -> HyperellipticCurve:
@@ -731,56 +744,50 @@ def _series_invsqrt(q, nterms):
         length = min(2 * length, nterms)
         qt = npoly.polymul(npoly.polymul(t, t)[:length], q[:length])[:length]
         qt = np.pad(qt, (0, length - len(qt)))
-        t = npoly.polymul(t, 1.5 * _e0(length) - 0.5 * qt)[:length]
+        t = npoly.polymul(t, np.r_[1.5, np.zeros(length - 1)] - 0.5 * qt)[:length]
         t = np.pad(t, (0, length - len(t)))
     return t[:nterms]
-
-
-def _e0(n):
-    e = np.zeros(n, dtype=complex)
-    e[0] = 1.0
-    return e
 
 
 def differential_series(curve: HyperellipticCurve, normalization, nterms):
     """Series in z of the normalized differentials at infinity.
 
-    Returns W with ω_s = (sum_m W[s, m] z^m) dz in the chart x = z^-2,
-    y = z^-(2g+1) (1 + O(z^2)).
+    Returns W with ω_s = (sum_m W[s, m] z^m) dz for m < nterms in the chart
+    x = z^-2, y = z^-(2g+1) (1 + O(z^2)).  Raises ValueError for nterms
+    above SERIES_TERMS, the length of the curve's series.
     """
+    if nterms > SERIES_TERMS:
+        raise ValueError(f"nterms {nterms} exceeds SERIES_TERMS = {SERIES_TERMS}")
     g = curve.genus
-    # y * z^(2g+1) = sqrt(Q(u)), u = z^2, Q(u) = sum_j coeffs[j] u^(2g+1-j)
-    q = curve.coeffs[::-1].copy()  # q[m] = coeff of u^m
-    n_u = nterms // 2 + 2
-    inv_s = _series_invsqrt(np.pad(q, (0, max(0, n_u - len(q))))[:n_u], n_u)
     w = np.zeros((g, nterms), dtype=complex)
     for k in range(1, g + 1):  # monomial x^(k-1) dx / y = -2 z^(2(g-k)) S^-1(z^2) dz
-        base = 2 * (g - k)
-        for m, cm in enumerate(inv_s):
-            idx = base + 2 * m
-            if idx < nterms:
-                w[k - 1, idx] = -2.0 * cm
+        row = w[k - 1, 2 * (g - k)::2]
+        row[:] = -2.0 * curve.invsqrt_series[:row.size]
     return np.asarray(normalization, dtype=complex) @ w
+
+
+def abel_series(curve: HyperellipticCurve, theta_data: ThetaData, nterms):
+    """Vector power series A(z) of the Abel map from infinity in z.
+
+    Returns out with A_s(z) = sum_l out[s, l] z^l for l = 0..nterms, where
+    out[s, l] = W[s, l-1] / l = phi_s^(l) / l (W of differential_series).
+    """
+    w = differential_series(curve, theta_data.normalization, nterms)
+    out = np.zeros((w.shape[0], nterms + 1), dtype=complex)
+    out[:, 1:] = w / np.arange(1, nterms + 1)[None, :]
+    return out
 
 
 def abel_jets(curve: HyperellipticCurve, theta_data: ThetaData, order: int):
     """Jet table phi[s, l-1] for l = 1..order, defined by
     A_s(P(z)) = sum_l phi_s^(l) z^l / l."""
-    w = differential_series(curve, theta_data.normalization, order)
-    jets = w[:, :order].copy()  # phi_s^(l) = coefficient of z^(l-1) in ω_s/dz
-    theta_data.abel_jets = jets
-    return jets
+    # phi_s^(l) = coefficient of z^(l-1) in ω_s/dz
+    return differential_series(curve, theta_data.normalization, order)
 
 
 def _chart_radius(curve):
     rad = float(np.max(np.abs(curve.branch_points))) + 1.0
     return min(0.1, 0.5 / np.sqrt(rad))
-
-
-def _abel_series_part(curve, norm, z0, nterms=64):
-    w = differential_series(curve, norm, nterms)
-    powers = z0 ** np.arange(1, nterms + 1)
-    return w @ (powers / np.arange(1, nterms + 1))
 
 
 def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target: CurvePoint,
@@ -790,12 +797,11 @@ def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target: CurvePoin
     With base omitted (or at infinity) the integration starts at infinity in
     the z-chart and switches to the x-chart at |z| below the chart radius.
     """
-    norm = theta_data.normalization
     if base is not None and not base.at_infinity:
-        a_t = _abel_from_infinity(curve, norm, target, tol)
-        a_b = _abel_from_infinity(curve, norm, base, tol)
+        a_t = _abel_from_infinity(curve, theta_data, target, tol)
+        a_b = _abel_from_infinity(curve, theta_data, base, tol)
         return a_t - a_b
-    return _abel_from_infinity(curve, norm, target, tol)
+    return _abel_from_infinity(curve, theta_data, target, tol)
 
 
 def _chart_exit(curve, z0):
@@ -808,21 +814,22 @@ def _chart_exit(curve, z0):
     q = curve.coeffs[::-1]
     u = z0**2
     s_val = np.sqrt(npoly.polyval(u, q))
-    s_series = 1.0 / npoly.polyval(u, _series_invsqrt(np.pad(q, (0, 40))[:40], 40))
+    s_series = 1.0 / npoly.polyval(u, curve.invsqrt_series)
     if abs(s_val - s_series) > abs(s_val + s_series):
         s_val = -s_val
     return z0 ** (-2.0), z0 ** (-(2 * curve.genus + 1)) * s_val
 
 
-def _abel_from_infinity(curve, norm, target: CurvePoint, tol=1e-10):
+def _abel_from_infinity(curve, theta_data, target: CurvePoint, tol=1e-10):
     if target.at_infinity:
         return np.zeros(curve.genus, dtype=complex)
     z0 = _chart_radius(curve)
-    series_part = _abel_series_part(curve, norm, z0)
+    series_part = abel_series(curve, theta_data, SERIES_TERMS) @ (
+        z0 ** np.arange(SERIES_TERMS + 1))
     x_start, y_start = _chart_exit(curve, z0)
     way = route_path(curve, x_start, target.x)
     x_part, y_end = integrate_monomials(curve, way, y_start, tol)
-    x_part = np.asarray(norm, dtype=complex) @ x_part
+    x_part = np.asarray(theta_data.normalization, dtype=complex) @ x_part
     total = series_part + x_part
     if abs(y_end - target.y) <= abs(y_end + target.y):
         return total

@@ -4,7 +4,16 @@ The power sums sigma_k of the separating x-coordinates are recovered from
 a point phi of the Jacobian in two independent ways: by extracting a
 Taylor coefficient of ln theta composed with the Abel series at infinity,
 and by a contour residue on a small circle in the z-chart.  Agreement of
-the two routes is the module's central consistency check.
+the two routes is the module's central consistency check.  Both read the
+Abel series of ``curves.abel_series``, built from the one expansion at
+infinity the curve holds.
+
+The series route builds one lattice per call.  At each lattice point n
+the term exp(2 pi i n.A(z)) is a power series in z, from the recurrence
+of the exponential, so theta(v0 + A(z)) is one weighted sum of those
+series, and its logarithm follows by the matching recurrence.  The
+contour route samples theta and its gradient on the circle instead and
+shares no step with it after the Abel series.
 
 Theta sums are truncated to a lattice built once for a batch of arguments
 (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
@@ -21,12 +30,11 @@ against every divisor from one lattice.
 import itertools
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import (TruncationOverflow, ThetaDivisor, ResidueUnstable,
                      CycleDegenerate)
-from .curves import (CurvePoint, abel_map, differential_series,
-                     lattice_reduce)
+from .curves import (SERIES_TERMS, CurvePoint, _chart_radius, abel_map,
+                     abel_series, differential_series, lattice_reduce)
 
 
 def _lattice_points(tau, zs, extra_radius, radius_cap):
@@ -171,75 +179,35 @@ def riemann_constants(curve, theta_data, rng=None, nsamples=6):
     return best
 
 
-# ----------------------------------------------------------------------
-# truncated scalar series helpers (coefficient arrays, ascending)
-# ----------------------------------------------------------------------
-
-def _smul(a, b, n):
-    out = npoly.polymul(a, b)[:n]
-    if len(out) < n:
-        out = np.pad(out, (0, n - len(out)))
-    return out.astype(complex)
-
-def _slog(f, n):
-    """Series ln(f) with f[0] != 0, by integrating f'/f."""
-    f = np.asarray(f, dtype=complex)
-    inv = np.zeros(n, dtype=complex)
-    inv[0] = 1.0 / f[0]
-    for m in range(1, n):
-        acc = sum(f[j] * inv[m - j]
-                  for j in range(1, min(m, len(f) - 1) + 1))
-        inv[m] = -acc / f[0]
-    quot = _smul(npoly.polyder(f), inv, n)
-    out = np.zeros(n, dtype=complex)
-    out[0] = np.log(f[0])
-    out[1:] = quot[:n - 1] / np.arange(1, n)
-    return out
-
-
-def abel_series(curve, theta_data, nterms):
-    """Vector power series A(z) of the Abel map from infinity in z."""
-    w = differential_series(curve, theta_data.normalization, nterms)
-    out = np.zeros((w.shape[0], nterms + 1), dtype=complex)
-    out[:, 1:] = w / np.arange(1, nterms + 1)[None, :]
-    return out  # out[s, l] = phi_s^(l) / l, A_s(z) = sum_l out[s,l] z^l
-
-
 def sigma_series(curve, theta_data, phi, k, const=0.0):
     """sigma_k(phi) via the Taylor coefficient of ln theta at infinity.
 
-    sigma_k = const - 2k [z^(2k)] ln theta(A(z) - phi - K).
+    sigma_k = const - 2k [z^(2k)] ln theta(A(z) - phi - K).  One lattice,
+    at the radius of a derivative of order 2k, holds the rows v0 = -phi - K
+    (reduced) and 0, the scale of the divisor test.
     """
     tau = theta_data.tau
     g = tau.shape[0]
     n = 2 * k + 1
     kvec = theta_data.riemann_constants
     v0 = lattice_reduce(theta_data, -np.asarray(phi, dtype=complex) - kvec)
-    if abs(riemann_theta(v0, tau)) < 1e-10 * abs(
-            riemann_theta(np.zeros(g), tau)):
+    pts, terms = _lattice_terms(np.array([v0, np.zeros(g)]), tau, 3.0 + 4.0 * k)
+    th = terms.sum(axis=1)
+    if abs(th[0]) < 1e-10 * abs(th[1]):
         raise ThetaDivisor("theta(-phi-K) below tolerance")
-    a = abel_series(curve, theta_data, 2 * k)  # (g, n)
-    table = theta_deriv_table(v0, tau, 2 * k)
-    # theta(v0 + A(z)) as a series: sum_j D^j theta / j! * A(z)^j
-    comp = np.zeros(n, dtype=complex)
-    powers = {}
-    for s in range(g):
-        pw = [np.zeros(n, dtype=complex) for _ in range(2 * k + 1)]
-        pw[0][0] = 1.0
-        for e in range(1, 2 * k + 1):
-            pw[e] = _smul(pw[e - 1], a[s, :n], n)
-        powers[s] = pw
-    from math import factorial
-    for j, val in table.items():
-        term = np.zeros(n, dtype=complex)
-        term[0] = 1.0
-        fact = 1.0
-        for s, order in enumerate(j):
-            term = _smul(term, powers[s][order], n)
-            fact *= factorial(order)
-        comp = comp + (val / fact) * term
-    logc = _slog(comp, n)
-    return const - 2 * k * logc[2 * k]
+    # ja[i, j] = j a_j for a(z) = 2 pi i n_i.A(z); exp(a) = sum_m e_m z^m
+    # by m e_m = sum_j j a_j e_(m-j)
+    ja = (2j * np.pi * pts) @ abel_series(curve, theta_data, 2 * k) * np.arange(n)
+    e = np.zeros_like(ja)
+    e[:, 0] = 1.0
+    for m in range(1, n):
+        e[:, m] = np.sum(ja[:, 1:m + 1] * e[:, m - 1::-1], axis=1) / m
+    f = terms[0] @ e  # theta(v0 + A(z)) = sum_m f_m z^m
+    # jl[j] = j [z^j] ln f, by m f_m = sum_j j [z^j] ln f f_(m-j)
+    jl = np.zeros(n, dtype=complex)
+    for m in range(1, n):
+        jl[m] = (m * f[m] - jl[1:m] @ f[m - 1:0:-1]) / f[0]
+    return const - jl[2 * k]
 
 
 def sigma_contour(curve, theta_data, phi, k, const=0.0, radius=None,
@@ -250,15 +218,12 @@ def sigma_contour(curve, theta_data, phi, k, const=0.0, radius=None,
     the sample count until two refinements agree.
     """
     tau = theta_data.tau
-    g = tau.shape[0]
     kvec = theta_data.riemann_constants
     if radius is None:
-        from .curves import _chart_radius
         radius = 0.5 * _chart_radius(curve)
-    nterms = 96
+    nterms = SERIES_TERMS
     w = differential_series(curve, theta_data.normalization, nterms)
-    a_coeff = np.zeros((g, nterms + 1), dtype=complex)
-    a_coeff[:, 1:] = w / np.arange(1, nterms + 1)[None, :]
+    a_coeff = abel_series(curve, theta_data, nterms)
     v0 = -np.asarray(phi, dtype=complex) - kvec
     shift = lattice_reduce(theta_data, v0) - v0
     v0 = v0 + shift

@@ -153,6 +153,15 @@ class TestMalformedFields:
                          "phi": [[0.1, 0.0], [0.2, 0.0]]}, "$.k"),
         ("parabolic local", {"local": {"coeffs": [[0, 1]], "expected_mu": 5}},
          "$.local.expected_mu"),
+        ("ham solve", {"curve": CURVE15,
+                       "lie_type": {"family": "GL", "rank": 0}},
+         "$.lie_type.rank"),
+        ("ham solve", {"curve": CURVE15,
+                       "lie_type": {"family": 5, "rank": 2}},
+         "$.lie_type.family"),
+        ("ham solve", {"curve": CURVE15,
+                       "lie_type": {"family": "SL", "rank": 1}},
+         "$.lie_type.rank"),
     ])
     def test_exit_3_with_path(self, tmp_path, command, data, path):
         f = tmp_path / "in.json"
@@ -161,6 +170,42 @@ class TestMalformedFields:
             "--input", str(f), "--output", str(tmp_path)])
         assert res.exit_code == 3, res.output
         assert f"(at {path})" in res.output
+
+
+class TestTimeOptions:
+    """A time option that is not finite, a zero step, a t_end/dt below 0
+    or a level below 1 is a usage error that names the option."""
+
+    @pytest.mark.parametrize("command, options, name", [
+        ("flow run", ["--dt", "0"], "--dt"),
+        ("flow run", ["--dt", "nan"], "--dt"),
+        ("flow run", ["--t-end", "inf"], "--t-end"),
+        ("flow run", ["--dt", "-1e-3", "--t-end", "0.01"], "--dt"),
+        ("flow run", ["--t-end", "-0.01"], "--t-end"),
+        ("sl2 demo", ["--dt", "0"], "--dt"),
+        ("sl2 demo", ["--dt", "nan"], "--dt"),
+        ("sl2 demo", ["--t-end", "-inf"], "--t-end"),
+        ("sl2 demo", ["--level", "0"], "--level"),
+        ("sl2 demo", ["--level", "-1"], "--level"),
+    ])
+    def test_exit_2_naming_the_option(self, tmp_path, command, options, name):
+        res = runner.invoke(main, command.split() + options + [
+            "--input", str(tmp_path / "unread.json"),
+            "--output", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for" in res.output and name in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_pair_integrates_backward(self, gl2_input, tmp_path):
+        path, _ = gl2_input
+        res = runner.invoke(main, [
+            "flow", "run", "--input", str(path), "--output", str(tmp_path),
+            "--t-end", "-0.002", "--dt", "-1e-3"])
+        assert res.exit_code == 0, res.output
+        assert "to t=-0.002" in res.output
+        times = {r.split(",")[0] for r in
+                 (tmp_path / "flow_fiber.csv").read_text().splitlines()[1:]}
+        assert len(times) == 3
 
 
 class TestFlowRun:

@@ -366,6 +366,14 @@ class TestAbel:
         red = lattice_reduce(theta15, v + shift)
         assert np.abs(red - v).max() < 1e-8
 
+    def test_differential_series_length_capped(self, curve15, theta15):
+        w = curves.differential_series(curve15, theta15.normalization,
+                                       curves.SERIES_TERMS)
+        assert w.shape == (2, curves.SERIES_TERMS)
+        with pytest.raises(ValueError, match="SERIES_TERMS"):
+            curves.differential_series(curve15, theta15.normalization,
+                                       curves.SERIES_TERMS + 1)
+
     def test_abel_odd_jets_only(self, curve15, theta15):
         jets = abel_jets(curve15, theta15, 6)
         # expansion of A(z) about infinity is odd in the local coordinate

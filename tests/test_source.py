@@ -1,4 +1,5 @@
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -37,3 +38,19 @@ def test_no_dead_private_functions():
             if used[d.name] == _referenced(d)[d.name]]
     assert defs
     assert dead == []
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark's tracer wraps (TARGETS in
+    bench/spans.py, read without importing it) exists in its module."""
+    spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(spans.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    missing = [f"{module}.{name}" for module, names in targets.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"hitchsov.{module}"), name, None))]
+    assert targets and missing == []
