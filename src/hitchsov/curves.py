@@ -4,9 +4,12 @@ A curve is given by ``y^2 = P(x)`` with ``P`` monic of odd degree ``2g+1``,
 so there is a single point at infinity.  The module provides analytic
 continuation of ``y`` along paths in the ``x``-plane, holomorphic
 differentials ``x^(k-1) dx / y``, period matrices for the standard
-hyperelliptic homology basis, and Abel maps based at infinity.  Every
-series at infinity, in the local parameter ``z`` with ``x = z^-2``, is
-read from one expansion of ``1/sqrt(Q(z^2))`` held by the curve.
+hyperelliptic homology basis, and Abel maps based at infinity.  y is
+continued along straight segments exactly, as y = prod_k (x - e_k)^(1/2)
+(``_sheet_ratio``), and integrals run on one level-synchronous adaptive
+Gauss-Legendre driver (``_adaptive_gl``).  Every series at infinity, in
+the local parameter ``z`` with ``x = z^-2``, is read from one expansion
+of ``1/sqrt(Q(z^2))`` held by the curve.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class HyperellipticCurve:
             y = -y
         return CurvePoint(complex(x), complex(y))
 
-    def nearest_branch_distance(self, x) -> float:
-        return float(np.min(np.abs(self.branch_points - x)))
+    def nearest_branch_distance(self, x):
+        """Distance from x (scalar or array) to the nearest branch point."""
+        return np.abs(np.asarray(x)[..., None] - self.branch_points).min(axis=-1)
 
     @cached_property
     def invsqrt_series(self):
@@ -185,100 +189,54 @@ def root_cluster_margin(coeffs, roots) -> float:
 # analytic continuation of y
 # ----------------------------------------------------------------------
 
-def continue_y(curve: HyperellipticCurve, path, y_start):
-    """Continue y = sqrt(P(x)) along a sequence of x-values.
+def _sheet_ratio(curve, a, x):
+    """y(x) / y(a) for y continued along the straight segment from a to x.
 
-    Returns the y-values at the given waypoints.  Intermediate points are
-    inserted adaptively so that consecutive y values differ by less than 10%
-    relatively; the sheet is chosen by nearest-value continuation.
+    P is monic, so y = prod_k (x - e_k)^(1/2).  Along a segment that misses
+    every branch point, each ratio (x - e_k) / (a - e_k) starts at 1 and
+    cannot cross the negative real axis, so its principal square root is
+    the continuous one.  Broadcasts over a and x; nothing is sampled.
+    """
+    e = curve.branch_points
+    return np.sqrt((x[..., None] - e) / (a[..., None] - e)).prod(axis=-1)
+
+
+def continue_y(curve: HyperellipticCurve, path, y_start):
+    """Continue y = sqrt(P(x)) along the polyline through the x-values path.
+
+    Returns y at the waypoints: y_start times the running product of the
+    exact segment ratios of ``_sheet_ratio``.  Raises ContinuationAmbiguity
+    when y_start is not on the curve above path[0] and BranchProximity when
+    a segment passes within the exclusion radius of a branch point.
     """
     path = np.asarray(path, dtype=complex)
     y0 = complex(y_start)
     scale = 1.0 + abs(curve.p(path[0]))
     if abs(y0**2 - curve.p(path[0])) > 1e-8 * scale * (1 + abs(y0) ** 2):
         raise ContinuationAmbiguity("y_start does not lie on the curve above path[0]")
-    near = _branch_distances(curve, path) < curve.exclusion_radius
-    if near.any():
-        raise BranchProximity(
-            f"waypoint {path[np.argmax(near)]} within exclusion radius of a branch point")
-    return np.r_[y0, _continue_nodes(curve, path[0], path[1:], y0)]
+    a, seg = path[:-1, None], np.diff(path)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.real(np.conj(seg) * (curve.branch_points - a)) / np.abs(seg) ** 2
+    near = a + np.nan_to_num(np.clip(t, 0, 1)) * seg  # nearest to each e_k
+    dist = np.abs(near - curve.branch_points)
+    if dist.size and dist.min() < curve.exclusion_radius:
+        raise BranchProximity(f"continuation forced through "
+                              f"x={near.flat[np.argmin(dist)]} near a branch point")
+    return y0 * np.cumprod(np.r_[1.0, _sheet_ratio(curve, path[:-1], path[1:])])
 
 
-def _branch_distances(curve, xs):
-    return np.min(np.abs(xs[:, None] - curve.branch_points[None, :]), axis=1)
-
-
-def _sheet_step(curve, x, y_prev):
-    """y above x on the sheet nearest y_prev: scalars, or elementwise on
-    arrays of one shape.  ContinuationAmbiguity names the first x where the
-    two sheets are too close to tell apart."""
-    s = np.sqrt(curve.p(x))
-    tied = np.abs(s) < 1e-13 * (1 + np.abs(y_prev))
-    if np.any(tied):
-        raise ContinuationAmbiguity(
-            f"sheets indistinguishable at x={np.ravel(x)[np.argmax(tied)]}")
-    return np.where(np.abs(s - y_prev) <= np.abs(-s - y_prev), s, -s)[()]
-
-
-def _track_sheets(curve, xs, y_start):
-    """y along the samples xs, each on the sheet nearest the one before.
-
-    The same choice as repeated ``_sheet_step`` from y_start, made in one
-    pass: with s = sqrt(P(xs)) and s_{-1} = y_start, the sheet flips at
-    sample i when s_i is nearer -s_{i-1} than s_{i-1}, because
-    |y_{i-1}| = |s_{i-1}|; y is s times the running parity of the flips.
-    """
+def _sample_sheets(curve, xs, y_start):
+    """+-sqrt(P) at the vertices of the polyline xs, continued from y_start
+    at xs[0]: the sign flips where sqrt(P) is nearer minus its predecessor
+    times the exact step ratio, so no roundoff accumulates over samples."""
     s = np.sqrt(curve.p(xs))
-    prev = np.r_[complex(y_start), s[:-1]]
-    tied = np.abs(s) < 1e-13 * (1 + np.abs(prev))
-    if tied.any():
-        raise ContinuationAmbiguity(
-            f"sheets indistinguishable at x={xs[np.argmax(tied)]}")
-    flip = np.abs(s - prev) > np.abs(-s - prev)
+    prev = np.r_[xs[0], xs[:-1]]
+    # blocks of samples keep the (samples, branch points) temporaries small
+    ratio = np.concatenate([_sheet_ratio(curve, prev[i:i + 512], xs[i:i + 512])
+                            for i in range(0, len(xs), 512)])
+    pred = np.r_[complex(y_start), s[:-1]] * ratio
+    flip = np.abs(s - pred) > np.abs(s + pred)
     return np.where(np.cumsum(flip) % 2 == 1, -s, s)
-
-
-# points of a polyline refined by _continue_nodes: far above what a path
-# that keeps the exclusion radius needs, and a bound on the memory when the
-# failing steps double every round
-_CONTINUATION_POINTS = 1 << 16
-
-
-def _continue_nodes(curve, a, xs, y0):
-    """y at the nodes xs of the polyline a, xs[0], xs[1], ..., from y(a) = y0.
-
-    Every step of the polyline, tracked by ``_track_sheets``, may change y
-    by at most 10% of the larger |y|; each step that changes it more is
-    halved, all of them in one pass, and the refined polyline is tracked
-    again.  The test is invariant under y -> -y, so the halvings are those
-    of a depth-first bisection of each step.  Raises BranchProximity for a
-    midpoint within the exclusion radius and ContinuationAmbiguity when 48
-    rounds of halving leave a step too large, or when halving would take the
-    polyline past _CONTINUATION_POINTS points.
-    """
-    pts = np.r_[complex(a), np.asarray(xs, dtype=complex)]
-    node = np.ones(len(pts), dtype=bool)
-    node[0] = False
-    for halvings in range(49):
-        ys = _track_sheets(curve, pts[1:], y0)
-        prev = np.r_[complex(y0), ys[:-1]]
-        size = np.maximum(np.abs(prev), np.abs(ys))
-        big = np.abs(ys - prev) > 0.1 * size
-        if not big.any():
-            return ys[node[1:]]
-        if halvings == 48 or len(pts) + big.sum() > _CONTINUATION_POINTS:
-            worst = np.max(np.abs(ys - prev)[big] / size[big])
-            raise ContinuationAmbiguity(
-                f"continuation step still changes y by {worst:.2e} relatively "
-                f"after {halvings} halvings ({len(pts)} points)")
-        step = np.flatnonzero(big)  # step i runs from pts[i] to pts[i+1]
-        mids = 0.5 * (pts[step] + pts[step + 1])
-        near = _branch_distances(curve, mids) < curve.exclusion_radius
-        if near.any():
-            raise BranchProximity(
-                f"continuation forced through x={mids[np.argmax(near)]} near a branch point")
-        pts = np.insert(pts, step + 1, mids)
-        node = np.insert(node, step + 1, False)
 
 
 # ----------------------------------------------------------------------
@@ -349,49 +307,86 @@ def _arc_angles(a0, am, a2, n=12):
 def integrate_monomials(curve: HyperellipticCurve, waypoints, y_start, tol=1e-10):
     """Integrate the g monomial differentials x^(k-1) dx / y along a path.
 
-    Returns (vector of g integrals, y at path end).
+    y at the waypoints is the running product of the exact segment ratios,
+    and all segments go through one ``_adaptive_gl`` call.  Returns (vector
+    of g integrals, y at path end).
     """
-    g = curve.genus
-    acc = np.zeros(g, dtype=complex)
-    y0 = complex(y_start)
-    panel = partial(_segment_gl, curve)
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        val, y0 = _integrate_segment(panel, a, b, y0, tol)
-        acc += val
-    return acc, y0
+    way = np.asarray(waypoints, dtype=complex)
+    ys = continue_y(curve, way, y_start)
+    vals, _ = _adaptive_gl(partial(_monomial_panels, curve), way[:-1], way[1:],
+                           ys[:-1], tol)
+    return vals.sum(axis=0), ys[-1]
 
 
-def _segment_gl(curve, a, b, y0):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xs = mid + half * _GL_NODES
-    ys = _continue_nodes(curve, a, np.r_[xs, b], y0)
-    powers = np.vander(xs, curve.genus, increasing=True).T  # x^0..x^(g-1)
-    vals = (powers / ys[:-1]) @ _GL_WEIGHTS * half
-    return vals, ys[-1]
+def _panel_nodes(a, b):
+    """Half-widths (n, 1) of the panels [a_i, b_i], and their GL nodes
+    followed by b_i, shape (n, 11)."""
+    half = (0.5 * (b - a))[:, None]
+    mid = (0.5 * (a + b))[:, None]
+    return half, np.concatenate((mid + half * _GL_NODES, b[:, None]), axis=1)
 
 
-def _integrate_segment(panel, a, b, y0, tol, depth=0, coarse=None):
-    """Adaptive Gauss-Legendre integral over [a, b], comparing one panel
-    (``coarse``, computed when not given) with its two halves; raises
-    CycleDegenerate when the halves still disagree at depth 24.
-    panel(a, b, y0) -> (values, datum at b) integrates one panel from the
-    datum y0 continued along the path (y, or y and a fiber root)."""
-    if coarse is None:
-        coarse, _ = panel(a, b, y0)
-    mid = 0.5 * (a + b)
-    left, ym = panel(a, mid, y0)
-    right, y_end = panel(mid, b, ym)
-    fine = left + right
-    err = np.max(np.abs(fine - coarse))
-    if err <= tol:
-        return fine, y_end
-    if depth >= 24:
-        raise CycleDegenerate(
-            f"quadrature not converged at depth {depth} "
-            f"(panel difference {err:.3e} > tol {tol:.3e})")
-    left, ym = _integrate_segment(panel, a, mid, y0, tol / 2, depth + 1, left)
-    right, y_end = _integrate_segment(panel, mid, b, ym, tol / 2, depth + 1, right)
-    return left + right, y_end
+def _monomial_panels(curve, a, b, ya):
+    """GL panels [a_i, b_i] of x^(k-1) / y from y(a_i) = ya_i: the (n, g)
+    integrals and y at each b_i."""
+    half, xs = _panel_nodes(a, b)
+    ys = ya[:, None] * _sheet_ratio(curve, a[:, None], xs)
+    powers = np.vander(xs[:, :-1].ravel(), curve.genus, increasing=True)
+    vals = _GL_WEIGHTS @ (powers.reshape(len(a), -1, curve.genus) / ys[:, :-1, None])
+    return vals * half, ys[:, -1]
+
+
+# active panels of one _adaptive_gl level, and so a bound on its memory: a
+# level can double them
+_MAX_PANELS = 1 << 12
+# |fine - coarse| below this share of |fine| is roundoff, and accepted
+_ULP_FLOOR = 16 * np.finfo(float).eps
+
+
+def _adaptive_gl(panel, a, b, start, tol):
+    """Adaptive Gauss-Legendre integrals over the segments [a_i, b_i].
+
+    panel(a, b, start) -> (values (n, m), end) integrates n panels at once
+    from start, the datum at each a continued along the path (y, or y and
+    a fiber root), and returns the datum at each b.  Each level splits all
+    active panels in two batched calls: left halves from their parents'
+    start data, then right halves from the left halves' end data.  A panel
+    at depth d is accepted when max |fine - coarse| (its halves' sum
+    against its own value) is at most tol / 2^d or _ULP_FLOOR max |fine|.
+    Returns the (len(a), m) segment integrals and the datum at each b_i;
+    raises CycleDegenerate at depth 24 or past _MAX_PANELS active panels.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = seg_end = np.asarray(b, dtype=complex)
+    start, seg = np.asarray(start), np.arange(len(a))
+    coarse, end_data = panel(a, b, start)
+    end_data, total = np.array(end_data), np.zeros_like(coarse)
+    for depth in range(25):  # every active panel is 2^-depth of its segment
+        mid = 0.5 * (a + b)
+        left, mid_data = panel(a, mid, start)
+        right, b_data = panel(mid, b, mid_data)
+        fine = left + right
+        err = np.abs(fine - coarse).max(axis=1)
+        size = np.abs(fine).max(axis=1)
+        ok = (err <= tol * 0.5**depth) | (err <= _ULP_FLOOR * size)
+        np.add.at(total, seg[ok], fine[ok])
+        done = ok & (b == seg_end[seg])
+        end_data[seg[done]] = b_data[done]
+        bad = ~ok
+        if not bad.any():
+            return total, end_data
+        if depth == 24 or 2 * bad.sum() > _MAX_PANELS:
+            worst = np.argmax(np.where(bad, err, -1.0))
+            cause = "" if depth == 24 else (
+                f" (splitting {bad.sum()} would pass the cap of {_MAX_PANELS})")
+            raise CycleDegenerate(
+                f"quadrature not converged at depth {depth} with {len(a)} "
+                f"active panels{cause}: worst |fine - coarse| "
+                f"{err[worst]:.3e} against |fine| {size[worst]:.3e}")
+        # the children: left halves, then right halves
+        a, b, start, coarse, seg = (np.concatenate(pair) for pair in (
+            (a[bad], mid[bad]), (mid[bad], b[bad]), (start[bad], mid_data[bad]),
+            (left[bad], right[bad]), (seg[bad], seg[bad])))
 
 
 # ----------------------------------------------------------------------
@@ -451,11 +446,6 @@ def _enclosing_contour(curve, inside_idx):
     raise CycleDegenerate(f"no valid contour around branch points {inside_idx}")
 
 
-def _sorted_branch_points(curve):
-    order = np.lexsort((curve.branch_points.imag, curve.branch_points.real))
-    return order
-
-
 def homology_contours(curve: HyperellipticCurve):
     """Ellipse contours of the a- and b-cycles.
 
@@ -464,7 +454,7 @@ def homology_contours(curve: HyperellipticCurve):
     e_{2i}, ..., e_{2g+1}; nested in-plane contours keep the lifted
     intersection pairing canonical.
     """
-    order = _sorted_branch_points(curve)
+    order = np.lexsort((curve.branch_points.imag, curve.branch_points.real))
     g = curve.genus
     a_cycles = [_enclosing_contour(curve, order[2 * i : 2 * i + 2]) for i in range(g)]
     b_cycles = [_enclosing_contour(curve, order[2 * i + 1 :]) for i in range(g)]
@@ -478,12 +468,6 @@ def _anchor(curve):
     return complex(x0), complex(np.sqrt(curve.p(x0)))
 
 
-def _contour_start_y(curve, contour, anchor_x, anchor_y):
-    """y at the contour's first sample, continued from the anchor point."""
-    start = contour.sample(1)[0][0]
-    return continue_y(curve, route_path(curve, anchor_x, start), anchor_y)[-1]
-
-
 def _cycle_periods(curve, contour, y_start, tol=1e-11):
     """Integrals of the g monomial differentials around a closed contour,
     started on the sheet of y_start at its first sample.
@@ -495,7 +479,7 @@ def _cycle_periods(curve, contour, y_start, tol=1e-11):
     n = 256
     while n <= 1 << 15:
         xs, dxs, dth = contour.sample(n)
-        ys = _track_sheets(curve, np.r_[xs, xs[:1]], y_start)
+        ys = _sample_sheets(curve, np.r_[xs, xs[:1]], y_start)
         ys, y_close = ys[:-1], ys[-1]
         powers = np.vander(xs, curve.genus, increasing=True).T
         vals = (powers * dxs / ys) @ np.ones(n) * dth
@@ -511,11 +495,6 @@ def _cycle_periods(curve, contour, y_start, tol=1e-11):
         f"contour periods not converged at {n // 2} samples "
         f"(last refinement difference {diff:.3e})"
     )
-
-
-def _sample_cycle_with_sheets(curve, contour, y_start, n=1024):
-    xs, _, _ = contour.sample(n)
-    return xs, _track_sheets(curve, xs, y_start)
 
 
 # segments per block in _segment_crossings: two ellipses cross at most four
@@ -672,7 +651,9 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
     a_cycles, b_cycles = homology_contours(curve)
     contours = a_cycles + b_cycles
     ax, ay = _anchor(curve)
-    starts = [_contour_start_y(curve, c, ax, ay) for c in contours]
+    # y at each contour's first sample, continued from the anchor
+    starts = [continue_y(curve, route_path(curve, ax, c.sample(1)[0][0]), ay)[-1]
+              for c in contours]
     periods = np.column_stack(
         [_cycle_periods(curve, c, y0, tol) for c, y0 in zip(contours, starts)]
     )  # g x 2g, columns per candidate cycle
@@ -680,10 +661,8 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
     scale = np.abs(periods).max() ** 2
     nsamp = 4096
     while True:
-        sampled = [
-            _sample_cycle_with_sheets(curve, c, y0, n=nsamp)
-            for c, y0 in zip(contours, starts)
-        ]
+        xss = [c.sample(nsamp)[0] for c in contours]
+        sampled = [(xs, _sample_sheets(curve, xs, y0)) for xs, y0 in zip(xss, starts)]
         j_mat = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
             for k in range(i + 1, n):

@@ -24,7 +24,7 @@ class BranchProximity(HitchsovError):
 
 
 class ContinuationAmbiguity(HitchsovError):
-    """The two sheet candidates are too close to continue y reliably."""
+    """The y given to start a continuation is not on the curve above x."""
 
 
 class CycleDegenerate(HitchsovError):

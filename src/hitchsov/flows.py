@@ -3,8 +3,10 @@
 Route 1 integrates x_dot = J^{-1} c where J is the matrix of angle
 densities, with the coefficients H frozen and each lambda kept on its
 fiber; route 2 integrates the canonical equations of the Hamiltonian
-c . H through the implicit gradients, re-solving H at every stage.  Both
-carry the h separating points as one stacked SpectralPoint.
+c . H through the implicit gradients, re-solving H at every stage from
+the previous stage's H, so that on so(2n), whose quadratic system has
+several solutions, the route keeps its branch.  Both carry the h
+separating points as one stacked SpectralPoint.
 
 The two routes integrate the same vector field (J^{-1} c equals
 y c dH/dlambda) with the same RK4 stages, so their distance certifies
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .curves import (_GL_NODES, _GL_WEIGHTS, _branch_distances,
-                     _integrate_segment, _sheet_step, _track_sheets,
+from .curves import (_GL_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio,
                      route_path)
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
@@ -87,14 +88,18 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
     return states
 
 
-def _continue_sheets(curve, xs, ys_prev):
-    """y above each x on the sheet nearest the previous y."""
-    near = _branch_distances(curve, xs) < curve.exclusion_radius
+def _continue_sheets(curve, xs_prev, ys_prev, xs):
+    """+-sqrt(P(xs)), each on the sheet that y continued along the straight
+    step from (xs_prev, ys_prev) reaches: the one nearer to ys_prev times
+    the exact step ratio, i.e. at an angle of at most pi/2 from it."""
+    near = curve.nearest_branch_distance(xs) < curve.exclusion_radius
     if near.any():
         i = np.argmax(near)
         raise BranchCollision(
             f"separating point {i} hit the branch locus at x={xs[i]}")
-    return _sheet_step(curve, xs, ys_prev)
+    s = np.sqrt(curve.p(xs))
+    pred = ys_prev * _sheet_ratio(curve, xs_prev, xs)
+    return np.where((s * pred.conj()).real >= 0, s, -s)
 
 
 @dataclass
@@ -113,7 +118,7 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
     def advance(state, dxs):
         # move every point by dx, carrying sheet and fiber root along
         xs = state.x + dxs
-        ys = _continue_sheets(curve, xs, state.y)
+        ys = _continue_sheets(curve, state.x, state.y, xs)
         # each point's fiber root nearest its previous lambda
         roots = lambda_roots(layout, curve, ham, xs, ys)
         pick = np.argmin(np.abs(roots - state.lam[:, None]), axis=1)
@@ -140,9 +145,11 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
 def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
     """Route 2: canonical flow of c . H through the implicit gradients."""
     c = np.asarray(c, dtype=complex)
+    ham = None
 
     def velocity(state):
-        ham = solve_hamiltonians(layout, curve, state)
+        nonlocal ham  # each stage's Newton starts from the last stage's H
+        ham = solve_hamiltonians(layout, curve, state, start=ham)
         dh_dlam, dh_dx = implicit_gradients(layout, curve, state, ham)
         return np.concatenate((state.y * (c @ dh_dlam),
                                -state.y * (c @ dh_dx)))
@@ -150,7 +157,7 @@ def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
     def advance(state, incr):
         n = len(state.x)
         xs = state.x + incr[:n]
-        return SpectralPoint(xs, _continue_sheets(curve, xs, state.y),
+        return SpectralPoint(xs, _continue_sheets(curve, state.x, state.y, xs),
                              state.lam + incr[n:])
 
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
@@ -190,27 +197,32 @@ def angle_shift(layout, curve, ham, trajectory: Trajectory):
 def _integrate_density(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
     """Integrate all angle densities along the routed x-path x0 -> x1.
 
-    y is continued by nearest-sheet steps and lambda by nearest fiber
-    root, on the adaptive Gauss-Legendre panels of ``_integrate_segment``.
+    y is continued by the exact segment ratios and lambda by nearest fiber
+    root, node after node, on ``_adaptive_gl`` panels: one call per
+    waypoint segment, since lambda at a segment's end starts the next.
     """
-    def panel(a, b, start):
-        half = 0.5 * (b - a)
-        xs = np.r_[0.5 * (a + b) + half * _GL_NODES, b]
-        ys = _track_sheets(curve, xs, start[0])
-        lams = np.empty(len(xs), dtype=complex)
-        lam = start[1]
-        for i, roots in enumerate(lambda_roots(layout, curve, ham, xs, ys)):
-            lam = lams[i] = roots[np.argmin(np.abs(roots - lam))]
-        dens = _integrand_vector(layout, curve, ham,
-                                 SpectralPoint(xs[:-1], ys[:-1], lams[:-1]))
-        return _GL_WEIGHTS @ dens * half, (ys[-1], lams[-1])
+    def panels(a, b, start):
+        half, xs = _panel_nodes(a, b)
+        ys = start[:, :1] * _sheet_ratio(curve, a[:, None], xs)
+        roots = lambda_roots(layout, curve, ham, xs.ravel(), ys.ravel())
+        roots = roots.reshape(xs.shape + (-1,))
+        lams = np.empty_like(xs)
+        lam, rows = start[:, 1], np.arange(len(xs))
+        for i in range(xs.shape[1]):  # nearest root, all panels at once
+            near = np.argmin(np.abs(roots[:, i] - lam[:, None]), axis=1)
+            lam = lams[:, i] = roots[rows, i, near]
+        dens = _integrand_vector(layout, curve, ham, SpectralPoint(
+            *(v[:, :-1].ravel() for v in (xs, ys, lams))))
+        vals = _GL_WEIGHTS @ dens.reshape(len(xs), -1, layout.h)
+        return vals * half, np.stack((ys[:, -1], lams[:, -1]), axis=1)
 
     total = np.zeros(layout.h, dtype=complex)
-    start = (y0, lam0)
+    start = np.array([y0, lam0], dtype=complex)
     way = route_path(curve, x0, x1)
     for a, b in zip(way[:-1], way[1:]):
-        part, start = _integrate_segment(panel, a, b, start, tol)
-        total += part
+        part, end = _adaptive_gl(panels, [a], [b], start[None, :], tol)
+        total += part[0]
+        start = end[0]
     return (total, *start)
 
 

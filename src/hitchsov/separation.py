@@ -52,12 +52,15 @@ def validate_configuration(cfg, curve, layout=None, tol=1e-10):
 
 
 def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
-                       rng=None, tol=1e-9, max_starts=8):
+                       rng=None, tol=1e-9, max_starts=8, start=None):
     """Coefficient vector H with R(gamma_i; H) = 0 for every point.
 
-    Types with all blocks linear in H reduce to one linear solve.  For
-    so(2n) the system is quadratic in the last block and is solved by
-    damped Newton with multi-start seeding.
+    Types with all blocks linear in H reduce to one linear solve, and
+    ``start`` is ignored.  For so(2n) the system is quadratic in the last
+    block and has several solutions; it is solved by damped Newton from
+    ``start`` (H = 0 when None) and then from random starts.  A start near
+    a known solution, such as the previous stage's H along a flow, keeps
+    that solution's branch.
     """
     validate_configuration(cfg, curve, layout)
     spec = layout.spec
@@ -88,9 +91,9 @@ def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
         return eval_R(layout, curve, ham, cfg).grad_h
 
     best = np.inf
-    for start in range(max_starts):
-        if start == 0:
-            ham = np.zeros(layout.h, dtype=complex)
+    for attempt in range(max_starts):
+        if attempt == 0:
+            ham = np.zeros(layout.h, complex) if start is None else start
         else:
             ham = rng.standard_normal(layout.h) \
                 + 1j * rng.standard_normal(layout.h)

@@ -208,6 +208,25 @@ class TestTimeOptions:
         assert len(times) == 3
 
 
+# SO_even(2) systems on which a Poisson route that re-solved H from H = 0
+# at every stage landed on another solution of the quadratic separation
+# system and ended O(1) from the fiber route: curve coefficients, the
+# points as (x, y, lambda) and the flow direction, each complex number as
+# [re, im].
+SO_EVEN_BRANCH_JUMPS = {
+    "t0.073": (
+        [[0.47773614804160214, 2.262808287536835], [6.049336414647739, 1.423340322662479], [-5.865119371919823, -2.9202170140857056], [2.8933069992596394, -0.008186389794143656], [-2.274221748185, 0.47743284153325377], [1.0, 0.0]],
+        [[[-0.863089849862279, -1.7878911393196912], [6.501499473863254, 2.7894008064990445], [1.2077388731347098, 2.5647021565418884]], [[-0.09437641390560866, 0.18738236714858153], [-1.2776642151272295, -1.3840083471838929], [0.16259846297100633, -1.0588623722333033]], [[0.7200855987008574, -0.6024985945775277], [1.6749801505130673, 0.8098865416198193], [1.2335365030613799, -1.9202418223021867]], [[0.7578622352697523, -0.20149019702280002], [-1.5766763623043423, -0.6084854394894348], [-0.6387715999973806, -1.7318548266631617]], [[-0.7506307798299908, -1.150707407055702], [4.509977872395488, -0.5929093427695952], [0.6413680542620894, 1.8546518313356077]], [[0.09397417556331848, -1.7670587038252745], [0.9597669672816075, 0.8927846430762051], [0.012586749671694156, 3.076336655704819]]],
+        [[0.021259391619121517, 0.014812243774266095], [0.007247226606806315, 0.005031043061586865], [0.004137456502886021, -0.0068865035810480365], [0.029597409116797604, -0.000994758484169211], [-0.005472587596075474, -0.012583812978581216], [-0.01114275478514623, -0.007976639993875035]],
+    ),
+    "t0.048": (
+        [[-0.11511276712699459, 2.009545222859625], [-2.5604982144659587, -3.5625573814280234], [5.82215649103074, 1.8067303522844613], [-4.552824492229196, 3.544782478326622], [-0.941212386206084, -3.4518364714230723], [1.0, 0.0]],
+        [[[0.4780638620861113, 0.46306834137625374], [-0.48760769242008223, -0.6226643646783051], [1.0513315776638046, 1.1218284240707745]], [[0.4746305071012126, -0.46472434898528664], [-0.012123152388746708, 0.6368180446250442], [0.8414753697635853, 0.19528882506717762]], [[-0.3011579175051875, -0.8628679285156342], [0.9779784226024134, 3.9536679849617187], [-0.1956747891360716, 0.7087185476009739]], [[-1.6880756247006783, 0.40281379910213344], [2.9304601692743324, -3.881932976746813], [1.8388740243564614, -0.5026752464739909]], [[0.16902791773804943, -0.46423710059756074], [-0.19195593526227017, -1.5999163662128222], [0.44704689703516093, 0.24031210366682548]], [[-0.25761001839174175, -0.8219586473105056], [0.8431116629261786, 3.678326783362701], [-0.16793956672589228, 0.6741929495798592]]],
+        [[-0.0271070842111796, 0.01686642243950788], [-0.01011651095033617, 0.01599794703505196], [0.005762754552696128, -0.013922809807759241], [-0.04757915740520953, -0.051941082501595334], [-0.0636423239692042, -0.018928505900062415], [0.03063569761213021, -0.011501375571850214]],
+    ),
+}
+
+
 class TestFlowRun:
     def test_branch_locus_exits_4(self, tmp_path):
         """GL(2) whose fiber above the first point is (lambda - a)^2."""
@@ -240,6 +259,27 @@ class TestFlowRun:
         assert "BranchLocus: |dR/dlambda|" in res.output
         assert f"at x={complex(x0)}" in res.output
         assert not (tmp_path / "flow_fiber.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(SO_EVEN_BRANCH_JUMPS))
+    def test_so_even_poisson_keeps_branch(self, name, tmp_path):
+        """The Poisson route's Newton solves start from the previous
+        stage's H, so both routes agree to t = 0.25 past the jump."""
+        coeffs, points, direction = SO_EVEN_BRANCH_JUMPS[name]
+        f = tmp_path / "system.json"
+        f.write_text(json.dumps({
+            "curve": {"coeffs": coeffs},
+            "lie_type": {"family": "SO_even", "rank": 2},
+            "points": [{"x": x, "y": y, "lambda": lam}
+                       for x, y, lam in points],
+            "flow": {"direction": direction},
+        }))
+        res = runner.invoke(main, [
+            "flow", "run", "--input", str(f), "--output", str(tmp_path),
+            "--route", "both", "--strict", "--t-end", "0.25",
+            "--dt", "0.001"])
+        assert res.exit_code == 0, res.output
+        cmp_report = json.loads((tmp_path / "flow_compare.json").read_text())
+        assert cmp_report["max_point_set_distance"] < 1e-6
 
     def test_both_routes(self, gl2_input, tmp_path):
         path, _ = gl2_input

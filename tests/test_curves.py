@@ -1,5 +1,4 @@
 import itertools
-from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -14,6 +13,7 @@ from hitchsov.errors import (DegreeError, DuplicateBranchPoint,
                              CycleDegenerate)
 
 from conftest import make_curve
+import continuation_oracle as oracle
 
 npoly = np.polynomial.polynomial
 
@@ -45,7 +45,7 @@ def dense_crossings(xs1, xs2):
 def bisection_continue(curve, a, b, y0, depth=0):
     """Continuation by recursive step halving, one scalar sheet choice per
     point: the reference for the array continuation."""
-    y1 = curves._sheet_step(curve, b, y0)
+    y1 = oracle.sheet_step(curve, b, y0)
     if abs(y1 - y0) <= 0.1 * max(abs(y0), abs(y1)) or depth >= 48:
         return y1
     mid = 0.5 * (a + b)
@@ -66,6 +66,12 @@ def contour_starts(curve):
     for contour in a_cycles + b_cycles:
         x0 = contour.sample(1)[0][0]
         yield contour, continue_y(curve, route_path(curve, ax, x0), ay)[-1]
+
+
+@pytest.fixture(scope="module")
+def curve_pentagon():
+    """The regular pentagon of radius 1.5 turned by 0.3 rad."""
+    return make_curve(1.5 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j))
 
 
 @pytest.fixture(scope="module")
@@ -152,29 +158,13 @@ class TestContinuation:
                 ref.append(yp)
                 prev = x
             ref = np.array(ref)
-            ys = curves._continue_nodes(curve, a, xs, y0)
+            ys = continue_y(curve, np.r_[a, xs], y0)[1:]
             assert np.all(np.abs(ys - ref) < np.abs(ys + ref))
             assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
 
-    def test_halving_cap_raises(self, curve15):
-        # y0 a thousandth of a sheet value: no step is ever within 10%
-        y0 = 1e-3 * np.sqrt(complex(curve15.p(100.0)))
-        with pytest.raises(ContinuationAmbiguity, match="48 halvings"):
-            curves._continue_nodes(curve15, 100.0, np.array([90.0]), y0)
-
-    def test_point_cap_raises(self, curve15, monkeypatch):
-        # a tracker that flips the sheet at every sample fails every step
-        # in every round, so the polyline doubles until the next doubling
-        # would pass the 65536-point cap
-        monkeypatch.setattr(curves, "_track_sheets", lambda curve, xs, y0:
-                            np.sqrt(curve.p(xs)) * (-1.0) ** np.arange(len(xs)))
-        y0 = -np.sqrt(complex(curve15.p(10.0)))
-        with pytest.raises(ContinuationAmbiguity, match=r"14 halvings \(32769 points\)"):
-            curves._continue_nodes(curve15, 10.0, np.array([11.0, 12.0]), y0)
-
     def test_midpoint_near_branch_point_raises(self, curve15):
-        # the waypoints clear the branch point 3; the halving midpoint
-        # of the step between them does not
+        # the waypoints clear the branch point 3; the segment between
+        # them passes through it
         d = 20 * curve15.exclusion_radius
         y0 = np.sqrt(complex(curve15.p(3.0 - d)))
         with pytest.raises(BranchProximity, match="forced through"):
@@ -236,11 +226,41 @@ class TestPeriods:
             curve15, [-2.0 + 0.75j, -2.0 + 1.5j], y_mid)[0]
         assert np.abs(whole - (half + rest)).max() < 1e-9
 
-    def test_quadrature_cap_raises(self, curve15):
+    @staticmethod
+    def noisy_panel(where):
+        """Panel callback for the integral of 1 over [a, b], with O(1)
+        noise added on the panels that where(a, b) selects."""
+        rng = np.random.default_rng(0)
+
+        def panel(a, b, start):
+            noise = where(a, b) * rng.standard_normal(len(a))
+            return (b - a + noise)[:, None], start
+        return panel
+
+    def test_quadrature_cap_raises(self):
+        # noise on the panels that hold x = 0.3 keeps one pair of halves
+        # active on every level, down to the depth cap
+        panel = self.noisy_panel(lambda a, b: (a.real <= 0.3) & (0.3 <= b.real))
+        with pytest.raises(CycleDegenerate, match=(
+                r"depth 24 with 2 active panels: worst \|fine - coarse\| "
+                r"\S+ against \|fine\| \S+$")):
+            curves._adaptive_gl(panel, [0.0], [1.0], [1.0], tol=1e-10)
+
+    def test_panel_cap_raises(self):
+        # noise everywhere doubles the active panels on every level
+        panel = self.noisy_panel(lambda a, b: np.ones(len(a)))
+        with pytest.raises(CycleDegenerate, match=(
+                r"depth 12 with 4096 active panels \(splitting 4096 would "
+                r"pass the cap of 4096\)")):
+            curves._adaptive_gl(panel, [0.0], [1.0], [1.0], tol=1e-10)
+
+    def test_zero_tolerance_converges_at_ulp_floor(self, curve15):
         y0 = np.sqrt(complex(curve15.p(-2.0)))
-        with pytest.raises(CycleDegenerate, match="depth 24"):
-            curves._integrate_segment(partial(curves._segment_gl, curve15),
-                                      -2.0, -2.0 + 1.5j, y0, tol=0.0, depth=24)
+        way = [-2.0, -2.0 + 1.5j]
+        exact, y_end = integrate_monomials(curve15, way, y0, tol=0.0)
+        ref, y_ref = integrate_monomials(curve15, way, y0)
+        assert np.abs(exact - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert y_end == y_ref
 
     def test_period_matrix_peak_memory(self, curve15):
         tracemalloc.start()
@@ -252,11 +272,9 @@ class TestPeriods:
         assert peak < 32 * 2**20
 
     def test_cycle_periods_cap_raises(self, curve15):
-        a_cycles, _ = curves.homology_contours(curve15)
+        contour, y0 = next(contour_starts(curve15))   # the cycle a_1
         with pytest.raises(CycleDegenerate, match="32768 samples"):
-            y0 = curves._contour_start_y(curve15, a_cycles[0],
-                                         *curves._anchor(curve15))
-            curves._cycle_periods(curve15, a_cycles[0], y0, tol=0.0)
+            curves._cycle_periods(curve15, contour, y0, tol=0.0)
 
 
 class TestTauPostconditions:
@@ -335,26 +353,81 @@ class TestCrossings:
         assert curves._segment_crossings(xs1, xs2) == ref
 
 
-class TestSheetTracking:
-    @pytest.mark.parametrize("name", ["curve15", "curve_c"])
-    def test_tracker_matches_scalar_loop(self, name, request):
-        curve = request.getfixturevalue(name)
-        for contour, y0 in contour_starts(curve):
-            for n in (256, 4096):
-                xs = contour.sample(n)[0]
-                ref, yp = [], y0
-                for x in xs:
-                    yp = curves._sheet_step(curve, x, yp)
-                    ref.append(yp)
-                ref = np.array(ref)
-                ys = curves._track_sheets(curve, xs, y0)
-                assert np.all(np.abs(ys - ref) < np.abs(ys + ref))
-                assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
+def random_abel_paths(curve, n, seed):
+    """n routed paths from the chart exit of the Abel map to x drawn as
+    2 x standard complex normals, with y at the chart exit."""
+    x0, y0 = curves._chart_exit(curve, curves._chart_radius(curve))
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x = 2 * (rng.standard_normal() + 1j * rng.standard_normal())
+        yield curves.route_path(curve, x0, x), y0
 
-    def test_sample_on_branch_point(self, curve15):
-        xs = np.array([1.5, 2.0, 2.5], dtype=complex)
-        with pytest.raises(ContinuationAmbiguity, match="x="):
-            curves._track_sheets(curve15, xs, np.sqrt(curve15.p(1.5)))
+
+class TestExactSheets:
+    """The product rule and the level-synchronous driver against the
+    nearest-value tracking and depth-first recursion they replaced."""
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_pentagon",
+                                      "curve_g3"])
+    def test_abel_paths_match_oracle(self, name, request):
+        curve = request.getfixturevalue(name)
+        for way, y0 in random_abel_paths(curve, 100, 11):
+            got, y_end = integrate_monomials(curve, way, y0)
+            try:
+                ref, y_ref = oracle.integrate_monomials(curve, way, y0)
+            except CycleDegenerate:  # the tol / 2^depth rule reached roundoff
+                ref, y_ref = oracle.integrate_monomials(curve, way, y0, tol=1e-8)
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+            assert abs(y_end - y_ref) <= 1e-11 * abs(y_ref)
+
+    @pytest.mark.parametrize("x", [-1.7321348424395848 - 0.08369619281702581j,
+                                   -0.8080393437699549 - 0.07275141810160798j])
+    def test_g3_reproducers_converge(self, curve_g3, x):
+        # Abel paths that pass close to the branch points 0 and 1
+        x0, y0 = curves._chart_exit(curve_g3, curves._chart_radius(curve_g3))
+        way = route_path(curve_g3, x0, x)
+        with pytest.raises(CycleDegenerate, match="depth 24"):
+            oracle.integrate_monomials(curve_g3, way, y0)
+        got, y_end = integrate_monomials(curve_g3, way, y0)
+        ref, y_ref = oracle.integrate_monomials(curve_g3, way, y0, tol=1e-8)
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+        assert abs(y_end - y_ref) <= 1e-11 * abs(y_ref)
+
+    def test_path_through_branch_point_raises(self, curve15):
+        y0 = np.sqrt(complex(curve15.p(2.5)))
+        with pytest.raises(BranchProximity, match=r"forced through x=\(2\.99"):
+            integrate_monomials(curve15, [2.5, 3.5], y0)
+
+    def test_off_curve_start_raises(self, curve15):
+        y0 = np.sqrt(complex(curve15.p(0.5)))
+        with pytest.raises(ContinuationAmbiguity, match="does not lie"):
+            continue_y(curve15, [0.5, 0.5 + 1j], 2 * y0)
+
+    def test_abel_map_batches_levels(self, curve15, theta15, monkeypatch):
+        calls = []
+        panels = curves._monomial_panels
+
+        def counted(curve, a, b, ya):
+            calls.append((a.copy(), b.copy()))
+            return panels(curve, a, b, ya)
+
+        monkeypatch.setattr(curves, "_monomial_panels", counted)
+        x = 3.3 + 0.05j                      # passes close to 3
+        abel_map(curve15, theta15, curve15.point(x))
+        x0, _ = curves._chart_exit(curve15, curves._chart_radius(curve15))
+        way = route_path(curve15, x0, x)
+        seg_a, seg_b = calls[0]              # every waypoint segment at once
+        np.testing.assert_array_equal(seg_a, way[:-1])
+        # a panel's depth: log2 of its segment's length over its own
+        depth = 0
+        for a, b in calls[1:]:
+            mid = 0.5 * (a + b)
+            on = np.abs(np.abs(mid[:, None] - seg_a) + np.abs(mid[:, None] - seg_b)
+                        - np.abs(seg_b - seg_a)).argmin(axis=1)
+            ratio = np.abs(seg_b - seg_a)[on] / np.abs(b - a)
+            depth = max(depth, int(np.rint(np.log2(ratio)).max()))
+        assert depth >= 5
+        assert len(calls) <= 2 * (depth + 1)
 
 
 class TestAbel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hitchsov import flows, separation, spectral
-from hitchsov.curves import route_path, _track_sheets
+from hitchsov.curves import route_path
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, lambda_roots)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
@@ -19,6 +19,7 @@ from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             _integrand_vector, _continue_sheets)
 
 from conftest import sample_fiber_config
+from continuation_oracle import track_sheets
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +204,7 @@ class TestTypedErrors:
         ys = np.sqrt(curve_c.p(xs + 1e-2))
         with pytest.raises(BranchCollision, match=re.escape(
                 f"point 1 hit the branch locus at x={e}")):
-            _continue_sheets(curve_c, xs, ys)
+            _continue_sheets(curve_c, xs + 1e-2, ys, xs)
 
     def test_newton_divergence(self, curve_c):
         layout, _, cfg, _ = planted("SO_even", curve_c, 5)
@@ -313,8 +314,8 @@ class TestStackedStates:
 
 def density_loop(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
     """The angle-density integral as an unbounded panel stack with a fixed
-    tolerance: the driver _integrate_density ran before it moved onto
-    curves._integrate_segment."""
+    tolerance, on the nearest-value sheet tracker: the driver
+    _integrate_density ran before it moved onto the shared adaptive one."""
     way = route_path(curve, x0, x1)
     nodes, weights = np.polynomial.legendre.leggauss(10)
     total = np.zeros(layout.h, dtype=complex)
@@ -323,7 +324,7 @@ def density_loop(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
     def panel(a, b, y_in, lam_in):
         half = 0.5 * (b - a)
         xs = np.r_[0.5 * (a + b) + half * nodes, b]
-        ys = _track_sheets(curve, xs, y_in)
+        ys = track_sheets(curve, xs, y_in)
         lams = np.empty(len(xs), dtype=complex)
         lam = lam_in
         for i, roots in enumerate(lambda_roots(layout, curve, ham, xs, ys)):
@@ -368,8 +369,12 @@ class TestDensityIntegral:
             assert np.abs(g - e).max() < 1e-9 * (1 + np.abs(e).max())
 
     def test_zero_tolerance_raises(self, curve_c, gl2, system):
+        # ending on the branch point 1, where the density has an inverse
+        # square-root singularity: the end panel never converges, while
+        # the ulp floor accepts the others even at tol = 0
         ham, _, _ = system
         y0, lam0 = self.start(curve_c, gl2, ham)
+        e = curve_c.branch_points[np.argmin(np.abs(curve_c.branch_points - 1))]
         with pytest.raises(CycleDegenerate, match="depth 24"):
             flows._integrate_density(gl2, curve_c, ham, self.X0, y0, lam0,
-                                     self.X1, tol=0.0)
+                                     e, tol=0.0)
