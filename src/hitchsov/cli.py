@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Reads a system description from JSON, drives the numerical pipelines, and
-writes CSV/JSON/SVG artifacts plus a run manifest.  Complex numbers are
-serialized as [re, im] pairs throughout.  Exit codes: 2 usage, 3 input
-validation, 4 numerical failure (including strict-mode tolerance
-violations).
+Every command is registered by ``_command``, one runner that loads the
+``--input`` JSON, calls the command's body, writes the body's artifacts
+and ``manifest.json`` into ``--output``, then echoes the body's summary
+line or gates its ``(name, value)`` pair at ``--tolerance``.  A body only
+parses and computes.  A command takes ``--seed`` only if it draws random
+numbers, and ``--strict``/``--tolerance`` only if it has a gate.  Complex
+numbers are serialized as [re, im] pairs throughout.  Exit codes: 2
+usage, 3 input validation, 4 numerical failure (including strict-mode
+tolerance violations); exit 3 or 4 from the library writes no file.
 """
 
-import functools
 import hashlib
 import json
 import sys
@@ -78,26 +81,20 @@ def _fmt(x):
     return f"{float(x):.17e}"
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(str(exc), str(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}", str(path))
-
-
 def _field(data, name, path="$"):
     if not isinstance(data, dict) or name not in data:
         raise ValidationError("missing required field", f"{path}.{name}")
     return data[name]
 
 
-def _write_json(path, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
-    return str(path)
+def _json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _timed(fn):
+    """fn() and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(), time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +107,10 @@ def _parse_curve(data):
     return build_curve(coeffs)
 
 
-def _parse_layout(data, curve):
+def _parse_system(data, seed):
+    """Curve, coefficient layout, point configuration and the H solved from
+    them (random draws seeded by seed) of a system description."""
+    cv = _parse_curve(data)
     lt = _field(data, "lie_type")
     family = _field(lt, "family", "$.lie_type")
     rank = _num(_field(lt, "rank", "$.lie_type"), "$.lie_type.rank")
@@ -119,10 +119,7 @@ def _parse_layout(data, curve):
     except RankError as exc:
         name = "family" if family not in FAMILIES else "rank"
         raise ValidationError(str(exc), f"$.lie_type.{name}") from exc
-    return coefficient_layout(spec, curve)
-
-
-def _parse_points(data, layout, curve):
+    layout = coefficient_layout(spec, cv)
     pts = _list(_field(data, "points"), "$.points")
     if len(pts) != layout.h:
         raise ValidationError(
@@ -135,50 +132,15 @@ def _parse_points(data, layout, curve):
             _cplx(_field(p, "y", path), f"{path}.y"),
             _cplx(_field(p, "lambda", path), f"{path}.lambda")))
     cfg = PhaseConfiguration(points)
-    validate_configuration(cfg, curve, layout)
-    return cfg
+    validate_configuration(cfg, cv, layout)
+    hamv = solve_hamiltonians(layout, cv, cfg,
+                              rng=np.random.default_rng(seed))
+    return cv, layout, cfg, hamv
 
 
 # ----------------------------------------------------------------------
-# manifest + error handling
+# the command runner
 # ----------------------------------------------------------------------
-
-def _manifest(outdir, input_file, seed, tolerance, timings, outputs):
-    digest = None
-    if input_file is not None:
-        digest = hashlib.sha256(Path(input_file).read_bytes()).hexdigest()
-    return _write_json(Path(outdir) / "manifest.json", {
-        "input": str(input_file) if input_file else None,
-        "input_sha256": digest,
-        "version": __version__,
-        "seed": seed,
-        "tolerance": tolerance,
-        "timings": {k: round(v, 6) for k, v in timings.items()},
-        "outputs": sorted(str(o) for o in outputs),
-    })
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValidationError, DegreeError, DuplicateBranchPoint) as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(3)
-        except HitchsovError as exc:
-            click.echo(f"numerical failure: {type(exc).__name__}: {exc}",
-                       err=True)
-            sys.exit(4)
-    return wrapper
-
-
-def _strict_gate(strict, name, value, tol):
-    click.echo(f"{name}: {value:.3e} (tolerance {tol:.1e})")
-    if strict and not value < tol:
-        click.echo(f"strict: {name} {value:.3e} exceeds {tol:.1e}", err=True)
-        sys.exit(4)
-
 
 def _time_option(ctx, param, value):
     """Callback of --t-end and --dt: both finite, dt nonzero, and t_end/dt
@@ -194,15 +156,83 @@ def _time_option(ctx, param, value):
     return value
 
 
-def _common(fn):
-    fn = click.option("--input", "input_file", required=True,
-                      type=click.Path(exists=False))(fn)
-    fn = click.option("--output", "outdir", default=".",
-                      type=click.Path(file_okay=False))(fn)
-    fn = click.option("--seed", default=0, type=int)(fn)
-    fn = click.option("--strict", is_flag=True)(fn)
-    fn = click.option("--tolerance", default=None, type=float)(fn)
-    return fn
+def _load_input(path):
+    """(sha256 hex digest of the file, its parsed JSON)."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return hashlib.sha256(raw).hexdigest(), json.loads(raw)
+    except OSError as exc:
+        raise ValidationError(str(exc), str(path))
+    except ValueError as exc:
+        raise ValidationError(f"malformed JSON: {exc}", str(path))
+
+
+def _command(group, name, *options, seed=None, tol=None):
+    """Register body as the command `group name`.
+
+    The command takes --input and --output, then --seed (default seed)
+    unless seed is None, --strict and --tolerance (default tol) unless tol
+    is None, then options.  body(data, **values) gets the loaded input
+    and the values of --seed and of options; it returns (artifacts,
+    report) or (artifacts, report, stage timings).  artifacts maps file
+    names to text, or to a dict written as JSON; report is a line to echo
+    or a (name, value) pair gated at --tolerance.  Library errors exit 3
+    (input) or 4 (numerical) before any file is written; a failed strict
+    gate exits 4 after all of them are.
+    """
+    common = [click.option("--input", "input_file", required=True,
+                           type=click.Path(exists=False)),
+              click.option("--output", "outdir", default=".",
+                           type=click.Path(file_okay=False))]
+    if seed is not None:
+        common.append(click.option("--seed", default=seed, type=int))
+    if tol is not None:
+        common += [click.option("--strict", is_flag=True),
+                   click.option("--tolerance", default=tol, type=float)]
+
+    def register(body):
+        def run(input_file, outdir, strict=False, tolerance=None, **values):
+            t0 = time.perf_counter()
+            try:
+                digest, data = _load_input(input_file)
+                artifacts, report, *stages = body(data, **values)
+            except (ValidationError, DegreeError, DuplicateBranchPoint) as exc:
+                click.echo(f"validation error: {exc}", err=True)
+                sys.exit(3)
+            except HitchsovError as exc:
+                click.echo(f"numerical failure: {type(exc).__name__}: {exc}",
+                           err=True)
+                sys.exit(4)
+            out = Path(outdir)
+            out.mkdir(parents=True, exist_ok=True)
+            for fname, content in artifacts.items():
+                (out / fname).write_text(
+                    content if isinstance(content, str) else _json(content))
+            timings = dict(*stages, total=time.perf_counter() - t0)
+            (out / "manifest.json").write_text(_json({
+                "input": str(input_file),
+                "input_sha256": digest,
+                "version": __version__,
+                "seed": values.get("seed"),
+                "tolerance": tolerance,
+                "timings": {k: round(v, 6) for k, v in timings.items()},
+                "outputs": sorted(str(out / fname) for fname in artifacts),
+            }))
+            if isinstance(report, str):
+                click.echo(report)
+                return
+            label, value = report
+            click.echo(f"{label}: {value:.3e} (tolerance {tolerance:.1e})")
+            if strict and not value < tolerance:
+                click.echo(f"strict: {label} {value:.3e} exceeds "
+                           f"{tolerance:.1e}", err=True)
+                sys.exit(4)
+
+        for option in reversed(common + list(options)):
+            run = option(run)
+        return group.command(name, help=body.__doc__)(run)
+    return register
 
 
 # ----------------------------------------------------------------------
@@ -220,15 +250,10 @@ def curve():
     """Base-curve queries."""
 
 
-@curve.command("info")
-@_common
-@click.option("--periods", is_flag=True,
-              help="also compute the period matrix (slower)")
-@_guarded
-def curve_info(input_file, outdir, seed, strict, tolerance, periods):
+@_command(curve, "info", click.option(
+    "--periods", is_flag=True, help="also compute the period matrix (slower)"))
+def curve_info(data, periods):
     """Genus, branch points, and optionally the period matrix."""
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
     cv = _parse_curve(data)
     info = {
         "genus": cv.genus,
@@ -239,14 +264,10 @@ def curve_info(input_file, outdir, seed, strict, tolerance, periods):
         "exclusion_radius": cv.exclusion_radius,
     }
     if periods:
-        td = period_matrix(cv)
-        info["tau"] = [_pairs(row) for row in td.tau]
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    out = _write_json(Path(outdir) / "curve_info.json", info)
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [out])
-    click.echo(f"genus {cv.genus}, {len(cv.branch_points)} finite branch "
-               f"points, min separation {cv.min_separation:.6g}")
+        info["tau"] = [_pairs(row) for row in period_matrix(cv).tau]
+    return {"curve_info.json": info}, (
+        f"genus {cv.genus}, {len(cv.branch_points)} finite branch "
+        f"points, min separation {cv.min_separation:.6g}")
 
 
 @main.group()
@@ -254,55 +275,29 @@ def ham():
     """Hamiltonian coefficients from separating points."""
 
 
-@ham.command("solve")
-@_common
-@_guarded
-def ham_solve(input_file, outdir, seed, strict, tolerance):
+@_command(ham, "solve", seed=0)
+def ham_solve(data, seed):
     """Solve the separating equations for the coefficient vector H."""
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
-    cv = _parse_curve(data)
-    layout = _parse_layout(data, cv)
-    cfg = _parse_points(data, layout, cv)
-    hamv = solve_hamiltonians(layout, cv, cfg,
-                              rng=np.random.default_rng(seed))
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    out = _write_json(Path(outdir) / "hamiltonians.json", {
+    _, layout, _, hamv = _parse_system(data, seed)
+    return {"hamiltonians.json": {
         "family": layout.spec.family,
         "rank": layout.spec.rank,
         "h": layout.h,
         "hamiltonians": _pairs(hamv),
-    })
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [out])
-    click.echo(f"solved {layout.h} coefficients "
-               f"({layout.spec.family} rank {layout.spec.rank})")
+    }}, (f"solved {layout.h} coefficients "
+         f"({layout.spec.family} rank {layout.spec.rank})")
 
 
-@ham.command("check")
-@_common
-@_guarded
-def ham_check(input_file, outdir, seed, strict, tolerance):
+@_command(ham, "check", seed=0, tol=1e-7)
+def ham_check(data, seed):
     """Pairwise Poisson brackets of the coefficients, as a CSV matrix."""
-    tol = 1e-7 if tolerance is None else tolerance
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
-    cv = _parse_curve(data)
-    layout = _parse_layout(data, cv)
-    cfg = _parse_points(data, layout, cv)
-    hamv = solve_hamiltonians(layout, cv, cfg,
-                              rng=np.random.default_rng(seed))
+    cv, layout, cfg, hamv = _parse_system(data, seed)
     br = involution_check(layout, cv, cfg, hamv)
     scale = gradient_scale(layout, cv, cfg, hamv)
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    csv_path = Path(outdir) / "bracket_check.csv"
-    header = ",".join(f"H{k + 1}" for k in range(layout.h))
-    rows = [",".join(_fmt(v) for v in row) for row in br]
-    csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
-    worst = float((br / scale).max())
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [str(csv_path)])
-    _strict_gate(strict, "max normalized bracket", worst, tol)
+    lines = [",".join(f"H{k + 1}" for k in range(layout.h))]
+    lines += [",".join(_fmt(v) for v in row) for row in br]
+    return ({"bracket_check.csv": "\n".join(lines) + "\n"},
+            ("max normalized bracket", float((br / scale).max())))
 
 
 @main.group()
@@ -310,7 +305,7 @@ def flow():
     """Trajectory integration."""
 
 
-def _traj_csv(path, traj):
+def _traj_csv(traj):
     lines = ["t,i,re_x,im_x,re_y,im_y,re_lambda,im_lambda"]
     for t, s in zip(traj.times, traj.states):
         # row i: re, im of x_i, y_i and lambda_i
@@ -318,15 +313,14 @@ def _traj_csv(path, traj):
         for i, row in enumerate(rows):
             lines.append(",".join([f"{float(t):.12g}", str(i + 1)]
                                   + [_fmt(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return str(path)
+    return "\n".join(lines) + "\n"
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#17becf"]
 
 
-def export_plot(trajectory, path):
+def _svg(trajectory):
     """SVG polylines of Re x_i(t) with a legend; deterministic layout."""
     times = np.asarray(trajectory.times, dtype=float)
     if len(times) == 0:
@@ -369,82 +363,67 @@ def export_plot(trajectory, path):
                      f'y="{ly + 4:.1f}" font-size="11" '
                      f'font-family="monospace">Re x{i + 1}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
+
+
+def export_plot(trajectory, path):
+    """Write the SVG of Re x_i(t) that `flow run --plot` emits to path."""
+    Path(path).write_text(_svg(trajectory))
     return str(path)
 
 
-@flow.command("run")
-@_common
-@click.option("--t-end", default=1.0, type=float, callback=_time_option)
-@click.option("--dt", default=1e-3, type=float, callback=_time_option)
-@click.option("--scheme", default="rk4",
-              type=click.Choice(["euler", "rk4"]))
-@click.option("--direction", default=None,
-              help="JSON vector of [re, im] pairs; overrides the input file")
-@click.option("--route", default="fiber",
-              type=click.Choice(["fiber", "poisson", "both"]))
-@click.option("--plot", is_flag=True, help="emit an SVG of Re x_i(t)")
-@_guarded
-def flow_run(input_file, outdir, seed, strict, tolerance,
-             t_end, dt, scheme, direction, route, plot):
+@_command(flow, "run",
+          click.option("--t-end", default=1.0, type=float,
+                       callback=_time_option),
+          click.option("--dt", default=1e-3, type=float,
+                       callback=_time_option),
+          click.option("--scheme", default="rk4",
+                       type=click.Choice(["euler", "rk4"])),
+          click.option("--direction", default=None,
+                       help="JSON vector of [re, im] pairs; overrides the "
+                            "input file"),
+          click.option("--route", default="fiber",
+                       type=click.Choice(["fiber", "poisson", "both"])),
+          click.option("--plot", is_flag=True,
+                       help="emit an SVG of Re x_i(t)"),
+          seed=0, tol=1e-6)
+def flow_run(data, seed, t_end, dt, scheme, direction, route, plot):
     """Integrate the flow of a direction in coefficient space."""
-    tol = 1e-6 if tolerance is None else tolerance
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
-    cv = _parse_curve(data)
-    layout = _parse_layout(data, cv)
-    cfg = _parse_points(data, layout, cv)
-    hamv = solve_hamiltonians(layout, cv, cfg,
-                              rng=np.random.default_rng(seed))
+    cv, layout, cfg, hamv = _parse_system(data, seed)
     if direction is not None:
         try:
             c = _cvec(json.loads(direction), "--direction")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed JSON: {exc}", "--direction")
     else:
-        flow_cfg = data.get("flow", {})
-        c = _cvec(_field(flow_cfg, "direction", "$.flow"),
+        c = _cvec(_field(data.get("flow", {}), "direction", "$.flow"),
                   "$.flow.direction")
     if len(c) != layout.h:
         raise ValidationError(
             f"direction must have length h={layout.h}", "$.flow.direction")
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    outputs, timings = [], {}
-    trajs = {}
-    if route in ("fiber", "both"):
-        tf = time.perf_counter()
-        trajs["fiber"] = flow_fiber(layout, cv, hamv, cfg, c,
-                                    t_end, dt, scheme)
-        timings["fiber"] = time.perf_counter() - tf
-        outputs.append(_traj_csv(Path(outdir) / "flow_fiber.csv",
-                                 trajs["fiber"]))
-    if route in ("poisson", "both"):
-        tp = time.perf_counter()
-        trajs["poisson"] = flow_poisson(layout, cv, cfg, c,
-                                        t_end, dt, scheme)
-        timings["poisson"] = time.perf_counter() - tp
-        outputs.append(_traj_csv(Path(outdir) / "flow_poisson.csv",
-                                 trajs["poisson"]))
-    summary = None
-    if route == "both":
-        dist, _ = match_states(trajs["fiber"].states[-1],
-                               trajs["poisson"].states[-1])
-        summary = float(dist)
-        outputs.append(_write_json(Path(outdir) / "flow_compare.json", {
-            "t_end": t_end, "dt": dt, "scheme": scheme,
-            "max_point_set_distance": summary,
-        }))
+    runs = {
+        "fiber": lambda: flow_fiber(layout, cv, hamv, cfg, c,
+                                    t_end, dt, scheme),
+        "poisson": lambda: flow_poisson(layout, cv, cfg, c,
+                                        t_end, dt, scheme),
+    }
+    keys = list(runs) if route == "both" else [route]
+    trajs, stages, artifacts = {}, {}, {}
+    for key in keys:
+        trajs[key], stages[key] = _timed(runs[key])
+        artifacts[f"flow_{key}.csv"] = _traj_csv(trajs[key])
     if plot:
-        key = "fiber" if "fiber" in trajs else "poisson"
-        outputs.append(export_plot(trajs[key],
-                                   Path(outdir) / f"flow_{key}.svg"))
-    timings["total"] = time.perf_counter() - t0
-    _manifest(outdir, input_file, seed, tolerance, timings, outputs)
-    if summary is not None:
-        _strict_gate(strict, "two-route point-set distance", summary, tol)
-    else:
-        click.echo(f"integrated {route} route to t={t_end:g} "
-                   f"({scheme}, dt={dt:g})")
+        artifacts[f"flow_{keys[0]}.svg"] = _svg(trajs[keys[0]])
+    if route != "both":
+        return artifacts, (f"integrated {route} route to t={t_end:g} "
+                           f"({scheme}, dt={dt:g})"), stages
+    dist, _ = match_states(trajs["fiber"].states[-1],
+                           trajs["poisson"].states[-1])
+    artifacts["flow_compare.json"] = {
+        "t_end": t_end, "dt": dt, "scheme": scheme,
+        "max_point_set_distance": float(dist),
+    }
+    return artifacts, ("two-route point-set distance", float(dist)), stages
 
 
 @main.group()
@@ -452,18 +431,13 @@ def theta():
     """Theta-function utilities."""
 
 
-@theta.command("sigma")
-@_common
-@_guarded
-def theta_sigma(input_file, outdir, seed, strict, tolerance):
+@_command(theta, "sigma", seed=0, tol=1e-6)
+def theta_sigma(data, seed):
     """Power-sum symmetric function sigma_k from theta derivatives.
 
     Evaluates sigma_k at the given phi by the series route and the
     contour route and reports both with their difference.
     """
-    tol = 1e-6 if tolerance is None else tolerance
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
     cv = _parse_curve(data)
     k = _num(_field(data, "k"), "$.k", lo=1, hi=cv.genus)
     phi = _cvec(_field(data, "phi"), "$.phi")
@@ -475,8 +449,7 @@ def theta_sigma(input_file, outdir, seed, strict, tolerance):
     s_series = sigma_series(cv, td, phi, k, const)
     s_contour = sigma_contour(cv, td, phi, k, const)
     gap = abs(s_series - s_contour)
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    out = _write_json(Path(outdir) / "theta_sigma.json", {
+    return {"theta_sigma.json": {
         "k": k,
         "const": const,
         "tau": [_pairs(row) for row in td.tau],
@@ -484,10 +457,7 @@ def theta_sigma(input_file, outdir, seed, strict, tolerance):
         "sigma_series": _pair(s_series),
         "sigma_contour": _pair(s_contour),
         "route_gap": gap,
-    })
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [out])
-    _strict_gate(strict, "series/contour gap", gap, tol)
+    }}, ("series/contour gap", gap)
 
 
 @main.group(name="sl2")
@@ -495,18 +465,16 @@ def sl2_group():
     """Genus-2 SL2 Lax system via the Klein correspondence."""
 
 
-@sl2_group.command("demo")
-@_common
-@click.option("--t-end", default=0.2, type=float, callback=_time_option)
-@click.option("--dt", default=1e-3, type=float, callback=_time_option)
-@click.option("--level", "l", default=4, type=click.IntRange(min=1),
-              help="power l of tr L(zeta)^l generating the flow")
-@_guarded
-def sl2_demo(input_file, outdir, seed, strict, tolerance, t_end, dt, l):
+@_command(sl2_group, "demo",
+          click.option("--t-end", default=0.2, type=float,
+                       callback=_time_option),
+          click.option("--dt", default=1e-3, type=float,
+                       callback=_time_option),
+          click.option("--level", default=4, type=click.IntRange(min=1),
+                       help="power l of tr L(zeta)^l generating the flow"),
+          tol=1e-6)
+def sl2_demo(data, t_end, dt, level):
     """Flow the Lax system and emit conserved-quantity drift CSV."""
-    tol = 1e-6 if tolerance is None else tolerance
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
     z6 = _cvec(_field(data, "z6"), "$.z6")
     if len(z6) != 6:
         raise ValidationError("z6 must list six points", "$.z6")
@@ -517,26 +485,23 @@ def sl2_demo(input_file, outdir, seed, strict, tolerance, t_end, dt, l):
     zeta = _cplx(data.get("zeta", 0.3), "$.zeta")
     pp0 = sl2.GeomPhasePoint(qa, pa,
                              _num(data.get("chart", 3), "$.chart", lo=0, hi=3))
-    states, report = sl2.lax_flow(pp0, z6, zeta, l, t_end, dt)
+    states, report = sl2.lax_flow(pp0, z6, zeta, level, t_end, dt)
     stride = max(1, len(states) // 200)
-    drift = sl2.lax_drift(states[::stride], z6, zeta, l)
+    drift = sl2.lax_drift(states[::stride], z6, zeta, level)
     lines = ["t,ham_drift,eig_drift"]
     for kk, (hd, ed) in zip(range(0, len(states), stride), drift):
         lines.append(f"{kk * dt:.12g},{_fmt(hd)},{_fmt(ed)}")
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    csv_path = Path(outdir) / "sl2_demo.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    resid = float(sl2.lax_residual(pp0, z6, zeta, zeta + 0.21, l))
-    out = _write_json(Path(outdir) / "sl2_report.json", {
-        "level": l, "t_end": t_end, "dt": dt,
-        "eigenvalue_drift": report["eigenvalue_drift"],
-        "hamiltonian_drift": report["hamiltonian_drift"],
-        "lax_residual": resid,
-    })
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [str(csv_path), out])
-    worst = max(report["eigenvalue_drift"], resid)
-    _strict_gate(strict, "max(eigenvalue drift, Lax residual)", worst, tol)
+    resid = float(sl2.lax_residual(pp0, z6, zeta, zeta + 0.21, level))
+    return {
+        "sl2_demo.csv": "\n".join(lines) + "\n",
+        "sl2_report.json": {
+            "level": level, "t_end": t_end, "dt": dt,
+            "eigenvalue_drift": report["eigenvalue_drift"],
+            "hamiltonian_drift": report["hamiltonian_drift"],
+            "lax_residual": resid,
+        },
+    }, ("max(eigenvalue drift, Lax residual)",
+        max(report["eigenvalue_drift"], resid))
 
 
 @main.group(name="parabolic")
@@ -561,52 +526,32 @@ def _parse_ptype(data):
                             _num(_field(data, "rank"), "$.rank"), pts)
 
 
-@parabolic_group.command("dims")
-@_common
-@_guarded
-def parabolic_dims(input_file, outdir, seed, strict, tolerance):
+@_command(parabolic_group, "dims")
+def parabolic_dims(data):
     """Dimensions of the parabolic Hitchin base."""
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
     ptype = _parse_ptype(data)
     dims, total = pb.parabolic_base_dims(ptype)
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    out = _write_json(Path(outdir) / "parabolic_dims.json", {
+    return {"parabolic_dims.json": {
         "genus": ptype.genus, "rank": ptype.rank,
         "dims": dims, "total": total,
-    })
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [out])
-    click.echo(f"dims {dims}, total {total}")
+    }}, f"dims {dims}, total {total}"
 
 
-@parabolic_group.command("delta")
-@_common
-@_guarded
-def parabolic_delta(input_file, outdir, seed, strict, tolerance):
+@_command(parabolic_group, "delta")
+def parabolic_delta(data):
     """The gcd invariant Delta_P of a parabolic type."""
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
     ptype = _parse_ptype(data)
     value = pb.delta_p(ptype)
     pdeg = pb.parabolic_degree(_num(data.get("deg_e", 0), "$.deg_e"), ptype)
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    out = _write_json(Path(outdir) / "parabolic_delta.json", {
+    return {"parabolic_delta.json": {
         "delta_p": value,
         "parabolic_degree": str(pdeg),
-    })
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [out])
-    click.echo(f"Delta_P = {value}, pdeg = {pdeg}")
+    }}, f"Delta_P = {value}, pdeg = {pdeg}"
 
 
-@parabolic_group.command("local")
-@_common
-@_guarded
-def parabolic_local(input_file, outdir, seed, strict, tolerance):
+@_command(parabolic_group, "local")
+def parabolic_local(data):
     """Newton-polygon analysis of a local characteristic polynomial."""
-    t0 = time.perf_counter()
-    data = _load_json(input_file)
     local = _field(data, "local")
     raw = _field(local, "coeffs", "$.local")
     trunc = _num(local.get("truncation", pb.DEFAULT_TRUNCATION),
@@ -622,7 +567,6 @@ def parabolic_local(input_file, outdir, seed, strict, tolerance):
                 enumerate(_list(local.get("expected_mu", []), path))]
     report = pb.newton_eisenstein_check(
         f, tuple(expected) if expected else None)
-    Path(outdir).mkdir(parents=True, exist_ok=True)
     payload = {
         "vertices": [list(v) for v in report["vertices"]],
         "orders": report["orders"],
@@ -632,11 +576,9 @@ def parabolic_local(input_file, outdir, seed, strict, tolerance):
     }
     if "matches_expected" in report:
         payload["matches_expected"] = report["matches_expected"]
-    out = _write_json(Path(outdir) / "parabolic_local.json", payload)
-    _manifest(outdir, input_file, seed, tolerance,
-              {"total": time.perf_counter() - t0}, [out])
-    click.echo(f"factor degrees {report['factor_degrees']}, "
-               f"distinguished: {report['distinguished']}")
+    return {"parabolic_local.json": payload}, (
+        f"factor degrees {report['factor_degrees']}, "
+        f"distinguished: {report['distinguished']}")
 
 
 if __name__ == "__main__":

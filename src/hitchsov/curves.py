@@ -44,10 +44,6 @@ class CurvePoint:
     y: complex = 0.0
     at_infinity: bool = False
 
-    @staticmethod
-    def infinity() -> "CurvePoint":
-        return CurvePoint(at_infinity=True)
-
 
 @dataclass
 class ThetaData:
@@ -755,13 +751,6 @@ def abel_series(curve: HyperellipticCurve, theta_data: ThetaData, nterms):
     out = np.zeros((w.shape[0], nterms + 1), dtype=complex)
     out[:, 1:] = w / np.arange(1, nterms + 1)[None, :]
     return out
-
-
-def abel_jets(curve: HyperellipticCurve, theta_data: ThetaData, order: int):
-    """Jet table phi[s, l-1] for l = 1..order, defined by
-    A_s(P(z)) = sum_l phi_s^(l) z^l / l."""
-    # phi_s^(l) = coefficient of z^(l-1) in ω_s/dz
-    return differential_series(curve, theta_data.normalization, order)
 
 
 def _chart_radius(curve):

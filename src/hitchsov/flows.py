@@ -244,11 +244,6 @@ def angle_coordinates(layout, curve, ham, cfg, base: SpectralPoint,
     return phi
 
 
-def newton_sums(cfg, k_max):
-    """Power sums sigma_k = sum_i x_i^k of the separating x-coordinates."""
-    return np.array([np.sum(cfg.x ** k) for k in range(1, k_max + 1)])
-
-
 def hamiltonian_drift(layout, curve, trajectory):
     """Relative drift of the re-solved coefficients along a trajectory."""
     ham0 = solve_hamiltonians(layout, curve, trajectory.states[0])

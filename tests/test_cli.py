@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from hitchsov.cli import main, export_plot
+from hitchsov.errors import StepRejected
 from hitchsov.flows import Trajectory
 from hitchsov.spectral import SpectralPoint
 from hitchsov.separation import PhaseConfiguration
@@ -87,6 +88,10 @@ class TestHam:
                                    "--output", str(tmp_path), "--strict",
                                    "--tolerance", "0"])
         assert res.exit_code == 4
+        # a failed gate still writes every artifact and the manifest
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["tolerance"] == 0.0
+        assert manifest["outputs"] == [str(tmp_path / "bracket_check.csv")]
 
 
 class TestExitCodes:
@@ -95,6 +100,15 @@ class TestExitCodes:
         bad.write_text("{not json")
         res = runner.invoke(main, ["ham", "solve", "--input", str(bad)])
         assert res.exit_code == 3
+
+    def test_undecodable_input(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"curve": "\xff"}')
+        res = runner.invoke(main, ["curve", "info", "--input", str(bad),
+                                   "--output", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert "malformed JSON" in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_missing_field_path_reported(self, tmp_path):
         f = tmp_path / "x.json"
@@ -306,6 +320,23 @@ class TestFlowRun:
         assert (tmp_path / "a" / "flow_fiber.svg").read_bytes() \
             == (tmp_path / "b" / "flow_fiber.svg").read_bytes()
 
+    def test_failed_route_writes_nothing(self, gl2_input, tmp_path,
+                                         monkeypatch):
+        """A route that raises after the other one ran leaves no CSV."""
+        def rejected(*args):
+            raise StepRejected("planted failure")
+
+        monkeypatch.setattr("hitchsov.cli.flow_poisson", rejected)
+        path, _ = gl2_input
+        out = tmp_path / "out"
+        out.mkdir()
+        res = runner.invoke(main, [
+            "flow", "run", "--input", str(path), "--output", str(out),
+            "--route", "both", "--t-end", "0.01", "--plot"])
+        assert res.exit_code == 4, res.output
+        assert "StepRejected: planted failure" in res.output
+        assert list(out.iterdir()) == []
+
     def test_direction_flag_overrides(self, gl2_input, tmp_path):
         path, _ = gl2_input
         direction = json.dumps([[0.0, 0.0]] * 5)
@@ -463,3 +494,92 @@ class TestParabolicCli:
         out = json.loads((tmp_path / "parabolic_local.json").read_text())
         assert out["factor_degrees"] == [2, 2]
         assert out["distinguished"] and out["matches_expected"]
+
+
+# The options of each command besides --input and --output: --seed where
+# it draws random numbers, --strict and --tolerance where it has a gate.
+OPTIONS = {
+    "curve info": ["--periods"],
+    "ham solve": ["--seed"],
+    "ham check": ["--seed", "--strict", "--tolerance"],
+    "flow run": ["--seed", "--strict", "--tolerance", "--t-end", "--dt",
+                 "--scheme", "--direction", "--route", "--plot"],
+    "theta sigma": ["--seed", "--strict", "--tolerance"],
+    "sl2 demo": ["--strict", "--tolerance", "--t-end", "--dt", "--level"],
+    "parabolic dims": [],
+    "parabolic delta": [],
+    "parabolic local": [],
+}
+
+
+class TestCommandOptions:
+    def test_every_command_listed(self):
+        assert sorted(f"{group} {name}"
+                      for group, cmds in main.commands.items()
+                      for name in cmds.commands) == sorted(OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_options_are_the_ones_read(self, command):
+        group, name = command.split()
+        params = main.commands[group].commands[name].params
+        assert sorted(opt for p in params for opt in p.opts) \
+            == sorted(["--input", "--output"] + OPTIONS[command])
+
+
+@pytest.fixture(scope="module")
+def inputs(gl2_input, curve15, theta15, tmp_path_factory):
+    """An input file per kind of command."""
+    from hitchsov.curves import abel_map
+    x = 0.4 + 0.3j
+    phi = 2.0 * abel_map(curve15, theta15,
+                         curve15.point(x, np.sqrt(complex(curve15.p(x)))))
+    rng = np.random.default_rng(5)
+    data = {
+        "theta": {"curve": {"coeffs": [_pair(z) for z in curve15.coeffs]},
+                  "phi": [_pair(z) for z in phi], "k": 1},
+        "sl2": dict({key: [_pair(z) for z in rng.standard_normal(n)
+                           + 1j * rng.standard_normal(n)]
+                     for key, n in (("z6", 6), ("q", 3), ("p", 3))},
+                    zeta=_pair(0.3)),
+        "ptype": {"genus": 2, "rank": 4, "deg_e": 1,
+                  "points": [{"partition": [2, 2], "weights": ["0", "1/3"]}],
+                  "local": {"coeffs": [[0, 1], [0, 3], [0, 0, 1], [0, 0, 2]],
+                            "expected_mu": [2, 2]}},
+    }
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {"system": gl2_input[0]}
+    for kind, d in data.items():
+        paths[kind] = root / f"{kind}.json"
+        paths[kind].write_text(json.dumps(d))
+    return paths
+
+
+class TestManifest:
+    """One successful run per command: the manifest lists every file the
+    run wrote and the seed and tolerance it applied (null where the
+    command has no such option)."""
+
+    @pytest.mark.parametrize("command, kind, options, seed, tolerance", [
+        ("curve info", "system", [], None, None),
+        ("ham solve", "system", ["--seed", "4"], 4, None),
+        ("ham check", "system", ["--strict"], 0, 1e-7),
+        ("flow run", "system", ["--route", "both", "--plot", "--t-end",
+                                "0.01", "--strict"], 0, 1e-6),
+        ("theta sigma", "theta", ["--strict"], 0, 1e-6),
+        ("sl2 demo", "sl2", ["--t-end", "0.01", "--tolerance", "1e-3"],
+         None, 1e-3),
+        ("parabolic dims", "ptype", [], None, None),
+        ("parabolic delta", "ptype", [], None, None),
+        ("parabolic local", "ptype", [], None, None),
+    ])
+    def test_outputs_and_options(self, inputs, tmp_path, command, kind,
+                                 options, seed, tolerance):
+        res = runner.invoke(main, command.split() + options + [
+            "--input", str(inputs[kind]), "--output", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == sorted(
+            str(p) for p in tmp_path.iterdir() if p.name != "manifest.json")
+        assert manifest["seed"] == seed
+        assert manifest["tolerance"] == tolerance
+        assert "total" in manifest["timings"]

@@ -14,9 +14,8 @@ from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
                              NewtonDivergence, CycleDegenerate)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             flow_poisson, match_states, angle_shift,
-                            hamiltonian_drift, newton_sums,
-                            discriminant_zero_count, integrate,
-                            _integrand_vector, _continue_sheets)
+                            hamiltonian_drift, discriminant_zero_count,
+                            integrate, _integrand_vector, _continue_sheets)
 
 from conftest import sample_fiber_config
 from continuation_oracle import track_sheets
@@ -73,13 +72,6 @@ class TestAngles:
         shifts = angle_shift(gl2, curve_c, ham, traj)
         expect = np.outer(traj.times, c)
         assert np.abs(shifts - expect).max() < 1e-5 * t_end
-
-    def test_newton_sums(self, system):
-        _, cfg, _ = system
-        s = newton_sums(cfg, 3)
-        xs = cfg.x
-        for k in range(1, 4):
-            assert abs(s[k - 1] - np.sum(xs ** k)) < 1e-12
 
 
 class TestPrymParity:

@@ -224,6 +224,23 @@ class TestSigma:
         with pytest.raises(ResidueUnstable, match="sample doubling"):
             sigma_contour(curve15, theta15, phi, 1, nsamples=2)
 
+    def test_contour_evaluates_circle_once(self, curve15, theta15,
+                                           monkeypatch):
+        """theta and its gradient are summed once, on the 2 nsamples
+        circle; the nsamples sum reads every other sample of it."""
+        rows = []
+        real = theta._theta_and_gradient
+
+        def counted(zs, tau):
+            rows.append(len(zs))
+            return real(zs, tau)
+
+        monkeypatch.setattr(theta, "_theta_and_gradient", counted)
+        pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
+        phi = sum(abel_map(curve15, theta15, p) for p in pts)
+        sigma_contour(curve15, theta15, phi, 1, nsamples=32)
+        assert rows == [64]
+
 
 def _smul(a, b, n):
     out = npoly.polymul(a, b)[:n]
