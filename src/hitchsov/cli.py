@@ -487,7 +487,7 @@ def sl2_demo(data, t_end, dt, level):
                              _num(data.get("chart", 3), "$.chart", lo=0, hi=3))
     states, report = sl2.lax_flow(pp0, z6, zeta, level, t_end, dt)
     stride = max(1, len(states) // 200)
-    drift = sl2.lax_drift(states[::stride], z6, zeta, level)
+    drift = sl2.lax_drift(states[::stride], z6, zeta)
     lines = ["t,ham_drift,eig_drift"]
     for kk, (hd, ed) in zip(range(0, len(states), stride), drift):
         lines.append(f"{kk * dt:.12g},{_fmt(hd)},{_fmt(ed)}")
@@ -553,7 +553,9 @@ def parabolic_delta(data):
 def parabolic_local(data):
     """Newton-polygon analysis of a local characteristic polynomial."""
     local = _field(data, "local")
-    raw = _field(local, "coeffs", "$.local")
+    raw = _list(_field(local, "coeffs", "$.local"), "$.local.coeffs")
+    if not raw:
+        raise ValidationError("expected at least one series", "$.local.coeffs")
     trunc = _num(local.get("truncation", pb.DEFAULT_TRUNCATION),
                  "$.local.truncation", lo=1)
     try:

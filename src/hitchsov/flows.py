@@ -66,7 +66,7 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
 
     def velocity(s, step):
         k = rhs(s)
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise StepRejected(f"non-finite velocity in step {step}",
                                suggested_dt=dt / 2)
         return k

@@ -47,10 +47,19 @@ def _klein_tensor(sigma):
     return np.einsum('i,j,iba,jbc->ijac', d, d, EPSILON, c)
 
 
-# Frozen calibration of the Klein convention (see calibrate_convention):
-# this sigma makes the x-matrix skew and the so(6) relations exact.
+# Frozen calibration of the Klein convention (tests/sl2_oracle.py
+# re-derives it): this sigma makes the x-matrix skew and the so(6)
+# relations exact.
 SIGMA = np.array([-1, 1, 1, -1, -1, 1])
 KLEIN = _klein_tensor(SIGMA)
+
+# Each chart c orders the homogeneous coordinates as (the three affine
+# ones, c): (q, p) = ((qa, 1), (pa, -pa.qa)), so that p.q = 0.
+# _KLEIN_AT[c] is KLEIN in that order with (a, b) flattened:
+# x.ravel() = _KLEIN_AT[c] @ (q p^T).ravel().
+_ORDER = np.array([[a for a in range(4) if a != c] + [c] for c in range(4)])
+_KLEIN_AT = np.stack([KLEIN[:, :, o][:, :, :, o].reshape(36, 16)
+                      for o in _ORDER])
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -88,48 +97,44 @@ class GeomPhasePoint:
 
     def homogeneous(self):
         """Homogeneous (q, p) with the incidence p.q = 0."""
-        q = np.insert(self.qa, self.chart, 1.0)
-        p_rest = self.pa
-        p_chart = -p_rest @ self.qa
-        p = np.insert(p_rest, self.chart, p_chart)
-        return q, p
+        at = np.argsort(_ORDER[self.chart])
+        q, p = _chart_qp(self.qa, self.pa)
+        return q[at], p[at]
 
     def to_chart(self, chart):
         q, p = self.homogeneous()
         s = q[chart]
         if abs(s) < 1e-12:
             raise ChartSingularity(f"q_{chart} vanishes")
-        q = q / s
-        p = p * s
-        keep = [a for a in range(4) if a != chart]
-        return GeomPhasePoint(q[keep], p[keep], chart)
+        keep = _ORDER[chart, :3]
+        return GeomPhasePoint(q[keep] / s, p[keep] * s, chart)
 
 
-def _klein_x(pp, klein):
-    q, p = pp.homogeneous()
-    return np.einsum('a,ijab,b->ij', q, klein, p)
+def _chart_qp(qa, pa):
+    """(q, p) = ((qa, 1), (pa, -pa.qa)) in chart order."""
+    return np.concatenate((qa, [1.0])), np.concatenate((pa, [-(pa @ qa)]))
 
 
-def _klein_gradients(pp, klein):
-    q, p = pp.homogeneous()
-    c = pp.chart
-    keep = [a for a in range(4) if a != c]
-    mp = np.einsum('ijab,b->ija', klein, p)
-    qm = np.einsum('a,ijab->ijb', q, klein)
-    # p_c = -pa . qa depends on both arguments
-    gq = mp[:, :, keep] - qm[:, :, c, None] * pp.pa
-    gp = qm[:, :, keep] - qm[:, :, c, None] * pp.qa
-    return gq, gp
+def _x(q, p, chart):
+    """x_ij = q_a KLEIN_ijab p_b of chart-ordered (q, p)."""
+    return (_KLEIN_AT[chart] @ np.outer(q, p).ravel()).reshape(6, 6)
 
 
 def x_matrix(pp: GeomPhasePoint):
     """Skew 6x6 Klein matrix of the phase point."""
-    return _klein_x(pp, KLEIN)
+    return _x(*_chart_qp(pp.qa, pp.pa), pp.chart)
 
 
 def x_gradients(pp: GeomPhasePoint):
     """d x_ij / d(qa, pa) in the chart, shape (6, 6, 3) each."""
-    return _klein_gradients(pp, KLEIN)
+    q, p = _chart_qp(pp.qa, pp.pa)
+    klein = _KLEIN_AT[pp.chart].reshape(6, 6, 4, 4)
+    mp = klein @ p
+    qm = q @ klein
+    # p_c = -pa . qa depends on both arguments
+    gq = mp[:, :, :3] - qm[:, :, 3, None] * pp.pa
+    gp = qm[:, :, :3] - qm[:, :, 3, None] * pp.qa
+    return gq, gp
 
 
 def _skew(x):
@@ -138,32 +143,6 @@ def _skew(x):
 
 def skew_defect(pp):
     return _skew(x_matrix(pp))
-
-
-def calibrate_convention(rng=None, trials=3):
-    """Search the finite set of Klein conventions for the consistent one.
-
-    Candidates are sign patterns sigma in {+-1}^6 defining C_j =
-    (sigma_j/2) epsilon_j with conjugation factors i on the negative
-    entries.  Returns the (sigma, defect) pair minimizing the combined
-    skew and so(6) defect; the shipped SIGMA is the frozen winner.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pts = [GeomPhasePoint(rng.standard_normal(3) + 1j * rng.standard_normal(3),
-                          rng.standard_normal(3) + 1j * rng.standard_normal(3))
-           for _ in range(trials)]
-    best, best_def = None, np.inf
-    for bits in itertools.product((1, -1), repeat=6):
-        sigma = np.array(bits)
-        klein = _klein_tensor(sigma)
-        defect = max(_skew(_klein_x(pp, klein)) for pp in pts)
-        if defect < 1e-10:
-            defect += _bracket_residuals(
-                _klein_x(pts[0], klein), *_klein_gradients(pts[0], klein))[0]
-        if defect < best_def:
-            best, best_def = sigma, defect
-    return best, best_def
 
 
 def _bracket_residuals(x, gq, gp):
@@ -186,15 +165,15 @@ def so6_relations(pp):
     return _bracket_residuals(x_matrix(pp), *x_gradients(pp))
 
 
+def _hamiltonians(x, z6):
+    """H_i = sum_{j != i} x_ij^2 / (z_i - z_j) of x, or of a stack of x."""
+    off = 1 - np.eye(6)
+    return np.sum(x ** 2 * (off / (z6[:, None] - z6 + np.eye(6))), axis=-1)
+
+
 def gp_hamiltonians(pp, z6):
     """H_i = sum_{j != i} x_ij^2 / (z_i - z_j)."""
-    z6 = np.asarray(z6, dtype=complex)
-    x = x_matrix(pp)
-    out = np.empty(6, dtype=complex)
-    for i in range(6):
-        out[i] = sum(x[i, j] ** 2 / (z6[i] - z6[j])
-                     for j in range(6) if j != i)
-    return out
+    return _hamiltonians(x_matrix(pp), np.asarray(z6, dtype=complex))
 
 
 def lax_pair(pp, z6, zeta, zeta_p, l):
@@ -213,41 +192,52 @@ def lax_pair(pp, z6, zeta, zeta_p, l):
     return lz, m
 
 
-def _trace_power_gradient(pp, z6, zeta, l):
-    """Analytic chart gradient of tr L(zeta)^l."""
-    z6 = np.asarray(z6, dtype=complex)
-    x = x_matrix(pp)
-    lmat = zeta * x + np.diag(z6)
-    lpow = np.linalg.matrix_power(lmat, l - 1)
-    gq, gp = x_gradients(pp)
-    # d tr L^l = l tr(L^(l-1) dL), dL = zeta dX
-    fq = l * zeta * np.einsum('mn,nma->a', lpow, gq)
-    fp = l * zeta * np.einsum('mn,nma->a', lpow, gp)
-    return fq, fp
-
-
 def _lax_velocity(z6, zeta, l):
-    """Flow of {tr L(zeta)^l, .} on (qa, pa): qdot = -F_p, pdot = F_q."""
-    def rhs(pp):
-        fq, fp = _trace_power_gradient(pp, z6, zeta, l)
-        return np.concatenate((-fp, fq))
+    """Flow of {tr L(zeta)^l, .} on a state (qa ++ pa, chart): qdot = -F_p,
+    pdot = F_q.
+
+    x_ij = q_a KLEIN_ijab p_b makes d tr L^l = l zeta (dq.B p + q.B dp)
+    with B_ab = sum_ij (L^(l-1))_ji KLEIN_ijab.  In chart order q_3 = 1
+    and p_3 = -pa.qa, so F_q = l zeta ((B p)_:3 - (q B)_3 pa) and
+    F_p = l zeta ((q B)_:3 - (q B)_3 qa).
+    """
+    diag = np.diag(np.asarray(z6, dtype=complex))
+    scale = l * zeta * np.repeat([1, -1], 3)
+
+    def rhs(state):
+        v, chart = state
+        q, p = _chart_qp(v[:3], v[3:])
+        lpow = np.linalg.matrix_power(zeta * _x(q, p, chart) + diag, l - 1)
+        b = (lpow.T.ravel() @ _KLEIN_AT[chart]).reshape(4, 4)
+        qb, bp = q @ b, b @ p
+        return scale * (qb[3] * v - np.concatenate((qb[:3], bp[:3])))
     return rhs
 
 
-def _shift(pp, incr):
-    return GeomPhasePoint(pp.qa + incr[:3], pp.pa + incr[3:], pp.chart)
+def _state(pp):
+    return np.concatenate((pp.qa, pp.pa)), pp.chart
 
 
-def _recenter(pp, step):
+def _point(state):
+    v, chart = state
+    return GeomPhasePoint(v[:3], v[3:], chart)
+
+
+def _shift(state, incr):
+    return state[0] + incr, state[1]
+
+
+def _recenter(state, step):
     """Switch to the chart of the largest homogeneous coordinate once the
     affine coordinates grow large."""
-    if np.abs(pp.qa).max() > 1e3:
+    if np.abs(state[0][:3]).max() > 1e3:
+        pp = _point(state)
         q_hom, _ = pp.homogeneous()
-        return pp.to_chart(int(np.argmax(np.abs(q_hom))))
-    return pp
+        return _state(pp.to_chart(int(np.argmax(np.abs(q_hom)))))
+    return state
 
 
-def lax_drift(states, z6, zeta, l, probe=None):
+def lax_drift(states, z6, zeta, probe=None):
     """Drift from states[0] along states, one row per state.
 
     Column 0 is max_i |H_i - H_i(0)| of the quadratic Hamiltonians and
@@ -255,9 +245,11 @@ def lax_drift(states, z6, zeta, l, probe=None):
     """
     if probe is None:
         probe = 0.5 * zeta + 0.25j
-    hams = np.array([gp_hamiltonians(pp, z6) for pp in states])
-    spectra = np.array([np.sort_complex(np.linalg.eigvals(
-        lax_pair(pp, z6, zeta, probe, l)[0])) for pp in states])
+    z6 = np.asarray(z6, dtype=complex)
+    q, p = np.array([s.homogeneous() for s in states]).transpose(1, 0, 2)
+    x = np.einsum('na,ijab,nb->nij', q, KLEIN, p)
+    hams = _hamiltonians(x, z6)
+    spectra = np.sort_complex(np.linalg.eigvals(probe * x + np.diag(z6)))
     return np.column_stack((np.abs(hams - hams[0]).max(axis=1),
                             np.abs(spectra - spectra[0]).max(axis=1)))
 
@@ -269,12 +261,11 @@ def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt, probe=None):
     large.  Returns (states, report) with the eigenvalue drift of
     L(probe) and the drift of the quadratic Hamiltonians.
     """
-    z6 = np.asarray(z6, dtype=complex)
-    pp = GeomPhasePoint(pp0.qa.copy(), pp0.pa.copy(), pp0.chart)
-    states = integrate(_lax_velocity(z6, zeta, l), _shift, pp, dt,
-                       int(round(t_end / dt)), after=_recenter)
+    states = [_point(s) for s in integrate(
+        _lax_velocity(z6, zeta, l), _shift, _state(pp0), dt,
+        int(round(t_end / dt)), after=_recenter)]
     ham_drift, eig_drift = lax_drift(
-        [states[0], states[-1]], z6, zeta, l, probe)[-1]
+        [states[0], states[-1]], z6, zeta, probe)[-1]
     report = {
         "eigenvalue_drift": float(eig_drift),
         "hamiltonian_drift": float(ham_drift),
@@ -287,8 +278,8 @@ def lax_residual(pp, z6, zeta, zeta_p, l, h=1e-5):
     rhs = _lax_velocity(z6, zeta, l)
 
     def deriv(step):
-        fwd = integrate(rhs, _shift, pp, step, 1)[-1]
-        bwd = integrate(rhs, _shift, pp, -step, 1)[-1]
+        fwd, bwd = (_point(integrate(rhs, _shift, _state(pp), s, 1)[-1])
+                    for s in (step, -step))
         la = lax_pair(fwd, z6, zeta, zeta_p, l)[0]
         lb = lax_pair(bwd, z6, zeta, zeta_p, l)[0]
         return (la - lb) / (2 * step)

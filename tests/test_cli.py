@@ -131,6 +131,13 @@ class TestExitCodes:
         res = runner.invoke(main, ["ham", "frobnicate"])
         assert res.exit_code == 2
 
+    def test_empty_local_coefficients(self, tmp_path):
+        f = tmp_path / "local.json"
+        f.write_text(json.dumps({"local": {"coeffs": []}}))
+        res = runner.invoke(main, ["parabolic", "local", "--input", str(f)])
+        assert res.exit_code == 3, res.output
+        assert "$.local.coeffs" in res.output
+
     def test_numerical_failure(self, gl2_input, tmp_path):
         path, _ = gl2_input
         data = json.loads(path.read_text())

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hitchsov import sl2
 from hitchsov.errors import (DegenerateLine, PoleCollision, ChartSingularity,
                              StepRejected)
+import sl2_oracle as oracle
 
 
 def random_point(rng):
@@ -61,7 +62,7 @@ class TestKleinCalibration:
     def test_calibration_prefers_frozen(self):
         # the convention is determined up to a global sign flip, which
         # preserves every skew/so(6) relation
-        sigma, defect = sl2.calibrate_convention(np.random.default_rng(0))
+        sigma, defect = oracle.calibrate_convention(np.random.default_rng(0))
         assert tuple(sigma) in (tuple(sl2.SIGMA), tuple(-sl2.SIGMA))
         assert defect < 1e-10
 
@@ -96,7 +97,7 @@ class TestKleinCalibration:
     def test_calibration_is_pure(self):
         pp = random_point(np.random.default_rng(14))
         before = (sl2.SIGMA.copy(), sl2.KLEIN.copy(), sl2.x_matrix(pp))
-        sl2.calibrate_convention(np.random.default_rng(0))
+        oracle.calibrate_convention(np.random.default_rng(0))
         after = (sl2.SIGMA, sl2.KLEIN, sl2.x_matrix(pp))
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes()
@@ -195,3 +196,62 @@ class TestLax:
         with pytest.raises(StepRejected) as info:
             sl2.lax_flow(sl2.GeomPhasePoint(qa, pa), z6, 0.3, 4, 0.2, 1e-3)
         assert info.value.suggested_dt == 5e-4
+
+
+def state_error(states, ref):
+    """Largest gap between two state lists, relative to the state size."""
+    assert [s.chart for s in states] == [s.chart for s in ref]
+    return max(np.abs(np.r_[a.qa - b.qa, a.pa - b.pa]).max()
+               / np.abs(np.r_[b.qa, b.pa]).max() for a, b in zip(states, ref))
+
+
+class TestLaxVelocity:
+    """The bilinear-form velocity, the flat-state loop and the batched
+    drift against the direct computations of sl2_oracle."""
+
+    def test_matches_oracle_in_every_chart(self, z6):
+        rng = np.random.default_rng(16)
+        for chart in range(4):
+            pp = random_point(rng)
+            pp.chart = chart
+            for l in (4, 5):    # tr L^2 and tr L^3 are constant: x is skew
+                                # with isotropic columns
+                got = sl2._lax_velocity(z6, 0.3, l)(sl2._state(pp))
+                fq, fp = oracle.trace_power_gradient(pp, z6, 0.3, l)
+                ref = np.concatenate((-fp, fq))
+                assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+
+    def test_matches_finite_difference(self, z6):
+        """(-dF/dpa, dF/dqa) of F = tr L(zeta)^4 by central differences."""
+        rng = np.random.default_rng(17)
+        pp = random_point(rng)
+        pp.chart = 1
+
+        def trace_power(v):
+            x = sl2.x_matrix(sl2._point((v, pp.chart)))
+            return np.trace(np.linalg.matrix_power(0.3 * x + np.diag(z6), 4))
+
+        v0, h = sl2._state(pp)[0], 1e-6
+        grad = np.array([(trace_power(v0 + h * e) - trace_power(v0 - h * e))
+                         / (2 * h) for e in np.eye(6)])
+        got = sl2._lax_velocity(z6, 0.3, 4)(sl2._state(pp))
+        ref = np.concatenate((-grad[3:], grad[:3]))
+        assert np.abs(got - ref).max() < 1e-7 * np.abs(ref).max()
+
+    def test_chart_switch_matches_oracle_loop(self, z6):
+        """A start with |qa| just under 1e3 leaves chart 3 in the first
+        steps; the states match the oracle-driven loop's."""
+        pp = sl2.GeomPhasePoint(np.array([999.0, 2.0 - 1.0j, 0.5j]),
+                                np.array([1e-6, 1e-3, 1e-3j]))
+        states, _ = sl2.lax_flow(pp, z6, 0.3, 4, 0.02, 1e-3)
+        assert [s.chart for s in states[:3]] == [3, 0, 0]
+        assert state_error(states, oracle.flow(pp, z6, 0.3, 4, 0.02, 1e-3)) \
+            < 1e-12
+
+    def test_batched_drift_matches_loop(self, z6):
+        rng = np.random.default_rng(19)
+        states, _ = sl2.lax_flow(random_point(rng), z6, 0.3, 4, 0.05, 1e-3)
+        states[20] = states[20].to_chart(0)       # mixed charts in one batch
+        got = sl2.lax_drift(states, z6, 0.3)
+        ref = oracle.drift(states, z6, 0.5 * 0.3 + 0.25j)
+        assert np.abs(got - ref).max() < 1e-13
