@@ -366,12 +366,6 @@ def _svg(trajectory):
     return "\n".join(parts) + "\n"
 
 
-def export_plot(trajectory, path):
-    """Write the SVG of Re x_i(t) that `flow run --plot` emits to path."""
-    Path(path).write_text(_svg(trajectory))
-    return str(path)
-
-
 @_command(flow, "run",
           click.option("--t-end", default=1.0, type=float,
                        callback=_time_option),
@@ -446,8 +440,8 @@ def theta_sigma(data, seed):
     const = _num(data.get("const", 0.0), "$.const", float)
     td = period_matrix(cv)
     riemann_constants(cv, td, rng=np.random.default_rng(seed))
-    s_series = sigma_series(cv, td, phi, k, const)
-    s_contour = sigma_contour(cv, td, phi, k, const)
+    s_series = sigma_series(cv, td, phi, k)[k - 1] + const
+    s_contour = sigma_contour(cv, td, phi, k)[k - 1] + const
     gap = abs(s_series - s_contour)
     return {"theta_sigma.json": {
         "k": k,
@@ -476,8 +470,8 @@ def sl2_group():
 def sl2_demo(data, t_end, dt, level):
     """Flow the Lax system and emit conserved-quantity drift CSV."""
     z6 = _cvec(_field(data, "z6"), "$.z6")
-    if len(z6) != 6:
-        raise ValidationError("z6 must list six points", "$.z6")
+    if len(z6) != 6 or len(set(z6.tolist())) != 6:
+        raise ValidationError("z6 must list six distinct points", "$.z6")
     qa = _cvec(_field(data, "q"), "$.q")
     pa = _cvec(_field(data, "p"), "$.p")
     if len(qa) != 3 or len(pa) != 3:

@@ -38,11 +38,10 @@ SERIES_TERMS = 96
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """A point (x, y) on the curve, or the point at infinity."""
+    """A finite point (x, y) on the curve."""
 
     x: complex = 0.0
     y: complex = 0.0
-    at_infinity: bool = False
 
 
 @dataclass
@@ -626,7 +625,7 @@ def _add_multiple(j, t, dst, src, q):
     t[dst] += q * t[src]
 
 
-def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
+def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     """Normalized period matrix tau and the a-period normalization matrix.
 
     Candidate cycles are the standard hyperelliptic contours; their lifted
@@ -651,7 +650,7 @@ def period_matrix(curve: HyperellipticCurve, tol=1e-11) -> ThetaData:
     starts = [continue_y(curve, route_path(curve, ax, c.sample(1)[0][0]), ay)[-1]
               for c in contours]
     periods = np.column_stack(
-        [_cycle_periods(curve, c, y0, tol) for c, y0 in zip(contours, starts)]
+        [_cycle_periods(curve, c, y0) for c, y0 in zip(contours, starts)]
     )  # g x 2g, columns per candidate cycle
     n = 2 * g
     scale = np.abs(periods).max() ** 2
@@ -758,20 +757,6 @@ def _chart_radius(curve):
     return min(0.1, 0.5 / np.sqrt(rad))
 
 
-def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target: CurvePoint,
-             base: CurvePoint | None = None, tol=1e-10):
-    """Abel map: integrals of the normalized differentials from base to target.
-
-    With base omitted (or at infinity) the integration starts at infinity in
-    the z-chart and switches to the x-chart at |z| below the chart radius.
-    """
-    if base is not None and not base.at_infinity:
-        a_t = _abel_from_infinity(curve, theta_data, target, tol)
-        a_b = _abel_from_infinity(curve, theta_data, base, tol)
-        return a_t - a_b
-    return _abel_from_infinity(curve, theta_data, target, tol)
-
-
 def _chart_exit(curve, z0):
     """The point (x, y) at z = z0 where an Abel path leaves the z-chart.
 
@@ -788,15 +773,20 @@ def _chart_exit(curve, z0):
     return z0 ** (-2.0), z0 ** (-(2 * curve.genus + 1)) * s_val
 
 
-def _abel_from_infinity(curve, theta_data, target: CurvePoint, tol=1e-10):
-    if target.at_infinity:
-        return np.zeros(curve.genus, dtype=complex)
+def abel_map(curve: HyperellipticCurve, theta_data: ThetaData,
+             target: CurvePoint):
+    """Abel map: integrals of the normalized differentials from infinity to
+    target.
+
+    The integration starts at infinity in the z-chart and switches to the
+    x-chart at |z| equal to the chart radius.
+    """
     z0 = _chart_radius(curve)
     series_part = abel_series(curve, theta_data, SERIES_TERMS) @ (
         z0 ** np.arange(SERIES_TERMS + 1))
     x_start, y_start = _chart_exit(curve, z0)
     way = route_path(curve, x_start, target.x)
-    x_part, y_end = integrate_monomials(curve, way, y_start, tol)
+    x_part, y_end = integrate_monomials(curve, way, y_start)
     x_part = np.asarray(theta_data.normalization, dtype=complex) @ x_part
     total = series_part + x_part
     if abs(y_end - target.y) <= abs(y_end + target.y):

@@ -53,11 +53,6 @@ def level_function(n, j):
     raise AssertionError("unreachable: partition sums to r")
 
 
-def levels(n):
-    """All levels gamma_1..gamma_r at once."""
-    return tuple(level_function(n, j) for j in range(1, sum(n) + 1))
-
-
 # ----------------------------------------------------------------------
 # parabolic types
 # ----------------------------------------------------------------------
@@ -158,22 +153,6 @@ def series(coeffs, trunc=DEFAULT_TRUNCATION):
     return s
 
 
-def _ser_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _ser_mul(a, b):
-    n = len(a)
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[:n - i]):
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
 def _ser_ord(a):
     for i, c in enumerate(a):
         if c != 0:
@@ -196,22 +175,6 @@ class LocalCharPoly:
     def orders(self):
         """t-adic valuations of a_1..a_r (None when zero to truncation)."""
         return [_ser_ord(a) for a in self.coeffs]
-
-
-def poly_mul(fa, fb, trunc):
-    """Product of two series-coefficient polynomials (descending, monic)."""
-    # represent as full coefficient lists including the leading 1
-    one = series([1], trunc)
-    zero = series([], trunc)
-    ca = [one] + fa
-    cb = [one] + fb
-    out = [[Fraction(0)] * trunc
-           for _ in range(len(ca) + len(cb) - 1)]
-    for i, a in enumerate(ca):
-        for j, b in enumerate(cb):
-            out[i + j] = _ser_add(out[i + j], _ser_mul(a, b))
-    assert out[0][0] == 1
-    return out[1:]
 
 
 def newton_polygon(f: LocalCharPoly):
@@ -304,29 +267,3 @@ def newton_eisenstein_check(f: LocalCharPoly, expected_mu=None):
         report["matches_expected"] = tuple(sorted(expected_mu, reverse=True)) \
             == report["factor_degrees"]
     return report
-
-
-def synthesize_eisenstein(mu, rng, trunc=DEFAULT_TRUNCATION):
-    """Random product of Eisenstein factors with degree multiset mu.
-
-    Each factor is lambda^m + sum c_j(t) lambda^(m-j) with all c_j of
-    positive valuation and the constant term of exact valuation 1; the
-    constant-term leading coefficients are drawn distinct so the result
-    is distinguished.
-    """
-    leads = rng.permutation(range(1, 10 * len(mu)))[:len(mu)]
-    factors = []
-    for m, lead in zip(mu, leads):
-        coeffs = []
-        for j in range(1, m + 1):
-            c = [Fraction(0)] * trunc
-            for order in range(1, 4):
-                c[order] = Fraction(int(rng.integers(-5, 6)))
-            if j == m:
-                c[1] = Fraction(int(lead))
-            coeffs.append(series(c, trunc))
-        factors.append(coeffs)
-    prod = factors[0]
-    for fac in factors[1:]:
-        prod = poly_mul(prod, fac, trunc)
-    return LocalCharPoly(prod, sum(mu), trunc)

@@ -135,14 +135,6 @@ def implicit_gradients(layout, curve, cfg, ham):
     return -minv * ev.d_lambda, -minv * ev.d_x
 
 
-def poisson_bracket(f_grads, g_grads, cfg):
-    """{f, g} = sum_i y_i (f_lam_i g_x_i - g_lam_i f_x_i)."""
-    f_lam, f_x = f_grads
-    g_lam, g_x = g_grads
-    return np.sum(cfg.y * (np.asarray(f_lam) * np.asarray(g_x)
-                        - np.asarray(g_lam) * np.asarray(f_x)))
-
-
 def involution_check(layout, curve, cfg, ham=None):
     """Magnitudes |{H_j, H_k}| of all pairwise coefficient brackets."""
     if ham is None:

@@ -237,14 +237,14 @@ def _recenter(state, step):
     return state
 
 
-def lax_drift(states, z6, zeta, probe=None):
+def lax_drift(states, z6, zeta):
     """Drift from states[0] along states, one row per state.
 
     Column 0 is max_i |H_i - H_i(0)| of the quadratic Hamiltonians and
-    column 1 the largest move of the sorted eigenvalues of L(probe).
+    column 1 the largest move of the sorted eigenvalues of L(probe), at
+    probe = zeta/2 + 0.25i.
     """
-    if probe is None:
-        probe = 0.5 * zeta + 0.25j
+    probe = 0.5 * zeta + 0.25j
     z6 = np.asarray(z6, dtype=complex)
     q, p = np.array([s.homogeneous() for s in states]).transpose(1, 0, 2)
     x = np.einsum('na,ijab,nb->nij', q, KLEIN, p)
@@ -254,18 +254,17 @@ def lax_drift(states, z6, zeta, probe=None):
                             np.abs(spectra - spectra[0]).max(axis=1)))
 
 
-def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt, probe=None):
+def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt):
     """RK4 canonical flow of tr L(zeta)^l with an isospectrality report.
 
     The chart is switched automatically when the affine coordinates grow
-    large.  Returns (states, report) with the eigenvalue drift of
-    L(probe) and the drift of the quadratic Hamiltonians.
+    large.  Returns (states, report) with the two drifts of lax_drift
+    from the first to the last state.
     """
     states = [_point(s) for s in integrate(
         _lax_velocity(z6, zeta, l), _shift, _state(pp0), dt,
         int(round(t_end / dt)), after=_recenter)]
-    ham_drift, eig_drift = lax_drift(
-        [states[0], states[-1]], z6, zeta, probe)[-1]
+    ham_drift, eig_drift = lax_drift([states[0], states[-1]], z6, zeta)[-1]
     report = {
         "eigenvalue_drift": float(eig_drift),
         "hamiltonian_drift": float(ham_drift),
@@ -273,19 +272,16 @@ def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt, probe=None):
     return states, report
 
 
-def lax_residual(pp, z6, zeta, zeta_p, l, h=1e-5):
-    """|dL/dt - [M_l, L]| with the time derivative by Richardson FD."""
-    rhs = _lax_velocity(z6, zeta, l)
+def lax_residual(pp, z6, zeta, zeta_p, l):
+    """|dL/dt - [M_l, L]| at pp, with dL/dt = zeta' dx/dt from the velocity.
 
-    def deriv(step):
-        fwd, bwd = (_point(integrate(rhs, _shift, _state(pp), s, 1)[-1])
-                    for s in (step, -step))
-        la = lax_pair(fwd, z6, zeta, zeta_p, l)[0]
-        lb = lax_pair(bwd, z6, zeta, zeta_p, l)[0]
-        return (la - lb) / (2 * step)
-
-    d1 = deriv(h)
-    d2 = deriv(h / 2)
-    dl_dt = (4 * d2 - d1) / 3
+    x is bilinear in chart-ordered (q, p), so dx/dt = x(dq, p) + x(q, dp)
+    with dq = (dqa, 0) and dp = (dpa, -(dpa.qa + pa.dqa)).
+    """
+    dqa, dpa = np.split(_lax_velocity(z6, zeta, l)(_state(pp)), 2)
+    q, p = _chart_qp(pp.qa, pp.pa)
+    dq = np.append(dqa, 0.0)
+    dp = np.append(dpa, -(dpa @ pp.qa + pp.pa @ dqa))
+    dl_dt = zeta_p * (_x(dq, p, pp.chart) + _x(q, dp, pp.chart))
     lz, m = lax_pair(pp, z6, zeta, zeta_p, l)
     return np.linalg.norm(dl_dt - (m @ lz - lz @ m))

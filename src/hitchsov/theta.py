@@ -1,19 +1,19 @@
 """Riemann theta functions and the inversion of Newton sums.
 
-The power sums sigma_k of the separating x-coordinates are recovered from
-a point phi of the Jacobian in two independent ways: by extracting a
-Taylor coefficient of ln theta composed with the Abel series at infinity,
-and by a contour residue on a small circle in the z-chart.  Agreement of
-the two routes is the module's central consistency check.  Both read the
-Abel series of ``curves.abel_series``, built from the one expansion at
-infinity the curve holds.
+The power sums sigma_1..sigma_k of the separating x-coordinates are
+recovered from a point phi of the Jacobian in two independent ways, each
+giving every sigma_j from one evaluation: from the Taylor coefficients of
+ln theta composed with the Abel series at infinity, and from the contour
+residues on a small circle in the z-chart.  Both leave out additive
+constants, which Jacobi inversion calibrates once on a known divisor.
+Agreement of the two routes is the module's central consistency check.
 
 The series route builds one lattice per call.  At each lattice point n
 the term exp(2 pi i n.A(z)) is a power series in z, from the recurrence
 of the exponential, so theta(v0 + A(z)) is one weighted sum of those
 series, and its logarithm follows by the matching recurrence.  The
 contour route samples theta and its gradient on the circle instead and
-shares no step with it after the Abel series.
+shares no step with it after the Abel series (``curves.abel_series``).
 
 Theta sums are truncated to a lattice built once for a batch of arguments
 (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
@@ -37,7 +37,7 @@ from .curves import (SERIES_TERMS, CurvePoint, _chart_radius, abel_map,
                      abel_series, differential_series, lattice_reduce)
 
 
-def _lattice_points(tau, zs, extra_radius, radius_cap):
+def _lattice_points(tau, zs, extra_radius):
     """Integer points covering the significant Gaussian mass of the sums at
     all rows of zs (shape (m, g)).
 
@@ -53,9 +53,9 @@ def _lattice_points(tau, zs, extra_radius, radius_cap):
     if lam_min <= 0:
         raise ValueError("Im tau not positive definite")
     radius = np.sqrt(-np.log(1e-18) / (np.pi * lam_min)) + extra_radius
-    if radius > radius_cap:
+    if radius > 60.0:
         raise TruncationOverflow(
-            f"lattice radius {radius:.1f} exceeds cap {radius_cap}")
+            f"lattice radius {radius:.1f} exceeds cap 60.0")
     lo = np.floor(centers.min(axis=0) - radius).astype(int)
     hi = np.ceil(centers.max(axis=0) + radius).astype(int)
     pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
@@ -69,10 +69,10 @@ def _lattice_points(tau, zs, extra_radius, radius_cap):
     return pts[keep] if keep.any() else pts
 
 
-def _lattice_terms(zs, tau, extra_radius=3.0, radius_cap=60.0):
+def _lattice_terms(zs, tau, extra_radius=3.0):
     """Lattice points and the exponential terms of the theta sums at the
     rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r])."""
-    pts = _lattice_points(tau, zs, extra_radius, radius_cap)
+    pts = _lattice_points(tau, zs, extra_radius)
     expo = zs @ (2j * np.pi * pts).T  # updated in place, like quad above
     expo += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
     return pts, np.exp(expo, out=expo)
@@ -85,7 +85,7 @@ def _theta_and_gradient(zs, tau):
     return terms.sum(axis=1), 2j * np.pi * (terms @ pts)
 
 
-def riemann_theta(z, tau, deriv=None, radius_cap=60.0):
+def riemann_theta(z, tau, deriv=None):
     """Theta value (or a termwise partial derivative) by truncated sum.
 
     deriv is a tuple of non-negative per-component derivative orders;
@@ -94,16 +94,15 @@ def riemann_theta(z, tau, deriv=None, radius_cap=60.0):
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     extra = 3.0 + (2.0 * sum(deriv) if deriv else 0.0)
-    pts, terms = _lattice_terms(z[None, :], tau, extra, radius_cap)
+    pts, terms = _lattice_terms(z[None, :], tau, extra)
     terms = terms[0]
-    if deriv is not None:
-        for s, order in enumerate(deriv):
-            if order:
-                terms = terms * (2j * np.pi * pts[:, s]) ** order
+    for s, order in enumerate(deriv or ()):
+        if order:
+            terms = terms * (2j * np.pi * pts[:, s]) ** order
     return np.sum(terms)
 
 
-def theta_deriv_table(z, tau, max_order, radius_cap=60.0):
+def theta_deriv_table(z, tau, max_order):
     """All partial derivatives D^j theta(z) with |j| <= max_order.
 
     Returns a dict multi-index -> value, computed in one lattice pass.
@@ -111,8 +110,7 @@ def theta_deriv_table(z, tau, max_order, radius_cap=60.0):
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     g = len(z)
-    pts, terms = _lattice_terms(z[None, :], tau, 3.0 + 2.0 * max_order,
-                                radius_cap)
+    pts, terms = _lattice_terms(z[None, :], tau, 3.0 + 2.0 * max_order)
     terms = terms[0]
     factors = 2j * np.pi * pts  # (npts, g)
     table = {}
@@ -127,26 +125,26 @@ def theta_deriv_table(z, tau, max_order, radius_cap=60.0):
     return table
 
 
-def q_series_theta(z, tau, nmax=60):
-    """Genus-1 oracle: direct q-series sum theta = sum q^(n^2) e^(2 pi i n z)."""
+def q_series_theta(z, tau):
+    """Genus-1 oracle: theta = sum_(|n| <= 60) q^(n^2) e^(2 pi i n z)."""
     q = np.exp(np.pi * 1j * complex(np.asarray(tau).ravel()[0]))
-    n = np.arange(-nmax, nmax + 1)
+    n = np.arange(-60, 61)
     zz = complex(np.asarray(z).ravel()[0])
     return np.sum(q ** (n ** 2) * np.exp(2j * np.pi * n * zz))
 
 
-def riemann_constants(curve, theta_data, rng=None, nsamples=6):
+def riemann_constants(curve, theta_data, rng=None):
     """Vector K with theta(A(D) + K) = 0 for effective degree-(g-1) D.
 
     Searched over the 2^(2g) half-periods (m + tau n)/2; the winner is
-    validated on random divisors and stored on theta_data.
+    validated on six random divisors and stored on theta_data.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     tau = theta_data.tau
     g = tau.shape[0]
     divisors = []
-    while len(divisors) < nsamples:
+    while len(divisors) < 6:
         pts = []
         for _ in range(g - 1):
             x = 2.0 * (rng.standard_normal() + 1j * rng.standard_normal())
@@ -179,12 +177,14 @@ def riemann_constants(curve, theta_data, rng=None, nsamples=6):
     return best
 
 
-def sigma_series(curve, theta_data, phi, k, const=0.0):
-    """sigma_k(phi) via the Taylor coefficient of ln theta at infinity.
+def sigma_series(curve, theta_data, phi, k):
+    """sigma_1..sigma_k(phi), less their additive constants, via the Taylor
+    coefficients of ln theta at infinity.
 
-    sigma_k = const - 2k [z^(2k)] ln theta(A(z) - phi - K).  One lattice,
-    at the radius of a derivative of order 2k, holds the rows v0 = -phi - K
-    (reduced) and 0, the scale of the divisor test.
+    sigma_j = const_j - 2j [z^(2j)] ln theta(A(z) - phi - K), every j from
+    the one series to order 2k.  One lattice, at the radius of a derivative
+    of order 2k, holds the rows v0 = -phi - K (reduced) and 0, the scale of
+    the divisor test.
     """
     tau = theta_data.tau
     g = tau.shape[0]
@@ -207,43 +207,43 @@ def sigma_series(curve, theta_data, phi, k, const=0.0):
     jl = np.zeros(n, dtype=complex)
     for m in range(1, n):
         jl[m] = (m * f[m] - jl[1:m] @ f[m - 1:0:-1]) / f[0]
-    return const - jl[2 * k]
+    return -jl[2::2]
 
 
-def sigma_contour(curve, theta_data, phi, k, const=0.0, radius=None,
-                  nsamples=64, tol=1e-6):
-    """sigma_k(phi) by the residue of x^k d ln theta at infinity.
+def sigma_contour(curve, theta_data, phi, k, nsamples=64):
+    """sigma_1..sigma_k(phi), less their additive constants, by the
+    residues of x^j d ln theta at infinity.
 
-    Samples the z-chart circle |z| = r with the trapezoid rule at
-    2 nsamples points, and raises ResidueUnstable unless the sum over
-    every other sample agrees with it to tol.
+    Samples the z-chart circle of half the chart radius with the trapezoid
+    rule at 2 nsamples points, and raises ResidueUnstable unless, for every
+    j, the sum over every other sample agrees with it to 1e-6.
     """
     tau = theta_data.tau
     kvec = theta_data.riemann_constants
-    if radius is None:
-        radius = 0.5 * _chart_radius(curve)
-    nterms = SERIES_TERMS
-    w = differential_series(curve, theta_data.normalization, nterms)
-    a_coeff = abel_series(curve, theta_data, nterms)
+    radius = 0.5 * _chart_radius(curve)
+    w = differential_series(curve, theta_data.normalization, SERIES_TERMS)
+    a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
     v0 = -np.asarray(phi, dtype=complex) - kvec
-    shift = lattice_reduce(theta_data, v0) - v0
-    v0 = v0 + shift
+    v0 = v0 + (lattice_reduce(theta_data, v0) - v0)
 
     # the 2n-point circle; its even-indexed samples are the n-point circle
     nn = 2 * nsamples
     zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
-    zp = zs[:, None] ** np.arange(nterms + 1)  # (nn, nterms + 1)
+    zp = zs[:, None] ** np.arange(SERIES_TERMS + 1)  # (nn, SERIES_TERMS + 1)
     th, grad = _theta_and_gradient(v0 + zp @ a_coeff.T, tau)
     if np.any(np.abs(th) < 1e-12):
         raise ThetaDivisor("theta vanishes on the sampling circle")
-    daz = zp[:, :nterms] @ w.T  # dA/dz at the samples
-    terms = np.sum(grad * daz, axis=1) / th * zs ** (1 - 2 * k)
-    r1 = np.sum(terms[::2]) / nsamples
-    r2 = np.sum(terms) / nn
-    if abs(r1 - r2) > tol:
+    daz = zp[:, :SERIES_TERMS] @ w.T  # dA/dz at the samples
+    dlog = np.sum(grad * daz, axis=1) / th
+    # one contiguous row per j, each with its own integer power of z
+    terms = np.array([dlog * zs ** (1 - 2 * j) for j in range(1, k + 1)])
+    r1 = np.sum(terms[:, ::2], axis=1) / nsamples
+    r2 = np.sum(terms, axis=1) / nn
+    shifted = np.abs(r1 - r2).max()
+    if shifted > 1e-6:
         raise ResidueUnstable(
-            f"residue shifted by {abs(r1 - r2):.2e} under sample doubling")
-    return const - r2
+            f"residue shifted by {shifted:.2e} under sample doubling")
+    return -r2
 
 
 def _divisor_image(curve, theta_data, points):
@@ -252,42 +252,28 @@ def _divisor_image(curve, theta_data, points):
                np.zeros(theta_data.tau.shape[0], dtype=complex))
 
 
-def _calibrated_constant(curve, theta_data, k, ref_points, ref_phi):
-    raw = sigma_series(curve, theta_data, ref_phi, k, const=0.0)
-    truth = sum(p.x ** k for p in ref_points)
-    return truth - raw
-
-
-def sigma_constant(curve, theta_data, k, ref_points):
-    """Calibrate the additive constant of sigma_k on a known configuration."""
-    return _calibrated_constant(curve, theta_data, k, ref_points,
-                                _divisor_image(curve, theta_data, ref_points))
-
-
 def jacobi_inversion_check(curve, theta_data, points, ref_points):
     """Recover the x-multiset of `points` from phi = sum A(gamma_i).
 
-    ref_points calibrates the additive constants.  Returns a report with
-    the recovered roots, both sigma routes, and the recovery error.
+    ref_points calibrates the additive constants: the power sums of their
+    x less sigma_series at their phi.  Returns a report with the recovered
+    roots, both sigma routes, and the recovery error.
     """
     g = theta_data.tau.shape[0]
     if theta_data.riemann_constants is None:
         riemann_constants(curve, theta_data)
     phi = _divisor_image(curve, theta_data, points)
     ref_phi = _divisor_image(curve, theta_data, ref_points)
-    sigmas, sigmas_contour = [], []
-    for k in range(1, g + 1):
-        const = _calibrated_constant(curve, theta_data, k, ref_points, ref_phi)
-        sigmas.append(sigma_series(curve, theta_data, phi, k, const))
-        sigmas_contour.append(
-            sigma_contour(curve, theta_data, phi, k, const))
+    truth = np.array([sum(p.x ** k for p in ref_points)
+                      for k in range(1, g + 1)])
+    const = truth - sigma_series(curve, theta_data, ref_phi, g)
+    sigmas = sigma_series(curve, theta_data, phi, g) + const
+    sigmas_contour = sigma_contour(curve, theta_data, phi, g) + const
     # Newton's identities: e_1..e_g from the power sums
     e = [1.0 + 0.0j]
     for m in range(1, g + 1):
-        acc = 0.0 + 0.0j
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * sigmas[i - 1]
-        e.append(acc / m)
+        e.append(sum((-1) ** (i - 1) * e[m - i] * sigmas[i - 1]
+                     for i in range(1, m + 1)) / m)
     coeffs = np.array([(-1) ** m * e[m] for m in range(g, -1, -1)],
                       dtype=complex)  # ascending: (-1)^g e_g, ..., -e_1, 1
     roots = np.polynomial.polynomial.polyroots(coeffs)
@@ -295,11 +281,10 @@ def jacobi_inversion_check(curve, theta_data, points, ref_points):
                              key=lambda v: (v.real, v.imag)))
     got = np.array(sorted(roots, key=lambda v: (v.real, v.imag)))
     return {
-        "sigma_series": np.array(sigmas),
-        "sigma_contour": np.array(sigmas_contour),
+        "sigma_series": sigmas,
+        "sigma_contour": sigmas_contour,
         "roots": got,
         "target": target,
         "error": float(np.abs(got - target).max()),
-        "route_gap": float(np.abs(np.array(sigmas)
-                                  - np.array(sigmas_contour)).max()),
+        "route_gap": float(np.abs(sigmas - sigmas_contour).max()),
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hitchsov.cli import main, export_plot
+from hitchsov.cli import main, _svg
 from hitchsov.errors import StepRejected
 from hitchsov.flows import Trajectory
 from hitchsov.spectral import SpectralPoint
@@ -126,6 +126,18 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "validation error" in res.output
         assert not (tmp_path / "curve_info.json").exists()
+
+    def test_repeated_z6_point(self, tmp_path):
+        z6 = [[0.1, 0.2], [0.1, 0.2], [0.5, 0.0], [1.0, 0.0], [-1.0, 0.3],
+              [0.2, -0.7]]
+        f = tmp_path / "sl2.json"
+        f.write_text(json.dumps({"z6": z6, "q": [[0.3, 0.1]] * 3,
+                                 "p": [[0.2, -0.4]] * 3}))
+        res = runner.invoke(main, ["sl2", "demo", "--input", str(f),
+                                   "--output", str(tmp_path), "--strict"])
+        assert res.exit_code == 3, res.output
+        assert "$.z6" in res.output
+        assert not (tmp_path / "sl2_report.json").exists()
 
     def test_usage_error(self):
         res = runner.invoke(main, ["ham", "frobnicate"])
@@ -367,10 +379,9 @@ class TestExportPlot:
             [SpectralPoint(x, 1.0, 0.0) for x in row]) for row in series]
         return Trajectory(np.array(times), states)
 
-    def test_constant_trajectory_horizontal(self, tmp_path):
+    def test_constant_trajectory_horizontal(self):
         traj = self._traj([[0.5, -0.25]] * 3, [0.0, 0.5, 1.0])
-        out = export_plot(traj, tmp_path / "c.svg")
-        text = (tmp_path / "c.svg").read_text()
+        text = _svg(traj)
         for line in text.splitlines():
             if "polyline" in line:
                 ys = {p.split(",")[1] for p in
@@ -378,10 +389,9 @@ class TestExportPlot:
                 assert len(ys) == 1         # horizontal
         assert "Re x1" in text and "Re x2" in text
 
-    def test_two_state_segments(self, tmp_path):
+    def test_two_state_segments(self):
         traj = self._traj([[0.0], [1.0]], [0.0, 1.0])
-        export_plot(traj, tmp_path / "s.svg")
-        text = (tmp_path / "s.svg").read_text()
+        text = _svg(traj)
         seg = [l for l in text.splitlines() if "polyline" in l]
         assert len(seg) == 1
         assert len(seg[0].split('points="')[1].split('"')[0].split()) == 2

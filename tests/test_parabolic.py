@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,68 @@ def partitions(n, cap=None):
             yield (first,) + rest
 
 
+
+def levels(n):
+    """All levels gamma_1..gamma_r at once."""
+    return tuple(pb.level_function(n, j) for j in range(1, sum(n) + 1))
+
+
+def _ser_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def _ser_mul(a, b):
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if y != 0:
+                out[i + j] += x * y
+    return out
+
+
+def poly_mul(fa, fb, trunc):
+    """Product of two series-coefficient polynomials (descending, monic)."""
+    # represent as full coefficient lists including the leading 1
+    one = pb.series([1], trunc)
+    ca = [one] + fa
+    cb = [one] + fb
+    out = [[Fraction(0)] * trunc
+           for _ in range(len(ca) + len(cb) - 1)]
+    for i, a in enumerate(ca):
+        for j, b in enumerate(cb):
+            out[i + j] = _ser_add(out[i + j], _ser_mul(a, b))
+    assert out[0][0] == 1
+    return out[1:]
+
+
+def synthesize_eisenstein(mu, rng, trunc=pb.DEFAULT_TRUNCATION):
+    """Random product of Eisenstein factors with degree multiset mu.
+
+    Each factor is lambda^m + sum c_j(t) lambda^(m-j) with all c_j of
+    positive valuation and the constant term of exact valuation 1; the
+    constant-term leading coefficients are drawn distinct so the result
+    is distinguished.
+    """
+    leads = rng.permutation(range(1, 10 * len(mu)))[:len(mu)]
+    factors = []
+    for m, lead in zip(mu, leads):
+        coeffs = []
+        for j in range(1, m + 1):
+            c = [Fraction(0)] * trunc
+            for order in range(1, 4):
+                c[order] = Fraction(int(rng.integers(-5, 6)))
+            if j == m:
+                c[1] = Fraction(int(lead))
+            coeffs.append(pb.series(c, trunc))
+        factors.append(coeffs)
+    prod = factors[0]
+    for fac in factors[1:]:
+        prod = poly_mul(prod, fac, trunc)
+    return pb.LocalCharPoly(prod, sum(mu), trunc)
+
 class TestPartitions:
     def test_dual_examples(self):
         assert pb.dual_partition((2, 2)) == (2, 2)
@@ -31,14 +95,14 @@ class TestPartitions:
             assert sum(pb.dual_partition(p)) == r
 
     def test_levels(self):
-        assert pb.levels((2, 2)) == (1, 1, 2, 2)
-        assert pb.levels((3, 1)) == (1, 1, 2, 3)
-        assert pb.levels((4,)) == (1, 2, 3, 4)
+        assert levels((2, 2)) == (1, 1, 2, 2)
+        assert levels((3, 1)) == (1, 1, 2, 3)
+        assert levels((4,)) == (1, 2, 3, 4)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_levels_weakly_increasing(self, r):
         for p in partitions(r):
-            lv = pb.levels(p)
+            lv = levels(p)
             assert all(a <= b for a, b in zip(lv, lv[1:]))
             assert lv[-1] == p[0]
 
@@ -169,7 +233,7 @@ class TestNewtonEisenstein:
             mu = sorted(rng.integers(1, 4, size=k).tolist(), reverse=True)
             if sum(mu) > 6:
                 continue
-            f = pb.synthesize_eisenstein(mu, rng, trunc=12)
+            f = synthesize_eisenstein(mu, rng, trunc=12)
             rep = pb.newton_eisenstein_check(f, expected_mu=mu)
             assert rep["matches_expected"], (mu, rep["factor_degrees"])
             checked += 1

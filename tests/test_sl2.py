@@ -185,6 +185,19 @@ class TestLax:
         res = sl2.lax_residual(pp, z6, 0.3, 0.51, 4)
         assert res < 1e-6
 
+    def test_lax_residual_sees_a_wrong_velocity(self, z6, monkeypatch):
+        """Roundoff of [M, L] for the true velocity; of the size of [M, L]
+        for the sign-flipped one, which moves L by -[M, L]."""
+        rng = np.random.default_rng(13)
+        pp = random_point(rng)
+        lz, m = sl2.lax_pair(pp, z6, 0.3, 0.51, 4)
+        scale = np.linalg.norm(m @ lz - lz @ m)
+        assert sl2.lax_residual(pp, z6, 0.3, 0.51, 4) < 1e-13 * scale
+        real = sl2._lax_velocity
+        monkeypatch.setattr(sl2, "_lax_velocity",
+                            lambda *args: lambda state: -real(*args)(state))
+        assert sl2.lax_residual(pp, z6, 0.3, 0.51, 4) >= 0.1 * scale
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_rejected(self):
         """Standard complex normal z6, q, p whose level-4 flow blows up

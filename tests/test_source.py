@@ -24,20 +24,63 @@ def _referenced(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _package():
+    """The package's module trees and the names read anywhere in them."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    return trees, sum((_referenced(tree) for tree in trees), Counter())
+
+
+def _unreferenced(defs, used):
+    return [d.name for d in defs if used[d.name] == _referenced(d)[d.name]]
+
+
 def test_no_dead_private_functions():
     """Every private module-level function and private method is referenced
     in the package somewhere outside its own def."""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    used = sum((_referenced(tree) for tree in trees), Counter())
+    trees, used = _package()
     defs = [node for tree in trees for top in tree.body
             for node in ([top] if not isinstance(top, ast.ClassDef)
                          else top.body)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node.name.startswith("_") and not node.name.startswith("__")]
-    dead = [d.name for d in defs
-            if used[d.name] == _referenced(d)[d.name]]
     assert defs
-    assert dead == []
+    assert _unreferenced(defs, used) == []
+
+
+# Public functions that nothing in the package calls, each with the reason
+# it stays.
+UNCALLED_PUBLIC = {
+    "riemann_theta": "acceptance criterion 8 (quasi-periodicity)",
+    "q_series_theta": "acceptance criterion 8 (genus-1 q-series)",
+    "jacobi_inversion_check": "acceptance criterion 8 (Jacobi inversion)",
+    "hamiltonian_drift": "acceptance criterion 4 (two-route flow)",
+    "angle_shift": "acceptance criterion 5 (angle linearity)",
+    "angle_integrand": "acceptance criterion 6 (Prym parity)",
+    "discriminant_zero_count": "acceptance criterion 7 (branch count)",
+    "skew_defect": "acceptance criterion 9 (SL2 skew x)",
+    "so6_relations": "acceptance criterion 9 (SL2 so(6) brackets)",
+    "plucker": "paper check: the line coordinates KLEIN folds in",
+    "plucker_relation": "paper check: the Klein quadric of those lines",
+    "theta_deriv_table": "in bench/spans.py TARGETS until the benchmark "
+                         "drops it",
+    "gp_hamiltonians": "in bench/spans.py TARGETS",
+    "angle_coordinates": "ROADMAP item 5: wired into flow run or deleted",
+}
+
+
+def test_no_dead_public_functions():
+    """Every public module-level function is referenced in the package
+    outside its own def, registers itself by a decorator (the CLI
+    commands), or is in UNCALLED_PUBLIC; and every name there is still a
+    public function that nothing calls."""
+    trees, used = _package()
+    defs = [node for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and not node.decorator_list]
+    uncalled = _unreferenced(defs, used)
+    assert defs
+    assert sorted(set(uncalled) - set(UNCALLED_PUBLIC)) == []
+    assert sorted(set(UNCALLED_PUBLIC) - set(uncalled)) == []
 
 
 def test_traced_functions_exist():

@@ -12,7 +12,7 @@ from hitchsov.errors import (TruncationOverflow, ThetaDivisor,
                              ResidueUnstable)
 from hitchsov.theta import (riemann_theta, theta_deriv_table, q_series_theta,
                             riemann_constants, sigma_series, sigma_contour,
-                            sigma_constant, jacobi_inversion_check)
+                            jacobi_inversion_check)
 
 
 def random_tau(g, rng):
@@ -74,14 +74,14 @@ class TestLatticeSum:
             riemann_theta(np.array([0.3]), tau)
 
 
-def product_lattice(tau, z, extra_radius, radius_cap):
+def product_lattice(tau, z, extra_radius):
     """The one-centre lattice built point by point with itertools.product:
     the reference for the array builder."""
     y = np.ascontiguousarray(tau.imag)
     center = -np.linalg.solve(y, np.imag(z))
     lam_min = np.linalg.eigvalsh(y).min()
     radius = np.sqrt(-np.log(1e-18) / (np.pi * lam_min)) + extra_radius
-    assert radius <= radius_cap
+    assert radius <= 60.0
     ranges = [range(int(np.floor(c - radius)), int(np.ceil(c + radius)) + 1)
               for c in center]
     pts = np.array(list(itertools.product(*ranges)), dtype=float)
@@ -125,32 +125,34 @@ class TestBatchedTheta:
             z = spread_rows(tau, rng, 1, 4.0)
             for extra in (3.0, 5.0, 7.0):
                 np.testing.assert_array_equal(
-                    theta._lattice_points(tau, z, extra, 60.0),
-                    product_lattice(tau, z[0], extra, 60.0))
+                    theta._lattice_points(tau, z, extra),
+                    product_lattice(tau, z[0], extra))
 
     def test_rows_share_the_union_lattice(self):
         rng = np.random.default_rng(2)
         tau = random_tau(2, rng)
         zs = spread_rows(tau, rng, 3, 12.0)
-        union = {tuple(p) for p in theta._lattice_points(tau, zs, 3.0, 60.0)}
-        own = [{tuple(p) for p in product_lattice(tau, z, 3.0, 60.0)}
+        union = {tuple(p) for p in theta._lattice_points(tau, zs, 3.0)}
+        own = [{tuple(p) for p in product_lattice(tau, z, 3.0)}
                for z in zs]
         assert union == set().union(*own)
 
     def test_jacobi_inversion_lattice_count(self, curve15, theta15,
                                             monkeypatch):
+        """One lattice per sigma_series call (reference and target) and
+        one for the contour circle: every sigma_j from the same three."""
         builds = []
-        real = theta._lattice_points
+        real = theta._lattice_terms
 
-        def counted(*args):
-            builds.append(len(args[1]))
-            return real(*args)
+        def counted(zs, *args):
+            builds.append(len(zs))
+            return real(zs, *args)
 
-        monkeypatch.setattr(theta, "_lattice_points", counted)
+        monkeypatch.setattr(theta, "_lattice_terms", counted)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         refs = [curve15.point(0.2 - 0.7j), curve15.point(1.3 + 0.9j)]
         jacobi_inversion_check(curve15, theta15, pts, refs)
-        assert 0 < len(builds) <= 8
+        assert builds == [2, 2, 128]
 
 
 class TestRiemannConstants:
@@ -181,7 +183,8 @@ class TestSigma:
         for k in (1, 2):
             a = sigma_series(curve15, theta15, phi, k)
             b = sigma_contour(curve15, theta15, phi, k)
-            assert abs(a - b) < 1e-6 * (1 + abs(a))
+            assert a.shape == b.shape == (k,)
+            assert np.all(np.abs(a - b) < 1e-6 * (1 + np.abs(a)))
 
     def test_constant_is_configuration_independent(self, curve15, theta15):
         rng = np.random.default_rng(8)
@@ -192,8 +195,11 @@ class TestSigma:
                 x = rng.standard_normal() + 1j * rng.standard_normal()
                 y = np.sqrt(complex(curve15.p(x)))
                 pts.append(curve15.point(x, y))
-            consts.append(sigma_constant(curve15, theta15, 1, pts))
-        assert abs(consts[0] - consts[1]) < 1e-5 * (1 + abs(consts[0]))
+            phi = sum(abel_map(curve15, theta15, p) for p in pts)
+            truth = [sum(p.x ** j for p in pts) for j in (1, 2)]
+            consts.append(truth - sigma_series(curve15, theta15, phi, 2))
+        assert np.all(np.abs(consts[0] - consts[1])
+                      < 1e-5 * (1 + np.abs(consts[0])))
 
     def test_jacobi_inversion(self, curve15, theta15):
         rng = np.random.default_rng(30)
@@ -318,8 +324,10 @@ class TestSeriesAtInfinity:
             phi = rng.uniform(0, 1, g) + td.tau @ rng.uniform(0, 1, g)
             for k in range(1, g + 1):
                 got = sigma_series(curve, td, phi, k)
-                ref = taylor_sigma_series(curve, td, phi, k)
-                assert abs(got - ref) <= 1e-12 * abs(ref)
+                assert got.shape == (k,)
+                for j in range(1, k + 1):
+                    ref = taylor_sigma_series(curve, td, phi, j)
+                    assert abs(got[j - 1] - ref) <= 1e-12 * abs(ref)
 
     def test_series_built_once_per_curve(self, monkeypatch):
         builds = []
