@@ -2,7 +2,9 @@
 
 Route 1 integrates x_dot = J^{-1} c where J is the matrix of angle
 densities, with the coefficients H frozen and each lambda kept on its
-fiber; route 2 integrates the canonical equations of the Hamiltonian
+fiber: every stage tracks it from the step's lambda by certified Newton
+(``spectral._track_roots``), with an eigensolve only where the certificate
+fails; route 2 integrates the canonical equations of the Hamiltonian
 c . H through the implicit gradients, re-solving H at every stage from
 the previous stage's H, so that on so(2n), whose quadratic system has
 several solutions, the route keeps its branch.  Both carry the h
@@ -23,7 +25,7 @@ from .curves import (_GL_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio,
                      route_path)
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
-from .spectral import SpectralPoint, eval_R, lambda_roots
+from .spectral import SpectralPoint, _track_roots, eval_R, lambda_roots
 from .separation import implicit_gradients, solve_hamiltonians
 
 
@@ -120,16 +122,11 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
         xs = state.x + dxs
         ys = _continue_sheets(curve, state.x, state.y, xs)
         # each point's fiber root nearest its previous lambda
-        roots = lambda_roots(layout, curve, ham, xs, ys)
-        pick = np.argmin(np.abs(roots - state.lam[:, None]), axis=1)
-        return SpectralPoint(xs, ys, roots[np.arange(len(xs)), pick])
+        return SpectralPoint(xs, ys, _track_roots(layout, ham, xs, ys,
+                                                  state.lam))
 
     def reproject(state, step):
-        # on-fiber re-projection: one Newton step on R = 0 in lambda
-        ev = eval_R(layout, curve, ham, state)
-        ok = np.abs(ev.d_lambda) > 1e-12
-        state = SpectralPoint(state.x, state.y, state.lam - np.where(
-            ok, ev.value / np.where(ok, ev.d_lambda, 1), 0))
+        # the tracked lambdas are converged roots: only gate the residual
         resid = np.abs(eval_R(layout, curve, ham, state).value).max()
         if not np.isfinite(resid) or resid > 1e-3:
             raise StepRejected(

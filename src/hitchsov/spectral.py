@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import binom
 
 from .curves import root_cluster_margin
 from .errors import RankError, ConditioningWarning
@@ -210,6 +211,9 @@ def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):
     ``root_cluster_margin`` cannot certify the d roots as distinct (a
     repeated fiber root, or a pair too close to resolve in double
     precision); the roots are returned anyway.
+
+    Called by the angle-density integral and, through ``_track_roots``,
+    by the fiber route for the rows its tracking certificate rejects.
     """
     d = layout.spec.d
     coeffs = lambda_poly(layout, ham, x, y)
@@ -232,3 +236,54 @@ def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):
                           f"x={np.asarray(x)[i]} (cluster margin "
                           f"{margin:.3g} <= 1)", ConditioningWarning)
     return roots
+
+
+def _track_roots(layout: CoefficientLayout, ham, x, y, lam0):
+    """Row i's root of R(., x_i, y_i) nearest lam0_i; arrays of shape (n,).
+
+    Newton runs from lam0 to a 4-ulp step on the Taylor coefficients a_k of
+    R at lam0, whose roundoff is at most gamma b_k, b_k the same shift of
+    |R| to |lam0|.  Its result zeta = lam0 + t, with the Newton inclusion
+    radius rho of ``curves.root_cluster_margin``, is kept when Pellet's test
+    |a_1| r > sum_{k != 1} |a_k| r^k, each a_k widened by its roundoff, puts
+    exactly one root in D(lam0, r), r = 2(|t| + rho): that root lies in
+    D(zeta, rho) and all others are r or more from lam0.  The other rows
+    take the nearest of their ``lambda_roots``, which warns as it does.
+    """
+    d = layout.spec.d
+    u = 2.0**-53
+    gamma = 4 * (2 * d + 1) * u / (1 - 4 * (2 * d + 1) * u)  # shift, then sum
+    k = np.arange(d + 1)
+    c = lambda_poly(layout, ham, x, y)[..., None]          # (n, d + 1, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shift = lam0[:, None, None] ** np.maximum(k - k[:, None], 0) \
+            * binom(k, k[:, None])                     # C(j, k) lam0^(j - k)
+        a = (shift @ c)[..., 0]
+        b = (np.abs(shift) @ np.abs(c))[..., 0]
+        value_slope = np.zeros(a.shape + (2,), dtype=complex)
+        value_slope[..., 0] = a
+        value_slope[:, :-1, 1] = a[:, 1:] * k[1:]
+        t = np.zeros(len(lam0), dtype=complex)
+        tol = 4 * u * np.abs(lam0)
+        for _ in range(8):
+            tpow = t[:, None] ** k
+            val, der = (tpow[:, None] @ value_slope)[:, 0].T
+            step = val / der
+            converged = np.abs(step) <= tol
+            if converged.all():
+                break
+            t = np.where(converged, t, t - step)
+        # at the last point evaluated: rho, then Pellet's test in the form
+        # 2 |a_1| r > sum_k (|a_k| + gamma b_k) r^k
+        abs_a = np.abs(a)
+        bound = ((abs_a + b) * np.abs(tpow)).sum(axis=1)
+        rho = d * (np.abs(val) + gamma * bound) / np.abs(der)
+        r = 2 * (np.abs(t) + rho)
+        ok = converged & (2 * abs_a[:, 1] * r > (
+            (abs_a + gamma * b) * r[:, None] ** k).sum(axis=1))
+    zeta = lam0 + t
+    if not ok.all():
+        roots = lambda_roots(layout, None, ham, x[~ok], y[~ok])
+        zeta[~ok] = roots[np.arange(len(roots)), np.argmin(
+            np.abs(roots - lam0[~ok, None]), axis=1)]
+    return zeta

@@ -216,7 +216,8 @@ def sigma_contour(curve, theta_data, phi, k, nsamples=64):
 
     Samples the z-chart circle of half the chart radius with the trapezoid
     rule at 2 nsamples points, and raises ResidueUnstable unless, for every
-    j, the sum over every other sample agrees with it to 1e-6.
+    j, the sum over every other sample agrees with it to 1e-6 max(1, |r_j|),
+    r_j the 2 nsamples sum.
     """
     tau = theta_data.tau
     kvec = theta_data.riemann_constants
@@ -239,7 +240,7 @@ def sigma_contour(curve, theta_data, phi, k, nsamples=64):
     terms = np.array([dlog * zs ** (1 - 2 * j) for j in range(1, k + 1)])
     r1 = np.sum(terms[:, ::2], axis=1) / nsamples
     r2 = np.sum(terms, axis=1) / nn
-    shifted = np.abs(r1 - r2).max()
+    shifted = (np.abs(r1 - r2) / np.maximum(1.0, np.abs(r2))).max()
     if shifted > 1e-6:
         raise ResidueUnstable(
             f"residue shifted by {shifted:.2e} under sample doubling")

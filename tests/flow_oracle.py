@@ -1,0 +1,44 @@
+"""The fiber route before certified root tracking, as the test reference.
+
+``flow_fiber`` is ``flows.flow_fiber`` with each stage's lambda taken from
+a full ``lambda_roots`` eigensolve, as the root nearest the previous
+lambda, and with each step re-projected by one Newton step on R = 0 before
+the 1e-3 residual gate.
+"""
+
+import numpy as np
+
+from hitchsov.errors import StepRejected
+from hitchsov.flows import (Trajectory, _continue_sheets, integrate,
+                            jacobi_matrix)
+from hitchsov.spectral import SpectralPoint, eval_R, lambda_roots
+
+
+def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
+    c = np.asarray(c, dtype=complex)
+
+    def velocity(state):
+        return np.linalg.solve(jacobi_matrix(layout, curve, ham, state), c)
+
+    def advance(state, dxs):
+        xs = state.x + dxs
+        ys = _continue_sheets(curve, state.x, state.y, xs)
+        roots = lambda_roots(layout, curve, ham, xs, ys)
+        pick = np.argmin(np.abs(roots - state.lam[:, None]), axis=1)
+        return SpectralPoint(xs, ys, roots[np.arange(len(xs)), pick])
+
+    def reproject(state, step):
+        ev = eval_R(layout, curve, ham, state)
+        ok = np.abs(ev.d_lambda) > 1e-12
+        state = SpectralPoint(state.x, state.y, state.lam - np.where(
+            ok, ev.value / np.where(ok, ev.d_lambda, 1), 0))
+        resid = np.abs(eval_R(layout, curve, ham, state).value).max()
+        if not np.isfinite(resid) or resid > 1e-3:
+            raise StepRejected(
+                f"fiber residual {resid:.2e} after step {step}",
+                suggested_dt=dt / 2)
+        return state
+
+    states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
+                       scheme, reproject)
+    return Trajectory(np.arange(len(states)) * dt, states)

@@ -19,6 +19,7 @@ from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
 
 from conftest import sample_fiber_config
 from continuation_oracle import track_sheets
+import flow_oracle
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +207,9 @@ class TestTypedErrors:
 
 
 class TestCallCounts:
-    """One eval_R and one lambda_roots call per RK stage, whatever h."""
+    """One eval_R call per RK stage, whatever h, and one more per step for
+    the fiber route's residual gate; no lambda_roots call on either route,
+    since the fiber route tracks its roots."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -222,7 +225,8 @@ class TestCallCounts:
 
         for mod in (flows, separation):
             monkeypatch.setattr(mod, "eval_R", counter("eval_R"))
-        monkeypatch.setattr(flows, "lambda_roots", counter("lambda_roots"))
+        for mod in (flows, spectral):    # spectral: the tracker's fallback
+            monkeypatch.setattr(mod, "lambda_roots", counter("lambda_roots"))
         return counts
 
     @pytest.mark.parametrize("route", ["fiber", "poisson"])
@@ -244,14 +248,10 @@ class TestCallCounts:
             per_system.append(per_n)
         assert per_system[0] == per_system[1]
         (short, long), _ = per_system
-        if route == "fiber":
-            assert long["eval_R"] - short["eval_R"] == 6 * 3
-            assert long["lambda_roots"] - short["lambda_roots"] == 4 * 3
-            assert short["eval_R"] <= 6 * 2 + 2
-        else:
-            assert long["eval_R"] - short["eval_R"] == 8 * 3
-            assert long["lambda_roots"] == 0
-            assert short["eval_R"] <= 8 * 2 + 2
+        per_step = 5 if route == "fiber" else 8
+        assert long["eval_R"] - short["eval_R"] == per_step * 3
+        assert long["lambda_roots"] == 0
+        assert short["eval_R"] <= per_step * 2 + 2
 
 
 class TestStackedStates:
@@ -281,9 +281,9 @@ class TestStackedStates:
             per_system.append(per_n)
         assert per_system[0] == per_system[1]
         short, long = per_system[0]
-        # one point per advanced stage, and on the fiber route one more
-        # for the re-projected state of each step
-        assert long - short == 3 * (5 if route == "fiber" else 4)
+        # one point per advanced stage; the fiber route's residual gate
+        # keeps the state it checks
+        assert long - short == 3 * 4
         assert short <= 2 * 5
 
     @pytest.mark.parametrize("family", ["GL", "SP"])
@@ -302,6 +302,21 @@ class TestStackedStates:
             expect[k] = expect[k - 1] + avg @ (xs[k] - xs[k - 1])
         got = angle_shift(layout, curve_c, ham, traj)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+class TestFiberOracle:
+    """The tracked fiber route against the eigensolve route it replaced."""
+
+    @pytest.mark.parametrize("family", ["GL", "SP", "SO_even"])
+    def test_matches_eigensolve_route(self, curve_c, family):
+        layout, ham, cfg, c = planted(family, curve_c, 8)
+        got = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
+        ref = flow_oracle.flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
+        assert len(got.states) == len(ref.states) == 101
+        for a, b in zip(got.states, ref.states):
+            for name in ("x", "y", "lam"):
+                assert np.abs(getattr(a, name)
+                              - getattr(b, name)).max() < 1e-12
 
 
 def density_loop(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):

@@ -1,8 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from hitchsov import spectral
 from hitchsov.errors import RankError, ConditioningWarning
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, eval_R, lambda_poly,
@@ -318,3 +320,88 @@ class TestArrayForms:
         assert len(record) == 1
         assert f"x={xs[1]}" in str(record[0].message)
         assert np.abs(roots[1] - a).max() < 1e-6
+
+
+def nearest(roots, lam0):
+    """Row i's entry of roots nearest lam0[i]."""
+    pick = np.argmin(np.abs(roots - lam0[:, None]), axis=1)
+    return roots[np.arange(len(lam0)), pick]
+
+
+class TestTrackRoots:
+    """The fiber route's certified Newton tracker, against the nearest
+    root of the eigensolve, and its fallback to that eigensolve."""
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        rows = []
+        real = spectral.lambda_roots
+
+        def counted(layout, curve, ham, x, y):
+            rows.append(len(x))
+            return real(layout, curve, ham, x, y)
+        monkeypatch.setattr(spectral, "lambda_roots", counted)
+        return rows
+
+    @pytest.mark.parametrize("family", ["GL", "SP", "SO_even"])
+    def test_nearest_root_after_small_steps(self, family, curve_c,
+                                            monkeypatch):
+        rng = np.random.default_rng(12)
+        n = 40
+        layout = coefficient_layout(resolve_type(family, 2), curve_c)
+        ham = rng.standard_normal(layout.h) \
+            + 1j * rng.standard_normal(layout.h)
+        x, y, _ = random_points(curve_c, rng, n)
+        roots = lambda_roots(layout, curve_c, ham, x, y)
+        lam0 = roots[np.arange(n), rng.integers(layout.spec.d, size=n)]
+        # steps of 1e-4 to 1e-2 in x, with y continued along them
+        x1 = x + 10 ** rng.uniform(-4, -2, n) * np.exp(
+            2j * np.pi * rng.random(n))
+        y1 = np.sqrt(curve_c.p(x1))
+        y1 = np.where(np.abs(y1 - y) < np.abs(y1 + y), y1, -y1)
+        expect = nearest(lambda_roots(layout, curve_c, ham, x1, y1), lam0)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        got = spectral._track_roots(layout, ham, x1, y1, lam0)
+        assert fallbacks == []
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
+
+    def test_close_roots_fail_the_certificate(self, curve_c, monkeypatch):
+        """GL(2) with the roots m -+ eps above every x, eps = 5e-8 (so
+        B1^2 - 4 B2 = 4 eps^2), tracked from between them: Newton
+        converges, but Pellet's test cannot isolate one root."""
+        m, eps = 1.3 + 0.4j, 5e-8
+        layout = coefficient_layout(resolve_type("GL", 2), curve_c)
+        ham = np.zeros(layout.h, dtype=complex)
+        ham[0], ham[2] = -2 * m, m * m - eps * eps
+        x = np.array([-0.4 + 0.6j])
+        y = np.sqrt(curve_c.p(x))
+        lam0 = np.array([m + 0.4 * eps])
+        with pytest.warns(ConditioningWarning):
+            expect = nearest(lambda_roots(layout, curve_c, ham, x, y), lam0)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        with pytest.warns(ConditioningWarning, match=re.escape(f"x={x[0]}")):
+            got = spectral._track_roots(layout, ham, x, y, lam0)
+        assert fallbacks == [1]
+        assert got[0] == expect[0]
+        assert abs(got[0] - m) < 1e-6
+
+    @pytest.mark.parametrize("lam_bad", [-0.5, 1e200])
+    def test_failed_newton_falls_back(self, curve_c, monkeypatch, lam_bad):
+        """R = (lambda - 1)(lambda + 2) above every x: dR/dlambda vanishes
+        at -1/2, and lambda0 = 1e200 overflows the shift.  The row beside
+        it is tracked."""
+        layout = coefficient_layout(resolve_type("GL", 2), curve_c)
+        ham = np.zeros(layout.h, dtype=complex)
+        ham[0], ham[2] = 1.0, -2.0
+        x = np.array([-0.4 + 0.6j, 0.3 - 0.2j])
+        y = np.sqrt(curve_c.p(x))
+        lam0 = np.array([lam_bad, 1.0 + 1e-3], dtype=complex)
+        expect = nearest(lambda_roots(layout, curve_c, ham, x, y), lam0)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral._track_roots(layout, ham, x, y, lam0)
+        assert fallbacks == [1]
+        assert np.isfinite(got).all()
+        assert got[0] == expect[0]
+        assert abs(got[1] - 1.0) < 1e-15

@@ -329,6 +329,16 @@ class TestSeriesAtInfinity:
                     ref = taylor_sigma_series(curve, td, phi, j)
                     assert abs(got[j - 1] - ref) <= 1e-12 * abs(ref)
 
+    def test_contour_stable_at_large_sigma(self, period_data):
+        """|sigma_3| is about 6e6 here, and sample doubling moves it by
+        7e-5 (1e-11 relative): the stability test scales with |sigma_j|."""
+        curve, td = period_data["curve_g3"]
+        phi = np.array([0.544 - 0.121j, -0.219 - 0.346j, -0.326 + 0.452j])
+        series = sigma_series(curve, td, phi, 3)
+        contour = sigma_contour(curve, td, phi, 3)
+        assert abs(series[2]) > 1e6
+        assert np.all(np.abs(contour - series) <= 1e-12 * np.abs(series))
+
     def test_series_built_once_per_curve(self, monkeypatch):
         builds = []
         real = curves._series_invsqrt
