@@ -71,10 +71,10 @@ class HyperellipticCurve:
         self._dcoeffs = npoly.polyder(self.coeffs)
 
     def p(self, x):
-        return npoly.polyval(x, self.coeffs)
+        return _horner(self.coeffs, x)
 
     def dp(self, x):
-        return npoly.polyval(x, self._dcoeffs)
+        return _horner(self._dcoeffs, x)
 
     def point(self, x, y_hint=None) -> CurvePoint:
         """Point on the curve above x, on the sheet nearest y_hint."""
@@ -97,6 +97,15 @@ class HyperellipticCurve:
         series = _series_invsqrt(q[:n_u], n_u)
         series.flags.writeable = False
         return series
+
+
+def _horner(c, x):
+    """sum_k c[k] x^k by the recurrence of numpy's ``polyval``, so the
+    values match it bit for bit, without its per-call argument handling."""
+    c0 = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        c0 = ck + c0 * x
+    return c0
 
 
 def build_curve(coeffs, genus_one_ok=False) -> HyperellipticCurve:

@@ -11,22 +11,64 @@ several solutions, the route keeps its branch.  Both carry the h
 separating points as one stacked SpectralPoint.
 
 The two routes integrate the same vector field (J^{-1} c equals
-y c dH/dlambda) with the same RK4 stages, so their distance certifies
-the algebra (Jacobi matrix, separation solve, implicit gradients), not
-the time integration: a step-size error common to both stays unseen.
+y c dH/dlambda).  Under the default ``dopri5`` each route chooses its own
+steps, so their distance measures the time integration as well as the
+algebra (Jacobi matrix, separation solve, implicit gradients); under the
+fixed-step schemes both take the same stages and it certifies the algebra
+alone.  ``angle_increments`` checks a route against the exact flow: its
+angle coordinates must move as phi(0) + c t.
 """
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from .curves import (_GL_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio,
                      route_path)
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
-from .spectral import SpectralPoint, _track_roots, eval_R, lambda_roots
+from .spectral import SpectralPoint, _track_roots, eval_R, lambda_poly
 from .separation import implicit_gradients, solve_hamiltonians
+
+# zgesv is zgetrf then zgetrs in one call; its solution matches
+# np.linalg.solve bit for bit, separate getrf and getrs calls do not
+_gesv, _gecon = lapack.get_lapack_funcs(("gesv", "gecon"), dtype=complex)
+
+# Dormand-Prince 5(4) (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
+# the stage rows, the last of which holds the 5th-order weights (first
+# same as last), the error weights b - b_hat, and the weights of the
+# 4th-order continuous extension (II.6)
+_DP_A = [np.array(row) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])]
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+_DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+# Error tolerances of dopri5.  At rtol 1e-11, atol 1e-13 the flow rows
+# land within about 1e-10 of RK4 at dt = 1e-4; at rtol 1e-9 the error
+# reaches 1.6e-8.
+_RTOL, _ATOL = 1e-11, 1e-13
+# step-size factors of the controller: safety, and the bounds per step
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
+# a step below this share of the run's span stalls the integration
+_MIN_STEP = 1e-12
+# angle_increments: the absolute tolerance of each segment's integral, and
+# the segments per _adaptive_gl call.  That bounds the call's memory and
+# keeps its matrix-vector products (1280 nodes by the coefficient blocks)
+# small enough that OpenBLAS runs them on one thread: threaded, they took
+# twice as long on a 2-core host with the other core busy.
+_ANGLE_TOL = 1e-13
+_ANGLE_SEGMENTS = 128
 
 
 def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
@@ -35,7 +77,8 @@ def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
 
 
 def _integrand_vector(layout, curve, ham, pt):
-    """The h angle densities at pt: shape (h,), or (n, h) for n points."""
+    """The h angle densities at pt: shape (h,), or S + (h,) for points of
+    shape S."""
     ev = eval_R(layout, curve, ham, pt)
     small = np.abs(ev.d_lambda) < 1e-10
     if np.any(small):
@@ -45,25 +88,45 @@ def _integrand_vector(layout, curve, ham, pt):
     return -ev.grad_h / np.asarray(ev.d_lambda * pt.y)[..., None]
 
 
-def jacobi_matrix(layout, curve, ham, cfg):
-    """J[j, k] = angle density j evaluated at the k-th separating point."""
+def _jacobi_solve(layout, curve, ham, cfg, rhs):
+    """J (as in ``jacobi_matrix``) and the solution v of J v = rhs, from
+    one LU factorization (zgesv), on which LAPACK estimates the 1-norm
+    condition number (zgecon).  Raises IllConditioned when that estimate
+    passes 1e12."""
     jm = _integrand_vector(layout, curve, ham, cfg).T
-    if np.linalg.cond(jm) > 1e12:
+    lu, _, v, _ = _gesv(jm, rhs)
+    rcond, _ = _gecon(lu, np.abs(jm).sum(axis=0).max())
+    if not rcond > 1e-12:
         raise IllConditioned("Jacobi matrix condition estimate above 1e12")
-    return jm
+    return jm, v
 
 
-def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
-    """Explicit Euler or classical RK4; returns the nsteps + 1 states.
+def jacobi_matrix(layout, curve, ham, cfg):
+    """J[j, k] = angle density j evaluated at the k-th separating point.
+
+    Raises IllConditioned when LAPACK's 1-norm condition estimate of J
+    passes 1e12.
+    """
+    return _jacobi_solve(layout, curve, ham, cfg, np.zeros(layout.h))[0]
+
+
+def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
+              size=np.abs):
+    """The nsteps + 1 states at t = k dt, k = 0..nsteps, by explicit Euler,
+    classical RK4 or Dormand-Prince 5(4).
 
     rhs(state) is the velocity vector and advance(state, incr) the state
     moved by incr; after(state, step), when given, turns each step's
     result into the accepted state (a re-projection or a chart switch).
-    A stage velocity that is not finite raises StepRejected; numpy's
+    euler and rk4 take fixed steps of dt, and a stage velocity that is not
+    finite raises StepRejected.  dopri5 chooses its own steps and reads
+    the states at t = k dt from its continuous extension (``_dopri5``), so
+    dt is only their spacing; size(state) gives the magnitudes of the
+    integrated coordinates that scale its relative tolerance.  numpy's
     overflow and invalid-value warnings are silenced while stepping, since
-    that check is what reports a blow-up.
+    those checks are what report a blow-up.
     """
-    if scheme not in ("euler", "rk4"):
+    if scheme not in ("euler", "rk4", "dopri5"):
         raise ValueError(f"unknown scheme {scheme!r}")
 
     def velocity(s, step):
@@ -73,8 +136,10 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
                                suggested_dt=dt / 2)
         return k
 
-    states = [state]
     with np.errstate(over="ignore", invalid="ignore"):
+        if scheme == "dopri5":
+            return _dopri5(rhs, advance, state, dt, nsteps, after, size)
+        states = [state]
         for step in range(nsteps):
             k1 = velocity(state, step)
             if scheme == "euler":
@@ -90,15 +155,95 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None):
     return states
 
 
+def _rms(v, scale):
+    return np.sqrt(np.mean(np.abs(v / scale) ** 2))
+
+
+def _dopri5(rhs, advance, state, dt, nsteps, after, size):
+    """Dormand-Prince 5(4) under the step-size controller of Hairer,
+    Norsett and Wanner (Solving ODEs I, II.4), from their starting step.
+
+    A step passes when the RMS of its error estimate, each component over
+    _ATOL + _RTOL max(size(start), size(end)), is at most 1; a stage
+    velocity that is not finite fails it too.  The states at t = k dt that
+    a step passes come from its continuous extension (II.6) through one
+    advance(start, incrs) call, incrs of shape (m,) + incr.shape, then one
+    after(rows, step) call, so both take a batch of m rows and return one
+    object whose [i] is row i; after also sees each step's end state.
+    Raises StepRejected, with the time reached and the last error
+    estimate, when a step would fall below _MIN_STEP of the span.
+    """
+    states = [state]
+    span = nsteps * dt
+    if nsteps == 0:
+        return states
+    k1 = rhs(state)
+    if not np.isfinite(k1).all():
+        raise StepRejected("non-finite velocity at t=0", suggested_dt=dt / 2)
+    # the starting step: an Euler probe of how fast the velocity changes
+    scale = _ATOL + _RTOL * size(state)
+    d0, d1 = _rms(size(state), scale), _rms(k1, scale)
+    h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
+    d2 = _rms(rhs(advance(state, math.copysign(h0, dt) * k1)) - k1,
+              scale) / h0
+    h = min(100 * h0, (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15
+            else max(1e-6, 1e-3 * h0))
+    t, err, step, fac_max = 0.0, 0.0, 0, _FAC_MAX
+    while len(states) <= nsteps:
+        last = abs(h) >= abs(span - t)
+        h = span - t if last else math.copysign(h, dt)
+        if abs(h) < _MIN_STEP * abs(span):
+            raise StepRejected(
+                f"step size {abs(h):.2e} below the floor "
+                f"{_MIN_STEP * abs(span):.2e} at t={t:.10g}, last error "
+                f"estimate {err:.2e}")
+        ks = [k1]
+        for row in _DP_A:
+            incr = h * (row @ np.array(ks))
+            end = advance(state, incr)
+            ks.append(rhs(end))
+            if not np.isfinite(ks[-1]).all():
+                break
+        ks = np.array(ks)
+        err = np.inf if len(ks) < 7 else _rms(
+            h * (_DP_E @ ks), _ATOL + _RTOL * np.maximum(size(state),
+                                                         size(end)))
+        if not err <= 1:
+            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+            fac_max = 1.0       # no growth right after a rejection
+            continue
+        theta = (np.arange(len(states), nsteps + 1) * dt - t) / h
+        if not last:
+            theta = theta[:np.searchsorted(theta, 1.0, side="right")]
+        if len(theta):
+            th, th1 = theta[:, None], 1 - theta[:, None]
+            bspl = h * ks[0] - incr
+            rest = incr - h * ks[6] - bspl
+            rows = advance(state, th * (incr + th1 * (
+                bspl + th * (rest + th1 * h * (_DP_D @ ks)))))
+            if after is not None:
+                rows = after(rows, step)
+            states += [rows[i] for i in range(len(theta))]
+        state = end if after is None else after(end, step)
+        k1 = ks[6] if state is end else rhs(state)
+        t = span if last else t + h
+        h *= min(fac_max, max(_FAC_MIN, _SAFETY * err ** -0.2)) if err > 0 \
+            else fac_max
+        fac_max, step = _FAC_MAX, step + 1
+    return states
+
+
 def _continue_sheets(curve, xs_prev, ys_prev, xs):
     """+-sqrt(P(xs)), each on the sheet that y continued along the straight
     step from (xs_prev, ys_prev) reaches: the one nearer to ys_prev times
-    the exact step ratio, i.e. at an angle of at most pi/2 from it."""
+    the exact step ratio, i.e. at an angle of at most pi/2 from it.  xs of
+    shape (m, n) continues xs_prev, of shape (n,), to m rows at once."""
     near = curve.nearest_branch_distance(xs) < curve.exclusion_radius
     if near.any():
         i = np.argmax(near)
         raise BranchCollision(
-            f"separating point {i} hit the branch locus at x={xs[i]}")
+            f"separating point {i % xs.shape[-1]} hit the branch locus at "
+            f"x={xs.flat[i]}")
     s = np.sqrt(curve.p(xs))
     pred = ys_prev * _sheet_ratio(curve, xs_prev, xs)
     return np.where((s * pred.conj()).real >= 0, s, -s)
@@ -110,20 +255,22 @@ class Trajectory:
     states: list              # one stacked SpectralPoint per time
 
 
-def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
+def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="dopri5"):
     """Route 1: integrate x_dot = J^{-1} c with the coefficients frozen."""
     c = np.asarray(c, dtype=complex)
 
     def velocity(state):
-        return np.linalg.solve(jacobi_matrix(layout, curve, ham, state), c)
+        return _jacobi_solve(layout, curve, ham, state, c)[1]
 
     def advance(state, dxs):
-        # move every point by dx, carrying sheet and fiber root along
+        # move every point by dx, carrying sheet and fiber root along; dxs
+        # of shape (m, n) moves the step's start to each of m rows
         xs = state.x + dxs
         ys = _continue_sheets(curve, state.x, state.y, xs)
         # each point's fiber root nearest its previous lambda
-        return SpectralPoint(xs, ys, _track_roots(layout, ham, xs, ys,
-                                                  state.lam))
+        lams = _track_roots(layout, ham, xs.ravel(), ys.ravel(),
+                            np.broadcast_to(state.lam, xs.shape).ravel())
+        return SpectralPoint(xs, ys, lams.reshape(xs.shape))
 
     def reproject(state, step):
         # the tracked lambdas are converged roots: only gate the residual
@@ -135,11 +282,11 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
         return state
 
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
-                       scheme, reproject)
+                       scheme, reproject, lambda s: np.abs(s.x))
     return Trajectory(np.arange(len(states)) * dt, states)
 
 
-def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
+def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="dopri5"):
     """Route 2: canonical flow of c . H through the implicit gradients."""
     c = np.asarray(c, dtype=complex)
     ham = None
@@ -152,13 +299,15 @@ def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="rk4"):
                                -state.y * (c @ dh_dx)))
 
     def advance(state, incr):
+        # x and lambda move by incr, y follows x; incr of shape (m, 2n)
+        # moves the step's start to each of m rows
         n = len(state.x)
-        xs = state.x + incr[:n]
+        xs = state.x + incr[..., :n]
         return SpectralPoint(xs, _continue_sheets(curve, state.x, state.y, xs),
-                             state.lam + incr[n:])
+                             state.lam + incr[..., n:])
 
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
-                       scheme)
+                       scheme, size=lambda s: np.abs(np.r_[s.x, s.lam]))
     return Trajectory(np.arange(len(states)) * dt, states)
 
 
@@ -171,53 +320,95 @@ def match_states(cfg_a, cfg_b):
     return cost[rows, cols].max(), cols
 
 
-def angle_shift(layout, curve, ham, trajectory: Trajectory):
-    """phi(t_k) - phi(0) along the trajectory's own deformation path.
+def _density_panels(layout, curve, ham, a, b, start):
+    """GL panels [a_i, b_i] of the h angle densities, from start_i =
+    (y, lambda) at a_i: the (n, h) integrals and (y, lambda) at each b_i.
 
-    The endpoint paths are the trajectories of the separating points
-    themselves, so the homotopy class is consistent by construction.
-    The quadrature is trapezoid in t on the stored states, which are the
-    natural sample points of the deformation.
+    y is continued by the exact segment ratio.  lambda at b_i, which
+    starts the next panel, is the root that ``_track_roots`` certifies
+    nearest start's; at the nodes, four Newton steps from start's polish
+    it, the panels being short next to the root spacing (a node that
+    Newton takes to another root leaves the panel's fine and coarse sums
+    apart, so ``_adaptive_gl`` splits it).
     """
-    n, h = len(trajectory.states), layout.h
-    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
-                    for a in ("x", "y", "lam"))            # (n, h) each
+    half, xs = _panel_nodes(a, b)
+    ys = start[:, :1] * _sheet_ratio(curve, a[:, None], xs)
+    end = np.stack((ys[:, -1], _track_roots(layout, ham, xs[:, -1],
+                                            ys[:, -1], start[:, 1])), axis=1)
+    xs, ys = xs[:, :-1].ravel(), ys[:, :-1].ravel()
+    coeffs = lambda_poly(layout, ham, xs, ys).T
+    lams = np.repeat(start[:, 1], len(_GL_WEIGHTS))
+    for _ in range(4):
+        val, der = coeffs[-1], 0.0
+        for ck in coeffs[-2::-1]:      # Horner for R and dR/dlambda
+            der = der * lams + val
+            val = val * lams + ck
+        lams = lams - val / der
     dens = _integrand_vector(layout, curve, ham, SpectralPoint(
-        xs.ravel(), ys.ravel(), lams.ravel())).reshape(n, h, h)
-    # trapezoid on each step, dens[k, point, j] against that point's dx
-    steps = np.einsum("kij,ki->kj", 0.5 * (dens[:-1] + dens[1:]),
-                      np.diff(xs, axis=0))
-    return np.vstack((np.zeros((1, h), dtype=complex),
-                      np.cumsum(steps, axis=0)))
+        xs, ys, lams)).reshape(len(a), len(_GL_WEIGHTS), layout.h)
+    return half * (_GL_WEIGHTS @ dens), end
+
+
+def _missed(y_end, lam_end, y, lam):
+    """Where a continued (y_end, lam_end) is not on the sheet of y or not
+    the fiber root lam."""
+    return (np.abs(y_end - y) > np.abs(y_end + y)) \
+        | (np.abs(lam_end - lam) > 1e-6 * (1 + np.abs(lam)))
+
+
+def angle_increments(layout, curve, ham, trajectory: Trajectory):
+    """phi(t_k) - phi(0) along a trajectory, one row per stored state.
+
+    Each point's h angle densities are integrated along the straight
+    segment between its consecutive stored positions, with y and lambda
+    continued from the stored row at the segment's start: every point and
+    segment of a block of rows in one ``_adaptive_gl`` call, a block
+    holding at most _ANGLE_SEGMENTS segments.  Raises BranchLocus where
+    that continuation does not arrive on the next stored row's sheet and
+    at the fiber root nearest its lambda.  On the exact flow of c, row k
+    is c t_k.
+    """
+    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
+                    for a in ("x", "y", "lam"))       # (rows, points) each
+    rows = max(1, _ANGLE_SEGMENTS // xs.shape[1])
+    steps = [np.zeros((1, layout.h), dtype=complex)]
+    for k in range(0, len(xs) - 1, rows):
+        block = slice(k, k + rows + 1)
+        steps.append(_segment_increments(layout, curve, ham, xs[block],
+                                         ys[block], lams[block], k))
+    return np.cumsum(np.concatenate(steps), axis=0)
+
+
+def _segment_increments(layout, curve, ham, xs, ys, lams, first):
+    """The (rows - 1, h) increments of phi between consecutive rows of the
+    (rows, points) arrays xs, ys and lams, row 0 being trajectory row
+    first, by one ``_adaptive_gl`` call over all their segments."""
+    start = np.stack((ys[:-1].ravel(), lams[:-1].ravel()), axis=1)
+    parts, end = _adaptive_gl(partial(_density_panels, layout, curve, ham),
+                              xs[:-1].ravel(), xs[1:].ravel(), start,
+                              _ANGLE_TOL)
+    # the stored lambda of an integrated route is off its fiber by the
+    # route's error: compare with the fiber root nearest to it
+    xb, yb = xs[1:].ravel(), ys[1:].ravel()
+    missed = _missed(end[:, 0], end[:, 1], yb,
+                     _track_roots(layout, ham, xb, yb, lams[1:].ravel()))
+    if missed.any():
+        k, i = np.unravel_index(np.argmax(missed), xs[1:].shape)
+        raise BranchLocus(f"point {i} left its sheet or fiber root between "
+                          f"rows {first + k} and {first + k + 1}")
+    return parts.reshape(xs[1:].shape + (layout.h,)).sum(axis=1)
 
 
 def _integrate_density(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
-    """Integrate all angle densities along the routed x-path x0 -> x1.
-
-    y is continued by the exact segment ratios and lambda by nearest fiber
-    root, node after node, on ``_adaptive_gl`` panels: one call per
-    waypoint segment, since lambda at a segment's end starts the next.
-    """
-    def panels(a, b, start):
-        half, xs = _panel_nodes(a, b)
-        ys = start[:, :1] * _sheet_ratio(curve, a[:, None], xs)
-        roots = lambda_roots(layout, curve, ham, xs.ravel(), ys.ravel())
-        roots = roots.reshape(xs.shape + (-1,))
-        lams = np.empty_like(xs)
-        lam, rows = start[:, 1], np.arange(len(xs))
-        for i in range(xs.shape[1]):  # nearest root, all panels at once
-            near = np.argmin(np.abs(roots[:, i] - lam[:, None]), axis=1)
-            lam = lams[:, i] = roots[rows, i, near]
-        dens = _integrand_vector(layout, curve, ham, SpectralPoint(
-            *(v[:, :-1].ravel() for v in (xs, ys, lams))))
-        vals = _GL_WEIGHTS @ dens.reshape(len(xs), -1, layout.h)
-        return vals * half, np.stack((ys[:, -1], lams[:, -1]), axis=1)
-
+    """Integrate all angle densities along the routed x-path x0 -> x1, on
+    ``_density_panels``: one ``_adaptive_gl`` call per waypoint segment,
+    since (y, lambda) at a segment's end starts the next."""
     total = np.zeros(layout.h, dtype=complex)
     start = np.array([y0, lam0], dtype=complex)
     way = route_path(curve, x0, x1)
     for a, b in zip(way[:-1], way[1:]):
-        part, end = _adaptive_gl(panels, [a], [b], start[None, :], tol)
+        part, end = _adaptive_gl(partial(_density_panels, layout, curve, ham),
+                                 [a], [b], start[None, :], tol)
         total += part[0]
         start = end[0]
     return (total, *start)
@@ -230,8 +421,7 @@ def angle_coordinates(layout, curve, ham, cfg, base: SpectralPoint,
     for x, y, lam in zip(cfg.x, cfg.y, cfg.lam):
         part, y_end, lam_end = _integrate_density(
             layout, curve, ham, base.x, base.y, base.lam, x, tol)
-        if abs(y_end - y) > abs(y_end + y) or \
-                abs(lam_end - lam) > 1e-6 * (1 + abs(lam)):
+        if _missed(y_end, lam_end, y, lam):
             # arrival datum on a different sheet of the cover than the
             # target: the caller's configuration fixes the homotopy class
             raise BranchLocus(

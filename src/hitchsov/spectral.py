@@ -111,10 +111,15 @@ def coefficient_layout(spec: LieTypeSpec, curve) -> CoefficientLayout:
 @dataclass
 class SpectralPoint:
     """A point (x, y, lambda) of the spectral cover over the base curve,
-    or n points when x, y and lam are arrays of shape (n,)."""
+    n points when x, y and lam are arrays of shape (n,), or m rows of n
+    points when they have shape (m, n)."""
     x: complex
     y: complex
     lam: complex
+
+    def __getitem__(self, i):
+        """Point i, or for arrays of shape (m, n) the n points of row i."""
+        return SpectralPoint(self.x[i], self.y[i], self.lam[i])
 
 
 @dataclass
@@ -134,12 +139,13 @@ def eval_R(layout: CoefficientLayout, curve, ham, pt: SpectralPoint) -> REval:
 
     A point of scalars gives scalars and a length-h gradient.  A point of
     arrays of shape (n,) gives value, d_lambda and d_x of shape (n,) and
-    grad_h of shape (n, h), one row per point, from one power matrix.
+    grad_h of shape (n, h), one row per point, from one power matrix; any
+    other shape S is flattened to that and gives S and S + (h,).
     """
     spec = layout.spec
     ham = np.asarray(ham, dtype=complex)
-    scalar = np.ndim(pt.x) == 0
-    x, y, lam = (np.atleast_1d(np.asarray(v, dtype=complex))
+    shape = np.shape(pt.x)
+    x, y, lam = (np.ravel(np.asarray(v, dtype=complex))
                  for v in (pt.x, pt.y, pt.lam))
     if any(layout.y_sizes):
         dy_dx = curve.dp(x) / (2.0 * y)
@@ -172,7 +178,9 @@ def eval_R(layout: CoefficientLayout, curve, ham, pt: SpectralPoint) -> REval:
             contrib = (spec.d - dj) * lam ** (spec.d - dj - 1)
             d_lambda = d_lambda + contrib * (b * b if squared else b)
     out = (value, d_lambda, grad, d_x)
-    return REval(*(a[0] for a in out) if scalar else out)
+    if shape == ():
+        return REval(*(a[0] for a in out))
+    return REval(*(a.reshape(shape + a.shape[1:]) for a in out))
 
 
 def lambda_poly(layout: CoefficientLayout, ham, x, y):
@@ -212,8 +220,8 @@ def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):
     repeated fiber root, or a pair too close to resolve in double
     precision); the roots are returned anyway.
 
-    Called by the angle-density integral and, through ``_track_roots``,
-    by the fiber route for the rows its tracking certificate rejects.
+    Called through ``_track_roots`` (the fiber route and the angle
+    integrals) for the rows its tracking certificate rejects.
     """
     d = layout.spec.d
     coeffs = lambda_poly(layout, ham, x, y)

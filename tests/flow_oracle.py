@@ -1,16 +1,18 @@
-"""The fiber route before certified root tracking, as the test reference.
+"""Flow references for the tests.
 
-``flow_fiber`` is ``flows.flow_fiber`` with each stage's lambda taken from
-a full ``lambda_roots`` eigensolve, as the root nearest the previous
-lambda, and with each step re-projected by one Newton step on R = 0 before
-the 1e-3 residual gate.
+``flow_fiber`` is ``flows.flow_fiber`` before certified root tracking:
+each stage's lambda is taken from a full ``lambda_roots`` eigensolve, as
+the root nearest the previous lambda, and each step is re-projected by
+one Newton step on R = 0 before the 1e-3 residual gate.  ``angle_shift``
+is the angle check before ``flows.angle_increments``: the trapezoid in t
+on the stored states.
 """
 
 import numpy as np
 
 from hitchsov.errors import StepRejected
-from hitchsov.flows import (Trajectory, _continue_sheets, integrate,
-                            jacobi_matrix)
+from hitchsov.flows import (Trajectory, _continue_sheets, _integrand_vector,
+                            integrate, jacobi_matrix)
 from hitchsov.spectral import SpectralPoint, eval_R, lambda_roots
 
 
@@ -42,3 +44,19 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
                        scheme, reproject)
     return Trajectory(np.arange(len(states)) * dt, states)
+
+
+def angle_shift(layout, curve, ham, trajectory: Trajectory):
+    """phi(t_k) - phi(0) along the trajectory's own deformation path, by
+    the trapezoid in t on the stored states: its error is the quadrature's
+    O(dt^2), not the flow's."""
+    n, h = len(trajectory.states), layout.h
+    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
+                    for a in ("x", "y", "lam"))            # (n, h) each
+    dens = _integrand_vector(layout, curve, ham, SpectralPoint(
+        xs.ravel(), ys.ravel(), lams.ravel())).reshape(n, h, h)
+    # trapezoid on each step, dens[k, point, j] against that point's dx
+    steps = np.einsum("kij,ki->kj", 0.5 * (dens[:-1] + dens[1:]),
+                      np.diff(xs, axis=0))
+    return np.vstack((np.zeros((1, h), dtype=complex),
+                      np.cumsum(steps, axis=0)))

@@ -14,7 +14,7 @@ from hitchsov.spectral import (resolve_type, coefficient_layout,
 from hitchsov.separation import (solve_hamiltonians, involution_check,
                                  gradient_scale)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
-                            flow_poisson, match_states, angle_shift,
+                            flow_poisson, match_states, angle_increments,
                             hamiltonian_drift, discriminant_zero_count)
 from hitchsov.theta import (riemann_theta, q_series_theta,
                             jacobi_inversion_check)
@@ -129,14 +129,14 @@ def test_criterion_4_two_route_flow(curve_c, gl2, gl2_flow):
 
 
 def test_criterion_5_angle_linearity(curve_c, gl2, gl2_flow):
-    ham, cfg, c, tf, _ = gl2_flow
-    shifts = angle_shift(gl2, curve_c, ham, tf)
-    expect = np.outer(tf.times, c)
-    err = np.abs(shifts - expect).max()
+    ham, cfg, c, tf, tp = gl2_flow
+    # exact increments of phi along the rows of each route
+    err = max(np.abs(angle_increments(gl2, curve_c, ham, traj)
+                     - np.outer(traj.times, c)).max() for traj in (tf, tp))
     t_end = float(tf.times[-1])
-    assert err < 1e-5 * t_end
+    assert err < 1e-10 * t_end
     report(f"criterion 5 - angle linearity: |phi(t)-phi(0)-ct| {err:.2e} "
-           f"< 1e-5 t over t = {t_end:g}")
+           f"< 1e-10 t over t = {t_end:g}, both routes")
 
 
 def test_criterion_6_prym_parity(curve_c):

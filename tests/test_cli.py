@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hitchsov.cli import main, _svg
+from hitchsov.cli import main, _svg, _traj_csv
 from hitchsov.errors import StepRejected
-from hitchsov.flows import Trajectory
+from hitchsov.flows import Trajectory, flow_fiber
 from hitchsov.spectral import SpectralPoint
 from hitchsov.separation import PhaseConfiguration
 
@@ -371,6 +371,62 @@ class TestFlowRun:
         last = np.array([float(v) for v in point1[-1][2:]])
         assert np.abs(first - last).max() < 1e-12   # zero direction
 
+
+
+class TestFlowAccuracy:
+    @staticmethod
+    def rows(path, tmp_path, name, *options):
+        res = runner.invoke(main, [
+            "flow", "run", "--input", str(path), "--output",
+            str(tmp_path / name), "--route", "both", "--t-end", "0.05",
+            *options])
+        assert res.exit_code == 0, res.output
+        return {route: np.loadtxt(tmp_path / name / f"flow_{route}.csv",
+                                  delimiter=",", skiprows=1)
+                for route in ("fiber", "poisson")}
+
+    def test_rows_match_rk4_reference(self, gl2_input, tmp_path):
+        """dopri5's rows at the default spacing against RK4 at dt = 1e-4,
+        whose error is below 1e-13 here."""
+        path, _ = gl2_input
+        got = self.rows(path, tmp_path, "dopri5", "--strict")
+        ref = self.rows(path, tmp_path, "rk4", "--scheme", "rk4",
+                        "--dt", "1e-4")
+        for route, rows in got.items():
+            h = 5                     # ten reference times per output time
+            expect = ref[route].reshape(-1, h, 8)[::10].reshape(-1, 8)
+            assert rows.shape == expect.shape == (51 * h, 8)
+            assert np.array_equal(rows[:, :2], expect[:, :2])
+            assert np.abs(rows[:, 2:] - expect[:, 2:]).max() < 1e-9
+
+
+def traj_csv_per_value(traj):
+    """The trajectory CSV as _traj_csv wrote it before it formatted each
+    line with one format string: one f-string per value."""
+    lines = ["t,i,re_x,im_x,re_y,im_y,re_lambda,im_lambda"]
+    for t, s in zip(traj.times, traj.states):
+        rows = np.column_stack((s.x, s.y, s.lam)).astype(complex).view(float)
+        for i, row in enumerate(rows):
+            lines.append(",".join([f"{float(t):.12g}", str(i + 1)]
+                                  + [f"{float(v):.17e}" for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajCsv:
+    def test_same_bytes_as_per_value_formatter(self, curve_c, gl2):
+        from test_flows import planted
+        layout, ham, cfg, c = planted("GL", curve_c, 8)
+        traj = flow_fiber(layout, curve_c, ham, cfg, c, -0.01, -1e-3)
+        assert str(traj.times[0]) == "-0.0"          # a backward run
+        s = traj.states[3]
+        x, lam = s.x.copy(), s.lam.copy()
+        x[0] = complex(-0.0, -0.0)
+        x[1] = complex(1e-310, -1e300)               # subnormal, huge
+        lam[2] = complex(0.0, -0.0)
+        traj.states[3] = SpectralPoint(x, s.y, lam)
+        text = _traj_csv(traj)
+        assert text == traj_csv_per_value(traj)
+        assert "-0.00000000000000000e+00" in text
 
 
 class TestExportPlot:

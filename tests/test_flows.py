@@ -13,9 +13,10 @@ from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
                              SingularJacobian, BranchCollision,
                              NewtonDivergence, CycleDegenerate)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
-                            flow_poisson, match_states, angle_shift,
+                            flow_poisson, match_states, angle_increments,
                             hamiltonian_drift, discriminant_zero_count,
-                            integrate, _integrand_vector, _continue_sheets)
+                            integrate, Trajectory, _integrand_vector,
+                            _continue_sheets)
 
 from conftest import sample_fiber_config
 from continuation_oracle import track_sheets
@@ -67,12 +68,53 @@ class TestTwoRoutes:
 
 class TestAngles:
     def test_linearity(self, curve_c, gl2, system):
+        """Exact increments put both routes on phi(0) + c t to near
+        roundoff; the trapezoid oracle agrees to its own O(dt^2)."""
         ham, cfg, c = system
         t_end, dt = 0.2, 1e-3
-        traj = flow_fiber(gl2, curve_c, ham, cfg, c, t_end, dt)
-        shifts = angle_shift(gl2, curve_c, ham, traj)
-        expect = np.outer(traj.times, c)
-        assert np.abs(shifts - expect).max() < 1e-5 * t_end
+        for traj in (flow_fiber(gl2, curve_c, ham, cfg, c, t_end, dt),
+                     flow_poisson(gl2, curve_c, cfg, c, t_end, dt)):
+            expect = np.outer(traj.times, c)
+            shifts = angle_increments(gl2, curve_c, ham, traj)
+            assert np.abs(shifts - expect).max() < 1e-10 * t_end
+            trapezoid = flow_oracle.angle_shift(gl2, curve_c, ham, traj)
+            assert np.abs(trapezoid - expect).max() < 1e-5 * t_end
+
+    def test_euler_leaves_the_line(self, curve_c, gl2, system):
+        # explicit Euler's O(dt) error shows in the exact increments
+        ham, cfg, c = system
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.2, 1e-2, "euler")
+        err = np.abs(angle_increments(gl2, curve_c, ham, traj)
+                     - np.outer(traj.times, c)).max()
+        assert err > 1e-5
+
+    @pytest.mark.parametrize("segments", [128, 10])
+    def test_sheet_jump_rejected(self, curve_c, gl2, system, monkeypatch,
+                                 segments):
+        # 10 segments per call: two rows of the five points per block
+        monkeypatch.setattr(flows, "_ANGLE_SEGMENTS", segments)
+        ham, cfg, c = system
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.01, 1e-3)
+        s = traj.states[4]
+        flipped = s.y.copy()
+        flipped[2] *= -1
+        traj.states[4] = SpectralPoint(s.x, flipped, s.lam)
+        with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
+            angle_increments(gl2, curve_c, ham, traj)
+
+    def test_blocks_add_up(self, curve_c, gl2, system, monkeypatch):
+        ham, cfg, c = system
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.02, 1e-3)
+        whole = angle_increments(gl2, curve_c, ham, traj)
+        monkeypatch.setattr(flows, "_ANGLE_SEGMENTS", 15)   # 3 rows each
+        blocks = angle_increments(gl2, curve_c, ham, traj)
+        assert np.abs(blocks - whole).max() <= 1e-15 * np.abs(whole).max()
+
+    def test_single_row(self, curve_c, gl2, system):
+        ham, cfg, c = system
+        traj = Trajectory(np.zeros(1), [cfg])
+        assert np.array_equal(angle_increments(gl2, curve_c, ham, traj),
+                              np.zeros((1, gl2.h)))
 
 
 class TestPrymParity:
@@ -151,6 +193,61 @@ class TestIntegrate:
             integrate(lambda y: y, lambda y, d: y + d, np.ones(1), 0.1, 1,
                       "midpoint")
 
+    def exact(self, t):
+        c, s = np.cos(2.0 * t), np.sin(2.0 * t)
+        return np.exp(-0.5 * t) * np.array([[c, s], [-s, c]]) @ self.Y0
+
+    def _dopri5(self, dt, n):
+        """dopri5's rows and the number of velocity evaluations."""
+        calls = []
+
+        def rhs(y):
+            calls.append(None)
+            return self.A @ y
+        ys = integrate(rhs, lambda y, d: y + d, self.Y0, dt, n, "dopri5")
+        assert len(ys) == n + 1 and ys[0] is self.Y0
+        return ys, len(calls)
+
+    @pytest.mark.parametrize("dt, n", [(1e-3, 1000), (0.01, 100),
+                                       (0.5, 2), (-0.01, 100)])
+    def test_dopri5_rows_on_exact_solution(self, dt, n):
+        # every row, the endpoint included, backward too (dt < 0)
+        ys, _ = self._dopri5(dt, n)
+        assert max(np.abs(y - self.exact(k * dt)).max()
+                   for k, y in enumerate(ys)) < 1e-10
+
+    def test_dopri5_stages_independent_of_spacing(self):
+        _, fine = self._dopri5(1e-3, 1000)
+        _, coarse = self._dopri5(0.5, 2)
+        assert fine == coarse < 4 * 1000 / 5      # RK4 takes 4000 here
+
+    def test_dopri5_zero_span(self):
+        ys, calls = self._dopri5(0.1, 0)
+        assert calls == 0
+
+    def test_dopri5_step_floor(self):
+        # y' = y^2 from y = 1 blows up at t = 1
+        with pytest.raises(StepRejected, match="below the floor") as info:
+            integrate(lambda y: y * y, lambda y, d: y + d, np.ones(1), 0.5,
+                      4, "dopri5")
+        reached = float(re.search(r"at t=(\S+),", str(info.value))[1])
+        assert 1 - 1e-6 < reached < 1
+        assert "last error estimate" in str(info.value)
+
+    def test_dopri5_rows_in_one_batch(self):
+        # advance and after see each step's rows as one (m, n) batch
+        seen = []
+
+        def after(y, step):
+            seen.append(np.shape(y))
+            return y
+        ys = integrate(lambda y: -y, lambda y, d: y + d, np.ones(3), 0.01,
+                       100, "dopri5", after)
+        rows = [shape[0] for shape in seen if len(shape) == 2]
+        assert sum(rows) == 100 and len(rows) < 50
+        assert np.abs(np.array(ys) - np.exp(-0.01 * np.arange(101))[:, None]
+                      ).max() < 1e-10
+
 
 def planted(family, curve, seed):
     """A planted system of the given family on the curve, with a tame
@@ -207,7 +304,7 @@ class TestTypedErrors:
 
 
 class TestCallCounts:
-    """One eval_R call per RK stage, whatever h, and one more per step for
+    """One eval_R call per RK4 stage, whatever h, and one more per step for
     the fiber route's residual gate; no lambda_roots call on either route,
     since the fiber route tracks its roots."""
 
@@ -225,8 +322,8 @@ class TestCallCounts:
 
         for mod in (flows, separation):
             monkeypatch.setattr(mod, "eval_R", counter("eval_R"))
-        for mod in (flows, spectral):    # spectral: the tracker's fallback
-            monkeypatch.setattr(mod, "lambda_roots", counter("lambda_roots"))
+        # the tracker's fallback, the one lambda_roots call of either route
+        monkeypatch.setattr(spectral, "lambda_roots", counter("lambda_roots"))
         return counts
 
     @pytest.mark.parametrize("route", ["fiber", "poisson"])
@@ -241,9 +338,10 @@ class TestCallCounts:
                 for name in counts:
                     counts[name] = 0
                 if route == "fiber":
-                    flow_fiber(layout, curve_c, ham, cfg, c, n * dt, dt)
+                    flow_fiber(layout, curve_c, ham, cfg, c, n * dt, dt,
+                               "rk4")
                 else:
-                    flow_poisson(layout, curve_c, cfg, c, n * dt, dt)
+                    flow_poisson(layout, curve_c, cfg, c, n * dt, dt, "rk4")
                 per_n.append(dict(counts))
             per_system.append(per_n)
         assert per_system[0] == per_system[1]
@@ -255,7 +353,8 @@ class TestCallCounts:
 
 
 class TestStackedStates:
-    """Flow states are stacked points, not lists of per-point objects."""
+    """Flow states are stacked points, not lists of per-point objects:
+    one SpectralPoint per RK4 stage."""
 
     @pytest.mark.parametrize("route", ["fiber", "poisson"])
     def test_constructions_per_step(self, curve_c, monkeypatch, route):
@@ -274,9 +373,10 @@ class TestStackedStates:
             for n in (2, 5):
                 built.clear()
                 if route == "fiber":
-                    flow_fiber(layout, curve_c, ham, cfg, c, n * dt, dt)
+                    flow_fiber(layout, curve_c, ham, cfg, c, n * dt, dt,
+                               "rk4")
                 else:
-                    flow_poisson(layout, curve_c, cfg, c, n * dt, dt)
+                    flow_poisson(layout, curve_c, cfg, c, n * dt, dt, "rk4")
                 per_n.append(len(built))
             per_system.append(per_n)
         assert per_system[0] == per_system[1]
@@ -300,7 +400,7 @@ class TestStackedStates:
         for k in range(1, n):
             avg = 0.5 * (dens[k - 1] + dens[k])
             expect[k] = expect[k - 1] + avg @ (xs[k] - xs[k - 1])
-        got = angle_shift(layout, curve_c, ham, traj)
+        got = flow_oracle.angle_shift(layout, curve_c, ham, traj)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -310,7 +410,7 @@ class TestFiberOracle:
     @pytest.mark.parametrize("family", ["GL", "SP", "SO_even"])
     def test_matches_eigensolve_route(self, curve_c, family):
         layout, ham, cfg, c = planted(family, curve_c, 8)
-        got = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
+        got = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3, "rk4")
         ref = flow_oracle.flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
         assert len(got.states) == len(ref.states) == 101
         for a, b in zip(got.states, ref.states):

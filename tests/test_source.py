@@ -54,7 +54,6 @@ UNCALLED_PUBLIC = {
     "q_series_theta": "acceptance criterion 8 (genus-1 q-series)",
     "jacobi_inversion_check": "acceptance criterion 8 (Jacobi inversion)",
     "hamiltonian_drift": "acceptance criterion 4 (two-route flow)",
-    "angle_shift": "acceptance criterion 5 (angle linearity)",
     "angle_integrand": "acceptance criterion 6 (Prym parity)",
     "discriminant_zero_count": "acceptance criterion 7 (branch count)",
     "skew_defect": "acceptance criterion 9 (SL2 skew x)",
@@ -64,7 +63,12 @@ UNCALLED_PUBLIC = {
     "theta_deriv_table": "in bench/spans.py TARGETS until the benchmark "
                          "drops it",
     "gp_hamiltonians": "in bench/spans.py TARGETS",
-    "angle_coordinates": "ROADMAP item 5: wired into flow run or deleted",
+    "angle_coordinates": "the paper's angle coordinates from a base point; "
+                         "tests/test_flows.py checks its density integral, "
+                         "which angle_increments shares",
+    "jacobi_matrix": "bench/workloads.py and the tests draw flow directions "
+                     "c = J w with it; the fiber route solves through "
+                     "_jacobi_solve",
 }
 
 
