@@ -479,7 +479,9 @@ def sl2_group():
           click.option("--t-end", default=0.2, type=float,
                        callback=_time_option),
           click.option("--dt", default=1e-3, type=float,
-                       callback=_time_option),
+                       callback=_time_option,
+                       help="spacing of the stored states; dopri5 chooses "
+                            "its own steps"),
           click.option("--level", default=4, type=click.IntRange(min=1),
                        help="power l of tr L(zeta)^l generating the flow"),
           tol=1e-6)

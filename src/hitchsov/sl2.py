@@ -58,6 +58,8 @@ KLEIN = _klein_tensor(SIGMA)
 # _KLEIN_AT[c] is KLEIN in that order with (a, b) flattened:
 # x.ravel() = _KLEIN_AT[c] @ (q p^T).ravel().
 _ORDER = np.array([[a for a in range(4) if a != c] + [c] for c in range(4)])
+# _AT[c] reads homogeneous (q, p) from chart c's order
+_AT = np.argsort(_ORDER, axis=1)
 _KLEIN_AT = np.stack([KLEIN[:, :, o][:, :, :, o].reshape(36, 16)
                       for o in _ORDER])
 
@@ -97,9 +99,8 @@ class GeomPhasePoint:
 
     def homogeneous(self):
         """Homogeneous (q, p) with the incidence p.q = 0."""
-        at = np.argsort(_ORDER[self.chart])
-        q, p = _chart_qp(self.qa, self.pa)
-        return q[at], p[at]
+        q, p = _homogeneous(self.qa[None], self.pa[None], [self.chart])
+        return q[0], p[0]
 
     def to_chart(self, chart):
         q, p = self.homogeneous()
@@ -111,8 +112,11 @@ class GeomPhasePoint:
 
 
 def _chart_qp(qa, pa):
-    """(q, p) = ((qa, 1), (pa, -pa.qa)) in chart order."""
-    return np.concatenate((qa, [1.0])), np.concatenate((pa, [-(pa @ qa)]))
+    """(q, p) = ((qa, 1), (pa, -pa.qa)) in chart order, of one state or,
+    for qa and pa of shape (m, 3), of m rows."""
+    return (np.concatenate((qa, np.ones_like(qa[..., :1])), axis=-1),
+            np.concatenate((pa, -(pa * qa).sum(axis=-1, keepdims=True)),
+                           axis=-1))
 
 
 def _x(q, p, chart):
@@ -192,8 +196,20 @@ def lax_pair(pp, z6, zeta, zeta_p, l):
     return lz, m
 
 
+@dataclass
+class _Rows:
+    """The flat state of the Lax flow: m rows v[k] = qa ++ pa, each in its
+    own chart[k]; one state is a batch of one row."""
+    v: np.ndarray           # (m, 6)
+    chart: np.ndarray       # (m,)
+
+    def __getitem__(self, k):
+        """Row k, as a batch of one."""
+        return _Rows(self.v[k, None], self.chart[k, None])
+
+
 def _lax_velocity(z6, zeta, l):
-    """Flow of {tr L(zeta)^l, .} on a state (qa ++ pa, chart): qdot = -F_p,
+    """Flow of {tr L(zeta)^l, .} on a one-row state: qdot = -F_p,
     pdot = F_q.
 
     x_ij = q_a KLEIN_ijab p_b makes d tr L^l = l zeta (dq.B p + q.B dp)
@@ -205,7 +221,7 @@ def _lax_velocity(z6, zeta, l):
     scale = l * zeta * np.repeat([1, -1], 3)
 
     def rhs(state):
-        v, chart = state
+        v, chart = state.v[0], state.chart[0]
         q, p = _chart_qp(v[:3], v[3:])
         lpow = np.linalg.matrix_power(zeta * _x(q, p, chart) + diag, l - 1)
         b = (lpow.T.ravel() @ _KLEIN_AT[chart]).reshape(4, 4)
@@ -215,26 +231,44 @@ def _lax_velocity(z6, zeta, l):
 
 
 def _state(pp):
-    return np.concatenate((pp.qa, pp.pa)), pp.chart
+    """The one-row state of a phase point."""
+    return _Rows(np.concatenate((pp.qa, pp.pa))[None], np.array([pp.chart]))
 
 
 def _point(state):
-    v, chart = state
-    return GeomPhasePoint(v[:3], v[3:], chart)
+    """The phase point of a one-row state."""
+    return GeomPhasePoint(state.v[0, :3], state.v[0, 3:], int(state.chart[0]))
 
 
-def _shift(state, incr):
-    return state[0] + incr, state[1]
+def _advance(state, incr):
+    """The one-row state moved by incr, or by each row of incr."""
+    v = state.v + incr
+    return _Rows(v, np.repeat(state.chart, len(v)))
 
 
-def _recenter(state, step):
-    """Switch to the chart of the largest homogeneous coordinate once the
-    affine coordinates grow large."""
-    if np.abs(state[0][:3]).max() > 1e3:
-        pp = _point(state)
-        q_hom, _ = pp.homogeneous()
-        return _state(pp.to_chart(int(np.argmax(np.abs(q_hom)))))
-    return state
+def _homogeneous(qa, pa, chart):
+    """Homogeneous (q, p), shape (m, 4) each, of m rows (qa, pa) in their
+    charts."""
+    q, p = _chart_qp(qa, pa)
+    at = _AT[chart]
+    return np.take_along_axis(q, at, 1), np.take_along_axis(p, at, 1)
+
+
+def _recenter(rows, step):
+    """Switch each row whose affine coordinates pass 1e3 to the chart of
+    its largest homogeneous coordinate."""
+    far = np.abs(rows.v[:, :3]).max(axis=1) > 1e3
+    if not far.any():
+        return rows
+    q, p = _homogeneous(rows.v[far, :3], rows.v[far, 3:], rows.chart[far])
+    chart = np.abs(q).argmax(axis=1)
+    s = np.take_along_axis(q, chart[:, None], 1)    # |s| > 1e3
+    keep = _ORDER[chart, :3]
+    v, charts = rows.v.copy(), rows.chart.copy()
+    v[far] = np.concatenate((np.take_along_axis(q, keep, 1) / s,
+                             np.take_along_axis(p, keep, 1) * s), axis=1)
+    charts[far] = chart
+    return _Rows(v, charts)
 
 
 def lax_drift(states, z6, zeta):
@@ -246,7 +280,9 @@ def lax_drift(states, z6, zeta):
     """
     probe = 0.5 * zeta + 0.25j
     z6 = np.asarray(z6, dtype=complex)
-    q, p = np.array([s.homogeneous() for s in states]).transpose(1, 0, 2)
+    q, p = _homogeneous(np.array([s.qa for s in states]),
+                        np.array([s.pa for s in states]),
+                        [s.chart for s in states])
     x = np.einsum('na,ijab,nb->nij', q, KLEIN, p)
     hams = _hamiltonians(x, z6)
     spectra = np.sort_complex(np.linalg.eigvals(probe * x + np.diag(z6)))
@@ -255,15 +291,18 @@ def lax_drift(states, z6, zeta):
 
 
 def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt):
-    """RK4 canonical flow of tr L(zeta)^l with an isospectrality report.
+    """Canonical flow of tr L(zeta)^l with an isospectrality report.
 
-    The chart is switched automatically when the affine coordinates grow
-    large.  Returns (states, report) with the two drifts of lax_drift
-    from the first to the last state.
+    Dormand-Prince 5(4) steps (``flows.integrate``, scheme dopri5) choose
+    their own sizes; the states at t = k dt come from the continuous
+    extension, so dt is only their spacing.  Each row whose affine
+    coordinates grow large moves to another chart.  Returns (states,
+    report) with the two drifts of lax_drift from the first to the last
+    state.
     """
     states = [_point(s) for s in integrate(
-        _lax_velocity(z6, zeta, l), _shift, _state(pp0), dt,
-        int(round(t_end / dt)), after=_recenter)]
+        _lax_velocity(z6, zeta, l), _advance, _state(pp0), dt,
+        int(round(t_end / dt)), "dopri5", _recenter, lambda s: np.abs(s.v))]
     ham_drift, eig_drift = lax_drift([states[0], states[-1]], z6, zeta)[-1]
     report = {
         "eigenvalue_drift": float(eig_drift),

@@ -3,9 +3,10 @@
 ``calibrate_convention`` re-derives the frozen Klein convention
 ``sl2.SIGMA`` from a search over all candidates.  ``trace_power_gradient``
 is the chart gradient of tr L(zeta)^l by the direct route: L^(l-1)
-contracted with the (6, 6, 3) gradients of x.  ``flow`` is the RK4 loop of
-``sl2.lax_flow`` driven by that gradient on GeomPhasePoint states, and
-``drift`` the columns of ``sl2.lax_drift`` computed one state at a time.
+contracted with the (6, 6, 3) gradients of x.  ``flow`` is the integration
+of ``sl2.lax_flow`` driven by that gradient on GeomPhasePoint states, one
+state at a time, and ``drift`` the columns of ``sl2.lax_drift`` computed
+one state at a time.
 """
 
 import itertools
@@ -79,23 +80,29 @@ def trace_power_gradient(pp, z6, zeta, l):
 
 
 def flow(pp0, z6, zeta, l, t_end, dt):
-    """States of the RK4 flow of tr L(zeta)^l, switching to the chart of
-    the largest homogeneous coordinate once |qa| passes 1e3."""
+    """States of the dopri5 flow of tr L(zeta)^l, switching to the chart of
+    the largest homogeneous coordinate once |qa| passes 1e3.  A batch of
+    rows is a list of GeomPhasePoint states, shifted and recentered one by
+    one."""
     def rhs(pp):
         fq, fp = trace_power_gradient(pp, z6, zeta, l)
         return np.concatenate((-fp, fq))
 
     def shift(pp, incr):
+        if incr.ndim == 2:
+            return [shift(pp, row) for row in incr]
         return sl2.GeomPhasePoint(pp.qa + incr[:3], pp.pa + incr[3:],
                                   pp.chart)
 
     def recenter(pp, step):
+        if isinstance(pp, list):
+            return [recenter(row, step) for row in pp]
         if np.abs(pp.qa).max() > 1e3:
             return pp.to_chart(int(np.argmax(np.abs(homogeneous(pp)[0]))))
         return pp
 
-    return integrate(rhs, shift, pp0, dt, int(round(t_end / dt)),
-                     after=recenter)
+    return integrate(rhs, shift, pp0, dt, int(round(t_end / dt)), "dopri5",
+                     recenter, lambda pp: np.abs(np.r_[pp.qa, pp.pa]))
 
 
 def drift(states, z6, probe):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hitchsov import parabolic as pb
 from hitchsov.errors import (IndeterminateDimension, NotIntegral,
@@ -135,6 +135,28 @@ class TestDims:
         dims, total = pb.parabolic_base_dims(ptype)
         assert dims == expect
         assert total == sum(expect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 6), st.data())
+    def test_half_moduli_dimension(self, genus, rank, data):
+        """A check independent of Riemann-Roch: the parabolic Hitchin map
+        is a Lagrangian fibration, so the base has half the dimension of
+        the moduli space, r^2 (g - 1) + 1 plus, per point, half of
+        r^2 - sum_l n_l^2, the flag variety of block sizes n_l.  It holds
+        wherever Riemann-Roch settles every index j >= 2 by degree alone,
+        d_j > 2g - 2."""
+        parts = data.draw(st.lists(st.sampled_from(list(partitions(rank))),
+                                   max_size=4))
+        assume(2 * genus - 2 + len(parts) > 0)
+        assume(all(j * (2 * genus - 2)
+                   + sum(j - pb.level_function(n, j) for n in parts)
+                   > 2 * genus - 2 for j in range(2, rank + 1)))
+        ptype = pb.ParabolicType(genus, rank,
+                                 [pb.MarkedPoint(n) for n in parts])
+        flags = sum(rank ** 2 - sum(v * v for v in n) for n in parts)
+        assert pb.parabolic_base_dims(ptype)[1] \
+            == rank ** 2 * (genus - 1) + 1 + flags // 2
+        assert flags % 2 == 0
 
     def test_indeterminate_range(self):
         # genus 1, single-block marking: d_2 = 0 lands in [0, 2g-2]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hitchsov import sl2
+from hitchsov.flows import integrate
 from hitchsov.errors import (DegenerateLine, PoleCollision, ChartSingularity,
                              StepRejected)
 import sl2_oracle as oracle
@@ -199,16 +200,41 @@ class TestLax:
         assert sl2.lax_residual(pp, z6, 0.3, 0.51, 4) >= 0.1 * scale
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_rejected(self):
-        """Standard complex normal z6, q, p whose level-4 flow blows up
-        (|p| near 1e36 at step 95): a typed error, not a NaN eigensolve,
-        and no numpy overflow warning on the way."""
-        rng = np.random.default_rng([1, 13])
+    def test_overflow_rejected(self, z6):
+        """|p| near 1e90 overflows (L^3 p) in the velocity at t = 0: a
+        typed error, not a NaN eigensolve, and no numpy overflow warning on
+        the way."""
+        pp = sl2.GeomPhasePoint(np.array([0.5, -1.0j, 0.3 + 0.2j]),
+                                1e90 * np.array([1.0, 1.0j, -1.0]))
+        with pytest.raises(StepRejected, match="at t=0") as info:
+            sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
+        assert info.value.suggested_dt == 5e-4
+
+    @pytest.mark.parametrize("seed", [[1, 13], [1, 72]],
+                             ids=["normal-1-13", "normal-1-72"])
+    def test_hard_input_matches_fine_rk4(self, seed):
+        """Standard complex normal z6, q, p on which RK4 at dt = 1e-3
+        fails: [1, 13] overflows at step 95 on a flow that stays below
+        |state| = 350, [1, 72] ends with eigenvalue drift 5e-5.  The
+        controller's steps pass the 1e-6 gate and end where RK4 at
+        dt = 5e-5 does."""
+        rng = np.random.default_rng(seed)
         z6, qa, pa = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
                       for n in (6, 3, 3))
-        with pytest.raises(StepRejected) as info:
-            sl2.lax_flow(sl2.GeomPhasePoint(qa, pa), z6, 0.3, 4, 0.2, 1e-3)
-        assert info.value.suggested_dt == 5e-4
+        pp = sl2.GeomPhasePoint(qa, pa)
+        states, report = sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
+        assert report["eigenvalue_drift"] < 1e-9
+        assert state_error(states[-1:],
+                           rk4_states(pp, z6, 0.2, 5e-5)[-1:]) < 1e-9
+
+
+def rk4_states(pp, z6, t_end, dt):
+    """States of lax_flow's level-4 velocity at zeta = 0.3 by fixed RK4
+    steps, on integrate's fixed-step path."""
+    rows = integrate(sl2._lax_velocity(z6, 0.3, 4), sl2._advance,
+                     sl2._state(pp), dt, int(round(t_end / dt)),
+                     after=sl2._recenter)
+    return [sl2._point(r) for r in rows]
 
 
 def state_error(states, ref):
@@ -241,10 +267,10 @@ class TestLaxVelocity:
         pp.chart = 1
 
         def trace_power(v):
-            x = sl2.x_matrix(sl2._point((v, pp.chart)))
+            x = sl2.x_matrix(sl2.GeomPhasePoint(v[:3], v[3:], pp.chart))
             return np.trace(np.linalg.matrix_power(0.3 * x + np.diag(z6), 4))
 
-        v0, h = sl2._state(pp)[0], 1e-6
+        v0, h = sl2._state(pp).v[0], 1e-6
         grad = np.array([(trace_power(v0 + h * e) - trace_power(v0 - h * e))
                          / (2 * h) for e in np.eye(6)])
         got = sl2._lax_velocity(z6, 0.3, 4)(sl2._state(pp))
@@ -261,10 +287,27 @@ class TestLaxVelocity:
         assert state_error(states, oracle.flow(pp, z6, 0.3, 4, 0.02, 1e-3)) \
             < 1e-12
 
+    def test_rows_match_rk4_reference(self):
+        """The rows at dt = 1e-3, read from dopri5's continuous extension,
+        against RK4 at dt = 1e-4 (lax workload input [1, 3])."""
+        rng = np.random.default_rng([1, 3])
+        z6, qa, pa = (0.5 * (rng.standard_normal(n)
+                             + 1j * rng.standard_normal(n))
+                      for n in (6, 3, 3))
+        pp = sl2.GeomPhasePoint(qa, pa)
+        states, _ = sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
+        ref = rk4_states(pp, z6, 0.2, 1e-4)[::10]
+        assert len(states) == len(ref) == 201
+        assert state_error(states, ref) < 1e-10
+
     def test_batched_drift_matches_loop(self, z6):
         rng = np.random.default_rng(19)
         states, _ = sl2.lax_flow(random_point(rng), z6, 0.3, 4, 0.05, 1e-3)
-        states[20] = states[20].to_chart(0)       # mixed charts in one batch
+        # mixed charts in one batch; chart 0 alone would not catch a wrong
+        # ordering, since swapping coordinates (0, 1) with (2, 3) in both q
+        # and p leaves the drift unchanged
+        states[20] = states[20].to_chart(0)
+        states[30] = states[30].to_chart(1)
         got = sl2.lax_drift(states, z6, 0.3)
         ref = oracle.drift(states, z6, 0.5 * 0.3 + 0.25j)
         assert np.abs(got - ref).max() < 1e-13
