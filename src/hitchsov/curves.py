@@ -3,11 +3,14 @@
 A curve is given by ``y^2 = P(x)`` with ``P`` monic of odd degree ``2g+1``,
 so there is a single point at infinity.  The module provides analytic
 continuation of ``y`` along paths in the ``x``-plane, holomorphic
-differentials ``x^(k-1) dx / y``, period matrices for the standard
-hyperelliptic homology basis, and Abel maps based at infinity.  y is
-continued along straight segments exactly, as y = prod_k (x - e_k)^(1/2)
-(``_sheet_ratio``), and integrals run on one level-synchronous adaptive
-Gauss-Legendre driver (``_adaptive_gl``).  Every series at infinity, in
+differentials ``x^(k-1) dx / y``, period matrices, and Abel maps based
+at infinity.  y is continued along straight segments exactly, as
+y = prod_k (x - e_k)^(1/2) (``_sheet_ratio``), and path integrals run on
+one level-synchronous adaptive Gauss-Legendre driver (``_adaptive_gl``).
+The homology basis lies on the chain of the branch points in (real, imag)
+order: every cycle is a loop about a run of the chain, its period a sum
+of integrals along the chain's edges (the cuts) by Gauss-Chebyshev, with
+y on the chain's one right-hand bank.  Every series at infinity, in
 the local parameter ``z`` with ``x = z^-2``, is read from one expansion
 of ``1/sqrt(Q(z^2))`` held by the curve.
 """
@@ -229,20 +232,6 @@ def continue_y(curve: HyperellipticCurve, path, y_start):
     return y0 * np.cumprod(np.r_[1.0, _sheet_ratio(curve, path[:-1], path[1:])])
 
 
-def _sample_sheets(curve, xs, y_start):
-    """+-sqrt(P) at the vertices of the polyline xs, continued from y_start
-    at xs[0]: the sign flips where sqrt(P) is nearer minus its predecessor
-    times the exact step ratio, so no roundoff accumulates over samples."""
-    s = np.sqrt(curve.p(xs))
-    prev = np.r_[xs[0], xs[:-1]]
-    # blocks of samples keep the (samples, branch points) temporaries small
-    ratio = np.concatenate([_sheet_ratio(curve, prev[i:i + 512], xs[i:i + 512])
-                            for i in range(0, len(xs), 512)])
-    pred = np.r_[complex(y_start), s[:-1]] * ratio
-    flip = np.abs(s - pred) > np.abs(s + pred)
-    return np.where(np.cumsum(flip) % 2 == 1, -s, s)
-
-
 # ----------------------------------------------------------------------
 # routing and quadrature
 # ----------------------------------------------------------------------
@@ -394,253 +383,104 @@ def _adaptive_gl(panel, a, b, start, tol):
 
 
 # ----------------------------------------------------------------------
-# homology contours and periods
+# homology basis and periods
 # ----------------------------------------------------------------------
 
-@dataclass
-class _Contour:
-    center: complex
-    axes: tuple  # (A, B)
-    angle: float
-
-    def sample(self, n):
-        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        rot = np.exp(1j * self.angle)
-        xs = self.center + rot * (self.axes[0] * np.cos(th) + 1j * self.axes[1] * np.sin(th))
-        dxs = rot * (-self.axes[0] * np.sin(th) + 1j * self.axes[1] * np.cos(th))
-        return xs, dxs, 2 * np.pi / n
+# Gauss-Chebyshev nodes on an edge: the first pass and the cap of the doubling
+_GC_START, _GC_CAP = 16, 1 << 14
+# two successive passes agreeing to this share of max |integral| converge
+_GC_TOL = 1e-13
 
 
-def _winding(xs, e):
-    rel = xs - e
-    return int(round(np.sum(np.angle(rel[np.r_[1:len(rel), 0]] / rel)) / (2 * np.pi)))
+def _bank_values(curve, chain):
+    """y at the midpoint of each edge [e_j, e_{j+1}] of the chain, all on
+    the chain's right-hand bank: y from sqrt(P) at the first midpoint is
+    continued along the chain, round each shared vertex by an arc of radius
+    min_separation / 4 on the right.  Raises CycleDegenerate when a
+    continued value is not +-sqrt(P) to 1e-6."""
+    mids = 0.5 * (chain[:-1] + chain[1:])
+    ys = [complex(np.sqrt(curve.p(mids[0])))]
+    r = 0.25 * curve.min_separation
+    for j in range(1, len(mids)):
+        v = chain[j]
+        back, ahead = _unit(chain[j - 1] - v), _unit(chain[j + 1] - v)
+        a0 = np.angle(back)
+        sweep = np.angle(ahead / back) % (2 * np.pi)  # counterclockwise
+        arc = v + r * np.exp(1j * _arc_angles(a0, a0 + sweep / 2, a0 + sweep))
+        y = continue_y(curve, np.r_[mids[j - 1], arc, mids[j]], ys[-1])[-1]
+        s = np.sqrt(curve.p(mids[j]))
+        if not min(abs(y - s), abs(y + s)) <= 1e-6 * abs(s):
+            raise CycleDegenerate(
+                f"continuation round the vertex {v:.6g} missed both sheets "
+                f"(|y^2 - P| = {abs(y * y - s * s):.3e})")
+        ys.append(y)
+    return ys
 
 
-def _enclosing_contour(curve, inside_idx):
-    """Ellipse enclosing exactly the branch points with the given indices."""
-    pts = curve.branch_points[inside_idx]
-    others = np.delete(curve.branch_points, inside_idx)
-    c = pts.mean()
-    rel = pts - c
-    # principal axis of the enclosed set
-    cov = np.array(
-        [
-            [np.sum(rel.real**2), np.sum(rel.real * rel.imag)],
-            [np.sum(rel.real * rel.imag), np.sum(rel.imag**2)],
-        ]
-    )
-    w, v = np.linalg.eigh(cov)
-    angle = float(np.arctan2(v[1, -1], v[0, -1]))
-    loc = rel * np.exp(-1j * angle)
-    a_ext, b_ext = np.max(np.abs(loc.real)), np.max(np.abs(loc.imag))
-    gap = (
-        np.min(np.abs(others[:, None] - pts[None, :])) if len(others) else curve.min_separation
-    )
-    for frac in (0.45, 0.3, 0.2, 0.12, 0.07):
-        delta = max(frac * gap, 2 * curve.exclusion_radius)
-        cont = _Contour(c, (a_ext + delta, b_ext + delta), angle)
-        xs, _, _ = cont.sample(512)
-        dist = np.min(np.abs(xs[:, None] - curve.branch_points[None, :]))
-        if dist < 2 * curve.exclusion_radius:
-            continue
-        if all(_winding(xs, e) == 1 for e in pts) and all(
-            _winding(xs, e) == 0 for e in others
-        ):
-            return cont
-    raise CycleDegenerate(f"no valid contour around branch points {inside_idx}")
+def _edge_integrals(curve, chain, ys):
+    """(g, 2g) integrals of x^k dx / y, k < g, over the edges [e_j, e_{j+1}]
+    of the chain, with y(mid_j) = ys[j].
 
-
-def homology_contours(curve: HyperellipticCurve):
-    """Ellipse contours of the a- and b-cycles.
-
-    With branch points sorted by real part (ties by imaginary part),
-    a_i encircles the pair (e_{2i-1}, e_{2i}) and b_i encircles
-    e_{2i}, ..., e_{2g+1}; nested in-plane contours keep the lifted
-    intersection pairing canonical.
+    On x = mid + half t, y = y(mid) sqrt(1 - t^2) R(t), where R is the
+    product of the branch-point ratios of ``_sheet_ratio`` over the other
+    branch points: the edge's own two factors are the Gauss-Chebyshev
+    weight (Frauendiener and Klein, J. Comput. Appl. Math. 167, 2004).  The
+    node count doubles from _GC_START until two passes agree to _GC_TOL;
+    raises CycleDegenerate, naming the edge, past _GC_CAP nodes.
     """
-    order = np.lexsort((curve.branch_points.imag, curve.branch_points.real))
     g = curve.genus
-    a_cycles = [_enclosing_contour(curve, order[2 * i : 2 * i + 2]) for i in range(g)]
-    b_cycles = [_enclosing_contour(curve, order[2 * i + 1 :]) for i in range(g)]
-    return a_cycles, b_cycles
+    out = np.empty((g, len(ys)), dtype=complex)
+    for j, y_mid in enumerate(ys):
+        lo, hi = chain[j], chain[j + 1]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rest = np.delete(chain, (j, j + 1))
+        n, prev = _GC_START, None
+        while True:
+            x = mid + half * np.cos((np.arange(n) + 0.5) * np.pi / n)
+            y = y_mid * np.sqrt((x[:, None] - rest) / (mid - rest)).prod(axis=1)
+            powers = np.vander(x, g, increasing=True)
+            vals = np.pi / n * half * (powers / y[:, None]).sum(axis=0)
+            if prev is not None:
+                diff = np.abs(vals - prev).max()
+                if diff <= _GC_TOL * np.abs(vals).max():
+                    break
+                if n == _GC_CAP:
+                    raise CycleDegenerate(
+                        f"Gauss-Chebyshev on the edge [{lo:.6g}, {hi:.6g}] not "
+                        f"converged at {n} nodes (last difference {diff:.3e})")
+            prev, n = vals, 2 * n
+        out[:, j] = vals
+    return out
 
 
-def _anchor(curve):
+def _chain_periods(curve):
+    """(g, 2g) periods of x^k dx / y, k < g, on the cycles a_1..a_g,
+    b_1..b_g of the branch-point chain (see ``period_matrix``)."""
     e = curve.branch_points
-    span = max(np.max(np.abs(e - e.mean())), curve.min_separation)
-    x0 = e.mean() + 3.0 * span + 2.0
-    return complex(x0), complex(np.sqrt(curve.p(x0)))
-
-
-def _cycle_periods(curve, contour, y_start, tol=1e-11):
-    """Integrals of the g monomial differentials around a closed contour,
-    started on the sheet of y_start at its first sample.
-
-    The sample count doubles from 256 until two successive values agree to
-    tol; raises CycleDegenerate when 2^15 samples do not get there.
-    """
-    prev = None
-    n = 256
-    while n <= 1 << 15:
-        xs, dxs, dth = contour.sample(n)
-        ys = _sample_sheets(curve, np.r_[xs, xs[:1]], y_start)
-        ys, y_close = ys[:-1], ys[-1]
-        powers = np.vander(xs, curve.genus, increasing=True).T
-        vals = (powers * dxs / ys) @ np.ones(n) * dth
-        if abs(y_close - y_start) > 0.5 * abs(y_start):
-            raise CycleDegenerate("contour encloses an odd number of branch points")
-        if prev is not None:
-            diff = np.max(np.abs(vals - prev))
-            if diff < tol * (1 + np.max(np.abs(vals))):
-                return vals
-        prev = vals
-        n *= 2
-    raise CycleDegenerate(
-        f"contour periods not converged at {n // 2} samples "
-        f"(last refinement difference {diff:.3e})"
-    )
-
-
-# segments per block in _segment_crossings: two ellipses cross at most four
-# times, so few of the block pairs have overlapping bounding boxes
-_CROSSING_BLOCK = 64
-
-
-def _block_boxes(xs, pad):
-    """Padded closed bounding boxes (re_lo, re_hi, im_lo, im_hi) of the
-    blocks of _CROSSING_BLOCK consecutive segments of a closed polyline."""
-    n = len(xs)
-    starts = np.arange(0, n, _CROSSING_BLOCK)
-    ends = np.minimum(starts + _CROSSING_BLOCK, n) % n  # last vertex of block
-    boxes = []
-    for part in (xs.real, xs.imag):
-        lo = np.minimum(np.minimum.reduceat(part, starts), part[ends])
-        hi = np.maximum(np.maximum.reduceat(part, starts), part[ends])
-        boxes += [lo - pad, hi + pad]
-    return boxes
-
-
-def _segment_crossings(xs1, xs2):
-    """Indices and parameters of crossings between two closed polylines.
-
-    Segment i of xs1 runs from xs1[i] to xs1[i+1] (cyclically) and meets
-    segment j of xs2 at xs1[i] + t (xs1[i+1] - xs1[i]) for t and the
-    matching s in [0, 1).  Returns (i, j, t, orientation) in row-major
-    (i, j) order.  The segment-pair test runs only on blocks of segments
-    whose bounding boxes, padded by 1e-12 (1 + max|x|) against roundoff,
-    overlap, so time and memory stay near-linear in the sample counts.
-    """
-    pad = 1e-12 * (1 + max(np.abs(xs1).max(), np.abs(xs2).max()))
-    r1lo, r1hi, i1lo, i1hi = _block_boxes(xs1, pad)
-    r2lo, r2hi, i2lo, i2hi = _block_boxes(xs2, pad)
-    overlap = (
-        (r1lo[:, None] <= r2hi[None, :]) & (r2lo[None, :] <= r1hi[:, None])
-        & (i1lo[:, None] <= i2hi[None, :]) & (i2lo[None, :] <= i1hi[:, None])
-    )
-    a, b = xs1, np.r_[xs1[1:], xs1[:1]]
-    c, d = xs2, np.r_[xs2[1:], xs2[:1]]
-    cross = lambda u, v: u.real * v.imag - u.imag * v.real
-    hits = []
-    for k1, k2 in np.argwhere(overlap):
-        r1 = slice(k1 * _CROSSING_BLOCK, (k1 + 1) * _CROSSING_BLOCK)
-        r2 = slice(k2 * _CROSSING_BLOCK, (k2 + 1) * _CROSSING_BLOCK)
-        d1 = (b[r1] - a[r1])[:, None]
-        d2 = (d[r2] - c[r2])[None, :]
-        rel = c[r2][None, :] - a[r1][:, None]
-        denom = cross(d1, d2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = cross(rel, d2) / denom
-            s = cross(rel, d1) / denom
-        hit = (denom != 0) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
-        for i, j in np.argwhere(hit):
-            hits.append((i + r1.start, j + r2.start, t[i, j], np.sign(denom[i, j])))
-    hits.sort(key=lambda h: (h[0], h[1]))
-    return hits
-
-
-def _lifted_intersection(curve, cyc1, cyc2):
-    """Intersection number of two sampled cycles on the surface."""
-    xs1, ys1 = cyc1
-    xs2, ys2 = cyc2
-    total = 0
-    for i, j, t, orient in _segment_crossings(xs1, xs2):
-        x_star = xs1[i] + t * (xs1[(i + 1) % len(xs1)] - xs1[i])
-        s = np.sqrt(curve.p(x_star))
-        sheet1 = 1 if abs(s - ys1[i]) <= abs(s + ys1[i]) else -1
-        sheet2 = 1 if abs(s - ys2[j]) <= abs(s + ys2[j]) else -1
-        if sheet1 == sheet2:
-            total += int(orient)
-    return total
-
-
-def _symplectic_transform(j_mat):
-    """Integer T with T J T^t in canonical (a_1..a_g, b_1..b_g) form."""
-    j = np.array(np.rint(j_mat), dtype=np.int64)
-    n = j.shape[0]
-    g = n // 2
-    t = np.eye(n, dtype=np.int64)
-    placed = 0
-    guard = 0
-    while placed < 2 * g:
-        guard += 1
-        if guard > 64 * n:
-            raise CycleDegenerate("symplectic reduction did not converge")
-        block = j[placed:, placed:]
-        nz = np.argwhere(block != 0)
-        if len(nz) == 0:
-            raise CycleDegenerate("candidate cycles do not span the homology")
-        i0, j0 = min(nz, key=lambda ij: abs(block[ij[0], ij[1]]))
-        i0 += placed
-        j0 += placed
-        _swap(j, t, placed, i0)
-        if j0 == placed:
-            j0 = i0
-        _swap(j, t, placed + 1, j0)
-        if j[placed, placed + 1] < 0:
-            _negate(j, t, placed + 1)
-        pivot = j[placed, placed + 1]
-        for k in range(placed + 2, n):
-            q = j[placed, k] // pivot
-            if q:
-                _add_multiple(j, t, k, placed + 1, -q)
-            q = j[placed + 1, k] // pivot
-            if q:
-                _add_multiple(j, t, k, placed, q)
-        if all(j[placed, k] == 0 == j[placed + 1, k] for k in range(placed + 2, n)):
-            if pivot != 1:
-                raise CycleDegenerate("intersection pairing is not unimodular")
-            placed += 2
-    order = [2 * i for i in range(g)] + [2 * i + 1 for i in range(g)]
-    return t[order]
-
-
-def _swap(j, t, a, b):
-    if a != b:
-        j[[a, b]] = j[[b, a]]
-        j[:, [a, b]] = j[:, [b, a]]
-        t[[a, b]] = t[[b, a]]
-
-
-def _negate(j, t, a):
-    j[a] *= -1
-    j[:, a] *= -1
-    t[a] *= -1
-
-
-def _add_multiple(j, t, dst, src, q):
-    """Row/column operation: cycle_dst += q * cycle_src."""
-    j[dst] += q * j[src]
-    j[:, dst] += q * j[:, src]
-    t[dst] += q * t[src]
+    chain = e[np.lexsort((e.imag, e.real))]
+    edges = 2 * _edge_integrals(curve, chain, _bank_values(curve, chain))
+    pa = edges[:, 0::2]
+    pb = np.cumsum(edges[:, :0:-2], axis=1)[:, ::-1]
+    sign = 1.0 if pa[0, 0].real > 0 else -1.0  # the sheet with Re of a_1 > 0
+    return sign * np.hstack((pa, pb))
 
 
 def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     """Normalized period matrix tau and the a-period normalization matrix.
 
-    Candidate cycles are the standard hyperelliptic contours; their lifted
-    intersection pairing is computed numerically and reduced to the
-    canonical symplectic form, so the result is valid for branch-point
-    configurations where the naive pairing is not itself canonical.
+    The cycles lie on the chain e_1 -> ... -> e_{2g+1} of the branch points
+    in (real, imag) order.  It is monotone in Re x, so it never crosses
+    itself, and a thin loop about a run of consecutive points encloses
+    exactly that run: a_i about (e_{2i-1}, e_{2i}), b_i about
+    e_{2i}, ..., e_{2g+1}.  Each loop collapses onto its cuts: a_i's period
+    is 2 int over the edge [e_{2i-1}, e_{2i}], b_i's the sum of
+    2 int over the edges [e_{2m}, e_{2m+1}], m >= i, by Gauss-Chebyshev
+    (``_edge_integrals``).  Every edge takes y on the chain's one
+    right-hand bank (``_bank_values``): of the two crossings of a_i and b_i
+    by e_{2i}, only the one below it lies on a single sheet, and no other
+    pair of cycles meets, so the pairing is canonical up to one global
+    sign, which the orientation flip below fixes.  The overall sheet is the
+    one with Re of the a_1-period of dx/y positive.
 
     The normalization matrix N maps monomial differentials to the basis
     normalized against the a-cycles: sum_k N[s,k] x^k dx/y has a_j-period
@@ -652,41 +492,8 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     (tau -> -tau) for the opposite orientation convention.
     """
     g = curve.genus
-    a_cycles, b_cycles = homology_contours(curve)
-    contours = a_cycles + b_cycles
-    ax, ay = _anchor(curve)
-    # y at each contour's first sample, continued from the anchor
-    starts = [continue_y(curve, route_path(curve, ax, c.sample(1)[0][0]), ay)[-1]
-              for c in contours]
-    periods = np.column_stack(
-        [_cycle_periods(curve, c, y0) for c, y0 in zip(contours, starts)]
-    )  # g x 2g, columns per candidate cycle
-    n = 2 * g
-    scale = np.abs(periods).max() ** 2
-    nsamp = 4096
-    while True:
-        xss = [c.sample(nsamp)[0] for c in contours]
-        sampled = [(xs, _sample_sheets(curve, xs, y0)) for xs, y0 in zip(xss, starts)]
-        j_mat = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for k in range(i + 1, n):
-                j_mat[i, k] = _lifted_intersection(curve, sampled[i], sampled[k])
-                j_mat[k, i] = -j_mat[i, k]
-        # Riemann bilinear relation: the measured periods must be isotropic
-        # for the measured pairing; a violation means a crossing was
-        # attributed to the wrong sheet, which finer sampling resolves.
-        resid = np.abs(periods @ np.linalg.inv(j_mat) @ periods.T).max()
-        if resid < 1e-6 * scale:
-            break
-        nsamp *= 2
-        if nsamp > 2 ** 16:
-            raise CycleDegenerate(
-                "intersection pairing inconsistent with measured periods "
-                f"(bilinear residual {resid:.3e})"
-            )
-    t = _symplectic_transform(j_mat)
-    new_periods = periods @ t.T.astype(float)
-    tau, norm = _normalized_tau(new_periods[:, :g], new_periods[:, g:])
+    periods = _chain_periods(curve)
+    tau, norm = _normalized_tau(periods[:, :g], periods[:, g:])
     return ThetaData(tau=tau, normalization=norm)
 
 

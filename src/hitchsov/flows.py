@@ -171,7 +171,8 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
     after(rows, step) call, so both take a batch of m rows and return one
     object whose [i] is row i; after also sees each step's end state.
     Raises StepRejected, with the time reached and the last error
-    estimate, when a step would fall below _MIN_STEP of the span.
+    estimate, when a step would fall below _MIN_STEP of the span, and at
+    t=0 when the velocity is not finite or too large to scale.
     """
     states = [state]
     span = nsteps * dt
@@ -183,6 +184,10 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
     # the starting step: an Euler probe of how fast the velocity changes
     scale = _ATOL + _RTOL * size(state)
     d0, d1 = _rms(size(state), scale), _rms(k1, scale)
+    if not (math.isfinite(d0) and math.isfinite(d1)):
+        raise StepRejected(f"velocity of size {np.abs(k1).max():.2e} overflows "
+                           f"the starting-step estimate at t=0",
+                           suggested_dt=dt / 2)
     h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
     d2 = _rms(rhs(advance(state, math.copysign(h0, dt) * k1)) - k1,
               scale) / h0

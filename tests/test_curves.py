@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,12 +7,14 @@ from hitchsov import curves
 from hitchsov.curves import (build_curve, continue_y, route_path,
                              integrate_monomials, period_matrix, abel_map,
                              lattice_reduce)
+from hitchsov.theta import jacobi_inversion_check, riemann_constants
 from hitchsov.errors import (DegreeError, DuplicateBranchPoint,
                              BranchProximity, ContinuationAmbiguity,
                              CycleDegenerate)
 
 from conftest import make_curve
 import continuation_oracle as oracle
+import contour_oracle
 
 npoly = np.polynomial.polynomial
 
@@ -21,25 +22,6 @@ npoly = np.polynomial.polynomial
 def loop_around(center, radius, n=64):
     ang = np.linspace(0.0, 2 * np.pi, n + 1)
     return center + radius * np.exp(1j * ang)
-
-
-def dense_crossings(xs1, xs2):
-    """All-pairs segment crossing test: the reference for the blocked one."""
-    a = xs1
-    b = np.r_[xs1[1:], xs1[:1]]
-    c = xs2
-    d = np.r_[xs2[1:], xs2[:1]]
-    d1 = (b - a)[:, None]
-    d2 = (d - c)[None, :]
-    rel = c[None, :] - a[:, None]
-    cross = lambda u, v: u.real * v.imag - u.imag * v.real
-    denom = cross(d1, d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross(rel, d2) / denom
-        s = cross(rel, d1) / denom
-    hit = (denom != 0) & (t >= 0) & (t < 1) & (s >= 0) & (s < 1)
-    idx = np.argwhere(hit)
-    return [(i, j, t[i, j], np.sign(denom[i, j])) for i, j in idx]
 
 
 def bisection_continue(curve, a, b, y0, depth=0):
@@ -53,19 +35,6 @@ def bisection_continue(curve, a, b, y0, depth=0):
         raise BranchProximity(f"continuation forced through x={mid} near a branch point")
     ym = bisection_continue(curve, a, mid, y0, depth + 1)
     return bisection_continue(curve, mid, b, ym, depth + 1)
-
-
-def ellipse(center, axes, angle, n):
-    return curves._Contour(center, axes, angle).sample(n)[0]
-
-
-def contour_starts(curve):
-    """Homology contours of the curve with the y each one starts on."""
-    a_cycles, b_cycles = curves.homology_contours(curve)
-    ax, ay = curves._anchor(curve)
-    for contour in a_cycles + b_cycles:
-        x0 = contour.sample(1)[0][0]
-        yield contour, continue_y(curve, route_path(curve, ax, x0), ay)[-1]
 
 
 @pytest.fixture(scope="module")
@@ -271,11 +240,6 @@ class TestPeriods:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_cycle_periods_cap_raises(self, curve15):
-        contour, y0 = next(contour_starts(curve15))   # the cycle a_1
-        with pytest.raises(CycleDegenerate, match="32768 samples"):
-            curves._cycle_periods(curve15, contour, y0, tol=0.0)
-
 
 class TestTauPostconditions:
     def test_asymmetric_tau_rejected(self):
@@ -299,58 +263,100 @@ class TestTauPostconditions:
             np.testing.assert_array_equal(out, tau)
 
 
-class TestCrossings:
-    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
-    def test_contour_pairs_match_dense(self, name, request):
+def disc_curves(seeds, genus):
+    """Curves with 2 genus + 1 branch points uniform in the disc |x| <= 2,
+    pairwise at least 0.5 apart (by rejection), one per seed."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        pts = []
+        while len(pts) < 2 * genus + 1:
+            x = 2.0 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            if all(abs(x - q) >= 0.5 for q in pts):
+                pts.append(x)
+        yield make_curve(pts)
+
+
+def raw_tau_asymmetry(periods):
+    """|tau - tau^T| / |tau| (max norms) of the periods (a | b) before
+    symmetrisation."""
+    g = periods.shape[0]
+    tau = np.linalg.solve(periods[:, :g], periods[:, g:])
+    return np.abs(tau - tau.T).max() / np.abs(tau).max()
+
+
+def assert_columns_match(got, ref):
+    """Each column of got is +- the same column of ref to 1e-12."""
+    for col, ref_col in zip(got.T, ref.T):
+        gap = min(np.abs(col - ref_col).max(), np.abs(col + ref_col).max())
+        assert gap <= 1e-12 * np.abs(ref_col).max()
+
+
+# branch points of two genus-2 curves on which no ellipse basis is found:
+# one cycle has no separating ellipse, or the trapezoid hits its cap
+REJECTED_BY_ELLIPSES = [
+    ([-0.476567 - 0.000646j, -1.042115 - 1.327473j, -0.638784 + 1.443221j,
+      1.563612 + 0.240472j, -1.358829 + 0.88239j], "no valid contour"),
+    ([-0.106884 + 1.554158j, 0.64305 + 0.091728j, 0.901846 + 0.954729j,
+      -0.500549 - 1.338299j, 1.21431 - 0.812382j], "32768 samples"),
+]
+
+
+class TestChainPeriods:
+    """The cycles on the branch-point chain against the ellipses they
+    replaced (``contour_oracle``), where those exist."""
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_pentagon",
+                                      "curve_g3"])
+    def test_fixture_columns_match_oracle(self, name, request):
         curve = request.getfixturevalue(name)
-        a_cycles, b_cycles = curves.homology_contours(curve)
-        xs = [c.sample(1024)[0] for c in a_cycles + b_cycles]
-        for i, k in itertools.combinations(range(len(xs)), 2):
-            ref = dense_crossings(xs[i], xs[k])
-            assert curves._segment_crossings(xs[i], xs[k]) == ref
+        periods = curves._chain_periods(curve)
+        assert_columns_match(periods, contour_oracle.periods(curve))
+        assert raw_tau_asymmetry(periods) < 1e-12
 
-    def test_random_ellipses_match_dense(self):
-        rng = np.random.default_rng(7)
-        total = 0
-        for _ in range(20):
-            xs1, xs2 = (ellipse(rng.standard_normal() + 1j * rng.standard_normal(),
-                                tuple(0.5 + rng.random(2)), 3 * rng.random(),
-                                int(rng.integers(100, 700)))
-                        for _ in range(2))
-            ref = dense_crossings(xs1, xs2)
-            assert curves._segment_crossings(xs1, xs2) == ref
-            total += len(ref)
-        assert total > 0
+    def test_sample_columns_match_oracle(self):
+        checked = 0
+        for genus, seeds in [(2, [[7, i] for i in range(16)]),
+                             (3, [[7, 1000 + i] for i in range(8)])]:
+            for curve in disc_curves(seeds, genus):
+                periods = curves._chain_periods(curve)
+                assert raw_tau_asymmetry(periods) < 1e-12
+                try:
+                    ref = contour_oracle.periods(curve)
+                except CycleDegenerate:
+                    continue
+                assert_columns_match(periods, ref)
+                checked += 1
+        assert checked >= 16
 
-    def test_shared_vertex(self):
-        # unit circles about 0 and 1 cross at exp(i pi/3) = 1 + exp(2i pi/3),
-        # sample 100 of each; make that one vertex
-        xs1 = ellipse(0.0, (1.0, 1.0), 0.0, 600)
-        xs2 = ellipse(1.0, (1.0, 1.0), 0.0, 300)
-        xs2[100] = xs1[100]
-        ref = dense_crossings(xs1, xs2)
-        assert (100, 100, 0.0, 1.0) in ref
-        assert curves._segment_crossings(xs1, xs2) == ref
+    @pytest.mark.parametrize("points, oracle_error", REJECTED_BY_ELLIPSES)
+    def test_curves_the_ellipses_reject(self, points, oracle_error):
+        curve = make_curve(points)
+        with pytest.raises(CycleDegenerate, match=oracle_error):
+            contour_oracle.periods(curve)
+        assert raw_tau_asymmetry(curves._chain_periods(curve)) < 1e-12
+        td = period_matrix(curve)
+        assert np.linalg.eigvalsh(td.tau.imag).min() > 0
+        riemann_constants(curve, td)
+        rng = np.random.default_rng(5)
 
-    def test_many_crossings_keep_row_major_order(self):
-        # a 64-gon (one block) against a flower that crosses it 16 times,
-        # in all of the flower's blocks, turning the other way round
-        xs1 = ellipse(0.0, (1.0, 1.0), 0.1, 64)
-        th = np.linspace(0.0, 2 * np.pi, 500, endpoint=False)
-        xs2 = (1 + 0.3 * np.cos(8 * th)) * np.exp(-1j * th)
-        ref = dense_crossings(xs1, xs2)
-        assert len(ref) == 16
-        assert curves._segment_crossings(xs1, xs2) == ref
+        def pick():
+            xs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            return [curve.point(x, rng.choice([-1, 1]) * np.sqrt(curve.p(x)))
+                    for x in xs]
+        for _ in range(3):
+            report = jacobi_inversion_check(curve, td, pick(), pick())
+            assert report["error"] < 1e-10
+            assert report["route_gap"] < 1e-10
 
-    @pytest.mark.parametrize("gap", [1e-3, 1e-9, 1e-14, 0.0])
-    def test_nearly_tangent(self, gap):
-        # unit circles whose vertices at angle 0 and pi are gap apart
-        xs1 = ellipse(0.0, (1.0, 1.0), 0.0, 512)
-        xs2 = ellipse(2.0 - gap, (1.0, 1.0), 0.0, 512)
-        ref = dense_crossings(xs1, xs2)
-        if gap == 1e-9:
-            assert len(ref) == 2
-        assert curves._segment_crossings(xs1, xs2) == ref
+    def test_gauss_chebyshev_cap_names_edge(self):
+        # the edge from 0 to 0.01 + 20i passes 0.007 from the branch point
+        # 0.012 + 10i, so 2^14 nodes do not resolve 1/y on it
+        curve = make_curve([0.0, 0.01 + 20j, 0.012 + 10j, 5.0, 10.0])
+        with pytest.raises(CycleDegenerate, match=(
+                r"Gauss-Chebyshev on the edge \[0\+0j, 0\.01\+20j\] not "
+                r"converged at 16384 nodes \(last difference \S+\)")):
+            period_matrix(curve)
+
 
 
 def random_abel_paths(curve, n, seed):

@@ -210,6 +210,19 @@ class TestLax:
             sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
         assert info.value.suggested_dt == 5e-4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_velocity_rejected(self, z6):
+        """|p| = 1e80 gives a finite velocity near 1e302 whose RMS over the
+        tolerance scale overflows: the starting step names its size, not a
+        zero step below the floor."""
+        pp = sl2.GeomPhasePoint(np.array([0.5, -1.0j, 0.3 + 0.2j]),
+                                1e80 * np.array([1.0, 1.0j, -1.0]))
+        with pytest.raises(StepRejected, match=(
+                r"velocity of size \S+e\+30\d overflows the starting-step "
+                r"estimate at t=0")) as info:
+            sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
+        assert info.value.suggested_dt == 5e-4
+
     @pytest.mark.parametrize("seed", [[1, 13], [1, 72]],
                              ids=["normal-1-13", "normal-1-72"])
     def test_hard_input_matches_fine_rk4(self, seed):

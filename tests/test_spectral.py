@@ -385,6 +385,28 @@ class TestTrackRoots:
         assert got[0] == expect[0]
         assert abs(got[0] - m) < 1e-6
 
+    def test_roundoff_term_decides_large_roots(self, curve_c, monkeypatch):
+        """GL(2) with the roots m -+ eps, |m| = 1.4e4 and eps = 1e-3,
+        tracked from 1e-6 beside m + eps.  Rounding m^2 - eps^2 alone moves
+        the roots by about 1e-5, so no root can be certified this close to
+        its neighbour; the roundoff term gamma b_k of the shifted
+        coefficients is what fails Pellet's test, and without it the
+        tracker keeps a Newton root 1.7e-5 from m + eps."""
+        m, eps = 1e4 * (1.3 + 0.4j), 1e-3
+        layout = coefficient_layout(resolve_type("GL", 2), curve_c)
+        ham = np.zeros(layout.h, dtype=complex)
+        ham[0], ham[2] = -2 * m, m * m - eps * eps
+        x = np.array([-0.4 + 0.6j])
+        y = np.sqrt(curve_c.p(x))
+        lam0 = np.array([m + eps * (1 + 1e-3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            expect = nearest(lambda_roots(layout, curve_c, ham, x, y), lam0)
+            fallbacks = self.count_fallbacks(monkeypatch)
+            got = spectral._track_roots(layout, ham, x, y, lam0)
+        assert fallbacks == [1]
+        assert got[0] == expect[0]
+
     @pytest.mark.parametrize("lam_bad", [-0.5, 1e200])
     def test_failed_newton_falls_back(self, curve_c, monkeypatch, lam_bad):
         """R = (lambda - 1)(lambda + 2) above every x: dR/dlambda vanishes

@@ -331,9 +331,13 @@ class TestSeriesAtInfinity:
 
     def test_contour_stable_at_large_sigma(self, period_data):
         """|sigma_3| is about 6e6 here, and sample doubling moves it by
-        7e-5 (1e-11 relative): the stability test scales with |sigma_j|."""
+        7e-5 (1e-11 relative): the stability test scales with |sigma_j|.
+        phi is the ellipse-basis reproducer (0.544 - 0.121i, -0.219 - 0.346i,
+        -0.326 + 0.452i) carried to the chain basis, N_chain N_ellipse^-1
+        phi, so it names the same divisor."""
         curve, td = period_data["curve_g3"]
-        phi = np.array([0.544 - 0.121j, -0.219 - 0.346j, -0.326 + 0.452j])
+        phi = np.array([-0.871632 - 0.115301j, -0.584472 - 0.421544j,
+                        -0.035001 + 0.162805j])
         series = sigma_series(curve, td, phi, 3)
         contour = sigma_contour(curve, td, phi, 3)
         assert abs(series[2]) > 1e6
