@@ -456,8 +456,12 @@ def _edge_integrals(curve, chain, ys):
 def _chain_periods(curve):
     """(g, 2g) periods of x^k dx / y, k < g, on the cycles a_1..a_g,
     b_1..b_g of the branch-point chain (see ``period_matrix``)."""
-    e = curve.branch_points
-    chain = e[np.lexsort((e.imag, e.real))]
+    e = curve.branch_points[np.argsort(curve.branch_points.real)]
+    # real parts within 1e-9 min_separation of the last are ties, broken by
+    # imag: a column of branch points is walked upwards, not in the order
+    # that the roundoff of its real parts gives
+    column = np.r_[0, np.cumsum(np.diff(e.real) > 1e-9 * curve.min_separation)]
+    chain = e[np.lexsort((e.imag, column))]
     edges = 2 * _edge_integrals(curve, chain, _bank_values(curve, chain))
     pa = edges[:, 0::2]
     pb = np.cumsum(edges[:, :0:-2], axis=1)[:, ::-1]
@@ -469,7 +473,8 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     """Normalized period matrix tau and the a-period normalization matrix.
 
     The cycles lie on the chain e_1 -> ... -> e_{2g+1} of the branch points
-    in (real, imag) order.  It is monotone in Re x, so it never crosses
+    in (real, imag) order, real parts within 1e-9 min_separation counting
+    as equal.  It is monotone in Re x, so it never crosses
     itself, and a thin loop about a run of consecutive points encloses
     exactly that run: a_i about (e_{2i-1}, e_{2i}), b_i about
     e_{2i}, ..., e_{2g+1}.  Each loop collapses onto its cuts: a_i's period

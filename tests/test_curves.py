@@ -291,13 +291,17 @@ def assert_columns_match(got, ref):
         assert gap <= 1e-12 * np.abs(ref_col).max()
 
 
-# branch points of two genus-2 curves on which no ellipse basis is found:
-# one cycle has no separating ellipse, or the trapezoid hits its cap
+# branch points of genus-2 curves on which no ellipse basis is found: one
+# cycle has no separating ellipse, or the trapezoid hits its cap.  The last
+# two put three branch points in a column, whose computed real parts differ
+# only by roundoff.
 REJECTED_BY_ELLIPSES = [
     ([-0.476567 - 0.000646j, -1.042115 - 1.327473j, -0.638784 + 1.443221j,
       1.563612 + 0.240472j, -1.358829 + 0.88239j], "no valid contour"),
     ([-0.106884 + 1.554158j, 0.64305 + 0.091728j, 0.901846 + 0.954729j,
       -0.500549 - 1.338299j, 1.21431 - 0.812382j], "32768 samples"),
+    ([0.0, 1j, 2j, 3j, 4j], "no valid contour"),
+    ([0.0, 1.0, 1 + 1j, 1 - 1j, 2.0], "no valid contour"),
 ]
 
 
