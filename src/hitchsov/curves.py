@@ -6,7 +6,7 @@ continuation of ``y`` along paths in the ``x``-plane, holomorphic
 differentials ``x^(k-1) dx / y``, period matrices, and Abel maps based
 at infinity.  y is continued along straight segments exactly, as
 y = prod_k (x - e_k)^(1/2) (``_sheet_ratio``), and path integrals run on
-one level-synchronous adaptive Gauss-Legendre driver (``_adaptive_gl``).
+one level-synchronous adaptive Gauss-Kronrod integrator (``_adaptive_gl``).
 The homology basis lies on the chain of the branch points in (real, imag)
 order: every cycle is a loop about a run of the chain, its period a sum
 of integrals along the chain's edges (the cuts) by Gauss-Chebyshev, with
@@ -33,7 +33,37 @@ from .errors import (
     DuplicateBranchPoint,
 )
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+def _gauss_kronrod():
+    """The Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK's qk21; Piessens
+    et al., 1983): the 21 nodes, ascending, and the (2, 21) weights of
+    K21, then of G10, which vanish at the 11 Kronrod-only nodes."""
+    # the nodes in [0, 1], descending; every second one is a G10 node
+    x = np.array([
+        0.995657163025808080735527280689, 0.973906528517171720077964012084,
+        0.930157491355708226001207180059, 0.865063366688984510732096688423,
+        0.780817726586416897063717578345, 0.679409568299024406234327365114,
+        0.562757134668604683339000099272, 0.433395394129247190799265943165,
+        0.294392862701460198131126603103, 0.148874338981631210884826001129,
+        0.0])
+    w = np.zeros((2, 11))
+    w[0] = [
+        0.011694638867371874278064396062, 0.032558162307964727478818972459,
+        0.054755896574351996031381300244, 0.075039674810919952767043140916,
+        0.093125454583697605535065465083, 0.109387158802297641899210590325,
+        0.123491976262065851077923342716, 0.134709217311473325928054001771,
+        0.142775938577060080797094273138, 0.147739104901338491374841515972,
+        0.149445554002916905664936468389,
+    ]
+    w[1, 1::2] = [
+        0.066671344308688137593568809893, 0.149451349150580593145776339657,
+        0.219086362515982043995534934228, 0.269266719309996355091226921569,
+        0.295524224714752870173892994651,
+    ]
+    return np.r_[-x[:-1], x[::-1]], np.hstack((w[:, :-1], w[:, ::-1]))
+
+
+_GK_NODES, _GK_WEIGHTS = _gauss_kronrod()
 
 # terms in z of the series at infinity: the longest any caller reads
 SERIES_TERMS = 96
@@ -312,21 +342,22 @@ def integrate_monomials(curve: HyperellipticCurve, waypoints, y_start, tol=1e-10
 
 
 def _panel_nodes(a, b):
-    """Half-widths (n, 1) of the panels [a_i, b_i], and their GL nodes
-    followed by b_i, shape (n, 11)."""
+    """Half-widths (n, 1) of the panels [a_i, b_i], and their 21
+    Gauss-Kronrod nodes followed by b_i, shape (n, 22)."""
     half = (0.5 * (b - a))[:, None]
     mid = (0.5 * (a + b))[:, None]
-    return half, np.concatenate((mid + half * _GL_NODES, b[:, None]), axis=1)
+    return half, np.concatenate((mid + half * _GK_NODES, b[:, None]), axis=1)
 
 
 def _monomial_panels(curve, a, b, ya):
-    """GL panels [a_i, b_i] of x^(k-1) / y from y(a_i) = ya_i: the (n, g)
-    integrals and y at each b_i."""
+    """Panels [a_i, b_i] of x^(k-1) / y from y(a_i) = ya_i: the (n, 2, g)
+    K21 and G10 integrals and y at each b_i."""
     half, xs = _panel_nodes(a, b)
     ys = ya[:, None] * _sheet_ratio(curve, a[:, None], xs)
     powers = np.vander(xs[:, :-1].ravel(), curve.genus, increasing=True)
-    vals = _GL_WEIGHTS @ (powers.reshape(len(a), -1, curve.genus) / ys[:, :-1, None])
-    return vals * half, ys[:, -1]
+    sums = _GK_WEIGHTS @ (powers.reshape(len(a), -1, curve.genus)
+                          / ys[:, :-1, None])
+    return sums * half[:, None], ys[:, -1]
 
 
 # active panels of one _adaptive_gl level, and so a bound on its memory: a
@@ -337,29 +368,28 @@ _ULP_FLOOR = 16 * np.finfo(float).eps
 
 
 def _adaptive_gl(panel, a, b, start, tol):
-    """Adaptive Gauss-Legendre integrals over the segments [a_i, b_i].
+    """Adaptive Gauss-Kronrod integrals over the segments [a_i, b_i].
 
-    panel(a, b, start) -> (values (n, m), end) integrates n panels at once
-    from start, the datum at each a continued along the path (y, or y and
-    a fiber root), and returns the datum at each b.  Each level splits all
-    active panels in two batched calls: left halves from their parents'
-    start data, then right halves from the left halves' end data.  A panel
-    at depth d is accepted when max |fine - coarse| (its halves' sum
-    against its own value) is at most tol / 2^d or _ULP_FLOOR max |fine|.
+    panel(a, b, start) -> (sums (n, 2, m), end) integrates n panels at
+    once from start, the datum at each a continued along the path (y, or
+    y and a fiber root), by K21 (sums[:, 0], "fine") and G10 (sums[:, 1],
+    "coarse") on one set of 21 nodes (``_GK_NODES``, ``_GK_WEIGHTS``), and
+    returns the datum at each b.  A panel at depth d is accepted, with its
+    K21 value, when max |fine - coarse|, the G10 error, is at most
+    tol / 2^d or _ULP_FLOOR max |fine|.  Each level splits only the
+    rejected panels, in two batched calls: left halves from their parents'
+    start data, then right halves from the left halves' end data.
     Returns the (len(a), m) segment integrals and the datum at each b_i;
     raises CycleDegenerate at depth 24 or past _MAX_PANELS active panels.
     """
     a = np.asarray(a, dtype=complex)
     b = seg_end = np.asarray(b, dtype=complex)
     start, seg = np.asarray(start), np.arange(len(a))
-    coarse, end_data = panel(a, b, start)
-    end_data, total = np.array(end_data), np.zeros_like(coarse)
+    sums, b_data = panel(a, b, start)
+    end_data, total = np.array(b_data), np.zeros_like(sums[:, 0])
     for depth in range(25):  # every active panel is 2^-depth of its segment
-        mid = 0.5 * (a + b)
-        left, mid_data = panel(a, mid, start)
-        right, b_data = panel(mid, b, mid_data)
-        fine = left + right
-        err = np.abs(fine - coarse).max(axis=1)
+        fine = sums[:, 0]
+        err = np.abs(fine - sums[:, 1]).max(axis=1)
         size = np.abs(fine).max(axis=1)
         ok = (err <= tol * 0.5**depth) | (err <= _ULP_FLOOR * size)
         np.add.at(total, seg[ok], fine[ok])
@@ -377,9 +407,13 @@ def _adaptive_gl(panel, a, b, start, tol):
                 f"active panels{cause}: worst |fine - coarse| "
                 f"{err[worst]:.3e} against |fine| {size[worst]:.3e}")
         # the children: left halves, then right halves
-        a, b, start, coarse, seg = (np.concatenate(pair) for pair in (
-            (a[bad], mid[bad]), (mid[bad], b[bad]), (start[bad], mid_data[bad]),
-            (left[bad], right[bad]), (seg[bad], seg[bad])))
+        a, b, start, seg = a[bad], b[bad], start[bad], seg[bad]
+        mid = 0.5 * (a + b)
+        left, mid_data = panel(a, mid, start)
+        right, end = panel(mid, b, mid_data)
+        a, b, start, sums, b_data, seg = (np.concatenate(pair) for pair in (
+            (a, mid), (mid, b), (start, mid_data), (left, right),
+            (mid_data, end), (seg, seg)))
 
 
 # ----------------------------------------------------------------------

@@ -27,11 +27,11 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
-from .curves import (_GL_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio,
+from .curves import (_GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio,
                      route_path)
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
-from .spectral import SpectralPoint, _track_roots, eval_R, lambda_poly
+from .spectral import SpectralPoint, _lambda_blocks, _track_roots, eval_R
 from .separation import implicit_gradients, solve_hamiltonians
 
 # zgesv is zgetrf then zgetrs in one call; its solution matches
@@ -63,10 +63,10 @@ _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # a step below this share of the run's span stalls the integration
 _MIN_STEP = 1e-12
 # angle_increments: the absolute tolerance of each segment's integral, and
-# the segments per _adaptive_gl call.  That bounds the call's memory and
-# keeps its matrix-vector products (1280 nodes by the coefficient blocks)
-# small enough that OpenBLAS runs them on one thread: threaded, they took
-# twice as long on a 2-core host with the other core busy.
+# the segments per _adaptive_gl call, which bounds the call's memory (21
+# nodes a segment).  The densities take no matrix product over the nodes,
+# so the block size does not meet OpenBLAS threading; 64-segment blocks took
+# about 15% longer, for their extra per-call overhead.
 _ANGLE_TOL = 1e-13
 _ANGLE_SEGMENTS = 128
 
@@ -79,13 +79,48 @@ def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
 def _integrand_vector(layout, curve, ham, pt):
     """The h angle densities at pt: shape (h,), or S + (h,) for points of
     shape S."""
-    ev = eval_R(layout, curve, ham, pt)
-    small = np.abs(ev.d_lambda) < 1e-10
+    x, y, lam = (np.ravel(np.asarray(v, dtype=complex))
+                 for v in (pt.x, pt.y, pt.lam))
+    dens = _densities(layout, x, y, lam, *_lambda_blocks(layout, ham, x, y))
+    return dens.reshape(np.shape(pt.x) + (layout.h,))
+
+
+def _value_slope(coeffs, lam):
+    """R and dR/dlambda at lam, by Horner on the (n, d + 1) ascending
+    lambda coefficients."""
+    val, der = coeffs[:, -1], 0.0
+    for ck in coeffs[:, -2::-1].T:
+        der = der * lam + val
+        val = val * lam + ck
+    return val, der
+
+
+def _densities(layout, x, y, lam, blocks, coeffs):
+    """The (n, h) angle densities -dR/dH / (R_lambda y) at n points, from
+    the blocks and lambda coefficients of ``spectral._lambda_blocks`` at
+    (x, y): on block j, lambda^(d - d_j) x^k / (R_lambda y), times y on its
+    y-part and 2 B_j on the squared so(2n) block, negated.  Raises
+    BranchLocus where |R_lambda| < 1e-10."""
+    spec = layout.spec
+    xpow = x[:, None] ** np.arange(max(layout.x_sizes))
+    d_lambda = _value_slope(coeffs, lam)[1]
+    small = np.abs(d_lambda) < 1e-10
     if np.any(small):
         i = np.argmax(small)
-        raise BranchLocus(f"|dR/dlambda| = {abs(np.ravel(ev.d_lambda)[i]):.2e}"
-                          f" at x={np.ravel(pt.x)[i]}")
-    return -ev.grad_h / np.asarray(ev.d_lambda * pt.y)[..., None]
+        raise BranchLocus(f"|dR/dlambda| = {abs(d_lambda[i]):.2e}"
+                          f" at x={x[i]}")
+    inv = -1.0 / (d_lambda * y)
+    dens = np.empty((len(x), layout.h), dtype=complex)
+    for j, dj in enumerate(spec.dees):
+        fac = lam ** (spec.d - dj) * inv
+        if spec.square_last and j == len(spec.dees) - 1:
+            fac = fac * 2.0 * blocks[j]
+        dens[:, layout.x_slice(j)] = \
+            fac[:, None] * xpow[:, :layout.x_sizes[j]]
+        if layout.y_sizes[j]:
+            dens[:, layout.y_slice(j)] = \
+                (fac * y)[:, None] * xpow[:, :layout.y_sizes[j]]
+    return dens
 
 
 def _jacobi_solve(layout, curve, ham, cfg, rhs):
@@ -326,14 +361,15 @@ def match_states(cfg_a, cfg_b):
 
 
 def _density_panels(layout, curve, ham, a, b, start):
-    """GL panels [a_i, b_i] of the h angle densities, from start_i =
-    (y, lambda) at a_i: the (n, h) integrals and (y, lambda) at each b_i.
+    """Panels [a_i, b_i] of the h angle densities, from start_i =
+    (y, lambda) at a_i: the (n, 2, h) K21 and G10 integrals and (y, lambda)
+    at each b_i.
 
     y is continued by the exact segment ratio.  lambda at b_i, which
     starts the next panel, is the root that ``_track_roots`` certifies
     nearest start's; at the nodes, four Newton steps from start's polish
     it, the panels being short next to the root spacing (a node that
-    Newton takes to another root leaves the panel's fine and coarse sums
+    Newton takes to another root leaves the panel's K21 and G10 sums
     apart, so ``_adaptive_gl`` splits it).
     """
     half, xs = _panel_nodes(a, b)
@@ -341,17 +377,14 @@ def _density_panels(layout, curve, ham, a, b, start):
     end = np.stack((ys[:, -1], _track_roots(layout, ham, xs[:, -1],
                                             ys[:, -1], start[:, 1])), axis=1)
     xs, ys = xs[:, :-1].ravel(), ys[:, :-1].ravel()
-    coeffs = lambda_poly(layout, ham, xs, ys).T
-    lams = np.repeat(start[:, 1], len(_GL_WEIGHTS))
+    blocks, coeffs = _lambda_blocks(layout, ham, xs, ys)
+    lams = np.repeat(start[:, 1], _GK_WEIGHTS.shape[1])
     for _ in range(4):
-        val, der = coeffs[-1], 0.0
-        for ck in coeffs[-2::-1]:      # Horner for R and dR/dlambda
-            der = der * lams + val
-            val = val * lams + ck
+        val, der = _value_slope(coeffs, lams)
         lams = lams - val / der
-    dens = _integrand_vector(layout, curve, ham, SpectralPoint(
-        xs, ys, lams)).reshape(len(a), len(_GL_WEIGHTS), layout.h)
-    return half * (_GL_WEIGHTS @ dens), end
+    dens = _densities(layout, xs, ys, lams, blocks, coeffs)
+    sums = _GK_WEIGHTS @ dens.reshape(len(a), -1, layout.h)
+    return sums * half[:, None], end
 
 
 def _missed(y_end, lam_end, y, lam):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import binom
 
-from .curves import root_cluster_margin
+from .curves import _horner, root_cluster_margin
 from .errors import RankError, ConditioningWarning
 
 FAMILIES = ("GL", "SL", "SO_odd", "SP", "SO_even")
@@ -183,28 +183,39 @@ def eval_R(layout: CoefficientLayout, curve, ham, pt: SpectralPoint) -> REval:
     return REval(*(a.reshape(shape + a.shape[1:]) for a in out))
 
 
-def lambda_poly(layout: CoefficientLayout, ham, x, y):
-    """Coefficients (ascending) of R as a polynomial in lambda at fixed (x,y).
+def _lambda_blocks(layout: CoefficientLayout, ham, x, y):
+    """The blocks B_j and R's lambda coefficients at (x, y).
 
-    Arrays x, y of shape (n,) give shape (n, d + 1).  Scalars stay numpy
-    scalars past the power vector, whose products round as before.
+    For x and y of shape S: the list of the B_j, each of shape S, the
+    so(2n) block not yet squared, and the ascending coefficients of R as a
+    polynomial in lambda, shape S + (d + 1,).  Each B_j comes from its
+    coefficient blocks by Horner, with no matrix product: numpy's complex
+    matrix-vector products on many rows can run threaded, and far slower,
+    on a busy host.
     """
     spec = layout.spec
     ham = np.asarray(ham, dtype=complex)
     x = np.asarray(x, dtype=complex)
     coeffs = np.zeros(x.shape + (spec.d + 1,), dtype=complex)
     coeffs[..., spec.d] = 1.0
+    blocks = []
     for j, dj in enumerate(spec.dees):
-        hx = ham[layout.x_slice(j)]
+        b = _horner(ham[layout.x_slice(j)], x)
         hy = ham[layout.y_slice(j)]
-        xpow = x[..., None] ** np.arange(len(hx))
-        b = xpow @ hx
         if len(hy):
-            b = b + (xpow[..., :len(hy)] @ hy) * y
-        if spec.square_last and j == len(spec.dees) - 1:
-            b = b * b
-        coeffs[..., spec.d - dj] += b
-    return coeffs
+            b = b + _horner(hy, x) * y
+        blocks.append(b)
+        squared = spec.square_last and j == len(spec.dees) - 1
+        coeffs[..., spec.d - dj] += b * b if squared else b
+    return blocks, coeffs
+
+
+def lambda_poly(layout: CoefficientLayout, ham, x, y):
+    """Coefficients (ascending) of R as a polynomial in lambda at fixed (x,y).
+
+    x and y of shape S give shape S + (d + 1,); scalars give (d + 1,).
+    """
+    return _lambda_blocks(layout, ham, x, y)[1]
 
 
 def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):

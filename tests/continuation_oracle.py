@@ -7,9 +7,10 @@ from functools import partial
 
 import numpy as np
 
-from hitchsov.curves import _GL_NODES, _GL_WEIGHTS
 from hitchsov.errors import (BranchProximity, ContinuationAmbiguity,
                              CycleDegenerate)
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 def branch_distances(curve, xs):
@@ -68,10 +69,10 @@ def continue_nodes(curve, a, xs, y0):
 
 def segment_gl(curve, a, b, y0):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xs = mid + half * _GL_NODES
+    xs = mid + half * GL_NODES
     ys = continue_nodes(curve, a, np.r_[xs, b], y0)
     powers = np.vander(xs, curve.genus, increasing=True).T
-    return (powers / ys[:-1]) @ _GL_WEIGHTS * half, ys[-1]
+    return (powers / ys[:-1]) @ GL_WEIGHTS * half, ys[-1]
 
 
 def integrate_segment(panel, a, b, y0, tol, depth=0, coarse=None):

@@ -5,12 +5,14 @@ each stage's lambda is taken from a full ``lambda_roots`` eigensolve, as
 the root nearest the previous lambda, and each step is re-projected by
 one Newton step on R = 0 before the 1e-3 residual gate.  ``angle_shift``
 is the angle check before ``flows.angle_increments``: the trapezoid in t
-on the stored states.
+on the stored states.  ``integrand_vector`` is the angle densities as
+they were read off ``eval_R``'s gradient, before they were built from the
+lambda-coefficient blocks.
 """
 
 import numpy as np
 
-from hitchsov.errors import StepRejected
+from hitchsov.errors import BranchLocus, StepRejected
 from hitchsov.flows import (Trajectory, _continue_sheets, _integrand_vector,
                             integrate, jacobi_matrix)
 from hitchsov.spectral import SpectralPoint, eval_R, lambda_roots
@@ -60,3 +62,14 @@ def angle_shift(layout, curve, ham, trajectory: Trajectory):
                       np.diff(xs, axis=0))
     return np.vstack((np.zeros((1, h), dtype=complex),
                       np.cumsum(steps, axis=0)))
+
+
+def integrand_vector(layout, curve, ham, pt):
+    """The h angle densities -grad_h R / (R_lambda y) at pt, by eval_R."""
+    ev = eval_R(layout, curve, ham, pt)
+    small = np.abs(ev.d_lambda) < 1e-10
+    if np.any(small):
+        i = np.argmax(small)
+        raise BranchLocus(f"|dR/dlambda| = {abs(np.ravel(ev.d_lambda)[i]):.2e}"
+                          f" at x={np.ravel(pt.x)[i]}")
+    return -ev.grad_h / np.asarray(ev.d_lambda * pt.y)[..., None]

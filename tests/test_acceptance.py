@@ -8,9 +8,10 @@ criteria complete; each test prints exactly one PASS line on success
 import numpy as np
 import pytest
 
-from hitchsov.curves import abel_map, build_curve
+from hitchsov.curves import abel_map, build_curve, continue_y
 from hitchsov.spectral import (resolve_type, coefficient_layout,
-                               SpectralPoint, eval_R)
+                               SpectralPoint, eval_R, lambda_roots,
+                               _track_roots)
 from hitchsov.separation import (solve_hamiltonians, involution_check,
                                  gradient_scale)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
@@ -163,14 +164,48 @@ def test_criterion_6_prym_parity(curve_c):
            f"{worst:.2e} < 1e-12 on 100 evaluations")
 
 
+def swapped(layout, curve, ham, centre, radius, sheet, steps=400):
+    """Carry both fiber roots of the d = 2 cover by _track_roots once round
+    the circle |x - centre| = radius, on the y-sheet of sign sheet at its
+    start; True when they arrive exchanged."""
+    x = centre + radius * np.exp(2j * np.pi * np.arange(steps + 1) / steps)
+    y = continue_y(curve, x, sheet * np.sqrt(complex(curve.p(x[0]))))
+    lam = start = lambda_roots(layout, curve, ham, x[0], y[0])
+    for xk, yk in zip(x[1:], y[1:]):
+        lam = _track_roots(layout, ham, np.full(2, xk), np.full(2, yk), lam)
+    # back on the fiber above x[0], one root each
+    gap = np.abs(lam[:, None] - start[None, :])
+    assert gap.min(axis=1).max() < 1e-9 * (1 + np.abs(start).max())
+    assert gap.argmin(axis=1)[0] != gap.argmin(axis=1)[1]
+    return bool(gap[0, 1] < gap[0, 0])
+
+
 def test_criterion_7_branch_count(curve_c, gl2, gl2_flow):
     ham = gl2_flow[0]
     count = discriminant_zero_count(gl2, curve_c, ham)
     assert count == 8
     ghat = 2 * curve_c.genus - 1 + count // 4
     assert ghat == 4 * (curve_c.genus - 1) + 1 == 5
+    # independently: the two fiber roots swap round each x-root of the
+    # discriminant B1^2 - 4 B2, on each y-sheet, and not round a circle
+    # that encloses none
+    b1, b2 = ham[gl2.x_slice(0)], ham[gl2.x_slice(1)]
+    npoly = np.polynomial.polynomial
+    disc = npoly.polyroots(npoly.polysub(npoly.polymul(b1, b1), 4 * b2))
+    special = np.r_[disc, curve_c.branch_points]
+    sep = np.abs(special[:, None] - special[None, :])
+    radius = 0.125 * sep[sep > 0].min()
+    swaps = sum(swapped(gl2, curve_c, ham, e, radius, sheet)
+                for e in disc for sheet in (1, -1))
+    assert swaps == 2 * len(disc) == 4
+    assert not any(swapped(gl2, curve_c, ham, disc[0] + 3 * radius, radius,
+                           sheet) for sheet in (1, -1))
+    # Riemann-Hurwitz for the 2-sheeted cover of the genus-g base
+    ghat = 2 * (curve_c.genus - 1) + 1 + swaps // 2
+    assert ghat == gl2.h == 5
     report("criterion 7 - branch count: 8 weighted discriminant zeros, "
-           "spectral genus 5 via Riemann-Hurwitz")
+           "spectral genus 5 via Riemann-Hurwitz; the fiber roots swap "
+           "round all 4 ramification points and no other circle")
 
 
 def test_criterion_8_theta_suite(curve15, theta15):

@@ -115,7 +115,8 @@ class TestContinuation:
         e = curve.branch_points[0]
         arc = curves.route_path(curve, e - 0.5, e + 0.5)
         assert len(arc) > 2  # detours round e on a circular arc
-        gl = 0.5 * (x_start + 0.3j) + 0.5 * (0.3j - x_start) * curves._GL_NODES
+        nodes = np.polynomial.legendre.leggauss(10)[0]
+        gl = 0.5 * (x_start + 0.3j) + 0.5 * (0.3j - x_start) * nodes
         y_arc = np.sqrt(complex(curve.p(arc[0])))
         for a, xs, y0 in [(arc[0], arc[1:], y_arc), (arc[0], arc[1:], -y_arc),
                           (x_start, np.r_[gl, 0.3j], y_start),
@@ -197,13 +198,13 @@ class TestPeriods:
 
     @staticmethod
     def noisy_panel(where):
-        """Panel callback for the integral of 1 over [a, b], with O(1)
-        noise added on the panels that where(a, b) selects."""
+        """Panel callback for the integral of 1 over [a, b], whose K21 and
+        G10 sums O(1) noise parts on the panels that where(a, b) selects."""
         rng = np.random.default_rng(0)
 
         def panel(a, b, start):
             noise = where(a, b) * rng.standard_normal(len(a))
-            return (b - a + noise)[:, None], start
+            return np.stack((b - a, b - a + noise), axis=1)[:, :, None], start
         return panel
 
     def test_quadrature_cap_raises(self):
@@ -239,6 +240,24 @@ class TestPeriods:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestGaussKronrod:
+    def test_gauss_part_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = curves._GK_WEIGHTS[1] != 0
+        assert gauss.sum() == 10
+        assert np.abs(curves._GK_NODES[gauss] - nodes).max() <= 1e-15
+        assert np.abs(curves._GK_WEIGHTS[1, gauss] - weights).max() <= 1e-15
+
+    def test_exact_degrees(self):
+        # K21 integrates x^k on [-1, 1] exactly for k <= 31, G10 for k <= 19
+        k = np.arange(34)
+        exact = (1 - (-1.0) ** (k + 1)) / (k + 1)
+        err = np.abs(curves._GK_WEIGHTS @ curves._GK_NODES[:, None] ** k
+                     - exact)
+        assert err[0, :32].max() <= 1e-15 and err[1, :20].max() <= 1e-15
+        assert err[0, 32] > 1e-13 and err[1, 20] > 1e-7
 
 
 class TestTauPostconditions:

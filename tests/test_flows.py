@@ -5,8 +5,8 @@ import pytest
 
 from hitchsov import flows, separation, spectral
 from hitchsov.curves import route_path
-from hitchsov.spectral import (resolve_type, coefficient_layout,
-                               SpectralPoint, lambda_roots)
+from hitchsov.spectral import (FAMILIES, resolve_type, coefficient_layout,
+                               SpectralPoint, lambda_poly, lambda_roots)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
                                  implicit_gradients)
 from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
@@ -110,11 +110,70 @@ class TestAngles:
         blocks = angle_increments(gl2, curve_c, ham, traj)
         assert np.abs(blocks - whole).max() <= 1e-15 * np.abs(whole).max()
 
+    def test_one_panel_call_per_block(self, curve_c, gl2, system,
+                                      monkeypatch):
+        # each segment of a smooth trajectory passes on its first
+        # Gauss-Kronrod panel, so a block of rows costs one panel call
+        ham, cfg, c = system
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.05, 1e-3)
+        calls = []
+        panels = flows._density_panels
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return panels(*args)
+        monkeypatch.setattr(flows, "_density_panels", counted)
+        angle_increments(gl2, curve_c, ham, traj)
+        rows = flows._ANGLE_SEGMENTS // gl2.h         # 25 rows a block
+        assert calls == [rows * gl2.h] * (50 // rows)
+
     def test_single_row(self, curve_c, gl2, system):
         ham, cfg, c = system
         traj = Trajectory(np.zeros(1), [cfg])
         assert np.array_equal(angle_increments(gl2, curve_c, ham, traj),
                               np.zeros((1, gl2.h)))
+
+
+class TestDensities:
+    """The angle densities from the lambda-coefficient blocks against
+    eval_R's gradient (``flow_oracle.integrand_vector``)."""
+
+    @staticmethod
+    def system(curve, family):
+        rng = np.random.default_rng(61)
+        layout = coefficient_layout(resolve_type(family, 2), curve)
+        ham = rng.standard_normal(layout.h) \
+            + 1j * rng.standard_normal(layout.h)
+        x = 0.8 * (rng.standard_normal((3, 8))
+                   + 1j * rng.standard_normal((3, 8)))
+        y = np.sqrt(curve.p(x)) * rng.choice([-1.0, 1.0], x.shape)
+        # the largest root: never SO_odd's lambda = 0, where all vanish
+        roots = lambda_roots(layout, curve, ham, x.ravel(), y.ravel())
+        lam = roots[np.arange(x.size), np.abs(roots).argmax(axis=1)]
+        return layout, ham, SpectralPoint(x, y, lam.reshape(x.shape))
+
+    # SO_even(2) has the squared block; SP(2) and SO_odd(2) y-parts
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_match_eval_R(self, curve_c, family):
+        layout, ham, pts = self.system(curve_c, family)
+        got = _integrand_vector(layout, curve_c, ham, pts)
+        ref = flow_oracle.integrand_vector(layout, curve_c, ham, pts)
+        assert got.shape == ref.shape == pts.x.shape + (layout.h,)
+        scale = np.abs(ref).max(axis=-1, keepdims=True)
+        assert (np.abs(got - ref) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_branch_locus(self, curve_c, family):
+        # point 1 at a root of dR/dlambda, the others on their fibers
+        npoly = np.polynomial.polynomial
+        layout, ham, pts = self.system(curve_c, family)
+        x, y, lam = (a[0, :3].copy() for a in (pts.x, pts.y, pts.lam))
+        coeffs = lambda_poly(layout, ham, x[1], y[1])
+        lam[1] = npoly.polyroots(npoly.polyder(coeffs))[0]
+        for densities in (_integrand_vector, flow_oracle.integrand_vector):
+            with pytest.raises(BranchLocus,
+                               match=re.escape(f"at x={x[1]}")):
+                densities(layout, curve_c, ham, SpectralPoint(x, y, lam))
 
 
 class TestPrymParity:
@@ -304,13 +363,14 @@ class TestTypedErrors:
 
 
 class TestCallCounts:
-    """One eval_R call per RK4 stage, whatever h, and one more per step for
-    the fiber route's residual gate; no lambda_roots call on either route,
-    since the fiber route tracks its roots."""
+    """Exact calls per RK4 step, whatever h: on the fiber route one
+    eval_R, for the residual gate, and one density build a stage; on the
+    Poisson route two eval_R a stage; no lambda_roots call on either
+    route, since the fiber route tracks its roots."""
 
     @staticmethod
     def counted(monkeypatch):
-        counts = {"eval_R": 0, "lambda_roots": 0}
+        counts = {"eval_R": 0, "_lambda_blocks": 0, "lambda_roots": 0}
 
         def counter(name):
             real = getattr(spectral, name)
@@ -322,6 +382,8 @@ class TestCallCounts:
 
         for mod in (flows, separation):
             monkeypatch.setattr(mod, "eval_R", counter("eval_R"))
+        # the densities of the Jacobi solve (and of the angle check)
+        monkeypatch.setattr(flows, "_lambda_blocks", counter("_lambda_blocks"))
         # the tracker's fallback, the one lambda_roots call of either route
         monkeypatch.setattr(spectral, "lambda_roots", counter("lambda_roots"))
         return counts
@@ -331,9 +393,9 @@ class TestCallCounts:
         dt = 1e-3
         systems = [planted(family, curve_c, 8) for family in ("GL", "SP")]
         counts = self.counted(monkeypatch)
-        per_system = []                  # h = 5 and h = 10
-        for layout, ham, cfg, c in systems:
-            per_n = []
+        per_step = ({"eval_R": 1, "_lambda_blocks": 4} if route == "fiber"
+                    else {"eval_R": 8, "_lambda_blocks": 0})
+        for layout, ham, cfg, c in systems:         # h = 5 and h = 10
             for n in (2, 5):
                 for name in counts:
                     counts[name] = 0
@@ -342,14 +404,8 @@ class TestCallCounts:
                                "rk4")
                 else:
                     flow_poisson(layout, curve_c, cfg, c, n * dt, dt, "rk4")
-                per_n.append(dict(counts))
-            per_system.append(per_n)
-        assert per_system[0] == per_system[1]
-        (short, long), _ = per_system
-        per_step = 5 if route == "fiber" else 8
-        assert long["eval_R"] - short["eval_R"] == per_step * 3
-        assert long["lambda_roots"] == 0
-        assert short["eval_R"] <= per_step * 2 + 2
+                assert counts == {"lambda_roots": 0, **{
+                    name: k * n for name, k in per_step.items()}}
 
 
 class TestStackedStates:
