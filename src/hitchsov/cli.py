@@ -441,8 +441,8 @@ def theta():
     """Theta-function utilities."""
 
 
-@_command(theta, "sigma", seed=0, tol=1e-6)
-def theta_sigma(data, seed):
+@_command(theta, "sigma", tol=1e-6)
+def theta_sigma(data):
     """Power-sum symmetric function sigma_k from theta derivatives.
 
     Evaluates sigma_k at the given phi by the series route and the
@@ -455,7 +455,7 @@ def theta_sigma(data, seed):
         raise ValidationError(f"phi must have length g={cv.genus}", "$.phi")
     const = _num(data.get("const", 0.0), "$.const", float)
     td = period_matrix(cv)
-    riemann_constants(cv, td, rng=np.random.default_rng(seed))
+    riemann_constants(cv, td)
     s_series = sigma_series(cv, td, phi, k)[k - 1] + const
     s_contour = sigma_contour(cv, td, phi, k)[k - 1] + const
     gap = abs(s_series - s_contour)

@@ -3,16 +3,17 @@
 A curve is given by ``y^2 = P(x)`` with ``P`` monic of odd degree ``2g+1``,
 so there is a single point at infinity.  The module provides analytic
 continuation of ``y`` along paths in the ``x``-plane, holomorphic
-differentials ``x^(k-1) dx / y``, period matrices, and Abel maps based
-at infinity.  y is continued along straight segments exactly, as
+differentials ``x^(k-1) dx / y``, period matrices, and the Abel map.
+y is continued along straight segments exactly, as
 y = prod_k (x - e_k)^(1/2) (``_sheet_ratio``), and path integrals run on
 one level-synchronous adaptive Gauss-Kronrod integrator (``_adaptive_gl``).
 The homology basis lies on the chain of the branch points in (real, imag)
 order: every cycle is a loop about a run of the chain, its period a sum
 of integrals along the chain's edges (the cuts) by Gauss-Chebyshev, with
-y on the chain's one right-hand bank.  Every series at infinity, in
-the local parameter ``z`` with ``x = z^-2``, is read from one expansion
-of ``1/sqrt(Q(z^2))`` held by the curve.
+y on the chain's one right-hand bank, where each chain point's Abel image
+is a fixed half-period: the Abel map starts from the nearest one.  Every
+series at infinity, in the local parameter ``z`` with ``x = z^-2``, is
+read from one expansion of ``1/sqrt(Q(z^2))`` held by the curve.
 """
 
 from __future__ import annotations
@@ -238,6 +239,12 @@ def _sheet_ratio(curve, a, x):
     return np.sqrt((x[..., None] - e) / (a[..., None] - e)).prod(axis=-1)
 
 
+def _off_curve(curve, x, y):
+    """Whether y is not +-sqrt(P(x)), elementwise: |y^2 - P| too large."""
+    px = curve.p(x)
+    return np.abs(y * y - px) > 1e-8 * (1 + np.abs(px)) * (1 + np.abs(y) ** 2)
+
+
 def continue_y(curve: HyperellipticCurve, path, y_start):
     """Continue y = sqrt(P(x)) along the polyline through the x-values path.
 
@@ -248,8 +255,7 @@ def continue_y(curve: HyperellipticCurve, path, y_start):
     """
     path = np.asarray(path, dtype=complex)
     y0 = complex(y_start)
-    scale = 1.0 + abs(curve.p(path[0]))
-    if abs(y0**2 - curve.p(path[0])) > 1e-8 * scale * (1 + abs(y0) ** 2):
+    if _off_curve(curve, path[0], y0):
         raise ContinuationAmbiguity("y_start does not lie on the curve above path[0]")
     a, seg = path[:-1, None], np.diff(path)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -487,15 +493,18 @@ def _edge_integrals(curve, chain, ys):
     return out
 
 
+def _branch_chain(curve):
+    """The branch points by real part, ties (within 1e-9 min_separation) by
+    imaginary part: a column is walked upwards, whatever its roundoff."""
+    e = curve.branch_points[np.argsort(curve.branch_points.real)]
+    column = np.r_[0, np.cumsum(np.diff(e.real) > 1e-9 * curve.min_separation)]
+    return e[np.lexsort((e.imag, column))]
+
+
 def _chain_periods(curve):
     """(g, 2g) periods of x^k dx / y, k < g, on the cycles a_1..a_g,
     b_1..b_g of the branch-point chain (see ``period_matrix``)."""
-    e = curve.branch_points[np.argsort(curve.branch_points.real)]
-    # real parts within 1e-9 min_separation of the last are ties, broken by
-    # imag: a column of branch points is walked upwards, not in the order
-    # that the roundoff of its real parts gives
-    column = np.r_[0, np.cumsum(np.diff(e.real) > 1e-9 * curve.min_separation)]
-    chain = e[np.lexsort((e.imag, column))]
+    chain = _branch_chain(curve)
     edges = 2 * _edge_integrals(curve, chain, _bank_values(curve, chain))
     pa = edges[:, 0::2]
     pb = np.cumsum(edges[:, :0:-2], axis=1)[:, ::-1]
@@ -612,41 +621,56 @@ def _chart_radius(curve):
     return min(0.1, 0.5 / np.sqrt(rad))
 
 
-def _chart_exit(curve, z0):
-    """The point (x, y) at z = z0 where an Abel path leaves the z-chart.
+def _chain_characteristics(g):
+    """(2g+1, g) integer m, n with A(e_k) = (m_k + tau n_k) / 2 for the k-th
+    chain point (row k - 1) in the basis of ``period_matrix``: Mumford's map
+    eta (*Tata Lectures on Theta II*, ch. IIIa, sec. 5)."""
+    k, s = np.arange(1, 2 * g + 2)[:, None], np.arange(1, g + 1)
+    return (s <= k // 2).astype(int), (s == (k + 1) // 2).astype(int)
 
-    x = z0^-2 and y = z0^-(2g+1) sqrt(Q(z0^2)), Q(u) = u^(2g+1) P(1/u), on
-    the sheet of the series z^-(2g+1) S(z^2) with S(0) = 1 that the series
-    part of the Abel map integrates.
+
+def _branch_panels(e, x, rest, coef, a, b, idx):
+    """Panels [a_i, b_i] in s of int x^(j-1) dx / y from e_k to the target
+    P = x of idx_i under x = e_k + (P - e_k) s^2, where y = y(P) s prod_m
+    ((x - e_m) / (P - e_m))^(1/2) over the other branch points (rest) and
+    coef = 2 (P - e_k) / y(P): the (n, 2, g) K21 and G10 sums, and idx."""
+    half, nodes = _panel_nodes(a, b)
+    e, x, rest, coef = e[idx, None], x[idx, None], rest[idx], coef[idx]
+    xs = e + (x - e) * nodes[:, :-1] ** 2
+    ratio = np.sqrt((xs[..., None] - rest[:, None]) / (x - rest)[:, None])
+    powers = xs[..., None] ** np.arange(rest.shape[1] // 2)
+    sums = _GK_WEIGHTS @ (powers / ratio.prod(axis=-1)[..., None])
+    return sums * (coef[:, None] * half)[..., None], idx
+
+
+def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target):
+    """Abel map from infinity of target, a CurvePoint (result (g,)) or a
+    sequence of them (result (n, g)), all in one ``_adaptive_gl`` call.
+
+    A(P) = A(e_k) + N int_{e_k}^{P} x^j dx / y for the chain point e_k
+    nearest P (``_chain_characteristics``), along [e_k, P], which keeps half
+    the least separation from the other branch points; A(e_k) exactly at
+    P = e_k.  Raises ContinuationAmbiguity if y is not +-sqrt(P(x)).
     """
-    q = curve.coeffs[::-1]
-    u = z0**2
-    s_val = np.sqrt(npoly.polyval(u, q))
-    s_series = 1.0 / npoly.polyval(u, curve.invsqrt_series)
-    if abs(s_val - s_series) > abs(s_val + s_series):
-        s_val = -s_val
-    return z0 ** (-2.0), z0 ** (-(2 * curve.genus + 1)) * s_val
-
-
-def abel_map(curve: HyperellipticCurve, theta_data: ThetaData,
-             target: CurvePoint):
-    """Abel map: integrals of the normalized differentials from infinity to
-    target.
-
-    The integration starts at infinity in the z-chart and switches to the
-    x-chart at |z| equal to the chart radius.
-    """
-    z0 = _chart_radius(curve)
-    series_part = abel_series(curve, theta_data, SERIES_TERMS) @ (
-        z0 ** np.arange(SERIES_TERMS + 1))
-    x_start, y_start = _chart_exit(curve, z0)
-    way = route_path(curve, x_start, target.x)
-    x_part, y_end = integrate_monomials(curve, way, y_start)
-    x_part = np.asarray(theta_data.normalization, dtype=complex) @ x_part
-    total = series_part + x_part
-    if abs(y_end - target.y) <= abs(y_end + target.y):
-        return total
-    return -total  # started on the opposite sheet: flip z0 -> -z0
+    targets = [target] if isinstance(target, CurvePoint) else target
+    x, y = np.array([(p.x, p.y) for p in targets], dtype=complex).T
+    off = _off_curve(curve, x, y)
+    if off.any():
+        raise ContinuationAmbiguity(
+            f"target y does not lie on the curve above x={x[off][0]}")
+    chain = _branch_chain(curve)
+    k = np.abs(x[:, None] - chain).argmin(axis=1)
+    e, rest = chain[k], np.array([np.delete(chain, j) for j in k])
+    # y(P) = +-sqrt(P - e_k) q, exact near e_k, with the sign nearest y
+    root, q = np.sqrt(x - e), np.sqrt(x[:, None] - rest).prod(axis=1)
+    sign = np.where(np.abs(root * q - y) <= np.abs(root * q + y), 2.0, -2.0)
+    ints, _ = _adaptive_gl(partial(_branch_panels, e, x, rest, sign * root / q),
+                           np.zeros(len(x)), np.ones(len(x)),
+                           np.arange(len(x)), tol=1e-10)
+    m, n = _chain_characteristics(curve.genus)
+    images = (0.5 * (m[k] + n[k] @ theta_data.tau.T)
+              + ints @ np.asarray(theta_data.normalization, dtype=complex).T)
+    return images[0] if isinstance(target, CurvePoint) else images
 
 
 def lattice_reduce(theta_data: ThetaData, v):

@@ -23,18 +23,18 @@ rows z, Y = Im tau.  For one row it is that row's own ellipsoid; for many it
 holds every term any row would have summed alone, and each row also sums
 the other rows' points, whose terms lie below the truncation level.  The
 contour route evaluates theta and its gradient on all samples of a circle
-from one lattice, and the Riemann-constant search scores every half-period
-against every divisor from one lattice.
+from one lattice.  The vector of Riemann constants is a half-period in
+closed form, read from the characteristics of the branch points.
 """
 
 import itertools
 
 import numpy as np
 
-from .errors import (TruncationOverflow, ThetaDivisor, ResidueUnstable,
-                     CycleDegenerate)
-from .curves import (SERIES_TERMS, CurvePoint, _chart_radius, abel_map,
-                     abel_series, differential_series, lattice_reduce)
+from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
+from .curves import (SERIES_TERMS, _chain_characteristics, _chart_radius,
+                     abel_map, abel_series, differential_series,
+                     lattice_reduce)
 
 
 def _lattice_points(tau, zs, extra_radius):
@@ -134,47 +134,17 @@ def q_series_theta(z, tau):
 
 
 def riemann_constants(curve, theta_data, rng=None):
-    """Vector K with theta(A(D) + K) = 0 for effective degree-(g-1) D.
-
-    Searched over the 2^(2g) half-periods (m + tau n)/2; the winner is
-    validated on six random divisors and stored on theta_data.
+    """Vector K with theta(A(D) + K) = 0 for effective degree-(g-1) D,
+    stored on theta_data: the sum of A(e_k) over odd k (Mumford's set U,
+    ``curves._chain_characteristics``) as a half-period (m + tau n) / 2.
+    rng is ignored; callers of the former search (bench/workloads.py) pass it.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    tau = theta_data.tau
-    g = tau.shape[0]
-    divisors = []
-    while len(divisors) < 6:
-        pts = []
-        for _ in range(g - 1):
-            x = 2.0 * (rng.standard_normal() + 1j * rng.standard_normal())
-            if curve.nearest_branch_distance(x) < 2 * curve.exclusion_radius:
-                continue
-            y = np.sqrt(curve.p(x))
-            if rng.random() < 0.5:
-                y = -y
-            pts.append(CurvePoint(x, y))
-        if len(pts) == g - 1:
-            divisors.append(_divisor_image(curve, theta_data, pts))
-    halves = [0.5 * (np.array(mbits, dtype=complex)
-                     + tau @ np.array(nbits, dtype=complex))
-              for mbits in itertools.product((0, 1), repeat=g)
-              for nbits in itertools.product((0, 1), repeat=g)]
-    # row 0 gives the scale, then each half-period against every divisor
-    zs = np.array([np.zeros(g, dtype=complex)]
-                  + [lattice_reduce(theta_data, a + k)
-                     for k in halves for a in divisors])
-    _, terms = _lattice_terms(zs, tau)
-    vals = np.abs(terms.sum(axis=1))
-    scores = vals[1:].reshape(len(halves), len(divisors)).max(axis=1)
-    best_at = int(np.argmin(scores))  # the first of equal scores
-    best, best_score, scale = halves[best_at], scores[best_at], vals[0]
-    if best_score > 1e-5 * scale:
-        raise CycleDegenerate(
-            f"no half-period satisfies Riemann vanishing "
-            f"(best residual {best_score:.2e})")
-    theta_data.riemann_constants = best
-    return best
+    m, n = _chain_characteristics(theta_data.tau.shape[0])
+    mbits, nbits = m[::2].sum(axis=0) % 2, n[::2].sum(axis=0) % 2
+    theta_data.riemann_constants = 0.5 * (
+        np.array(mbits, dtype=complex)
+        + theta_data.tau @ np.array(nbits, dtype=complex))
+    return theta_data.riemann_constants
 
 
 def sigma_series(curve, theta_data, phi, k):
@@ -214,43 +184,47 @@ def sigma_contour(curve, theta_data, phi, k, nsamples=64):
     """sigma_1..sigma_k(phi), less their additive constants, by the
     residues of x^j d ln theta at infinity.
 
-    Samples the z-chart circle of half the chart radius with the trapezoid
-    rule at 2 nsamples points, and raises ResidueUnstable unless, for every
-    j, the sum over every other sample agrees with it to 1e-6 max(1, |r_j|),
-    r_j the 2 nsamples sum.
+    Samples a z-chart circle by the trapezoid rule at 2 nsamples points.
+    The sum is the residue at infinity only with no zero of theta(v0 + A(z))
+    inside, so the circle, first of half the chart radius, is halved until
+    theta winds 0 times on it and min |theta| >= 1e-2 |theta(centre)| (the
+    samples' mean); then the samples double until every other sample's sum
+    agrees with the full one, r_j, to 1e-6 max(1, |r_j|).  ThetaDivisor
+    (6 halvings) and ResidueUnstable (3 doublings) name radius and samples.
     """
-    tau = theta_data.tau
-    kvec = theta_data.riemann_constants
     radius = 0.5 * _chart_radius(curve)
     w = differential_series(curve, theta_data.normalization, SERIES_TERMS)
     a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
-    v0 = -np.asarray(phi, dtype=complex) - kvec
+    v0 = -np.asarray(phi, dtype=complex) - theta_data.riemann_constants
     v0 = v0 + (lattice_reduce(theta_data, v0) - v0)
-
-    # the 2n-point circle; its even-indexed samples are the n-point circle
-    nn = 2 * nsamples
-    zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
-    zp = zs[:, None] ** np.arange(SERIES_TERMS + 1)  # (nn, SERIES_TERMS + 1)
-    th, grad = _theta_and_gradient(v0 + zp @ a_coeff.T, tau)
-    if np.any(np.abs(th) < 1e-12):
-        raise ThetaDivisor("theta vanishes on the sampling circle")
-    daz = zp[:, :SERIES_TERMS] @ w.T  # dA/dz at the samples
-    dlog = np.sum(grad * daz, axis=1) / th
-    # one contiguous row per j, each with its own integer power of z
-    terms = np.array([dlog * zs ** (1 - 2 * j) for j in range(1, k + 1)])
-    r1 = np.sum(terms[:, ::2], axis=1) / nsamples
-    r2 = np.sum(terms, axis=1) / nn
-    shifted = (np.abs(r1 - r2) / np.maximum(1.0, np.abs(r2))).max()
-    if shifted > 1e-6:
-        raise ResidueUnstable(
-            f"residue shifted by {shifted:.2e} under sample doubling")
-    return -r2
-
-
-def _divisor_image(curve, theta_data, points):
-    """Sum of the Abel images of the points."""
-    return sum((abel_map(curve, theta_data, p) for p in points),
-               np.zeros(theta_data.tau.shape[0], dtype=complex))
+    halvings = doublings = 0
+    while True:
+        # the 2n-point circle; its even-indexed samples are the n-point one
+        nn = 2 * nsamples
+        zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
+        zp = zs[:, None] ** np.arange(SERIES_TERMS + 1)  # (nn, SERIES_TERMS + 1)
+        th, grad = _theta_and_gradient(v0 + zp @ a_coeff.T, theta_data.tau)
+        if not np.abs(th).min() >= 1e-2 * abs(th.mean()) or round(
+                np.angle(np.roll(th, -1) / th).sum() / (2 * np.pi)):
+            if halvings == 6:
+                raise ThetaDivisor(f"theta has a zero in or near the circle of "
+                                   f"radius {radius:.3e} at {nn} samples")
+            radius, halvings = 0.5 * radius, halvings + 1
+            continue
+        daz = zp[:, :SERIES_TERMS] @ w.T  # dA/dz at the samples
+        dlog = np.sum(grad * daz, axis=1) / th
+        # one contiguous row per j, each with its own integer power of z
+        terms = np.array([dlog * zs ** (1 - 2 * j) for j in range(1, k + 1)])
+        r1 = np.sum(terms[:, ::2], axis=1) / nsamples
+        r2 = np.sum(terms, axis=1) / nn
+        shifted = (np.abs(r1 - r2) / np.maximum(1.0, np.abs(r2))).max()
+        if shifted <= 1e-6:
+            return -r2
+        if doublings == 3:
+            raise ResidueUnstable(
+                f"residue shifted by {shifted:.2e} under sample doubling on "
+                f"the circle of radius {radius:.3e} at {nn} samples")
+        nsamples, doublings = 2 * nsamples, doublings + 1
 
 
 def jacobi_inversion_check(curve, theta_data, points, ref_points):
@@ -263,8 +237,8 @@ def jacobi_inversion_check(curve, theta_data, points, ref_points):
     g = theta_data.tau.shape[0]
     if theta_data.riemann_constants is None:
         riemann_constants(curve, theta_data)
-    phi = _divisor_image(curve, theta_data, points)
-    ref_phi = _divisor_image(curve, theta_data, ref_points)
+    images = abel_map(curve, theta_data, [*points, *ref_points])
+    phi, ref_phi = images[:len(points)].sum(0), images[len(points):].sum(0)
     truth = np.array([sum(p.x ** k for p in ref_points)
                       for k in range(1, g + 1)])
     const = truth - sigma_series(curve, theta_data, ref_phi, g)

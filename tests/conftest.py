@@ -14,6 +14,20 @@ def make_curve(roots):
     return build_curve(npoly.polyfromroots(list(roots)))
 
 
+def disc_curves(seeds, genus):
+    """Curves with 2 genus + 1 branch points uniform in the disc |x| <= 2,
+    pairwise at least 0.5 apart (by rejection), one per seed: the draws of
+    the benchmark's ``branch_points``."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        pts = []
+        while len(pts) < 2 * genus + 1:
+            x = 2.0 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            if all(abs(x - q) >= 0.5 for q in pts):
+                pts.append(x)
+        yield make_curve(pts)
+
+
 def sample_fiber_config(layout, curve, ham, rng, spread=0.8):
     """h points on the spectral cover of a planted coefficient vector.
 
@@ -62,7 +76,7 @@ def curve15():
 @pytest.fixture(scope="session")
 def theta15(curve15):
     td = period_matrix(curve15)
-    riemann_constants(curve15, td, rng=np.random.default_rng(0))
+    riemann_constants(curve15, td)
     return td
 
 

@@ -1,12 +1,15 @@
-"""The sheet continuation and adaptive quadrature that the exact product
-rule and the level-synchronous driver replaced, kept as the reference for
-them: nearest-value sheet tracking with step halving, and a depth-first
-Gauss-Legendre recursion with the absolute tol / 2^depth rule."""
+"""The sheet continuation, adaptive quadrature and Abel map that the
+exact product rule, the level-synchronous driver and the branch-point Abel
+map replaced, kept as the reference for them: nearest-value sheet tracking
+with step halving, a depth-first Gauss-Legendre recursion with the
+absolute tol / 2^depth rule, and the Abel map from infinity through the
+z-chart and a routed path from its exit."""
 
 from functools import partial
 
 import numpy as np
 
+from hitchsov import curves
 from hitchsov.errors import (BranchProximity, ContinuationAmbiguity,
                              CycleDegenerate)
 
@@ -103,3 +106,35 @@ def integrate_monomials(curve, waypoints, y_start, tol=1e-10):
         val, y0 = integrate_segment(panel, a, b, y0, tol)
         acc += val
     return acc, y0
+
+
+def _chart_exit(curve, z0):
+    """The point (x, y) at z = z0 where an Abel path leaves the z-chart.
+
+    x = z0^-2 and y = z0^-(2g+1) sqrt(Q(z0^2)), Q(u) = u^(2g+1) P(1/u), on
+    the sheet of the series z^-(2g+1) S(z^2) with S(0) = 1 that the series
+    part of the Abel map integrates.
+    """
+    q = curve.coeffs[::-1]
+    u = z0**2
+    s_val = np.sqrt(np.polynomial.polynomial.polyval(u, q))
+    s_series = 1.0 / np.polynomial.polynomial.polyval(u, curve.invsqrt_series)
+    if abs(s_val - s_series) > abs(s_val + s_series):
+        s_val = -s_val
+    return z0 ** (-2.0), z0 ** (-(2 * curve.genus + 1)) * s_val
+
+
+def abel_map(curve, theta_data, target):
+    """Integrals of the normalized differentials from infinity to target:
+    the Abel series out to |z| equal to the chart radius, then the
+    monomials along the path routed from the chart exit to target."""
+    z0 = curves._chart_radius(curve)
+    series_part = curves.abel_series(curve, theta_data, curves.SERIES_TERMS) @ (
+        z0 ** np.arange(curves.SERIES_TERMS + 1))
+    x_start, y_start = _chart_exit(curve, z0)
+    way = curves.route_path(curve, x_start, target.x)
+    x_part, y_end = curves.integrate_monomials(curve, way, y_start)
+    total = series_part + np.asarray(theta_data.normalization) @ x_part
+    if abs(y_end - target.y) <= abs(y_end + target.y):
+        return total
+    return -total  # started on the opposite sheet: flip z0 -> -z0

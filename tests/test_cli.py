@@ -579,7 +579,7 @@ OPTIONS = {
     "ham check": ["--seed", "--strict", "--tolerance"],
     "flow run": ["--seed", "--strict", "--tolerance", "--t-end", "--dt",
                  "--scheme", "--direction", "--route", "--plot"],
-    "theta sigma": ["--seed", "--strict", "--tolerance"],
+    "theta sigma": ["--strict", "--tolerance"],
     "sl2 demo": ["--strict", "--tolerance", "--t-end", "--dt", "--level"],
     "parabolic dims": [],
     "parabolic delta": [],
@@ -640,7 +640,7 @@ class TestManifest:
         ("ham check", "system", ["--strict"], 0, 1e-7),
         ("flow run", "system", ["--route", "both", "--plot", "--t-end",
                                 "0.01", "--strict"], 0, 1e-6),
-        ("theta sigma", "theta", ["--strict"], 0, 1e-6),
+        ("theta sigma", "theta", ["--strict"], None, 1e-6),
         ("sl2 demo", "sl2", ["--t-end", "0.01", "--tolerance", "1e-3"],
          None, 1e-3),
         ("parabolic dims", "ptype", [], None, None),

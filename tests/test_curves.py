@@ -12,7 +12,7 @@ from hitchsov.errors import (DegreeError, DuplicateBranchPoint,
                              BranchProximity, ContinuationAmbiguity,
                              CycleDegenerate)
 
-from conftest import make_curve
+from conftest import disc_curves, make_curve
 import continuation_oracle as oracle
 import contour_oracle
 
@@ -111,7 +111,7 @@ class TestContinuation:
     @pytest.mark.parametrize("name", ["curve15", "curve_c"])
     def test_nodes_match_bisection(self, name, request):
         curve = request.getfixturevalue(name)
-        x_start, y_start = curves._chart_exit(curve, curves._chart_radius(curve))
+        x_start, y_start = oracle._chart_exit(curve, curves._chart_radius(curve))
         e = curve.branch_points[0]
         arc = curves.route_path(curve, e - 0.5, e + 0.5)
         assert len(arc) > 2  # detours round e on a circular arc
@@ -146,7 +146,7 @@ class TestChartExit:
     def test_start_on_curve_and_series_sheet(self, name, request):
         curve = request.getfixturevalue(name)
         z0 = curves._chart_radius(curve)
-        x, y = curves._chart_exit(curve, z0)
+        x, y = oracle._chart_exit(curve, z0)
         assert abs(x - z0 ** -2.0) <= 1e-15 * abs(x)
         px = curve.p(x)
         assert abs(y * y - px) <= 1e-10 * abs(px)
@@ -282,19 +282,6 @@ class TestTauPostconditions:
             np.testing.assert_array_equal(out, tau)
 
 
-def disc_curves(seeds, genus):
-    """Curves with 2 genus + 1 branch points uniform in the disc |x| <= 2,
-    pairwise at least 0.5 apart (by rejection), one per seed."""
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < 2 * genus + 1:
-            x = 2.0 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            if all(abs(x - q) >= 0.5 for q in pts):
-                pts.append(x)
-        yield make_curve(pts)
-
-
 def raw_tau_asymmetry(periods):
     """|tau - tau^T| / |tau| (max norms) of the periods (a | b) before
     symmetrisation."""
@@ -385,7 +372,7 @@ class TestChainPeriods:
 def random_abel_paths(curve, n, seed):
     """n routed paths from the chart exit of the Abel map to x drawn as
     2 x standard complex normals, with y at the chart exit."""
-    x0, y0 = curves._chart_exit(curve, curves._chart_radius(curve))
+    x0, y0 = oracle._chart_exit(curve, curves._chart_radius(curve))
     rng = np.random.default_rng(seed)
     for _ in range(n):
         x = 2 * (rng.standard_normal() + 1j * rng.standard_normal())
@@ -413,7 +400,7 @@ class TestExactSheets:
                                    -0.8080393437699549 - 0.07275141810160798j])
     def test_g3_reproducers_converge(self, curve_g3, x):
         # Abel paths that pass close to the branch points 0 and 1
-        x0, y0 = curves._chart_exit(curve_g3, curves._chart_radius(curve_g3))
+        x0, y0 = oracle._chart_exit(curve_g3, curves._chart_radius(curve_g3))
         way = route_path(curve_g3, x0, x)
         with pytest.raises(CycleDegenerate, match="depth 24"):
             oracle.integrate_monomials(curve_g3, way, y0)
@@ -433,30 +420,20 @@ class TestExactSheets:
             continue_y(curve15, [0.5, 0.5 + 1j], 2 * y0)
 
     def test_abel_map_batches_levels(self, curve15, theta15, monkeypatch):
+        # the 2g points of both divisors of an inversion check share one
+        # quadrature call
         calls = []
-        panels = curves._monomial_panels
+        real = curves._adaptive_gl
 
-        def counted(curve, a, b, ya):
-            calls.append((a.copy(), b.copy()))
-            return panels(curve, a, b, ya)
+        def counted(panel, a, b, start, tol):
+            calls.append(len(a))
+            return real(panel, a, b, start, tol)
 
-        monkeypatch.setattr(curves, "_monomial_panels", counted)
-        x = 3.3 + 0.05j                      # passes close to 3
-        abel_map(curve15, theta15, curve15.point(x))
-        x0, _ = curves._chart_exit(curve15, curves._chart_radius(curve15))
-        way = route_path(curve15, x0, x)
-        seg_a, seg_b = calls[0]              # every waypoint segment at once
-        np.testing.assert_array_equal(seg_a, way[:-1])
-        # a panel's depth: log2 of its segment's length over its own
-        depth = 0
-        for a, b in calls[1:]:
-            mid = 0.5 * (a + b)
-            on = np.abs(np.abs(mid[:, None] - seg_a) + np.abs(mid[:, None] - seg_b)
-                        - np.abs(seg_b - seg_a)).argmin(axis=1)
-            ratio = np.abs(seg_b - seg_a)[on] / np.abs(b - a)
-            depth = max(depth, int(np.rint(np.log2(ratio)).max()))
-        assert depth >= 5
-        assert len(calls) <= 2 * (depth + 1)
+        monkeypatch.setattr(curves, "_adaptive_gl", counted)
+        pts = [curve15.point(0.4 + 0.3j), curve15.point(3.3 + 0.05j)]
+        refs = [curve15.point(0.2 - 0.7j), curve15.point(1.3 + 0.9j)]
+        jacobi_inversion_check(curve15, theta15, pts, refs)
+        assert calls == [4]
 
 
 class TestAbel:
@@ -480,6 +457,47 @@ class TestAbel:
         jets = curves.differential_series(curve15, theta15.normalization, 6)
         # expansion of A(z) about infinity is odd in the local coordinate
         assert np.abs(jets[:, 1::2]).max() < 1e-10
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_pentagon",
+                                      "curve_g3"])
+    def test_matches_chart_exit_oracle(self, name, request):
+        curve = request.getfixturevalue(name)
+        td = period_matrix(curve)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            x = 2 * (rng.standard_normal() + 1j * rng.standard_normal())
+            p = curve.point(x, rng.choice([-1, 1]) * np.sqrt(curve.p(x)))
+            gap = lattice_reduce(td, abel_map(curve, td, p)
+                                 - oracle.abel_map(curve, td, p))
+            assert np.abs(gap).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_pentagon",
+                                      "curve_g3"])
+    def test_at_and_near_branch_points(self, name, request):
+        # A(e_k) exactly at e_k, where the chart-exit map raised
+        # BranchProximity; just off it, A(e_k) + N e_k^j 2 d / y to O(d)
+        curve = request.getfixturevalue(name)
+        td = period_matrix(curve)
+        m, n = curves._chain_characteristics(curve.genus)
+        for e, mk, nk in zip(curves._branch_chain(curve), m, n):
+            half = 0.5 * (mk + td.tau @ nk)
+            np.testing.assert_array_equal(
+                abel_map(curve, td, curve.point(e)), half)
+            lead = td.normalization @ e ** np.arange(curve.genus)
+            for d in (1e-4, 1e-7, 1e-10):
+                x = e + d * (0.6 + 0.8j)
+                y = np.sqrt(complex(curve.p(x)))
+                for yy in (y, -y):
+                    a = abel_map(curve, td, curve.point(x, yy))
+                    slope = (a - half) * yy / (2 * (x - e))
+                    assert np.abs(slope - lead).max() \
+                        <= 1e-3 * np.abs(lead).max()
+
+    def test_off_curve_target_raises(self, curve15, theta15):
+        x = 0.7 + 0.4j
+        y = np.sqrt(complex(curve15.p(x)))
+        with pytest.raises(ContinuationAmbiguity, match="does not lie"):
+            abel_map(curve15, theta15, curves.CurvePoint(x, 1.01 * y))
 
     def test_abel_sheet_antisymmetry(self, curve15, theta15):
         x = 0.7 + 0.4j

@@ -63,6 +63,8 @@ UNCALLED_PUBLIC = {
     "theta_deriv_table": "in bench/spans.py TARGETS until the benchmark "
                          "drops it",
     "gp_hamiltonians": "in bench/spans.py TARGETS",
+    "integrate_monomials": "in bench/spans.py TARGETS until the benchmark "
+                           "drops it",
     "angle_coordinates": "the paper's angle coordinates from a base point; "
                          "tests/test_flows.py checks its density integral, "
                          "which angle_increments shares",

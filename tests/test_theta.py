@@ -5,11 +5,13 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from conftest import make_curve
+from conftest import disc_curves, make_curve
 from hitchsov import curves, theta
-from hitchsov.curves import abel_map, abel_series, lattice_reduce, period_matrix
+from hitchsov.curves import (abel_map, abel_series, build_curve,
+                             lattice_reduce, period_matrix)
 from hitchsov.errors import (TruncationOverflow, ThetaDivisor,
                              ResidueUnstable)
+import half_period_oracle
 from hitchsov.theta import (riemann_theta, theta_deriv_table, q_series_theta,
                             riemann_constants, sigma_series, sigma_contour,
                             jacobi_inversion_check)
@@ -171,6 +173,28 @@ class TestRiemannConstants:
                 a + k + 0.31 + 0.17j * np.ones(2), theta15.tau))
             assert val < 1e-8 * (1 + generic)
 
+    def test_closed_form_is_the_search(self):
+        """K is bit for bit the half-period the search picks, on the four
+        fixtures and 45 disc-sample curves, and rng changes nothing."""
+        fixtures = [[1, 2, 3, 4, 5], [0.0, 1.0, -1.2, 2.0 + 0.5j, -0.3 - 1.1j],
+                    1.5 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j),
+                    [0, 1, 2, 3, 4, 5, 6.5]]
+        samples = itertools.chain(
+            map(make_curve, fixtures),
+            disc_curves([[7, i] for i in range(30)], 2),
+            disc_curves([[7, 1000 + i] for i in range(15)], 3))
+        checked = 0
+        for curve in samples:
+            td = period_matrix(curve)
+            k = riemann_constants(curve, td)
+            assert td.riemann_constants is k
+            np.testing.assert_array_equal(
+                k, half_period_oracle.riemann_constants(curve, td))
+            np.testing.assert_array_equal(
+                k, riemann_constants(curve, td, rng=np.random.default_rng(3)))
+            checked += 1
+        assert checked == 49
+
 
 class TestSigma:
     def test_routes_agree(self, curve15, theta15):
@@ -217,18 +241,41 @@ class TestSigma:
         assert report["error"] < 1e-5
 
     def test_theta_divisor(self, curve15, theta15):
-        # theta(A(P) - K) = 0 by Riemann vanishing (K is a half-period)
+        # theta(A(P) - K) = 0 by Riemann vanishing (K is a half-period):
+        # theta(v0 + A(z)) vanishes at z = 0, inside every circle
         x = 0.4 + 0.3j
         phi = -abel_map(curve15, theta15,
                         curve15.point(x, np.sqrt(complex(curve15.p(x)))))
         with pytest.raises(ThetaDivisor):
             sigma_series(curve15, theta15, phi, 1)
+        with pytest.raises(ThetaDivisor, match=(
+                r"in or near the circle of radius \S+ at 128 samples$")):
+            sigma_contour(curve15, theta15, phi, 1)
 
-    def test_residue_unstable(self, curve15, theta15):
+    def test_residue_unstable(self, curve15, theta15, monkeypatch):
+        # noise in the gradient keeps the sums apart at every sample count
+        real = theta._theta_and_gradient
+        rng = np.random.default_rng(0)
+
+        def noisy(zs, tau):
+            th, grad = real(zs, tau)
+            return th, grad * (1 + 1e-3 * rng.standard_normal(grad.shape))
+
+        monkeypatch.setattr(theta, "_theta_and_gradient", noisy)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
-        with pytest.raises(ResidueUnstable, match="sample doubling"):
-            sigma_contour(curve15, theta15, phi, 1, nsamples=2)
+        with pytest.raises(ResidueUnstable, match=(
+                r"sample doubling on the circle of radius \S+ at 1024 "
+                r"samples")):
+            sigma_contour(curve15, theta15, phi, 1)
+
+    def test_few_samples_double(self, curve15, theta15):
+        # 4 samples do not resolve the residue; the doubling gets there
+        pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
+        phi = sum(abel_map(curve15, theta15, p) for p in pts)
+        few = sigma_contour(curve15, theta15, phi, 1, nsamples=2)
+        ref = sigma_series(curve15, theta15, phi, 1)
+        assert np.abs(few - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_contour_evaluates_circle_once(self, curve15, theta15,
                                            monkeypatch):
@@ -246,6 +293,60 @@ class TestSigma:
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
         sigma_contour(curve15, theta15, phi, 1, nsamples=32)
         assert rows == [64]
+
+
+# Periods jobs whose circle of half the chart radius encloses a zero of
+# theta(v0 + A(z)): (branch points' polynomial, phi, k, theta batch sizes).
+# 3/101 passed its own doubling test there with sigma_1 off by 1.0e3;
+# 1/454 failed it; 3/316 also doubles its samples on the smaller circle.
+CONTOUR_ZEROS = {
+    "seed 3 job 101": (
+        [0.01273902663905968 + 0.6825310663974881j,
+         -0.35432495682680765 + 2.5159905897691965j,
+         1.042289766557607 + 1.1583787687588674j,
+         -0.9537663003657553 - 3.1627984332213748j,
+         -1.6177593615927117 + 1.1348144801777809j, 1.0],
+        [0.5358455907007259 - 0.5911065807237171j,
+         -0.20121399404973264 - 0.2770614687660613j], 1, [128, 128]),
+    "seed 1 job 454": (
+        [1.726804515986251 - 0.7296824183353147j,
+         5.079995173893922 + 2.210637777732357j,
+         8.529559736235184 + 2.9773712010972915j,
+         4.852824622119104 + 1.8305332296967565j,
+         2.8036975638357804 + 1.7969241954037924j, 1.0],
+        [0.2898789981660891 + 0.06373750844327034j,
+         -0.17789313143748278 - 0.5894640220826605j], 2, [128, 128]),
+    "seed 3 job 316": (
+        [1.3790684447040475 - 0.7822495599401138j,
+         -4.520791663790582 + 0.4737990833315455j,
+         0.8405044116343432 - 1.8990227611612418j,
+         0.9319450503859579 + 3.57623365750654j,
+         -2.1618665253137817 - 1.2825128535407344j, 1.0],
+        [0.3529548016850477 - 0.2814976451113372j,
+         0.22106064730027924 - 0.16271999567121606j], 2, [128, 128, 256]),
+}
+
+
+class TestContourGuard:
+    @pytest.mark.parametrize("job", sorted(CONTOUR_ZEROS))
+    def test_zero_inside_half_radius(self, job, monkeypatch):
+        coeffs, phi, k, batches = CONTOUR_ZEROS[job]
+        curve = build_curve(coeffs)
+        td = period_matrix(curve)
+        riemann_constants(curve, td)
+        rows = []
+        real = theta._theta_and_gradient
+
+        def counted(zs, tau):
+            rows.append(len(zs))
+            return real(zs, tau)
+
+        monkeypatch.setattr(theta, "_theta_and_gradient", counted)
+        series = sigma_series(curve, td, phi, k)
+        contour = sigma_contour(curve, td, phi, k)
+        assert abs(series[-1] - contour[-1]) < 1e-6  # the strict gate
+        assert np.all(np.abs(contour - series) <= 1e-12 * np.abs(series))
+        assert rows == batches  # the first circle was halved
 
 
 def _smul(a, b, n):
@@ -309,7 +410,7 @@ def period_data(curve15, theta15, curve_c):
     for name, curve in [("curve_c", curve_c),
                         ("curve_g3", make_curve([0, 1, 2, 3, 4, 5, 6.5]))]:
         td = period_matrix(curve)
-        riemann_constants(curve, td, rng=np.random.default_rng(0))
+        riemann_constants(curve, td)
         data[name] = (curve, td)
     return data
 
