@@ -26,8 +26,8 @@ from .errors import (HitchsovError, ValidationError, DegreeError,
                      DuplicateBranchPoint, RankError)
 from .curves import build_curve, period_matrix
 from .spectral import FAMILIES, resolve_type, coefficient_layout, SpectralPoint
-from .separation import (PhaseConfiguration, validate_configuration,
-                         solve_hamiltonians, involution_check, gradient_scale)
+from .separation import (PhaseConfiguration, solve_hamiltonians,
+                         involution_check)
 from .flows import flow_fiber, flow_poisson, match_states, angle_increments
 from .theta import riemann_constants, sigma_series, sigma_contour
 from . import sl2
@@ -132,7 +132,6 @@ def _parse_system(data, seed):
             _cplx(_field(p, "y", path), f"{path}.y"),
             _cplx(_field(p, "lambda", path), f"{path}.lambda")))
     cfg = PhaseConfiguration(points)
-    validate_configuration(cfg, cv, layout)
     hamv = solve_hamiltonians(layout, cv, cfg,
                               rng=np.random.default_rng(seed))
     return cv, layout, cfg, hamv
@@ -295,8 +294,7 @@ def ham_solve(data, seed):
 def ham_check(data, seed):
     """Pairwise Poisson brackets of the coefficients, as a CSV matrix."""
     cv, layout, cfg, hamv = _parse_system(data, seed)
-    br = involution_check(layout, cv, cfg, hamv)
-    scale = gradient_scale(layout, cv, cfg, hamv)
+    br, scale = involution_check(layout, cv, cfg, hamv)
     lines = [",".join(f"H{k + 1}" for k in range(layout.h))]
     lines += [",".join(_fmt(v) for v in row) for row in br]
     return ({"bracket_check.csv": "\n".join(lines) + "\n"},

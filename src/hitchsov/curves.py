@@ -172,7 +172,7 @@ def build_curve(coeffs, genus_one_ok=False) -> HyperellipticCurve:
     for _ in range(2):  # Newton polish
         dp = npoly.polyval(roots, dcoeffs)
         mask = np.abs(dp) > 1e-14
-        roots[mask] -= npoly.polyval(roots[mask], coeffs)[mask] / dp[mask]
+        roots[mask] -= npoly.polyval(roots[mask], coeffs) / dp[mask]
     margin = root_cluster_margin(coeffs, roots)
     if not margin > 1.0:
         seps = np.abs(roots[:, None] - roots[None, :])

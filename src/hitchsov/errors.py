@@ -54,11 +54,8 @@ class SingularJacobian(HitchsovError):
 
 
 class NewtonDivergence(HitchsovError):
-    """Multi-start Newton failed to reach the residual target."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Multi-start Newton failed to reach the residual target; the message
+    names the best residual reached and the number of starts."""
 
 
 class BranchLocus(HitchsovError):

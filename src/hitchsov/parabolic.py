@@ -204,26 +204,19 @@ def newton_polygon(f: LocalCharPoly):
     return hull
 
 
-def _segment_residual(f, j1, v1, j2, v2):
-    """Residual polynomial of the polygon segment (j1,v1)-(j2,v2).
-
-    For slope p/q in lowest terms the residual has degree (j2-j1)/q in u,
-    with coefficients the t^(v1 + k p)-coefficients of a_(j1 + k q).
+def _segment_residual(f, j1, v1, p, q, deg):
+    """Residual polynomial of the polygon segment from (j1, v1) of slope
+    p/q in lowest terms: degree deg in u, with coefficients the
+    t^(v1 + k p)-coefficients of a_(j1 + k q).  Every v1 + k p is at most
+    the segment's end valuation, which lies below the truncation.
     """
-    rise = v2 - v1
-    run = j2 - j1
-    gcd = math.gcd(rise, run)
-    p, q = rise // gcd, run // gcd
     u = sympy.symbols('u')
     poly = sympy.Integer(0)
-    deg = run // q
     coeffs_full = [series([1], f.trunc)] + f.coeffs
     for k in range(deg + 1):
-        j = j1 + k * q
-        v = v1 + k * p
-        c = coeffs_full[j][v] if v < f.trunc else Fraction(0)
+        c = coeffs_full[j1 + k * q][v1 + k * p]
         poly += sympy.Rational(c) * u ** (deg - k)
-    return sympy.Poly(poly, u), (p, q)
+    return sympy.Poly(poly, u)
 
 
 def newton_eisenstein_check(f: LocalCharPoly, expected_mu=None):
@@ -247,9 +240,9 @@ def newton_eisenstein_check(f: LocalCharPoly, expected_mu=None):
                 "unit factor")
         gcd = math.gcd(rise, run)
         p, q = rise // gcd, run // gcd
-        res, _ = _segment_residual(f, j1, v1, j2, v2)
-        residuals.append(res)
         nfactors = run // q
+        res = _segment_residual(f, j1, v1, p, q, nfactors)
+        residuals.append(res)
         degrees.extend([q] * nfactors)
         if p != 1:
             distinguished = False     # constant terms have valuation p > 1

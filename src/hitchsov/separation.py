@@ -14,6 +14,10 @@ from .errors import (SingularConfiguration, SingularJacobian,
                      NewtonDivergence)
 from .spectral import SpectralPoint, eval_R
 
+_ON_CURVE_TOL = 1e-10   # |y^2 - P(x)| allowed, per unit of 1 + |P(x)|
+_NEWTON_TOL = 1e-9      # so(2n) residual target, per unit of max(1 + |lam|)^d
+_NEWTON_STARTS = 8      # ``start`` (or H = 0), then random starts
+
 
 class PhaseConfiguration(SpectralPoint):
     """h separating points, stacked once into a SpectralPoint of (h,)
@@ -30,16 +34,16 @@ class PhaseConfiguration(SpectralPoint):
         return [SpectralPoint(*p) for p in zip(self.x, self.y, self.lam)]
 
 
-def validate_configuration(cfg, curve, layout=None, tol=1e-10):
+def validate_configuration(cfg, curve, layout):
     """Raise SingularConfiguration unless the stacked point cfg has the
     layout's h points, all on the curve and with separated x."""
     xs, ys = cfg.x, cfg.y
-    if layout is not None and len(xs) != layout.h:
+    if len(xs) != layout.h:
         raise SingularConfiguration(
             f"expected {layout.h} points, got {len(xs)}")
     pxs = curve.p(xs)
     off = np.abs(ys ** 2 - pxs)
-    bad = off > tol * (1.0 + np.abs(pxs))
+    bad = off > _ON_CURVE_TOL * (1.0 + np.abs(pxs))
     if bad.any():
         i = np.argmax(bad)
         raise SingularConfiguration(
@@ -52,7 +56,7 @@ def validate_configuration(cfg, curve, layout=None, tol=1e-10):
 
 
 def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
-                       rng=None, tol=1e-9, max_starts=8, start=None):
+                       rng=None, start=None):
     """Coefficient vector H with R(gamma_i; H) = 0 for every point.
 
     Types with all blocks linear in H reduce to one linear solve, and
@@ -84,41 +88,35 @@ def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def fvec(ham):
-        return eval_R(layout, curve, ham, cfg).value
-
-    def jac(ham):
-        return eval_R(layout, curve, ham, cfg).grad_h
-
     best = np.inf
-    for attempt in range(max_starts):
+    for attempt in range(_NEWTON_STARTS):
         if attempt == 0:
             ham = np.zeros(layout.h, complex) if start is None else start
         else:
             ham = rng.standard_normal(layout.h) \
                 + 1j * rng.standard_normal(layout.h)
-        f = fvec(ham)
+        ev = eval_R(layout, curve, ham, cfg)
         for _ in range(60):
             try:
-                step = np.linalg.solve(jac(ham), f)
+                step = np.linalg.solve(ev.grad_h, ev.value)
             except np.linalg.LinAlgError:
                 break
             damp = 1.0
             for _ in range(30):
                 trial = ham - damp * step
-                ftrial = fvec(trial)
-                if np.linalg.norm(ftrial) < np.linalg.norm(f):
-                    ham, f = trial, ftrial
+                ev_trial = eval_R(layout, curve, trial, cfg)
+                if np.linalg.norm(ev_trial.value) < np.linalg.norm(ev.value):
+                    ham, ev = trial, ev_trial
                     break
                 damp *= 0.5
             else:
                 break
-            if np.abs(f).max() < tol * scale:
+            if np.abs(ev.value).max() < _NEWTON_TOL * scale:
                 return ham
-        best = min(best, np.abs(f).max())
+        best = min(best, np.abs(ev.value).max())
     raise NewtonDivergence(
-        f"no Newton start reached residual {tol * scale:.2e}",
-        best_residual=best)
+        f"no Newton start reached residual {_NEWTON_TOL * scale:.2e} "
+        f"({_NEWTON_STARTS} starts, best {best:.2e})")
 
 
 def implicit_gradients(layout, curve, cfg, ham):
@@ -135,20 +133,12 @@ def implicit_gradients(layout, curve, cfg, ham):
     return -minv * ev.d_lambda, -minv * ev.d_x
 
 
-def involution_check(layout, curve, cfg, ham=None):
-    """Magnitudes |{H_j, H_k}| of all pairwise coefficient brackets."""
-    if ham is None:
-        ham = solve_hamiltonians(layout, curve, cfg)
+def involution_check(layout, curve, cfg, ham):
+    """Magnitudes |{H_j, H_k}| of all pairwise coefficient brackets, and
+    the scale that normalizes them: gradient norms times max |y|."""
     dh_dlam, dh_dx = implicit_gradients(layout, curve, cfg, ham)
     # bracket[j,k] = sum_i y_i (dHj/dlam_i dHk/dx_i - dHk/dlam_i dHj/dx_i)
     a = dh_dlam * cfg.y[None, :]
     br = a @ dh_dx.T - dh_dx @ a.T
-    return np.abs(br)
-
-
-def gradient_scale(layout, curve, cfg, ham):
-    """Normalization for bracket magnitudes: gradient norms times |y|."""
-    dh_dlam, dh_dx = implicit_gradients(layout, curve, cfg, ham)
     norms = np.sqrt(np.sum(np.abs(dh_dlam) ** 2 + np.abs(dh_dx) ** 2, axis=1))
-    ymax = np.abs(cfg.y).max()
-    return np.outer(norms, norms) * ymax + 1e-300
+    return np.abs(br), np.outer(norms, norms) * np.abs(cfg.y).max() + 1e-300

@@ -89,17 +89,11 @@ def riemann_theta(z, tau, deriv=None):
     """Theta value (or a termwise partial derivative) by truncated sum.
 
     deriv is a tuple of non-negative per-component derivative orders;
-    each order j multiplies the terms by (2 pi i n_s)^j.
+    each order j multiplies the terms by (2 pi i n_s)^j.  The value is
+    the entry of ``theta_deriv_table`` at deriv.
     """
-    z = np.asarray(z, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
-    extra = 3.0 + (2.0 * sum(deriv) if deriv else 0.0)
-    pts, terms = _lattice_terms(z[None, :], tau, extra)
-    terms = terms[0]
-    for s, order in enumerate(deriv or ()):
-        if order:
-            terms = terms * (2j * np.pi * pts[:, s]) ** order
-    return np.sum(terms)
+    deriv = tuple(deriv) if deriv else (0,) * np.shape(z)[0]
+    return theta_deriv_table(z, tau, sum(deriv))[deriv]
 
 
 def theta_deriv_table(z, tau, max_order):

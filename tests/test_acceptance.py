@@ -12,8 +12,7 @@ from hitchsov.curves import abel_map, build_curve, continue_y
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, eval_R, lambda_roots,
                                _track_roots)
-from hitchsov.separation import (solve_hamiltonians, involution_check,
-                                 gradient_scale)
+from hitchsov.separation import solve_hamiltonians, involution_check
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             flow_poisson, match_states, angle_increments,
                             hamiltonian_drift, discriminant_zero_count)
@@ -62,8 +61,7 @@ def test_criterion_2_involution(curve_c):
         for _ in range(20):
             cfg = random_config(layout, curve_c, rng)
             ham = solve_hamiltonians(layout, curve_c, cfg)
-            br = involution_check(layout, curve_c, cfg, ham)
-            scale = gradient_scale(layout, curve_c, cfg, ham)
+            br, scale = involution_check(layout, curve_c, cfg, ham)
             worst = max(worst, float((br / scale).max()))
     assert worst < 1e-7
     report(f"criterion 2 - involution: max normalized bracket {worst:.2e} "
@@ -115,7 +113,7 @@ def test_criterion_4_two_route_flow(curve_c, gl2, gl2_flow):
     drift = max(hamiltonian_drift(gl2, curve_c, tf),
                 hamiltonian_drift(gl2, curve_c, tp))
     assert drift < 1e-7
-    # Euler first-order scaling against the RK4 reference
+    # Euler first-order scaling against the dopri5 reference
     t_short = 0.1
     ref = flow_fiber(gl2, curve_c, ham, cfg, c, t_short, 1e-3)
     e1 = flow_fiber(gl2, curve_c, ham, cfg, c, t_short, 2e-3,

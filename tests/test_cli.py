@@ -127,6 +127,18 @@ class TestExitCodes:
         assert "validation error" in res.output
         assert not (tmp_path / "curve_info.json").exists()
 
+    @pytest.mark.parametrize("coeffs", [[0, 0, 0, 0, 0, 1],
+                                        [0, 0, 0, -1, 0, 1]])
+    def test_exactly_repeated_branch_point(self, tmp_path, coeffs):
+        f = tmp_path / "repeated.json"
+        f.write_text(json.dumps({"curve": {"coeffs": coeffs}}))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["curve", "info", "--input", str(f),
+                                   "--output", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "branch points not certified distinct" in res.output
+        assert not out.exists()
+
     def test_repeated_z6_point(self, tmp_path):
         z6 = [[0.1, 0.2], [0.1, 0.2], [0.5, 0.0], [1.0, 0.0], [-1.0, 0.3],
               [0.2, -0.7]]

@@ -64,6 +64,14 @@ class TestValidation:
         with pytest.raises(DuplicateBranchPoint):
             build_curve(npoly.polyfromroots([1, 1, 2, 3, 4]))
 
+    @pytest.mark.parametrize("coeffs", [[0, 0, 0, 0, 0, 1],
+                                        [0, 0, 0, -1, 0, 1]])
+    def test_exactly_repeated_roots(self, coeffs):
+        """y^2 = x^5 and y^2 = x^3 (x^2 - 1): P' vanishes exactly at the
+        repeated root, which the Newton polish leaves out."""
+        with pytest.raises(DuplicateBranchPoint):
+            build_curve(coeffs)
+
     def test_triple_root_rejected(self):
         with pytest.raises(DuplicateBranchPoint):
             build_curve(npoly.polyfromroots([1, 1, 1, 2, 3]))

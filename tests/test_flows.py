@@ -355,11 +355,14 @@ class TestTypedErrors:
                 f"point 1 hit the branch locus at x={e}")):
             _continue_sheets(curve_c, xs + 1e-2, ys, xs)
 
-    def test_newton_divergence(self, curve_c):
+    def test_newton_divergence(self, curve_c, monkeypatch):
         layout, _, cfg, _ = planted("SO_even", curve_c, 5)
-        with pytest.raises(NewtonDivergence, match="no Newton start") as info:
-            solve_hamiltonians(layout, curve_c, cfg, tol=0.0, max_starts=1)
-        assert np.isfinite(info.value.best_residual)
+        monkeypatch.setattr(separation, "_NEWTON_TOL", 0.0)
+        monkeypatch.setattr(separation, "_NEWTON_STARTS", 1)
+        with pytest.raises(NewtonDivergence, match=re.escape(
+                "no Newton start reached residual 0.00e+00 (1 starts, best ")
+                + r"\d\.\d\de[+-]\d\d\)$"):
+            solve_hamiltonians(layout, curve_c, cfg)
 
 
 class TestCallCounts:
@@ -406,6 +409,22 @@ class TestCallCounts:
                     flow_poisson(layout, curve_c, cfg, c, n * dt, dt, "rk4")
                 assert counts == {"lambda_roots": 0, **{
                     name: k * n for name, k in per_step.items()}}
+
+    def test_one_eval_per_newton_trial(self, curve_c, monkeypatch):
+        """The so(2n) Newton evaluates R once at each start and trial H; the
+        step from an accepted trial reuses that trial's evaluation."""
+        layout, _, cfg, _ = planted("SO_even", curve_c, 8)
+        hams = []
+        real = spectral.eval_R
+
+        def recording(layout, curve, ham, pt):
+            hams.append(np.array(ham))
+            return real(layout, curve, ham, pt)
+        monkeypatch.setattr(separation, "eval_R", recording)
+        solve_hamiltonians(layout, curve_c, cfg)
+        assert len(hams) > 3
+        assert not any(np.array_equal(a, b)
+                       for i, a in enumerate(hams) for b in hams[:i])
 
 
 class TestStackedStates:

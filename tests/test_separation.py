@@ -6,7 +6,7 @@ from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, eval_R)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
                                  implicit_gradients, involution_check,
-                                 gradient_scale, validate_configuration)
+                                 validate_configuration)
 
 from conftest import sample_fiber_config, random_config
 
@@ -105,8 +105,7 @@ class TestBrackets:
             else:
                 cfg = random_config(layout, curve_c, rng)
                 ham = solve_hamiltonians(layout, curve_c, cfg)
-            br = involution_check(layout, curve_c, cfg, ham)
-            scale = gradient_scale(layout, curve_c, cfg, ham)
+            br, scale = involution_check(layout, curve_c, cfg, ham)
             assert (br / scale).max() < 1e-7
 
     def test_implicit_gradients_fd(self, curve_c, gl2):

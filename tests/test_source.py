@@ -60,8 +60,6 @@ UNCALLED_PUBLIC = {
     "so6_relations": "acceptance criterion 9 (SL2 so(6) brackets)",
     "plucker": "paper check: the line coordinates KLEIN folds in",
     "plucker_relation": "paper check: the Klein quadric of those lines",
-    "theta_deriv_table": "in bench/spans.py TARGETS until the benchmark "
-                         "drops it",
     "gp_hamiltonians": "in bench/spans.py TARGETS",
     "integrate_monomials": "in bench/spans.py TARGETS until the benchmark "
                            "drops it",
