@@ -29,7 +29,7 @@ from .spectral import FAMILIES, resolve_type, coefficient_layout, SpectralPoint
 from .separation import (PhaseConfiguration, solve_hamiltonians,
                          involution_check)
 from .flows import flow_fiber, flow_poisson, match_states, angle_increments
-from .theta import riemann_constants, sigma_series, sigma_contour
+from .theta import sigma_series, sigma_contour
 from . import sl2
 from . import parabolic as pb
 
@@ -328,8 +328,6 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 def _svg(trajectory):
     """SVG polylines of Re x_i(t) with a legend; deterministic layout."""
     times = np.asarray(trajectory.times, dtype=float)
-    if len(times) == 0:
-        raise ValidationError("empty trajectory")
     series = np.array([s.x.real for s in trajectory.states])  # (n, h)
     width, height, margin = 640.0, 400.0, 50.0
     t_lo, t_hi = times.min(), max(times.max(), times.min() + 1e-12)
@@ -392,16 +390,16 @@ def flow_run(data, seed, t_end, dt, scheme, direction, route, plot):
     """Integrate the flow of a direction in coefficient space."""
     cv, layout, cfg, hamv = _parse_system(data, seed)
     if direction is not None:
+        path = "--direction"
         try:
-            c = _cvec(json.loads(direction), "--direction")
+            c = _cvec(json.loads(direction), path)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON: {exc}", "--direction")
+            raise ValidationError(f"malformed JSON: {exc}", path)
     else:
-        c = _cvec(_field(data.get("flow", {}), "direction", "$.flow"),
-                  "$.flow.direction")
+        path = "$.flow.direction"
+        c = _cvec(_field(data.get("flow", {}), "direction", "$.flow"), path)
     if len(c) != layout.h:
-        raise ValidationError(
-            f"direction must have length h={layout.h}", "$.flow.direction")
+        raise ValidationError(f"direction must have length h={layout.h}", path)
     runs = {
         "fiber": lambda: flow_fiber(layout, cv, hamv, cfg, c,
                                     t_end, dt, scheme),
@@ -453,7 +451,6 @@ def theta_sigma(data):
         raise ValidationError(f"phi must have length g={cv.genus}", "$.phi")
     const = _num(data.get("const", 0.0), "$.const", float)
     td = period_matrix(cv)
-    riemann_constants(cv, td)
     s_series = sigma_series(cv, td, phi, k)[k - 1] + const
     s_contour = sigma_contour(cv, td, phi, k)[k - 1] + const
     gap = abs(s_series - s_contour)

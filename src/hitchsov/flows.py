@@ -27,11 +27,10 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
-from .curves import (_GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio,
-                     route_path)
+from .curves import _GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio
 from .errors import (BranchLocus, IllConditioned, StepRejected,
                      BranchCollision)
-from .spectral import SpectralPoint, _lambda_blocks, _track_roots, eval_R
+from .spectral import SpectralPoint, _lambda_blocks, _track_roots
 from .separation import implicit_gradients, solve_hamiltonians
 
 # zgesv is zgetrf then zgetrs in one call; its solution matches
@@ -312,17 +311,8 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="dopri5"):
                             np.broadcast_to(state.lam, xs.shape).ravel())
         return SpectralPoint(xs, ys, lams.reshape(xs.shape))
 
-    def reproject(state, step):
-        # the tracked lambdas are converged roots: only gate the residual
-        resid = np.abs(eval_R(layout, curve, ham, state).value).max()
-        if not np.isfinite(resid) or resid > 1e-3:
-            raise StepRejected(
-                f"fiber residual {resid:.2e} after step {step}",
-                suggested_dt=dt / 2)
-        return state
-
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
-                       scheme, reproject, lambda s: np.abs(s.x))
+                       scheme, size=lambda s: np.abs(s.x))
     return Trajectory(np.arange(len(states)) * dt, states)
 
 
@@ -387,13 +377,6 @@ def _density_panels(layout, curve, ham, a, b, start):
     return sums * half[:, None], end
 
 
-def _missed(y_end, lam_end, y, lam):
-    """Where a continued (y_end, lam_end) is not on the sheet of y or not
-    the fiber root lam."""
-    return (np.abs(y_end - y) > np.abs(y_end + y)) \
-        | (np.abs(lam_end - lam) > 1e-6 * (1 + np.abs(lam)))
-
-
 def angle_increments(layout, curve, ham, trajectory: Trajectory):
     """phi(t_k) - phi(0) along a trajectory, one row per stored state.
 
@@ -428,45 +411,14 @@ def _segment_increments(layout, curve, ham, xs, ys, lams, first):
     # the stored lambda of an integrated route is off its fiber by the
     # route's error: compare with the fiber root nearest to it
     xb, yb = xs[1:].ravel(), ys[1:].ravel()
-    missed = _missed(end[:, 0], end[:, 1], yb,
-                     _track_roots(layout, ham, xb, yb, lams[1:].ravel()))
+    lam = _track_roots(layout, ham, xb, yb, lams[1:].ravel())
+    missed = (np.abs(end[:, 0] - yb) > np.abs(end[:, 0] + yb)) \
+        | (np.abs(end[:, 1] - lam) > 1e-6 * (1 + np.abs(lam)))
     if missed.any():
         k, i = np.unravel_index(np.argmax(missed), xs[1:].shape)
         raise BranchLocus(f"point {i} left its sheet or fiber root between "
                           f"rows {first + k} and {first + k + 1}")
     return parts.reshape(xs[1:].shape + (layout.h,)).sum(axis=1)
-
-
-def _integrate_density(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
-    """Integrate all angle densities along the routed x-path x0 -> x1, on
-    ``_density_panels``: one ``_adaptive_gl`` call per waypoint segment,
-    since (y, lambda) at a segment's end starts the next."""
-    total = np.zeros(layout.h, dtype=complex)
-    start = np.array([y0, lam0], dtype=complex)
-    way = route_path(curve, x0, x1)
-    for a, b in zip(way[:-1], way[1:]):
-        part, end = _adaptive_gl(partial(_density_panels, layout, curve, ham),
-                                 [a], [b], start[None, :], tol)
-        total += part[0]
-        start = end[0]
-    return (total, *start)
-
-
-def angle_coordinates(layout, curve, ham, cfg, base: SpectralPoint,
-                      tol=1e-10):
-    """phi_j = sum_i integral from base to gamma_i of the j-th density."""
-    phi = np.zeros(layout.h, dtype=complex)
-    for x, y, lam in zip(cfg.x, cfg.y, cfg.lam):
-        part, y_end, lam_end = _integrate_density(
-            layout, curve, ham, base.x, base.y, base.lam, x, tol)
-        if _missed(y_end, lam_end, y, lam):
-            # arrival datum on a different sheet of the cover than the
-            # target: the caller's configuration fixes the homotopy class
-            raise BranchLocus(
-                "path arrived on a different sheet of the spectral cover; "
-                "choose a base on the same sheet or refine the routing")
-        phi += part
-    return phi
 
 
 def hamiltonian_drift(layout, curve, trajectory):

@@ -8,8 +8,10 @@ Newton polygon and Eisenstein factorization.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import sympy
 
@@ -44,13 +46,8 @@ def level_function(n, j):
     r = sum(n)
     if not 1 <= j <= r:
         raise IndexError(f"j must be in 1..{r}, got {j}")
-    mu = dual_partition(n)
-    acc = 0
-    for level, m in enumerate(mu, start=1):
-        acc += m
-        if j <= acc:
-            return level
-    raise AssertionError("unreachable: partition sums to r")
+    # the first level whose running sum of mu reaches j; mu sums to r
+    return bisect_left(list(accumulate(dual_partition(n))), j) + 1
 
 
 # ----------------------------------------------------------------------

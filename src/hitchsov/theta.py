@@ -23,8 +23,8 @@ rows z, Y = Im tau.  For one row it is that row's own ellipsoid; for many it
 holds every term any row would have summed alone, and each row also sums
 the other rows' points, whose terms lie below the truncation level.  The
 contour route evaluates theta and its gradient on all samples of a circle
-from one lattice.  The vector of Riemann constants is a half-period in
-closed form, read from the characteristics of the branch points.
+from one lattice.  The vector of Riemann constants comes with the period
+data (``curves.period_matrix``).
 """
 
 import itertools
@@ -32,9 +32,11 @@ import itertools
 import numpy as np
 
 from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
-from .curves import (SERIES_TERMS, _chain_characteristics, _chart_radius,
-                     abel_map, abel_series, differential_series,
-                     lattice_reduce)
+from .curves import (SERIES_TERMS, _chart_radius, abel_map, abel_series,
+                     differential_series, lattice_reduce)
+
+# points on the sigma contour's first circle: 2 _CONTOUR_SAMPLES samples
+_CONTOUR_SAMPLES = 64
 
 
 def _lattice_points(tau, zs, extra_radius):
@@ -128,16 +130,10 @@ def q_series_theta(z, tau):
 
 
 def riemann_constants(curve, theta_data, rng=None):
-    """Vector K with theta(A(D) + K) = 0 for effective degree-(g-1) D,
-    stored on theta_data: the sum of A(e_k) over odd k (Mumford's set U,
-    ``curves._chain_characteristics``) as a half-period (m + tau n) / 2.
-    rng is ignored; callers of the former search (bench/workloads.py) pass it.
+    """Vector K with theta(A(D) + K) = 0 for effective degree-(g-1) D, as
+    ``curves.period_matrix`` stores it on theta_data.  curve and rng are
+    ignored; callers of the former search (bench/workloads.py) pass them.
     """
-    m, n = _chain_characteristics(theta_data.tau.shape[0])
-    mbits, nbits = m[::2].sum(axis=0) % 2, n[::2].sum(axis=0) % 2
-    theta_data.riemann_constants = 0.5 * (
-        np.array(mbits, dtype=complex)
-        + theta_data.tau @ np.array(nbits, dtype=complex))
     return theta_data.riemann_constants
 
 
@@ -174,24 +170,25 @@ def sigma_series(curve, theta_data, phi, k):
     return -jl[2::2]
 
 
-def sigma_contour(curve, theta_data, phi, k, nsamples=64):
+def sigma_contour(curve, theta_data, phi, k):
     """sigma_1..sigma_k(phi), less their additive constants, by the
     residues of x^j d ln theta at infinity.
 
-    Samples a z-chart circle by the trapezoid rule at 2 nsamples points.
-    The sum is the residue at infinity only with no zero of theta(v0 + A(z))
-    inside, so the circle, first of half the chart radius, is halved until
-    theta winds 0 times on it and min |theta| >= 1e-2 |theta(centre)| (the
-    samples' mean); then the samples double until every other sample's sum
-    agrees with the full one, r_j, to 1e-6 max(1, |r_j|).  ThetaDivisor
-    (6 halvings) and ResidueUnstable (3 doublings) name radius and samples.
+    Samples a z-chart circle at 2 _CONTOUR_SAMPLES points by the trapezoid
+    rule.  The sum is the residue at infinity only with no zero of
+    theta(v0 + A(z)) inside, so the circle, first of half the chart radius,
+    is halved until theta winds 0 times on it and min |theta| >= 1e-2
+    |theta(centre)| (the samples' mean); then the samples double until
+    every other sample's sum agrees with the full one, r_j, to 1e-6
+    max(1, |r_j|).  ThetaDivisor (6 halvings) and ResidueUnstable
+    (3 doublings) name radius and samples.
     """
     radius = 0.5 * _chart_radius(curve)
     w = differential_series(curve, theta_data.normalization, SERIES_TERMS)
     a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
     v0 = -np.asarray(phi, dtype=complex) - theta_data.riemann_constants
     v0 = v0 + (lattice_reduce(theta_data, v0) - v0)
-    halvings = doublings = 0
+    nsamples, halvings, doublings = _CONTOUR_SAMPLES, 0, 0
     while True:
         # the 2n-point circle; its even-indexed samples are the n-point one
         nn = 2 * nsamples
@@ -229,8 +226,6 @@ def jacobi_inversion_check(curve, theta_data, points, ref_points):
     roots, both sigma routes, and the recovery error.
     """
     g = theta_data.tau.shape[0]
-    if theta_data.riemann_constants is None:
-        riemann_constants(curve, theta_data)
     images = abel_map(curve, theta_data, [*points, *ref_points])
     phi, ref_phi = images[:len(points)].sum(0), images[len(points):].sum(0)
     truth = np.array([sum(p.x ** k for p in ref_points)

@@ -5,7 +5,6 @@ from hitchsov.curves import build_curve, period_matrix
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, lambda_roots)
 from hitchsov.separation import PhaseConfiguration
-from hitchsov.theta import riemann_constants
 
 npoly = np.polynomial.polynomial
 
@@ -75,9 +74,7 @@ def curve15():
 
 @pytest.fixture(scope="session")
 def theta15(curve15):
-    td = period_matrix(curve15)
-    riemann_constants(curve15, td)
-    return td
+    return period_matrix(curve15)
 
 
 @pytest.fixture(scope="session")

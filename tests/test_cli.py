@@ -178,6 +178,12 @@ CURVE15 = {"coeffs": [_pair(z) for z in
                      npoly.polyfromroots([1.0, 2.0, 3.0, 4.0, 5.0])]}
 SL2 = {key: [[0.1 * i, 0.2] for i in range(n)]
        for key, n in (("z6", 6), ("q", 3), ("p", 3))}
+# GL(2) on y^2 = (x - 1)...(x - 5), the curve of CURVE15: h = 5 points
+# with generic lambda
+GL2 = {"curve": CURVE15, "lie_type": {"family": "GL", "rank": 2},
+       "points": [{"x": _pair(x), "lambda": [k + 1.0, 0.5],
+                   "y": _pair(np.sqrt(np.prod(x - np.arange(1, 6))))}
+                  for k, x in enumerate(0.1 + (0.3 + 0.2j) * np.arange(5))]}
 
 
 class TestMalformedFields:
@@ -207,6 +213,20 @@ class TestMalformedFields:
         ("ham solve", {"curve": CURVE15,
                        "lie_type": {"family": "SL", "rank": 1}},
          "$.lie_type.rank"),
+        ("curve info", {"curve": {"coeffs": CURVE15["coeffs"][:5] + ["one"]}},
+         "$.curve.coeffs[5]"),
+        ("ham solve", dict(GL2, points=GL2["points"][:4]), "$.points"),
+        ("flow run --direction [1,", GL2, "--direction"),
+        ("flow run --direction [1,2]", GL2, "--direction"),
+        ("flow run", dict(GL2, flow={"direction": [1, 2]}),
+         "$.flow.direction"),
+        ("theta sigma", {"curve": CURVE15, "k": 1, "phi": [[0.1, 0.0]]},
+         "$.phi"),
+        ("sl2 demo", dict(SL2, q=SL2["q"][:2]), "$"),
+        ("parabolic dims", {"genus": 2, "rank": 2, "points": [
+            {"partition": [1, 1], "weights": ["a", 0]}]},
+         "$.points[0].weights"),
+        ("parabolic local", {"local": {"coeffs": [["a"]]}}, "$.local.coeffs"),
     ])
     def test_exit_3_with_path(self, tmp_path, command, data, path):
         f = tmp_path / "in.json"
@@ -215,6 +235,14 @@ class TestMalformedFields:
             "--input", str(f), "--output", str(tmp_path)])
         assert res.exit_code == 3, res.output
         assert f"(at {path})" in res.output
+
+    def test_unreadable_input(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        res = runner.invoke(main, ["curve", "info", "--input", str(missing),
+                                   "--output", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert f"(at {missing})" in res.output
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTimeOptions:

@@ -7,7 +7,7 @@ from hitchsov import curves
 from hitchsov.curves import (build_curve, continue_y, route_path,
                              integrate_monomials, period_matrix, abel_map,
                              lattice_reduce)
-from hitchsov.theta import jacobi_inversion_check, riemann_constants
+from hitchsov.theta import jacobi_inversion_check
 from hitchsov.errors import (DegreeError, DuplicateBranchPoint,
                              BranchProximity, ContinuationAmbiguity,
                              CycleDegenerate)
@@ -53,6 +53,10 @@ class TestValidation:
     def test_even_degree_rejected(self):
         with pytest.raises(DegreeError):
             build_curve(npoly.polyfromroots([1, 2, 3, 4]))
+
+    def test_zero_leading_coefficient(self):
+        with pytest.raises(DegreeError, match="leading coefficient"):
+            build_curve([1, 0, 0, 0, 0, 0])
 
     def test_degree_three_needs_flag(self):
         with pytest.raises(DegreeError):
@@ -354,7 +358,6 @@ class TestChainPeriods:
         assert raw_tau_asymmetry(curves._chain_periods(curve)) < 1e-12
         td = period_matrix(curve)
         assert np.linalg.eigvalsh(td.tau.imag).min() > 0
-        riemann_constants(curve, td)
         rng = np.random.default_rng(5)
 
         def pick():

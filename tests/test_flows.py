@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from hitchsov import flows, separation, spectral
-from hitchsov.curves import route_path
 from hitchsov.spectral import (FAMILIES, resolve_type, coefficient_layout,
                                SpectralPoint, lambda_poly, lambda_roots)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
                                  implicit_gradients)
 from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
                              SingularJacobian, BranchCollision,
-                             NewtonDivergence, CycleDegenerate)
+                             NewtonDivergence)
 from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             flow_poisson, match_states, angle_increments,
                             hamiltonian_drift, discriminant_zero_count,
@@ -19,7 +18,6 @@ from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
                             _continue_sheets)
 
 from conftest import sample_fiber_config
-from continuation_oracle import track_sheets
 import flow_oracle
 
 
@@ -366,10 +364,10 @@ class TestTypedErrors:
 
 
 class TestCallCounts:
-    """Exact calls per RK4 step, whatever h: on the fiber route one
-    eval_R, for the residual gate, and one density build a stage; on the
-    Poisson route two eval_R a stage; no lambda_roots call on either
-    route, since the fiber route tracks its roots."""
+    """Exact calls per RK4 step, whatever h: on the fiber route no eval_R
+    and one density build a stage; on the Poisson route two eval_R a
+    stage; no lambda_roots call on either route, since the fiber route
+    tracks its roots."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -383,8 +381,7 @@ class TestCallCounts:
                 return real(*args)
             return wrapped
 
-        for mod in (flows, separation):
-            monkeypatch.setattr(mod, "eval_R", counter("eval_R"))
+        monkeypatch.setattr(separation, "eval_R", counter("eval_R"))
         # the densities of the Jacobi solve (and of the angle check)
         monkeypatch.setattr(flows, "_lambda_blocks", counter("_lambda_blocks"))
         # the tracker's fallback, the one lambda_roots call of either route
@@ -396,7 +393,7 @@ class TestCallCounts:
         dt = 1e-3
         systems = [planted(family, curve_c, 8) for family in ("GL", "SP")]
         counts = self.counted(monkeypatch)
-        per_step = ({"eval_R": 1, "_lambda_blocks": 4} if route == "fiber"
+        per_step = ({"eval_R": 0, "_lambda_blocks": 4} if route == "fiber"
                     else {"eval_R": 8, "_lambda_blocks": 0})
         for layout, ham, cfg, c in systems:         # h = 5 and h = 10
             for n in (2, 5):
@@ -456,8 +453,7 @@ class TestStackedStates:
             per_system.append(per_n)
         assert per_system[0] == per_system[1]
         short, long = per_system[0]
-        # one point per advanced stage; the fiber route's residual gate
-        # keeps the state it checks
+        # one point per advanced stage
         assert long - short == 3 * 4
         assert short <= 2 * 5
 
@@ -492,71 +488,3 @@ class TestFiberOracle:
             for name in ("x", "y", "lam"):
                 assert np.abs(getattr(a, name)
                               - getattr(b, name)).max() < 1e-12
-
-
-def density_loop(layout, curve, ham, x0, y0, lam0, x1, tol=1e-10):
-    """The angle-density integral as an unbounded panel stack with a fixed
-    tolerance, on the nearest-value sheet tracker: the driver
-    _integrate_density ran before it moved onto the shared adaptive one."""
-    way = route_path(curve, x0, x1)
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    total = np.zeros(layout.h, dtype=complex)
-    y, lam = y0, lam0
-
-    def panel(a, b, y_in, lam_in):
-        half = 0.5 * (b - a)
-        xs = np.r_[0.5 * (a + b) + half * nodes, b]
-        ys = track_sheets(curve, xs, y_in)
-        lams = np.empty(len(xs), dtype=complex)
-        lam = lam_in
-        for i, roots in enumerate(lambda_roots(layout, curve, ham, xs, ys)):
-            lam = lams[i] = roots[np.argmin(np.abs(roots - lam))]
-        dens = _integrand_vector(layout, curve, ham,
-                                 SpectralPoint(xs[:-1], ys[:-1], lams[:-1]))
-        return weights @ dens * half, ys[-1], lams[-1]
-
-    for a, b in zip(way[:-1], way[1:]):
-        stack = [(a, b, y, lam)]
-        while stack:
-            sa, sb, sy, slam = stack.pop()
-            coarse, _, _ = panel(sa, sb, sy, slam)
-            smid = 0.5 * (sa + sb)
-            left, ym, lm = panel(sa, smid, sy, slam)
-            right, ye, le = panel(smid, sb, ym, lm)
-            if np.abs(coarse - (left + right)).max() < tol:
-                total += left + right
-                y, lam = ye, le
-            else:
-                stack.append((smid, sb, ym, lm))
-                stack.append((sa, smid, sy, slam))
-    return total, y, lam
-
-
-class TestDensityIntegral:
-    X0, X1 = -0.6 + 0.05j, 1.6 - 0.05j     # passes 0 and 1 closely
-
-    def start(self, curve_c, gl2, ham):
-        y0 = np.sqrt(complex(curve_c.p(self.X0)))
-        lam0 = lambda_roots(gl2, curve_c, ham, self.X0, y0)[0]
-        return y0, lam0
-
-    def test_matches_panel_stack(self, curve_c, gl2, system):
-        ham, _, _ = system
-        assert len(route_path(curve_c, self.X0, self.X1)) > 2   # routed
-        y0, lam0 = self.start(curve_c, gl2, ham)
-        got = flows._integrate_density(gl2, curve_c, ham, self.X0, y0, lam0,
-                                       self.X1)
-        expect = density_loop(gl2, curve_c, ham, self.X0, y0, lam0, self.X1)
-        for g, e in zip(got, expect):
-            assert np.abs(g - e).max() < 1e-9 * (1 + np.abs(e).max())
-
-    def test_zero_tolerance_raises(self, curve_c, gl2, system):
-        # ending on the branch point 1, where the density has an inverse
-        # square-root singularity: the end panel never converges, while
-        # the ulp floor accepts the others even at tol = 0
-        ham, _, _ = system
-        y0, lam0 = self.start(curve_c, gl2, ham)
-        e = curve_c.branch_points[np.argmin(np.abs(curve_c.branch_points - 1))]
-        with pytest.raises(CycleDegenerate, match="depth 24"):
-            flows._integrate_density(gl2, curve_c, ham, self.X0, y0, lam0,
-                                     e, tol=0.0)

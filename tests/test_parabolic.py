@@ -126,6 +126,7 @@ class TestDims:
         (3, 2, [(1, 1)], [3, 7]),
         (3, 2, [(2,)], [3, 6]),
         (2, 2, [(1, 1), (1, 1)], [2, 5]),
+        (0, 2, [(1, 1)] * 3, [0, 0]),             # d_2 = -1 < 0
     ]
 
     @pytest.mark.parametrize("genus,rank,parts,expect", CASES)
@@ -163,6 +164,23 @@ class TestDims:
         bad = pb.ParabolicType(1, 2, [pb.MarkedPoint((2,))])
         with pytest.raises(IndeterminateDimension):
             pb.parabolic_base_dims(bad)
+
+
+class TestTypeValidation:
+    @pytest.mark.parametrize("build, match", [
+        (lambda: pb.MarkedPoint((2, 2), (0,)), "lengths differ"),
+        (lambda: pb.MarkedPoint((1, 1), (Fraction(1, 2), Fraction(1, 4))),
+         "non-decreasing"),
+        (lambda: pb.MarkedPoint((1, 1), (0, 1)), r"in \[0, 1\)"),
+        (lambda: pb.ParabolicType(2, 4, [pb.MarkedPoint((2, 1))]),
+         "does not sum to rank 4"),
+        (lambda: pb.ParabolicType(0, 2, [pb.MarkedPoint((1, 1))]),
+         r"2g - 2 \+ #points must be positive"),
+        (lambda: pb.delta_p(pb.ParabolicType(2, 2)), "at least one"),
+    ])
+    def test_rejected(self, build, match):
+        with pytest.raises(ValidationError, match=match):
+            build()
 
 
 class TestDeltaP:
@@ -235,6 +253,15 @@ class TestNewtonEisenstein:
         f = pb.LocalCharPoly.from_lists([[0], [0, 2], [0], [0, 0, 1]])
         rep = pb.newton_eisenstein_check(f)
         assert rep["factor_degrees"] == (2, 2)
+        assert not rep["distinguished"]
+
+    def test_slope_above_one(self):
+        # lambda^2 - t^3: one segment of slope 3/2, constant term of
+        # valuation 3 > 1
+        f = pb.LocalCharPoly.from_lists([[0], [0, 0, 0, -1]])
+        rep = pb.newton_eisenstein_check(f)
+        assert rep["vertices"] == [(0, 0), (2, 3)]
+        assert rep["factor_degrees"] == (2,)
         assert not rep["distinguished"]
 
     def test_unit_factor_rejected(self):

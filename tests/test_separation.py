@@ -41,6 +41,29 @@ class TestValidation:
             validate_configuration(PhaseConfiguration(pts), curve_c, gl2)
 
 
+class TestLinearSolve:
+    """The two typed failures of the linear solve, from constructed
+    inputs on GL(2): R = lambda^2 + B1 lambda + B2, linear in H."""
+
+    @staticmethod
+    def config(curve, lams):
+        xs = 0.1 + (0.3 + 0.2j) * np.arange(5)
+        return PhaseConfiguration([SpectralPoint(x, np.sqrt(curve.p(x)), lam)
+                                   for x, lam in zip(xs, lams)])
+
+    def test_singular(self, curve_c, gl2):
+        # every lambda = 0 zeroes the columns of the B1 block
+        with pytest.raises(SingularConfiguration, match="Singular matrix"):
+            solve_hamiltonians(gl2, curve_c, self.config(curve_c, [0.0] * 5))
+
+    def test_residual_not_finite(self, curve_c, gl2):
+        # lambda^2 overflows at one point, so the residual is not finite
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SingularConfiguration, match="linear solve residual nan"):
+            solve_hamiltonians(gl2, curve_c, self.config(
+                curve_c, [1e200, 2.0, 3.0, 4.0, 5.0]))
+
+
 class TestForwardBackward:
     @pytest.mark.parametrize("family", LINEAR_FAMILIES)
     def test_planted_recovery(self, family, curve_c):

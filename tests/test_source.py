@@ -63,9 +63,9 @@ UNCALLED_PUBLIC = {
     "gp_hamiltonians": "in bench/spans.py TARGETS",
     "integrate_monomials": "in bench/spans.py TARGETS until the benchmark "
                            "drops it",
-    "angle_coordinates": "the paper's angle coordinates from a base point; "
-                         "tests/test_flows.py checks its density integral, "
-                         "which angle_increments shares",
+    "route_path": "in bench/spans.py TARGETS; the oracles of "
+                  "tests/continuation_oracle.py and tests/contour_oracle.py "
+                  "route along it",
     "jacobi_matrix": "bench/workloads.py and the tests draw flow directions "
                      "c = J w with it; the fiber route solves through "
                      "_jacobi_solve",

@@ -48,6 +48,10 @@ class TestResolveType:
         with pytest.raises(RankError):
             resolve_type("GL", 0)
 
+    def test_so_even_needs_rank_two(self):
+        with pytest.raises(RankError, match="SO_even needs rank >= 2"):
+            resolve_type("SO_even", 1)
+
 
 class TestLayout:
     @pytest.mark.parametrize("family", FAMILIES)

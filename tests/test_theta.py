@@ -210,6 +210,16 @@ class TestSigma:
             assert a.shape == b.shape == (k,)
             assert np.all(np.abs(a - b) < 1e-6 * (1 + np.abs(a)))
 
+    def test_routes_on_fresh_period_data(self, curve_c):
+        """period_matrix stores K with tau, so both routes run on its
+        result as it comes."""
+        td = period_matrix(curve_c)
+        pts = [curve_c.point(0.4 + 0.3j), curve_c.point(-1.1 - 0.2j)]
+        phi = abel_map(curve_c, td, pts).sum(axis=0)
+        a = sigma_series(curve_c, td, phi, 2)
+        b = sigma_contour(curve_c, td, phi, 2)
+        assert np.all(np.abs(a - b) < 1e-6 * (1 + np.abs(a)))
+
     def test_constant_is_configuration_independent(self, curve15, theta15):
         rng = np.random.default_rng(8)
         consts = []
@@ -269,18 +279,19 @@ class TestSigma:
                 r"samples")):
             sigma_contour(curve15, theta15, phi, 1)
 
-    def test_few_samples_double(self, curve15, theta15):
+    def test_few_samples_double(self, curve15, theta15, monkeypatch):
         # 4 samples do not resolve the residue; the doubling gets there
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
-        few = sigma_contour(curve15, theta15, phi, 1, nsamples=2)
+        monkeypatch.setattr(theta, "_CONTOUR_SAMPLES", 2)
+        few = sigma_contour(curve15, theta15, phi, 1)
         ref = sigma_series(curve15, theta15, phi, 1)
         assert np.abs(few - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_contour_evaluates_circle_once(self, curve15, theta15,
                                            monkeypatch):
-        """theta and its gradient are summed once, on the 2 nsamples
-        circle; the nsamples sum reads every other sample of it."""
+        """theta and its gradient are summed once, on the 2 _CONTOUR_SAMPLES
+        circle; the _CONTOUR_SAMPLES sum reads every other sample of it."""
         rows = []
         real = theta._theta_and_gradient
 
@@ -291,7 +302,8 @@ class TestSigma:
         monkeypatch.setattr(theta, "_theta_and_gradient", counted)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
-        sigma_contour(curve15, theta15, phi, 1, nsamples=32)
+        monkeypatch.setattr(theta, "_CONTOUR_SAMPLES", 32)
+        sigma_contour(curve15, theta15, phi, 1)
         assert rows == [64]
 
 
@@ -333,7 +345,6 @@ class TestContourGuard:
         coeffs, phi, k, batches = CONTOUR_ZEROS[job]
         curve = build_curve(coeffs)
         td = period_matrix(curve)
-        riemann_constants(curve, td)
         rows = []
         real = theta._theta_and_gradient
 
@@ -409,9 +420,7 @@ def period_data(curve15, theta15, curve_c):
     data = {"curve15": (curve15, theta15)}
     for name, curve in [("curve_c", curve_c),
                         ("curve_g3", make_curve([0, 1, 2, 3, 4, 5, 6.5]))]:
-        td = period_matrix(curve)
-        riemann_constants(curve, td)
-        data[name] = (curve, td)
+        data[name] = (curve, period_matrix(curve))
     return data
 
 
@@ -455,7 +464,6 @@ class TestSeriesAtInfinity:
         monkeypatch.setattr(curves, "_series_invsqrt", counted)
         curve = make_curve([1.0, 2.0, 3.0, 4.0, 5.0])
         td = period_matrix(curve)
-        riemann_constants(curve, td)
         pts = [curve.point(0.4 + 0.3j), curve.point(-1.1 - 0.2j)]
         refs = [curve.point(0.2 - 0.7j), curve.point(1.3 + 0.9j)]
         jacobi_inversion_check(curve, td, pts, refs)
