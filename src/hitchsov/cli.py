@@ -38,20 +38,34 @@ from . import parabolic as pb
 # serialization helpers
 # ----------------------------------------------------------------------
 
+def _finite(v, path):
+    """v, a JSON int or float, as a finite float."""
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = np.inf
+    if not np.isfinite(x):
+        raise ValidationError("expected a finite number", path)
+    return x
+
+
 def _cplx(v, path):
     if isinstance(v, (int, float)):
-        return complex(v)
+        return complex(_finite(v, path))
     if isinstance(v, (list, tuple)) and len(v) == 2 \
             and all(isinstance(u, (int, float)) for u in v):
-        return complex(v[0], v[1])
+        return complex(_finite(v[0], path), _finite(v[1], path))
     raise ValidationError(f"expected number or [re, im] pair", path)
 
 
 def _num(v, path, kind=int, lo=-np.inf, hi=np.inf):
-    """v as a JSON integer (kind=int) or number (kind=float) in [lo, hi]."""
+    """v as a JSON integer (kind=int) or finite number (kind=float) in
+    [lo, hi]."""
     types = int if kind is int else (int, float)
     if isinstance(v, bool) or not isinstance(v, types):
         raise ValidationError(f"expected {kind.__name__}", path)
+    if kind is float:
+        v = _finite(v, path)
     if not lo <= v <= hi:
         raise ValidationError(f"expected a value in [{lo}, {hi}]", path)
     return kind(v)

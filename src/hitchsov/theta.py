@@ -8,12 +8,14 @@ residues on a small circle in the z-chart.  Both leave out additive
 constants, which Jacobi inversion calibrates once on a known divisor.
 Agreement of the two routes is the module's central consistency check.
 
-The series route builds one lattice per call.  At each lattice point n
-the term exp(2 pi i n.A(z)) is a power series in z, from the recurrence
-of the exponential, so theta(v0 + A(z)) is one weighted sum of those
-series, and its logarithm follows by the matching recurrence.  The
-contour route samples theta and its gradient on the circle instead and
-shares no step with it after the Abel series (``curves.abel_series``).
+The series route builds one lattice for every phi of a call (Jacobi
+inversion passes the reference and the target together).  At each
+lattice point n the term exp(2 pi i n.A(z)) is a power series in z, from
+the recurrence of the exponential, so theta(v0 + A(z)) is one weighted
+sum of those series for each phi, and its logarithm follows by the
+matching recurrence.  The contour route samples theta and its gradient
+on the circle instead and shares no step with it after the Abel series
+(``curves.abel_series``).
 
 Theta sums are truncated to a lattice built once for a batch of arguments
 (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
@@ -23,8 +25,9 @@ rows z, Y = Im tau.  For one row it is that row's own ellipsoid; for many it
 holds every term any row would have summed alone, and each row also sums
 the other rows' points, whose terms lie below the truncation level.  The
 contour route evaluates theta and its gradient on all samples of a circle
-from one lattice.  The vector of Riemann constants comes with the period
-data (``curves.period_matrix``).
+from one lattice, each term the base term at the centre v0 times one
+tabled phase per coordinate.  The vector of Riemann constants comes with
+the period data (``curves.period_matrix``).
 """
 
 import itertools
@@ -80,10 +83,31 @@ def _lattice_terms(zs, tau, extra_radius=3.0):
     return pts, np.exp(expo, out=expo)
 
 
-def _theta_and_gradient(zs, tau):
-    """theta and its gradient at the rows of zs (shape (m, g)), summed over
-    one lattice with the radius of a first derivative."""
-    pts, terms = _lattice_terms(zs, tau, 5.0)
+def _theta_and_gradient(v0, shifts, tau):
+    """theta and its gradient at the rows v0 + shifts (shifts of shape
+    (m, g)), summed over their union lattice with the radius of a first
+    derivative.
+
+    Each term exp(pi i n.tau.n + 2 pi i n.(v0 + shift)) is the base term
+    at v0 times one phase exp(2 pi i n_s shift_s) per coordinate s, and
+    the phases of a row are tabled once for each integer value of n_s: one
+    exponential per lattice point and one per row and value, not one per
+    row and point.  The split holds to roundoff while no factor overflows.
+    The shifts are the Abel series on the contour's circle, so |Im shift|
+    is small (below 0.04 on the test suite's curves): no phase can
+    overflow, and the base terms are those of v0's own ellipsoid.  Rows
+    far apart (``sigma_series``, ``theta_deriv_table``) go through
+    ``_lattice_terms``.
+    """
+    pts = _lattice_points(tau, v0 + shifts, 5.0)
+    base = 2j * np.pi * (pts @ v0)
+    base += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
+    terms = np.exp(base, out=base)
+    for s, col in enumerate(pts.T.astype(int)):
+        lo = col.min()  # phase[r, j] = exp(2 pi i (lo + j) shifts[r, s])
+        phase = np.exp(2j * np.pi * shifts[:, s, None]
+                       * np.arange(lo, col.max() + 1))
+        terms = terms * phase[:, col - lo]
     return terms.sum(axis=1), 2j * np.pi * (terms @ pts)
 
 
@@ -142,19 +166,25 @@ def sigma_series(curve, theta_data, phi, k):
     coefficients of ln theta at infinity.
 
     sigma_j = const_j - 2j [z^(2j)] ln theta(A(z) - phi - K), every j from
-    the one series to order 2k.  One lattice, at the radius of a derivative
-    of order 2k, holds the rows v0 = -phi - K (reduced) and 0, the scale of
-    the divisor test.
+    the one series to order 2k.  phi of shape (g,) gives (k,); phi of shape
+    (m, g) gives (m, k), every row from one lattice, at the radius of a
+    derivative of order 2k, that holds the rows v0 = -phi - K (reduced) and
+    0, the scale of the divisor test.
     """
     tau = theta_data.tau
     g = tau.shape[0]
     n = 2 * k + 1
     kvec = theta_data.riemann_constants
-    v0 = lattice_reduce(theta_data, -np.asarray(phi, dtype=complex) - kvec)
-    pts, terms = _lattice_terms(np.array([v0, np.zeros(g)]), tau, 3.0 + 4.0 * k)
+    phis = np.asarray(phi, dtype=complex)
+    rows = [lattice_reduce(theta_data, -row - kvec)
+            for row in np.atleast_2d(phis)]
+    pts, terms = _lattice_terms(np.array([*rows, np.zeros(g)]), tau,
+                                3.0 + 4.0 * k)
     th = terms.sum(axis=1)
-    if abs(th[0]) < 1e-10 * abs(th[1]):
-        raise ThetaDivisor("theta(-phi-K) below tolerance")
+    for r, ratio in enumerate(np.abs(th[:-1]) / abs(th[-1])):
+        if ratio < 1e-10:
+            raise ThetaDivisor(f"|theta(-phi-K)|/|theta(0)| = {ratio:.2e} "
+                               f"below 1e-10 at row {r} of phi")
     # ja[i, j] = j a_j for a(z) = 2 pi i n_i.A(z); exp(a) = sum_m e_m z^m
     # by m e_m = sum_j j a_j e_(m-j)
     ja = (2j * np.pi * pts) @ abel_series(curve, theta_data, 2 * k) * np.arange(n)
@@ -162,12 +192,15 @@ def sigma_series(curve, theta_data, phi, k):
     e[:, 0] = 1.0
     for m in range(1, n):
         e[:, m] = np.sum(ja[:, 1:m + 1] * e[:, m - 1::-1], axis=1) / m
-    f = terms[0] @ e  # theta(v0 + A(z)) = sum_m f_m z^m
-    # jl[j] = j [z^j] ln f, by m f_m = sum_j j [z^j] ln f f_(m-j)
-    jl = np.zeros(n, dtype=complex)
-    for m in range(1, n):
-        jl[m] = (m * f[m] - jl[1:m] @ f[m - 1:0:-1]) / f[0]
-    return -jl[2::2]
+    sigmas = []
+    for row_terms in terms[:-1]:
+        f = row_terms @ e  # theta(v0 + A(z)) = sum_m f_m z^m
+        # jl[j] = j [z^j] ln f, by m f_m = sum_j j [z^j] ln f f_(m-j)
+        jl = np.zeros(n, dtype=complex)
+        for m in range(1, n):
+            jl[m] = (m * f[m] - jl[1:m] @ f[m - 1:0:-1]) / f[0]
+        sigmas.append(-jl[2::2])
+    return np.array(sigmas) if phis.ndim == 2 else sigmas[0]
 
 
 def sigma_contour(curve, theta_data, phi, k):
@@ -194,7 +227,7 @@ def sigma_contour(curve, theta_data, phi, k):
         nn = 2 * nsamples
         zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
         zp = zs[:, None] ** np.arange(SERIES_TERMS + 1)  # (nn, SERIES_TERMS + 1)
-        th, grad = _theta_and_gradient(v0 + zp @ a_coeff.T, theta_data.tau)
+        th, grad = _theta_and_gradient(v0, zp @ a_coeff.T, theta_data.tau)
         if not np.abs(th).min() >= 1e-2 * abs(th.mean()) or round(
                 np.angle(np.roll(th, -1) / th).sum() / (2 * np.pi)):
             if halvings == 6:
@@ -230,8 +263,9 @@ def jacobi_inversion_check(curve, theta_data, points, ref_points):
     phi, ref_phi = images[:len(points)].sum(0), images[len(points):].sum(0)
     truth = np.array([sum(p.x ** k for p in ref_points)
                       for k in range(1, g + 1)])
-    const = truth - sigma_series(curve, theta_data, ref_phi, g)
-    sigmas = sigma_series(curve, theta_data, phi, g) + const
+    ref_series, series = sigma_series(curve, theta_data, [ref_phi, phi], g)
+    const = truth - ref_series
+    sigmas = series + const
     sigmas_contour = sigma_contour(curve, theta_data, phi, g) + const
     # Newton's identities: e_1..e_g from the power sums
     e = [1.0 + 0.0j]

@@ -227,6 +227,21 @@ class TestMalformedFields:
             {"partition": [1, 1], "weights": ["a", 0]}]},
          "$.points[0].weights"),
         ("parabolic local", {"local": {"coeffs": [["a"]]}}, "$.local.coeffs"),
+        ("ham solve", dict(GL2, points=[dict(GL2["points"][0], x=np.nan),
+                                        *GL2["points"][1:]]),
+         "$.points[0].x"),
+        ("ham solve", dict(GL2, points=[dict(GL2["points"][0],
+                                             **{"lambda": [np.inf, 0]}),
+                                        *GL2["points"][1:]]),
+         "$.points[0].lambda"),
+        ("curve info", {"curve": {"coeffs": CURVE15["coeffs"][:5] + [np.nan]}},
+         "$.curve.coeffs[5]"),
+        ("theta sigma", {"curve": CURVE15, "k": 1, "const": np.inf,
+                         "phi": [[0.1, 0.0], [0.2, 0.0]]}, "$.const"),
+        ("curve info", {"curve": {"coeffs": CURVE15["coeffs"][:5]
+                                  + [[1, 10 ** 400]]}}, "$.curve.coeffs[5]"),
+        ("theta sigma", {"curve": CURVE15, "k": 1, "const": -10 ** 400,
+                         "phi": [[0.1, 0.0], [0.2, 0.0]]}, "$.const"),
     ])
     def test_exit_3_with_path(self, tmp_path, command, data, path):
         f = tmp_path / "in.json"

@@ -109,7 +109,8 @@ class TestBatchedTheta:
         rng = np.random.default_rng(10 * g + int(spread))
         tau = random_tau(g, rng)
         zs = spread_rows(tau, rng, 5, spread)
-        th, grad = theta._theta_and_gradient(zs, tau)
+        pts, terms = theta._lattice_terms(zs, tau, 5.0)
+        th, grad = terms.sum(axis=1), 2j * np.pi * (terms @ pts)
         assert th.shape == (5,) and grad.shape == (5, g)
         for z, t, gr in zip(zs, th, grad):
             ref = riemann_theta(z, tau)
@@ -141,20 +142,21 @@ class TestBatchedTheta:
 
     def test_jacobi_inversion_lattice_count(self, curve15, theta15,
                                             monkeypatch):
-        """One lattice per sigma_series call (reference and target) and
-        one for the contour circle: every sigma_j from the same three."""
+        """One series lattice for the reference, the target and the
+        scale row 0, and one for the contour circle: every sigma_j of both
+        divisors from the same two."""
         builds = []
-        real = theta._lattice_terms
+        real = theta._lattice_points
 
-        def counted(zs, *args):
+        def counted(tau, zs, *args):
             builds.append(len(zs))
-            return real(zs, *args)
+            return real(tau, zs, *args)
 
-        monkeypatch.setattr(theta, "_lattice_terms", counted)
+        monkeypatch.setattr(theta, "_lattice_points", counted)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         refs = [curve15.point(0.2 - 0.7j), curve15.point(1.3 + 0.9j)]
         jacobi_inversion_check(curve15, theta15, pts, refs)
-        assert builds == [2, 2, 128]
+        assert builds == [3, 128]
 
 
 class TestRiemannConstants:
@@ -256,7 +258,9 @@ class TestSigma:
         x = 0.4 + 0.3j
         phi = -abel_map(curve15, theta15,
                         curve15.point(x, np.sqrt(complex(curve15.p(x)))))
-        with pytest.raises(ThetaDivisor):
+        with pytest.raises(ThetaDivisor, match=(
+                r"^\|theta\(-phi-K\)\|/\|theta\(0\)\| = \S+ below 1e-10 "
+                r"at row 0 of phi$")):
             sigma_series(curve15, theta15, phi, 1)
         with pytest.raises(ThetaDivisor, match=(
                 r"in or near the circle of radius \S+ at 128 samples$")):
@@ -267,8 +271,8 @@ class TestSigma:
         real = theta._theta_and_gradient
         rng = np.random.default_rng(0)
 
-        def noisy(zs, tau):
-            th, grad = real(zs, tau)
+        def noisy(v0, shifts, tau):
+            th, grad = real(v0, shifts, tau)
             return th, grad * (1 + 1e-3 * rng.standard_normal(grad.shape))
 
         monkeypatch.setattr(theta, "_theta_and_gradient", noisy)
@@ -295,9 +299,9 @@ class TestSigma:
         rows = []
         real = theta._theta_and_gradient
 
-        def counted(zs, tau):
-            rows.append(len(zs))
-            return real(zs, tau)
+        def counted(v0, shifts, tau):
+            rows.append(len(shifts))
+            return real(v0, shifts, tau)
 
         monkeypatch.setattr(theta, "_theta_and_gradient", counted)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
@@ -348,9 +352,9 @@ class TestContourGuard:
         rows = []
         real = theta._theta_and_gradient
 
-        def counted(zs, tau):
-            rows.append(len(zs))
-            return real(zs, tau)
+        def counted(v0, shifts, tau):
+            rows.append(len(shifts))
+            return real(v0, shifts, tau)
 
         monkeypatch.setattr(theta, "_theta_and_gradient", counted)
         series = sigma_series(curve, td, phi, k)
@@ -358,6 +362,48 @@ class TestContourGuard:
         assert abs(series[-1] - contour[-1]) < 1e-6  # the strict gate
         assert np.all(np.abs(contour - series) <= 1e-12 * np.abs(series))
         assert rows == batches  # the first circle was halved
+
+
+def contour_circle(curve, td, phi, radius, nn=128):
+    """v0 and the Abel-series shifts at the nn samples of sigma_contour's
+    circle of the given radius."""
+    a = abel_series(curve, td, curves.SERIES_TERMS)
+    v0 = lattice_reduce(td, -np.asarray(phi, dtype=complex)
+                        - td.riemann_constants)
+    zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
+    return v0, (zs[:, None] ** np.arange(curves.SERIES_TERMS + 1)) @ a.T
+
+
+def assert_circle_is_lattice_sum(curve, td, phi):
+    """theta and its gradient from base terms and phases agree with the
+    termwise exponentials of _lattice_terms at every sample of the first
+    circle and of its two halvings, within 1e-13 of the largest sample."""
+    for halvings in range(3):
+        radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
+        v0, shifts = contour_circle(curve, td, phi, radius)
+        th, grad = theta._theta_and_gradient(v0, shifts, td.tau)
+        pts, terms = theta._lattice_terms(v0 + shifts, td.tau, 5.0)
+        ref, ref_grad = terms.sum(axis=1), 2j * np.pi * (terms @ pts)
+        assert np.abs(th - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(grad - ref_grad).max() \
+            <= 1e-13 * np.abs(ref_grad).max()
+
+
+class TestCircleTerms:
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_matches_lattice_terms(self, name, period_data):
+        curve, td = period_data[name]
+        g = curve.genus
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            assert_circle_is_lattice_sum(
+                curve, td, rng.uniform(0, 1, g) + td.tau @ rng.uniform(0, 1, g))
+
+    @pytest.mark.parametrize("job", sorted(CONTOUR_ZEROS))
+    def test_matches_near_contour_zeros(self, job):
+        coeffs, phi, _, _ = CONTOUR_ZEROS[job]
+        curve = build_curve(coeffs)
+        assert_circle_is_lattice_sum(curve, period_matrix(curve), phi)
 
 
 def _smul(a, b, n):
@@ -438,6 +484,29 @@ class TestSeriesAtInfinity:
                 for j in range(1, k + 1):
                     ref = taylor_sigma_series(curve, td, phi, j)
                     assert abs(got[j - 1] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_rows_of_phi_are_one_row_calls(self, name, period_data):
+        """phi of shape (3, g) gives the three one-row results, from one
+        lattice that holds all three rows."""
+        curve, td = period_data[name]
+        g = curve.genus
+        rng = np.random.default_rng(4)
+        phis = rng.uniform(0, 1, (3, g)) + rng.uniform(0, 1, (3, g)) @ td.tau.T
+        got = sigma_series(curve, td, phis, g)
+        assert got.shape == (3, g)
+        for row, phi in zip(got, phis):
+            ref = sigma_series(curve, td, phi, g)
+            assert np.all(np.abs(row - ref) <= 1e-12 * np.abs(ref))
+
+    def test_divisor_row_of_a_batch(self, curve15, theta15):
+        # the middle row is the theta-divisor point of test_theta_divisor
+        x = 0.4 + 0.3j
+        on = -abel_map(curve15, theta15,
+                       curve15.point(x, np.sqrt(complex(curve15.p(x)))))
+        phis = np.array([[0.3 + 0.1j, -0.2 + 0.4j], on, [0.1j, 0.5]])
+        with pytest.raises(ThetaDivisor, match=r"at row 1 of phi$"):
+            sigma_series(curve15, theta15, phis, 2)
 
     def test_contour_stable_at_large_sigma(self, period_data):
         """|sigma_3| is about 6e6 here, and sample doubling moves it by
