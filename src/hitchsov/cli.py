@@ -456,7 +456,8 @@ def theta_sigma(data):
     """Power-sum symmetric function sigma_k from theta derivatives.
 
     Evaluates sigma_k at the given phi by the series route and the
-    contour route and reports both with their difference.
+    contour route and reports both with their difference, gated relative
+    to max(1, |sigma_k|), the scale of the contour's own doubling test.
     """
     cv = _parse_curve(data)
     k = _num(_field(data, "k"), "$.k", lo=1, hi=cv.genus)
@@ -465,7 +466,8 @@ def theta_sigma(data):
         raise ValidationError(f"phi must have length g={cv.genus}", "$.phi")
     const = _num(data.get("const", 0.0), "$.const", float)
     td = period_matrix(cv)
-    s_series = sigma_series(cv, td, phi, k)[k - 1] + const
+    series = sigma_series(cv, td, phi, k)[k - 1]
+    s_series = series + const
     s_contour = sigma_contour(cv, td, phi, k)[k - 1] + const
     gap = abs(s_series - s_contour)
     return {"theta_sigma.json": {
@@ -476,7 +478,8 @@ def theta_sigma(data):
         "sigma_series": _pair(s_series),
         "sigma_contour": _pair(s_contour),
         "route_gap": gap,
-    }}, [("series/contour gap", gap)]
+    }}, [("series/contour gap / max(1, |sigma_k|)",
+           gap / max(1.0, abs(series)))]
 
 
 @main.group(name="sl2")

@@ -9,9 +9,10 @@ y = prod_k (x - e_k)^(1/2) (``_sheet_ratio``), and path integrals run on
 one level-synchronous adaptive Gauss-Kronrod integrator (``_adaptive_gl``).
 The homology basis lies on the chain of the branch points in (real, imag)
 order: every cycle is a loop about a run of the chain, its period a sum
-of integrals along the chain's edges (the cuts) by Gauss-Chebyshev, with
-y on the chain's one right-hand bank, where each chain point's Abel image
-is a fixed half-period: the Abel map starts from the nearest one.  Every
+of integrals along the chain's edges (the cuts), each two half-edges
+from its ends to its midpoint, with y on the chain's one right-hand
+bank.  Each chain point's Abel image is a fixed half-period: the Abel
+map starts from the nearest one, on the half-edges' panels.  Every
 series at infinity, in the local parameter ``z`` with ``x = z^-2``, is
 read from one expansion of ``1/sqrt(Q(z^2))`` held by the curve.
 """
@@ -424,65 +425,45 @@ def _adaptive_gl(panel, a, b, start, tol):
 # homology basis and periods
 # ----------------------------------------------------------------------
 
-# Gauss-Chebyshev nodes on an edge: the first pass and the cap of the doubling
-_GC_START, _GC_CAP = 16, 1 << 14
-# two successive passes agreeing to this share of max |integral| converge
-_GC_TOL = 1e-13
-
-
 def _bank_values(curve, chain):
     """y at the midpoint of each edge [e_j, e_{j+1}] of the chain, all on
     the chain's right-hand bank: y from sqrt(P) at the first midpoint is
-    continued along the chain, round each shared vertex by an arc of radius
+    continued, in one ``continue_y`` call, along the chain through every
+    midpoint, round each shared vertex by an arc of radius
     min_separation / 4 on the right."""
     mids = 0.5 * (chain[:-1] + chain[1:])
-    ys = [complex(np.sqrt(curve.p(mids[0])))]
     r = 0.25 * curve.min_separation
+    legs, at = [mids[:1]], [0]  # the polyline, and where each mid is on it
     for j in range(1, len(mids)):
         v = chain[j]
         back, ahead = _unit(chain[j - 1] - v), _unit(chain[j + 1] - v)
         a0 = np.angle(back)
         sweep = np.angle(ahead / back) % (2 * np.pi)  # counterclockwise
         arc = v + r * np.exp(1j * _arc_angles(a0, a0 + sweep / 2, a0 + sweep))
-        ys.append(continue_y(curve, np.r_[mids[j - 1], arc, mids[j]],
-                             ys[-1])[-1])
-    return ys
+        legs += [arc, mids[j:j + 1]]
+        at.append(at[-1] + len(arc) + 1)
+    return continue_y(curve, np.concatenate(legs),
+                      np.sqrt(curve.p(mids[0])))[at]
 
 
 def _edge_integrals(curve, chain, ys):
     """(g, 2g) integrals of x^k dx / y, k < g, over the edges [e_j, e_{j+1}]
-    of the chain, with y(mid_j) = ys[j].
+    of the chain, with y(m_j) = ys[j] at the edge midpoint m_j.
 
-    On x = mid + half t, y = y(mid) sqrt(1 - t^2) R(t), where R is the
-    product of the branch-point ratios of ``_sheet_ratio`` over the other
-    branch points: the edge's own two factors are the Gauss-Chebyshev
-    weight (Frauendiener and Klein, J. Comput. Appl. Math. 167, 2004).  The
-    node count doubles from _GC_START until two passes agree to _GC_TOL;
-    raises CycleDegenerate, naming the edge, past _GC_CAP nodes.
+    Each edge is two half-edges, int_{e_j}^{m_j} - int_{e_{j+1}}^{m_j},
+    each from its branch point e under x = e + (m_j - e) s^2 as in
+    ``abel_map``, which removes the 1/y end singularity at e; all 4g go
+    through one ``_adaptive_gl`` call on ``_branch_panels``.
     """
-    g = curve.genus
-    out = np.empty((g, len(ys)), dtype=complex)
-    for j, y_mid in enumerate(ys):
-        lo, hi = chain[j], chain[j + 1]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        rest = np.delete(chain, (j, j + 1))
-        n, prev = _GC_START, None
-        while True:
-            x = mid + half * np.cos((np.arange(n) + 0.5) * np.pi / n)
-            y = y_mid * np.sqrt((x[:, None] - rest) / (mid - rest)).prod(axis=1)
-            powers = np.vander(x, g, increasing=True)
-            vals = np.pi / n * half * (powers / y[:, None]).sum(axis=0)
-            if prev is not None:
-                diff = np.abs(vals - prev).max()
-                if diff <= _GC_TOL * np.abs(vals).max():
-                    break
-                if n == _GC_CAP:
-                    raise CycleDegenerate(
-                        f"Gauss-Chebyshev on the edge [{lo:.6g}, {hi:.6g}] not "
-                        f"converged at {n} nodes (last difference {diff:.3e})")
-            prev, n = vals, 2 * n
-        out[:, j] = vals
-    return out
+    n = len(ys)
+    k = np.r_[0:n, 1:n + 1]  # the branch point each half-edge starts from
+    e, mids = chain[k], np.tile(0.5 * (chain[:-1] + chain[1:]), 2)
+    rest = np.array([np.delete(chain, j) for j in k])
+    coef = 2 * (mids - e) / np.tile(ys, 2)
+    ints, _ = _adaptive_gl(partial(_branch_panels, e, mids, rest, coef),
+                           np.zeros(2 * n), np.ones(2 * n), np.arange(2 * n),
+                           tol=1e-10)
+    return (ints[:n] - ints[n:]).T
 
 
 def _branch_chain(curve):
@@ -515,13 +496,17 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     exactly that run: a_i about (e_{2i-1}, e_{2i}), b_i about
     e_{2i}, ..., e_{2g+1}.  Each loop collapses onto its cuts: a_i's period
     is 2 int over the edge [e_{2i-1}, e_{2i}], b_i's the sum of
-    2 int over the edges [e_{2m}, e_{2m+1}], m >= i, by Gauss-Chebyshev
-    (``_edge_integrals``).  Every edge takes y on the chain's one
-    right-hand bank (``_bank_values``): of the two crossings of a_i and b_i
-    by e_{2i}, only the one below it lies on a single sheet, and no other
-    pair of cycles meets, so the pairing is canonical up to one global
-    sign, which the orientation flip below fixes.  The overall sheet is the
-    one with Re of the a_1-period of dx/y positive.
+    2 int over the edges [e_{2m}, e_{2m+1}], m >= i, each the difference
+    of its two half-edges to the midpoint (``_edge_integrals``), all in
+    one ``_adaptive_gl`` call as in ``abel_map``.  Every edge takes y on
+    the chain's one right-hand bank (``_bank_values``): of the two
+    crossings of a_i and b_i by e_{2i}, only the one below it lies on a
+    single sheet, and no other pair of cycles meets, so the pairing is
+    canonical up to one global sign, which the orientation flip below
+    fixes.  The overall sheet is the one with Re of the a_1-period of
+    dx/y positive.  Raises BranchProximity when the bank's polyline
+    through the edge midpoints passes within the exclusion radius of a
+    branch point.
 
     The normalization matrix N maps monomial differentials to the basis
     normalized against the a-cycles: sum_k N[s,k] x^k dx/y has a_j-period

@@ -528,6 +528,29 @@ class TestThetaSigma:
         assert out["route_gap"] < 1e-6
         assert len(out["tau"]) == 2
 
+    def test_strict_gate_is_relative_to_sigma(self, tmp_path):
+        # sigma_2 is near 1.3e7 - 9.6e6i here: the routes agree to about
+        # 2e-13 of it, an absolute gap near 2.8e-6
+        branch = [-1.5112034036902033 + 0.15424432420558207j,
+                  0.7533063003293653 - 1.7067179879096064j,
+                  1.3273035641224462 + 0.8711169472225528j,
+                  0.009442735146064602 + 1.852825225198015j,
+                  0.2500058519690584 - 0.7105822815939855j]
+        phi = [0.2667676187739458 + 0.2510830458248336j,
+               -0.27520643419546365 + 0.2989725044237943j]
+        data = {"curve": {"coeffs": [_pair(z) for z in
+                                     npoly.polyfromroots(branch)]},
+                "phi": [_pair(z) for z in phi], "k": 2}
+        f = tmp_path / "theta.json"
+        f.write_text(json.dumps(data))
+        res = runner.invoke(main, ["theta", "sigma", "--input", str(f),
+                                   "--output", str(tmp_path), "--strict"])
+        assert res.exit_code == 0, res.output
+        out = json.loads((tmp_path / "theta_sigma.json").read_text())
+        sigma = complex(*out["sigma_series"])
+        assert abs(sigma) > 1e7
+        assert 1e-7 < out["route_gap"] < 1e-12 * abs(sigma)
+
     def test_theta_divisor_exits_4(self, curve15, theta15, tmp_path):
         # phi = -A(P) puts theta(-phi - K) on the theta divisor
         from hitchsov.curves import abel_map

@@ -15,6 +15,7 @@ from hitchsov.errors import (DegreeError, DuplicateBranchPoint,
 from conftest import disc_curves, make_curve
 import continuation_oracle as oracle
 import contour_oracle
+import mp_chain_oracle
 
 npoly = np.polynomial.polynomial
 
@@ -369,14 +370,23 @@ class TestChainPeriods:
             assert report["error"] < 1e-10
             assert report["route_gap"] < 1e-10
 
-    def test_gauss_chebyshev_cap_names_edge(self):
+    def test_near_pass_tau_matches_mpmath(self):
         # the edge from 0 to 0.01 + 20i passes 0.007 from the branch point
-        # 0.012 + 10i, so 2^14 nodes do not resolve 1/y on it
+        # 0.012 + 10i: the half-edge panels resolve 1/y there
         curve = make_curve([0.0, 0.01 + 20j, 0.012 + 10j, 5.0, 10.0])
-        with pytest.raises(CycleDegenerate, match=(
-                r"Gauss-Chebyshev on the edge \[0\+0j, 0\.01\+20j\] not "
-                r"converged at 16384 nodes \(last difference \S+\)")):
+        ref = mp_chain_oracle.tau(curve, dps=30)
+        tau = period_matrix(curve).tau
+        assert np.abs(tau - ref).max() < 1e-14 * np.abs(ref).max()
+
+    def test_steeper_pass_raises_in_bank_values(self):
+        # the midpoint of the edge from 0 to 1e-3 + 20i lies 7e-4 from
+        # 1.2e-3 + 10i, inside the exclusion radius of 5e-3, so the bank
+        # values cannot continue y from it
+        curve = make_curve([0.0, 1e-3 + 20j, 1.2e-3 + 10j, 5.0, 10.0])
+        with pytest.raises(BranchProximity,
+                           match="continuation forced through") as info:
             period_matrix(curve)
+        assert "_bank_values" in {entry.name for entry in info.traceback}
 
 
 

@@ -120,3 +120,18 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(
                    f"hitchsov.{module}"), name, None))]
     assert targets and missing == []
+
+
+def test_no_dead_private_constants():
+    """Every private module-level constant is read in the package."""
+    trees = _trees()
+    names = [target.id for tree in trees for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for top in (node.targets if isinstance(node, ast.Assign)
+                         else [node.target])
+             for target in ast.walk(top)
+             if isinstance(target, ast.Name) and target.id.startswith("_")
+             and not target.id.startswith("__")]
+    used = sum((_referenced(tree) for tree in trees), Counter())
+    assert names
+    assert [name for name in names if not used[name]] == []
