@@ -446,7 +446,7 @@ def _bank_values(curve, chain):
                       np.sqrt(curve.p(mids[0])))[at]
 
 
-def _edge_integrals(curve, chain, ys):
+def _edge_integrals(chain, ys):
     """(g, 2g) integrals of x^k dx / y, k < g, over the edges [e_j, e_{j+1}]
     of the chain, with y(m_j) = ys[j] at the edge midpoint m_j.
 
@@ -478,7 +478,7 @@ def _chain_periods(curve):
     """(g, 2g) periods of x^k dx / y, k < g, on the cycles a_1..a_g,
     b_1..b_g of the branch-point chain (see ``period_matrix``)."""
     chain = _branch_chain(curve)
-    edges = 2 * _edge_integrals(curve, chain, _bank_values(curve, chain))
+    edges = 2 * _edge_integrals(chain, _bank_values(curve, chain))
     pa = edges[:, 0::2]
     pb = np.cumsum(edges[:, :0:-2], axis=1)[:, ::-1]
     sign = 1.0 if pa[0, 0].real > 0 else -1.0  # the sheet with Re of a_1 > 0

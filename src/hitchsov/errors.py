@@ -69,17 +69,13 @@ class IllConditioned(HitchsovError):
 class StepRejected(HitchsovError):
     """Integration step produced an inconsistent state."""
 
-    def __init__(self, message, suggested_dt=None):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
 
 class BranchCollision(HitchsovError):
     """A separating point collided with a branch point during a flow."""
 
 
 class TruncationOverflow(HitchsovError):
-    """Theta lattice truncation radius exceeds the configured cap."""
+    """No theta lattice radius up to the cap of 60 meets the truncation bound."""
 
 
 class ThetaDivisor(HitchsovError):

@@ -72,10 +72,10 @@ _ANGLE_SEGMENTS = 128
 
 def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
     """dx-density of the j-th angle differential at a spectral point."""
-    return _integrand_vector(layout, curve, ham, pt)[..., j]
+    return _integrand_vector(layout, ham, pt)[..., j]
 
 
-def _integrand_vector(layout, curve, ham, pt):
+def _integrand_vector(layout, ham, pt):
     """The h angle densities at pt: shape (h,), or S + (h,) for points of
     shape S."""
     x, y, lam = (np.ravel(np.asarray(v, dtype=complex))
@@ -122,12 +122,12 @@ def _densities(layout, x, y, lam, blocks, coeffs):
     return dens
 
 
-def _jacobi_solve(layout, curve, ham, cfg, rhs):
+def _jacobi_solve(layout, ham, cfg, rhs):
     """J (as in ``jacobi_matrix``) and the solution v of J v = rhs, from
     one LU factorization (zgesv), on which LAPACK estimates the 1-norm
     condition number (zgecon).  Raises IllConditioned when that estimate
     passes 1e12."""
-    jm = _integrand_vector(layout, curve, ham, cfg).T
+    jm = _integrand_vector(layout, ham, cfg).T
     lu, _, v, _ = _gesv(jm, rhs)
     rcond, _ = _gecon(lu, np.abs(jm).sum(axis=0).max())
     if not rcond > 1e-12:
@@ -141,7 +141,7 @@ def jacobi_matrix(layout, curve, ham, cfg):
     Raises IllConditioned when LAPACK's 1-norm condition estimate of J
     passes 1e12.
     """
-    return _jacobi_solve(layout, curve, ham, cfg, np.zeros(layout.h))[0]
+    return _jacobi_solve(layout, ham, cfg, np.zeros(layout.h))[0]
 
 
 def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
@@ -166,8 +166,7 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
     def velocity(s, step):
         k = rhs(s)
         if not np.isfinite(k).all():
-            raise StepRejected(f"non-finite velocity in step {step}",
-                               suggested_dt=dt / 2)
+            raise StepRejected(f"non-finite velocity in step {step}")
         return k
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,14 +213,13 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
         return states
     k1 = rhs(state)
     if not np.isfinite(k1).all():
-        raise StepRejected("non-finite velocity at t=0", suggested_dt=dt / 2)
+        raise StepRejected("non-finite velocity at t=0")
     # the starting step: an Euler probe of how fast the velocity changes
     scale = _ATOL + _RTOL * size(state)
     d0, d1 = _rms(size(state), scale), _rms(k1, scale)
     if not (math.isfinite(d0) and math.isfinite(d1)):
         raise StepRejected(f"velocity of size {np.abs(k1).max():.2e} overflows "
-                           f"the starting-step estimate at t=0",
-                           suggested_dt=dt / 2)
+                           f"the starting-step estimate at t=0")
     h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
     d2 = _rms(rhs(advance(state, math.copysign(h0, dt) * k1)) - k1,
               scale) / h0
@@ -299,7 +297,7 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="dopri5"):
     c = np.asarray(c, dtype=complex)
 
     def velocity(state):
-        return _jacobi_solve(layout, curve, ham, state, c)[1]
+        return _jacobi_solve(layout, ham, state, c)[1]
 
     def advance(state, dxs):
         # move every point by dx, carrying sheet and fiber root along; dxs

@@ -21,35 +21,45 @@ Theta sums are truncated to a lattice built once for a batch of arguments
 (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
 functions*, Math. Comp. 73, 2004): the union of the ellipsoids
 (n - c).Y.(n - c) <= lam_min r^2 about the centres c = -Y^{-1} Im z of all
-rows z, Y = Im tau.  For one row it is that row's own ellipsoid; for many it
-holds every term any row would have summed alone, and each row also sums
-the other rows' points, whose terms lie below the truncation level.  The
-contour route evaluates theta and its gradient on all samples of a circle
-from one lattice, each term the base term at the centre v0 times one
-tabled phase per coordinate.  The vector of Riemann constants comes with
-the period data (``curves.period_matrix``).
+rows z, Y = Im tau, of the least radius at which their bound for derivatives
+of order N puts the tail at 1e-18 of the peak: N = 0 for values, 1 for the
+contour's gradient, N for ``theta_deriv_table`` and 2k for ``sigma_series``.
+For one row the lattice is that row's own ellipsoid; for many it holds every
+term any row would have summed alone, and each row also sums terms of its
+own tail.  The contour route evaluates theta and its gradient on all samples
+of a circle from one lattice, each term the base term at the centre v0
+times one tabled phase per coordinate.  The vector of Riemann constants
+comes with the period data (``curves.period_matrix``).
 """
 
 import itertools
 
 import numpy as np
+from scipy.special import binom, gamma, gammaincc
 
 from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
 from .curves import (SERIES_TERMS, _chart_radius, abel_map, abel_series,
-                     differential_series, lattice_reduce)
+                     lattice_reduce)
 
 # points on the sigma contour's first circle: 2 _CONTOUR_SAMPLES samples
 _CONTOUR_SAMPLES = 64
 
 
-def _lattice_points(tau, zs, extra_radius):
+def _lattice_points(tau, zs, order):
     """Integer points covering the significant Gaussian mass of the sums at
-    all rows of zs (shape (m, g)).
+    all rows of zs (shape (m, g)) and of their derivatives up to order N:
+    0 for values, 1 for the contour's gradient, N for ``theta_deriv_table``
+    and 2k for ``sigma_series``.
 
-    The sum at z is centered at the peak of |exp(pi i n.tau.n + 2 pi i n.z)|,
-    which sits at n = -Y^{-1} Im z for Y = Im tau.  A point is kept when it
-    lies in the ellipsoid of radius r about any row's center, so for one row
-    the set is that row's own and for many rows a superset of each.
+    The sum at z peaks at c = -Y^{-1} Im z for Y = Im tau.  A point is kept
+    when it lies in the ellipsoid (n - c).Y.(n - c) <= lam_min (R / rho)^2
+    about any row's center.  R is the least radius, in steps of 0.1 from
+    rho/2 + sqrt(g + N) (where the bound holds), at which the tail of the
+    terms times (2 pi |n|)^N is at most 1e-18 of the peak by the bound of
+    Deconinck et al. (sec. 4): (2 pi)^N g/2 (2/rho)^g sum_(i=0..N) C(N, i)
+    rho^-i |c|^(N - i) Gamma((g + i)/2, (R - rho/2)^2), for |c| the largest
+    center norm and rho = sqrt(pi lam_min) <= |sqrt(pi) T n|, Y = T^T T, on
+    every n != 0.  Raises TruncationOverflow when no R / rho up to 60 does.
     """
     y = np.ascontiguousarray(tau.imag)
     g = y.shape[0]
@@ -57,10 +67,17 @@ def _lattice_points(tau, zs, extra_radius):
     lam_min = np.linalg.eigvalsh(y).min()
     if lam_min <= 0:
         raise ValueError("Im tau not positive definite")
-    radius = np.sqrt(-np.log(1e-18) / (np.pi * lam_min)) + extra_radius
-    if radius > 60.0:
-        raise TruncationOverflow(
-            f"lattice radius {radius:.1f} exceeds cap 60.0")
+    rho = np.sqrt(np.pi * lam_min)
+    rs = rho / 2 + np.sqrt(g + order) + np.arange(0.0, 16.0, 0.1)
+    i, c = np.arange(order + 1)[:, None], np.linalg.norm(centers, axis=1).max()
+    bound = (2 * np.pi) ** order * g / 2 * (2 / rho) ** g * np.sum(
+        binom(order, i) * rho ** -i * c ** (order - i) * gamma((g + i) / 2)
+        * gammaincc((g + i) / 2, (rs - rho / 2) ** 2), axis=0)
+    met = (bound <= 1e-18) & (rs <= 60.0 * rho)
+    if not met.any():
+        raise TruncationOverflow(f"no radius up to {min(60, rs[-1] / rho):.1f} "
+                                 f"meets the 1e-18 bound of order {order}")
+    radius = rs[met.argmax()] / rho  # the first R that meets it
     lo = np.floor(centers.min(axis=0) - radius).astype(int)
     hi = np.ceil(centers.max(axis=0) + radius).astype(int)
     pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
@@ -74,10 +91,10 @@ def _lattice_points(tau, zs, extra_radius):
     return pts[keep] if keep.any() else pts
 
 
-def _lattice_terms(zs, tau, extra_radius=3.0):
+def _lattice_terms(zs, tau, order=0):
     """Lattice points and the exponential terms of the theta sums at the
     rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r])."""
-    pts = _lattice_points(tau, zs, extra_radius)
+    pts = _lattice_points(tau, zs, order)
     expo = zs @ (2j * np.pi * pts).T  # updated in place, like quad above
     expo += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
     return pts, np.exp(expo, out=expo)
@@ -99,7 +116,7 @@ def _theta_and_gradient(v0, shifts, tau):
     far apart (``sigma_series``, ``theta_deriv_table``) go through
     ``_lattice_terms``.
     """
-    pts = _lattice_points(tau, v0 + shifts, 5.0)
+    pts = _lattice_points(tau, v0 + shifts, 1)
     base = 2j * np.pi * (pts @ v0)
     base += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
     terms = np.exp(base, out=base)
@@ -130,7 +147,7 @@ def theta_deriv_table(z, tau, max_order):
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     g = len(z)
-    pts, terms = _lattice_terms(z[None, :], tau, 3.0 + 2.0 * max_order)
+    pts, terms = _lattice_terms(z[None, :], tau, max_order)
     terms = terms[0]
     factors = 2j * np.pi * pts  # (npts, g)
     table = {}
@@ -178,8 +195,7 @@ def sigma_series(curve, theta_data, phi, k):
     phis = np.asarray(phi, dtype=complex)
     rows = [lattice_reduce(theta_data, -row - kvec)
             for row in np.atleast_2d(phis)]
-    pts, terms = _lattice_terms(np.array([*rows, np.zeros(g)]), tau,
-                                3.0 + 4.0 * k)
+    pts, terms = _lattice_terms(np.array([*rows, np.zeros(g)]), tau, 2 * k)
     th = terms.sum(axis=1)
     for r, ratio in enumerate(np.abs(th[:-1]) / abs(th[-1])):
         if ratio < 1e-10:
@@ -217,8 +233,8 @@ def sigma_contour(curve, theta_data, phi, k):
     (3 doublings) name radius and samples.
     """
     radius = 0.5 * _chart_radius(curve)
-    w = differential_series(curve, theta_data.normalization, SERIES_TERMS)
     a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
+    w = a_coeff[:, 1:] * np.arange(1, SERIES_TERMS + 1)  # dA/dz = sum w_l z^l
     v0 = -np.asarray(phi, dtype=complex) - theta_data.riemann_constants
     v0 = v0 + (lattice_reduce(theta_data, v0) - v0)
     nsamples, halvings, doublings = _CONTOUR_SAMPLES, 0, 0

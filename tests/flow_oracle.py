@@ -39,8 +39,7 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
         resid = np.abs(eval_R(layout, curve, ham, state).value).max()
         if not np.isfinite(resid) or resid > 1e-3:
             raise StepRejected(
-                f"fiber residual {resid:.2e} after step {step}",
-                suggested_dt=dt / 2)
+                f"fiber residual {resid:.2e} after step {step}")
         return state
 
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
@@ -55,7 +54,7 @@ def angle_shift(layout, curve, ham, trajectory: Trajectory):
     n, h = len(trajectory.states), layout.h
     xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
                     for a in ("x", "y", "lam"))            # (n, h) each
-    dens = _integrand_vector(layout, curve, ham, SpectralPoint(
+    dens = _integrand_vector(layout, ham, SpectralPoint(
         xs.ravel(), ys.ravel(), lams.ravel())).reshape(n, h, h)
     # trapezoid on each step, dens[k, point, j] against that point's dx
     steps = np.einsum("kij,ki->kj", 0.5 * (dens[:-1] + dens[1:]),

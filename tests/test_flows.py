@@ -154,7 +154,7 @@ class TestDensities:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_match_eval_R(self, curve_c, family):
         layout, ham, pts = self.system(curve_c, family)
-        got = _integrand_vector(layout, curve_c, ham, pts)
+        got = _integrand_vector(layout, ham, pts)
         ref = flow_oracle.integrand_vector(layout, curve_c, ham, pts)
         assert got.shape == ref.shape == pts.x.shape + (layout.h,)
         scale = np.abs(ref).max(axis=-1, keepdims=True)
@@ -168,10 +168,13 @@ class TestDensities:
         x, y, lam = (a[0, :3].copy() for a in (pts.x, pts.y, pts.lam))
         coeffs = lambda_poly(layout, ham, x[1], y[1])
         lam[1] = npoly.polyroots(npoly.polyder(coeffs))[0]
-        for densities in (_integrand_vector, flow_oracle.integrand_vector):
+        pt = SpectralPoint(x, y, lam)
+        for densities in (lambda: _integrand_vector(layout, ham, pt),
+                          lambda: flow_oracle.integrand_vector(
+                              layout, curve_c, ham, pt)):
             with pytest.raises(BranchLocus,
                                match=re.escape(f"at x={x[1]}")):
-                densities(layout, curve_c, ham, SpectralPoint(x, y, lam))
+                densities()
 
 
 class TestPrymParity:
@@ -240,10 +243,9 @@ class TestIntegrate:
 
     def test_non_finite_velocity_rejected(self):
         # the velocity is NaN beyond y = 1, first met by a stage of step 2
-        with pytest.raises(StepRejected, match="step 2") as info:
+        with pytest.raises(StepRejected, match="step 2"):
             integrate(lambda y: np.where(y > 1.0, np.nan, 1.0),
                       lambda y, d: y + d, np.zeros(1), 0.5, 10)
-        assert info.value.suggested_dt == 0.25
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -331,7 +333,7 @@ class TestTypedErrors:
         pts = SpectralPoint(xs, np.sqrt(curve_c.p(xs)),
                             np.array([a + 0.5, a, a]))
         with pytest.raises(BranchLocus, match=re.escape(f"at x={xs[1]}")):
-            _integrand_vector(gl2, curve_c, ham, pts)
+            _integrand_vector(gl2, ham, pts)
 
     def test_ill_conditioned(self, curve_c, gl2, system):
         ham, cfg, _ = system
@@ -465,7 +467,7 @@ class TestStackedStates:
         n, h = len(traj.states), layout.h
         dens = np.empty((n, h, h), dtype=complex)      # (time, j, point)
         for k, s in enumerate(traj.states):
-            dens[k] = _integrand_vector(layout, curve_c, ham, s).T
+            dens[k] = _integrand_vector(layout, ham, s).T
         xs = np.array([s.x for s in traj.states])
         expect = np.zeros((n, h), dtype=complex)
         for k in range(1, n):

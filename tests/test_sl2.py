@@ -206,9 +206,8 @@ class TestLax:
         the way."""
         pp = sl2.GeomPhasePoint(np.array([0.5, -1.0j, 0.3 + 0.2j]),
                                 1e90 * np.array([1.0, 1.0j, -1.0]))
-        with pytest.raises(StepRejected, match="at t=0") as info:
+        with pytest.raises(StepRejected, match="at t=0"):
             sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
-        assert info.value.suggested_dt == 5e-4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_velocity_rejected(self, z6):
@@ -219,9 +218,8 @@ class TestLax:
                                 1e80 * np.array([1.0, 1.0j, -1.0]))
         with pytest.raises(StepRejected, match=(
                 r"velocity of size \S+e\+30\d overflows the starting-step "
-                r"estimate at t=0")) as info:
+                r"estimate at t=0")):
             sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
-        assert info.value.suggested_dt == 5e-4
 
     @pytest.mark.parametrize("seed", [[1, 13], [1, 72]],
                              ids=["normal-1-13", "normal-1-72"])

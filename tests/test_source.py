@@ -63,6 +63,32 @@ def test_no_dead_private_functions():
     assert _unreferenced(trees, defs) == []
 
 
+# Parameters of private functions that their bodies do not read, each with
+# the reason it stays.
+UNREAD_PARAMETERS = {
+    "_recenter.step": "flows.integrate calls after(state, step)",
+}
+
+
+def test_no_unused_parameters():
+    """Every parameter of a private function or method is read in its body,
+    or is in UNREAD_PARAMETERS; and every entry there is still unread."""
+    unread = []
+    for node in (node for tree in _trees() for node in ast.walk(tree)):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            continue
+        args = node.args
+        reads = {n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}.{arg.arg}"
+                   for arg in (*args.posonlyargs, *args.args,
+                               *args.kwonlyargs, args.vararg, args.kwarg)
+                   if arg is not None and arg.arg not in reads]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
 # Public functions that nothing in the package calls, each with the reason
 # it stays.
 UNCALLED_PUBLIC = {

@@ -1,6 +1,8 @@
 import itertools
+import math
 from math import factorial
 
+import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -76,14 +78,34 @@ class TestLatticeSum:
             riemann_theta(np.array([0.3]), tau)
 
 
-def product_lattice(tau, z, extra_radius):
-    """The one-centre lattice built point by point with itertools.product:
-    the reference for the array builder."""
+def lattice_radius(tau, zs, order):
+    """The lattice radius R / rho of ``theta._lattice_points`` for the rows
+    zs, by a scalar walk over R in steps of 0.1 with mpmath's incomplete
+    gamma: the reference for the array search."""
+    y = tau.imag
+    g = y.shape[0]
+    lam_min = float(np.linalg.eigvalsh(y).min())
+    rho = math.sqrt(math.pi * lam_min)
+    c = max(math.hypot(*row) for row in np.linalg.solve(y, np.imag(zs).T).T)
+    start = rho / 2 + math.sqrt(g + order)
+    for step in range(160):
+        r = start + step * 0.1
+        bound = (2 * math.pi) ** order * g / 2 * (2 / rho) ** g * sum(
+            math.comb(order, i) * rho ** -i * c ** (order - i)
+            * mpmath.gammainc((g + i) / 2, (r - rho / 2) ** 2)
+            for i in range(order + 1))
+        if bound <= 1e-18:
+            assert r <= 60.0 * rho
+            return r / rho
+    raise AssertionError("no radius meets the bound")
+
+
+def product_lattice(tau, z, radius):
+    """The one-centre lattice of the given radius built point by point with
+    itertools.product: the reference for the array builder."""
     y = np.ascontiguousarray(tau.imag)
     center = -np.linalg.solve(y, np.imag(z))
     lam_min = np.linalg.eigvalsh(y).min()
-    radius = np.sqrt(-np.log(1e-18) / (np.pi * lam_min)) + extra_radius
-    assert radius <= 60.0
     ranges = [range(int(np.floor(c - radius)), int(np.ceil(c + radius)) + 1)
               for c in center]
     pts = np.array(list(itertools.product(*ranges)), dtype=float)
@@ -109,7 +131,7 @@ class TestBatchedTheta:
         rng = np.random.default_rng(10 * g + int(spread))
         tau = random_tau(g, rng)
         zs = spread_rows(tau, rng, 5, spread)
-        pts, terms = theta._lattice_terms(zs, tau, 5.0)
+        pts, terms = theta._lattice_terms(zs, tau, 1)
         th, grad = terms.sum(axis=1), 2j * np.pi * (terms @ pts)
         assert th.shape == (5,) and grad.shape == (5, g)
         for z, t, gr in zip(zs, th, grad):
@@ -126,19 +148,22 @@ class TestBatchedTheta:
         for _ in range(4):
             tau = random_tau(g, rng)
             z = spread_rows(tau, rng, 1, 4.0)
-            for extra in (3.0, 5.0, 7.0):
+            for order in (0, 1, 2 * g):
                 np.testing.assert_array_equal(
-                    theta._lattice_points(tau, z, extra),
-                    product_lattice(tau, z[0], extra))
+                    theta._lattice_points(tau, z, order),
+                    product_lattice(tau, z[0], lattice_radius(tau, z, order)))
 
     def test_rows_share_the_union_lattice(self):
+        """Every row's ellipsoid at the radius of the largest centre."""
         rng = np.random.default_rng(2)
         tau = random_tau(2, rng)
         zs = spread_rows(tau, rng, 3, 12.0)
-        union = {tuple(p) for p in theta._lattice_points(tau, zs, 3.0)}
-        own = [{tuple(p) for p in product_lattice(tau, z, 3.0)}
-               for z in zs]
-        assert union == set().union(*own)
+        for order in (0, 4):
+            radius = lattice_radius(tau, zs, order)
+            union = {tuple(p) for p in theta._lattice_points(tau, zs, order)}
+            own = [{tuple(p) for p in product_lattice(tau, z, radius)}
+                   for z in zs]
+            assert union == set().union(*own)
 
     def test_jacobi_inversion_lattice_count(self, curve15, theta15,
                                             monkeypatch):
@@ -382,7 +407,7 @@ def assert_circle_is_lattice_sum(curve, td, phi):
         radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
         v0, shifts = contour_circle(curve, td, phi, radius)
         th, grad = theta._theta_and_gradient(v0, shifts, td.tau)
-        pts, terms = theta._lattice_terms(v0 + shifts, td.tau, 5.0)
+        pts, terms = theta._lattice_terms(v0 + shifts, td.tau, 1)
         ref, ref_grad = terms.sum(axis=1), 2j * np.pi * (terms @ pts)
         assert np.abs(th - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(grad - ref_grad).max() \
@@ -537,3 +562,57 @@ class TestSeriesAtInfinity:
         refs = [curve.point(0.2 - 0.7j), curve.point(1.3 + 0.9j)]
         jacobi_inversion_check(curve, td, pts, refs)
         assert builds == [curves.SERIES_TERMS // 2 + 2]
+
+
+class TestTruncationBound:
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_tail_beyond_radius(self, name, period_data):
+        """Brute force, without the bound's constants: on a box 8 units
+        wider than the lattice, the terms times (2 pi |n|)^N outside it sum
+        to at most 1e-18 of the peak term, for N = 0, 1 and 2g, at reduced
+        arguments and at one shifted by tau m."""
+        curve, td = period_data[name]
+        g = curve.genus
+        rng = np.random.default_rng(9)
+        zs = [lattice_reduce(td, rng.uniform(-1, 1, g)
+                             + td.tau @ rng.uniform(-1, 1, g))
+              for _ in range(3)]
+        zs.append(zs[0] + td.tau @ np.arange(2, 2 - g, -1))
+        y = td.tau.imag
+        for z in zs:
+            for order in (0, 1, 2 * g):
+                pts = theta._lattice_points(td.tau, z[None, :], order)
+                lo = pts.min(axis=0).astype(int) - 8
+                hi = pts.max(axis=0).astype(int) + 8
+                box = np.indices(hi - lo + 1).reshape(g, -1).T + lo
+                # log |exp(pi i n.tau.n + 2 pi i n.z)|
+                log_terms = -np.pi * np.einsum('ij,jk,ik->i', box, y, box) \
+                    - 2 * np.pi * box @ z.imag
+                inside = {tuple(p) for p in pts.astype(int)}
+                tail = np.array([tuple(p) not in inside for p in box])
+                assert tail.sum() > 0 and len(box) - tail.sum() == len(pts)
+                weights = np.exp(log_terms - log_terms.max()) * (
+                    2 * np.pi * np.linalg.norm(box, axis=1)) ** order
+                assert weights[tail].sum() <= 1e-18
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_sigma_series_matches_a_wider_lattice(self, name, period_data,
+                                                  monkeypatch):
+        """sigma_series on the lattice's bounding box widened by 2 units on
+        every side, every point summed, agrees to 1e-12 max(1, |sigma|)."""
+        curve, td = period_data[name]
+        g = curve.genus
+        rng = np.random.default_rng(11)
+        phis = rng.uniform(0, 1, (3, g)) + rng.uniform(0, 1, (3, g)) @ td.tau.T
+        got = sigma_series(curve, td, phis, g)
+        real = theta._lattice_points
+
+        def wider(tau, zs, order):
+            pts = real(tau, zs, order)
+            lo = pts.min(axis=0).astype(int) - 2
+            hi = pts.max(axis=0).astype(int) + 2
+            return (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
+
+        monkeypatch.setattr(theta, "_lattice_points", wider)
+        ref = sigma_series(curve, td, phis, g)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1, np.abs(ref)))
