@@ -75,7 +75,8 @@ class BranchCollision(HitchsovError):
 
 
 class TruncationOverflow(HitchsovError):
-    """No theta lattice radius up to the cap of 60 meets the truncation bound."""
+    """No theta lattice radius up to the cap of 60 meets the truncation
+    bound, or a theta sum's terms overflow double precision."""
 
 
 class ThetaDivisor(HitchsovError):

@@ -16,7 +16,9 @@ steps, so their distance measures the time integration as well as the
 algebra (Jacobi matrix, separation solve, implicit gradients); under the
 fixed-step schemes both take the same stages and it certifies the algebra
 alone.  ``angle_increments`` checks a route against the exact flow: its
-angle coordinates must move as phi(0) + c t.
+angle coordinates must move as phi(0) + c t, and each segment's
+continuation must end on the next stored row, its sheet gate reading the
+end lambda that the segment's last panel certified.
 """
 
 import math
@@ -150,7 +152,7 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
     classical RK4 or Dormand-Prince 5(4).
 
     rhs(state) is the velocity vector and advance(state, incr) the state
-    moved by incr; after(state, step), when given, turns each step's
+    moved by incr; after(state), when given, turns each step's
     result into the accepted state (a re-projection or a chart switch).
     euler and rk4 take fixed steps of dt, and a stage velocity that is not
     finite raises StepRejected.  dopri5 chooses its own steps and reads
@@ -183,7 +185,7 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
                 k4 = velocity(advance(state, dt * k3), step)
                 state = advance(state, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
             if after is not None:
-                state = after(state, step)
+                state = after(state)
             states.append(state)
     return states
 
@@ -201,7 +203,7 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
     velocity that is not finite fails it too.  The states at t = k dt that
     a step passes come from its continuous extension (II.6) through one
     advance(start, incrs) call, incrs of shape (m,) + incr.shape, then one
-    after(rows, step) call, so both take a batch of m rows and return one
+    after(rows) call, so both take a batch of m rows and return one
     object whose [i] is row i; after also sees each step's end state.
     Raises StepRejected, with the time reached and the last error
     estimate, when a step would fall below _MIN_STEP of the span, and at
@@ -225,7 +227,7 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
               scale) / h0
     h = min(100 * h0, (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15
             else max(1e-6, 1e-3 * h0))
-    t, err, step, fac_max = 0.0, 0.0, 0, _FAC_MAX
+    t, err, fac_max = 0.0, 0.0, _FAC_MAX
     while len(states) <= nsteps:
         last = abs(h) >= abs(span - t)
         h = span - t if last else math.copysign(h, dt)
@@ -259,14 +261,14 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
             rows = advance(state, th * (incr + th1 * (
                 bspl + th * (rest + th1 * h * (_DP_D @ ks)))))
             if after is not None:
-                rows = after(rows, step)
+                rows = after(rows)
             states += [rows[i] for i in range(len(theta))]
-        state = end if after is None else after(end, step)
+        state = end if after is None else after(end)
         k1 = ks[6] if state is end else rhs(state)
         t = span if last else t + h
         h *= min(fac_max, max(_FAC_MIN, _SAFETY * err ** -0.2)) if err > 0 \
             else fac_max
-        fac_max, step = _FAC_MAX, step + 1
+        fac_max = _FAC_MAX
     return states
 
 
@@ -353,12 +355,13 @@ def _density_panels(layout, curve, ham, a, b, start):
     (y, lambda) at a_i: the (n, 2, h) K21 and G10 integrals and (y, lambda)
     at each b_i.
 
-    y is continued by the exact segment ratio.  lambda at b_i, which
-    starts the next panel, is the root that ``_track_roots`` certifies
-    nearest start's; at the nodes, four Newton steps from start's polish
-    it, the panels being short next to the root spacing (a node that
-    Newton takes to another root leaves the panel's K21 and G10 sums
-    apart, so ``_adaptive_gl`` splits it).
+    y is continued by the exact segment ratio.  lambda at b_i is the root
+    that ``_track_roots`` certifies nearest start's; it starts the next
+    panel, and at a segment's end it is the lambda that the sheet gate of
+    ``angle_increments`` reads.  At the nodes, four Newton steps from
+    start's polish it, the panels being short next to the root spacing (a
+    node that Newton takes to another root leaves the panel's K21 and G10
+    sums apart, so ``_adaptive_gl`` splits it).
     """
     half, xs = _panel_nodes(a, b)
     ys = start[:, :1] * _sheet_ratio(curve, a[:, None], xs)
@@ -383,40 +386,30 @@ def angle_increments(layout, curve, ham, trajectory: Trajectory):
     continued from the stored row at the segment's start: every point and
     segment of a block of rows in one ``_adaptive_gl`` call, a block
     holding at most _ANGLE_SEGMENTS segments.  Raises BranchLocus where
-    that continuation does not arrive on the next stored row's sheet and
-    at the fiber root nearest its lambda.  On the exact flow of c, row k
-    is c t_k.
+    that continuation does not arrive on the next stored row's sheet, or
+    where the end lambda that ``_density_panels`` certified lies more than
+    1e-6 (1 + |lambda|) from the next row's stored lambda.  On the exact
+    flow of c, row k is c t_k.
     """
     xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
                     for a in ("x", "y", "lam"))       # (rows, points) each
     rows = max(1, _ANGLE_SEGMENTS // xs.shape[1])
     steps = [np.zeros((1, layout.h), dtype=complex)]
     for k in range(0, len(xs) - 1, rows):
-        block = slice(k, k + rows + 1)
-        steps.append(_segment_increments(layout, curve, ham, xs[block],
-                                         ys[block], lams[block], k))
+        x, y, lam = (a[k:k + rows + 1] for a in (xs, ys, lams))
+        start = np.stack((y[:-1].ravel(), lam[:-1].ravel()), axis=1)
+        parts, end = _adaptive_gl(
+            partial(_density_panels, layout, curve, ham), x[:-1].ravel(),
+            x[1:].ravel(), start, _ANGLE_TOL)
+        yb, lb = y[1:].ravel(), lam[1:].ravel()
+        missed = (np.abs(end[:, 0] - yb) > np.abs(end[:, 0] + yb)) \
+            | (np.abs(end[:, 1] - lb) > 1e-6 * (1 + np.abs(lb)))
+        if missed.any():
+            r, i = np.unravel_index(np.argmax(missed), x[1:].shape)
+            raise BranchLocus(f"point {i} left its sheet or fiber root "
+                              f"between rows {k + r} and {k + r + 1}")
+        steps.append(parts.reshape(x[1:].shape + (layout.h,)).sum(axis=1))
     return np.cumsum(np.concatenate(steps), axis=0)
-
-
-def _segment_increments(layout, curve, ham, xs, ys, lams, first):
-    """The (rows - 1, h) increments of phi between consecutive rows of the
-    (rows, points) arrays xs, ys and lams, row 0 being trajectory row
-    first, by one ``_adaptive_gl`` call over all their segments."""
-    start = np.stack((ys[:-1].ravel(), lams[:-1].ravel()), axis=1)
-    parts, end = _adaptive_gl(partial(_density_panels, layout, curve, ham),
-                              xs[:-1].ravel(), xs[1:].ravel(), start,
-                              _ANGLE_TOL)
-    # the stored lambda of an integrated route is off its fiber by the
-    # route's error: compare with the fiber root nearest to it
-    xb, yb = xs[1:].ravel(), ys[1:].ravel()
-    lam = _track_roots(layout, ham, xb, yb, lams[1:].ravel())
-    missed = (np.abs(end[:, 0] - yb) > np.abs(end[:, 0] + yb)) \
-        | (np.abs(end[:, 1] - lam) > 1e-6 * (1 + np.abs(lam)))
-    if missed.any():
-        k, i = np.unravel_index(np.argmax(missed), xs[1:].shape)
-        raise BranchLocus(f"point {i} left its sheet or fiber root between "
-                          f"rows {first + k} and {first + k + 1}")
-    return parts.reshape(xs[1:].shape + (layout.h,)).sum(axis=1)
 
 
 def hamiltonian_drift(layout, curve, trajectory):

@@ -254,7 +254,7 @@ def _homogeneous(qa, pa, chart):
     return np.take_along_axis(q, at, 1), np.take_along_axis(p, at, 1)
 
 
-def _recenter(rows, step):
+def _recenter(rows):
     """Switch each row whose affine coordinates pass 1e3 to the chart of
     its largest homogeneous coordinate."""
     far = np.abs(rows.v[:, :3]).max(axis=1) > 1e3

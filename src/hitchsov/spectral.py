@@ -63,11 +63,6 @@ def resolve_type(family, rank) -> LieTypeSpec:
         square_last = True
     dees = tuple(2 * dl if (square_last and j == len(deltas) - 1) else dl
                  for j, dl in enumerate(deltas))
-    # Kostant identity: sum_j (2 delta_j - 1) = dim g
-    kostant = sum(2 * dl - 1 for dl in deltas)
-    if kostant != dim:
-        raise AssertionError(
-            f"Kostant identity failed for {family}({n}): {kostant} != {dim}")
     return LieTypeSpec(family=family, rank=n, d=d, deltas=deltas, dees=dees,
                        square_last=square_last, dim=dim)
 

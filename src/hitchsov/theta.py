@@ -143,22 +143,30 @@ def theta_deriv_table(z, tau, max_order):
     """All partial derivatives D^j theta(z) with |j| <= max_order.
 
     Returns a dict multi-index -> value, computed in one lattice pass.
+    Raises TruncationOverflow when a value is not finite, as at z far from
+    the fundamental domain, where the terms overflow double precision;
+    numpy's overflow warnings are silenced, since that check reports it.
     """
     z = np.asarray(z, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     g = len(z)
-    pts, terms = _lattice_terms(z[None, :], tau, max_order)
-    terms = terms[0]
-    factors = 2j * np.pi * pts  # (npts, g)
-    table = {}
-    for j in itertools.product(range(max_order + 1), repeat=g):
-        if sum(j) > max_order:
-            continue
-        weighted = terms
-        for s, order in enumerate(j):
-            if order:
-                weighted = weighted * factors[:, s] ** order
-        table[j] = np.sum(weighted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts, terms = _lattice_terms(z[None, :], tau, max_order)
+        terms = terms[0]
+        factors = 2j * np.pi * pts  # (npts, g)
+        table = {}
+        for j in itertools.product(range(max_order + 1), repeat=g):
+            if sum(j) > max_order:
+                continue
+            weighted = terms
+            for s, order in enumerate(j):
+                if order:
+                    weighted = weighted * factors[:, s] ** order
+            table[j] = np.sum(weighted)
+            if not np.isfinite(table[j]):
+                raise TruncationOverflow(
+                    f"theta derivative {j} at z = {z} is not finite: the "
+                    f"sum's terms overflow")
     return table
 
 

@@ -31,15 +31,14 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
         pick = np.argmin(np.abs(roots - state.lam[:, None]), axis=1)
         return SpectralPoint(xs, ys, roots[np.arange(len(xs)), pick])
 
-    def reproject(state, step):
+    def reproject(state):
         ev = eval_R(layout, curve, ham, state)
         ok = np.abs(ev.d_lambda) > 1e-12
         state = SpectralPoint(state.x, state.y, state.lam - np.where(
             ok, ev.value / np.where(ok, ev.d_lambda, 1), 0))
         resid = np.abs(eval_R(layout, curve, ham, state).value).max()
         if not np.isfinite(resid) or resid > 1e-3:
-            raise StepRejected(
-                f"fiber residual {resid:.2e} after step {step}")
+            raise StepRejected(f"fiber residual {resid:.2e}")
         return state
 
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),

@@ -94,9 +94,9 @@ def flow(pp0, z6, zeta, l, t_end, dt):
         return sl2.GeomPhasePoint(pp.qa + incr[:3], pp.pa + incr[3:],
                                   pp.chart)
 
-    def recenter(pp, step):
+    def recenter(pp):
         if isinstance(pp, list):
-            return [recenter(row, step) for row in pp]
+            return [recenter(row) for row in pp]
         if np.abs(pp.qa).max() > 1e3:
             return pp.to_chart(int(np.argmax(np.abs(homogeneous(pp)[0]))))
         return pp

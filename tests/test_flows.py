@@ -100,6 +100,58 @@ class TestAngles:
         with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
             angle_increments(gl2, curve_c, ham, traj)
 
+    @pytest.mark.parametrize("segments", [128, 10])
+    def test_root_swap_rejected(self, curve_c, gl2, system, monkeypatch,
+                                segments):
+        # the lambda half of the sheet gate: the other root of the fiber
+        # at the same (x, y)
+        monkeypatch.setattr(flows, "_ANGLE_SEGMENTS", segments)
+        ham, cfg, c = system
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.01, 1e-3)
+        s = traj.states[4]
+        roots = lambda_roots(gl2, None, ham, s.x[2:3], s.y[2:3])[0]
+        swapped = s.lam.copy()
+        swapped[2] = roots[np.argmax(np.abs(roots - s.lam[2]))]
+        traj.states[4] = SpectralPoint(s.x, s.y, swapped)
+        with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
+            angle_increments(gl2, curve_c, ham, traj)
+
+    @pytest.mark.parametrize("family", ["GL", "SP"])
+    def test_stored_lambda_on_its_root(self, curve_c, gl2, system, family):
+        # the sheet gate compares the certified end lambda with the stored
+        # one, not with the fiber root nearest it: on both routes the two
+        # agree far inside the gate's 1e-6 (1 + |lambda|)
+        if family == "GL":
+            layout, (ham, cfg, c) = gl2, system
+        else:
+            layout, ham, cfg, c = planted(family, curve_c, 8)
+        for traj in (flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3),
+                     flow_poisson(layout, curve_c, cfg, c, 0.1, 1e-3)):
+            x, y, lam = (np.concatenate([getattr(s, a) for s in traj.states])
+                         for a in ("x", "y", "lam"))
+            root = spectral._track_roots(layout, ham, x, y, lam)
+            assert (np.abs(root - lam) / (1 + np.abs(lam))).max() < 1e-9
+
+    def test_one_root_pass_per_panel_call(self, curve_c, gl2, system,
+                                          monkeypatch):
+        # the sheet gate reads the lambda the panels certified, so the
+        # check tracks roots only inside _density_panels
+        ham, cfg, c = system
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.05, 1e-3)
+        calls = {"panels": 0, "roots": 0}
+
+        def counted(name, f):
+            def wrapped(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapped
+        monkeypatch.setattr(flows, "_density_panels",
+                            counted("panels", flows._density_panels))
+        monkeypatch.setattr(flows, "_track_roots",
+                            counted("roots", flows._track_roots))
+        angle_increments(gl2, curve_c, ham, traj)
+        assert calls["roots"] == calls["panels"] > 0
+
     def test_blocks_add_up(self, curve_c, gl2, system, monkeypatch):
         ham, cfg, c = system
         traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.02, 1e-3)
@@ -234,12 +286,12 @@ class TestIntegrate:
     def test_after_hook_sees_every_step(self):
         seen = []
 
-        def after(y, step):
-            seen.append(step)
+        def after(y):
+            seen.append(y)
             return y
-        integrate(lambda y: -y, lambda y, d: y + d, np.ones(2), 0.1, 5,
-                  after=after)
-        assert seen == [0, 1, 2, 3, 4]
+        ys = integrate(lambda y: -y, lambda y, d: y + d, np.ones(2), 0.1, 5,
+                       after=after)
+        assert len(seen) == 5 and all(a is b for a, b in zip(seen, ys[1:]))
 
     def test_non_finite_velocity_rejected(self):
         # the velocity is NaN beyond y = 1, first met by a stage of step 2
@@ -297,7 +349,7 @@ class TestIntegrate:
         # advance and after see each step's rows as one (m, n) batch
         seen = []
 
-        def after(y, step):
+        def after(y):
             seen.append(np.shape(y))
             return y
         ys = integrate(lambda y: -y, lambda y, d: y + d, np.ones(3), 0.01,

@@ -65,9 +65,7 @@ def test_no_dead_private_functions():
 
 # Parameters of private functions that their bodies do not read, each with
 # the reason it stays.
-UNREAD_PARAMETERS = {
-    "_recenter.step": "flows.integrate calls after(state, step)",
-}
+UNREAD_PARAMETERS = {}
 
 
 def test_no_unused_parameters():

@@ -77,6 +77,18 @@ class TestLatticeSum:
         with pytest.raises(TruncationOverflow):
             riemann_theta(np.array([0.3]), tau)
 
+    def test_overflowing_terms_raise(self):
+        # the peak term at 0.3 +- 20i is about e^(400 pi), past double
+        # precision; at 15i it is about e^(225 pi) and the sum is finite
+        tau = np.array([[1j]])
+        for z in (0.3 + 20j, 0.3 - 20j):
+            with pytest.raises(TruncationOverflow, match=r"\(0,\) at z"):
+                riemann_theta(np.array([z]), tau)
+        z = 0.3 + 15j
+        ref = complex(mpmath.jtheta(3, mpmath.pi * z, mpmath.exp(-mpmath.pi)))
+        got = riemann_theta(np.array([z]), tau)
+        assert abs(got - ref) < 1e-12 * abs(ref)
+
 
 def lattice_radius(tau, zs, order):
     """The lattice radius R / rho of ``theta._lattice_points`` for the rows
