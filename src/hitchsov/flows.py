@@ -16,9 +16,8 @@ steps, so their distance measures the time integration as well as the
 algebra (Jacobi matrix, separation solve, implicit gradients); under the
 fixed-step schemes both take the same stages and it certifies the algebra
 alone.  ``angle_increments`` checks a route against the exact flow: its
-angle coordinates must move as phi(0) + c t, and each segment's
-continuation must end on the next stored row, its sheet gate reading the
-end lambda that the segment's last panel certified.
+angle coordinates must move as phi(0) + c t, and its sheet gate reads
+the end lambda that each segment's last panel certified.
 """
 
 import math
@@ -388,8 +387,9 @@ def angle_increments(layout, curve, ham, trajectory: Trajectory):
     holding at most _ANGLE_SEGMENTS segments.  Raises BranchLocus where
     that continuation does not arrive on the next stored row's sheet, or
     where the end lambda that ``_density_panels`` certified lies more than
-    1e-6 (1 + |lambda|) from the next row's stored lambda.  On the exact
-    flow of c, row k is c t_k.
+    1e-6 (1 + |lambda|) from the next row's stored lambda and, where it
+    does, from the fiber root nearest that.  On the exact flow of c, row k
+    is c t_k.
     """
     xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
                     for a in ("x", "y", "lam"))       # (rows, points) each
@@ -401,7 +401,12 @@ def angle_increments(layout, curve, ham, trajectory: Trajectory):
         parts, end = _adaptive_gl(
             partial(_density_panels, layout, curve, ham), x[:-1].ravel(),
             x[1:].ravel(), start, _ANGLE_TOL)
-        yb, lb = y[1:].ravel(), lam[1:].ravel()
+        xb, yb, lb = x[1:].ravel(), y[1:].ravel(), lam[1:].flatten()
+        # an integrated route's stored lambda is off its fiber by its error,
+        # O(dt) under euler: where it misses, take the fiber root nearest it
+        off = np.abs(end[:, 1] - lb) > 1e-6 * (1 + np.abs(lb))
+        if off.any():
+            lb[off] = _track_roots(layout, ham, xb[off], yb[off], lb[off])
         missed = (np.abs(end[:, 0] - yb) > np.abs(end[:, 0] + yb)) \
             | (np.abs(end[:, 1] - lb) > 1e-6 * (1 + np.abs(lb)))
         if missed.any():
@@ -438,8 +443,7 @@ def discriminant_zero_count(layout, curve, ham):
     if any(s > 0 for s in layout.y_sizes):
         raise ValueError("y-blocks not supported in the discriminant count")
     ham = np.asarray(ham, dtype=complex)
-    b1 = np.zeros(layout.x_sizes[0], dtype=complex)
-    b1[:] = ham[layout.x_slice(0)]
+    b1 = ham[layout.x_slice(0)]
     b2 = ham[layout.x_slice(1)]
     disc = np.polynomial.polynomial.polysub(
         np.polynomial.polynomial.polymul(b1, b1), 4.0 * b2)

@@ -284,6 +284,19 @@ class TestTimeOptions:
         assert "Invalid value for" in res.output and name in res.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_euler_both_routes_pass_the_sheet_gate(self, gl2_input,
+                                                    tmp_path):
+        # the Poisson route's stored lambda drifts O(dt) off the fiber of
+        # the input's H under euler: its angle error shows that drift, and
+        # the sheet gate does not mistake it for a root swap
+        path, _ = gl2_input
+        res = runner.invoke(main, [
+            "flow", "run", "--route", "both", "--scheme", "euler",
+            "--dt", "1e-2", "--t-end", "0.2", "--input", str(path),
+            "--output", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "poisson angle error to t=0.2 (euler" in res.output
+
     def test_negative_pair_integrates_backward(self, gl2_input, tmp_path):
         path, _ = gl2_input
         res = runner.invoke(main, [

@@ -118,24 +118,41 @@ class TestAngles:
 
     @pytest.mark.parametrize("family", ["GL", "SP"])
     def test_stored_lambda_on_its_root(self, curve_c, gl2, system, family):
-        # the sheet gate compares the certified end lambda with the stored
-        # one, not with the fiber root nearest it: on both routes the two
-        # agree far inside the gate's 1e-6 (1 + |lambda|)
+        # under dopri5 both routes' stored lambda lies far inside the gate's
+        # 1e-6 (1 + |lambda|) of the fiber root nearest it, so the gate
+        # compares the certified end lambda with the stored one and tracks
+        # no root of its own
         if family == "GL":
             layout, (ham, cfg, c) = gl2, system
         else:
             layout, ham, cfg, c = planted(family, curve_c, 8)
         for traj in (flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3),
                      flow_poisson(layout, curve_c, cfg, c, 0.1, 1e-3)):
-            x, y, lam = (np.concatenate([getattr(s, a) for s in traj.states])
-                         for a in ("x", "y", "lam"))
-            root = spectral._track_roots(layout, ham, x, y, lam)
-            assert (np.abs(root - lam) / (1 + np.abs(lam))).max() < 1e-9
+            assert root_offset(layout, ham, traj) < 1e-9
+
+    def test_euler_poisson_off_its_fiber(self, curve_c, gl2, system):
+        # euler's O(dt) error leaves the Poisson route's stored lambda off
+        # the fiber of the fixed H by more than the gate's tolerance: the
+        # gate compares those rows with the fiber root nearest them, and
+        # still catches a swapped root
+        ham, cfg, c = system
+        traj = flow_poisson(gl2, curve_c, cfg, c, 0.2, 1e-2, "euler")
+        assert root_offset(gl2, ham, traj) > 1e-5
+        err = np.abs(angle_increments(gl2, curve_c, ham, traj)
+                     - np.outer(traj.times, c)).max()
+        assert err > 1e-5
+        s = traj.states[4]
+        roots = lambda_roots(gl2, None, ham, s.x[2:3], s.y[2:3])[0]
+        swapped = s.lam.copy()
+        swapped[2] = roots[np.argmax(np.abs(roots - s.lam[2]))]
+        traj.states[4] = SpectralPoint(s.x, s.y, swapped)
+        with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
+            angle_increments(gl2, curve_c, ham, traj)
 
     def test_one_root_pass_per_panel_call(self, curve_c, gl2, system,
                                           monkeypatch):
-        # the sheet gate reads the lambda the panels certified, so the
-        # check tracks roots only inside _density_panels
+        # the sheet gate reads the lambda the panels certified, so on a
+        # dopri5 trajectory the check tracks roots only in _density_panels
         ham, cfg, c = system
         traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.05, 1e-3)
         calls = {"panels": 0, "roots": 0}
@@ -358,6 +375,15 @@ class TestIntegrate:
         assert sum(rows) == 100 and len(rows) < 50
         assert np.abs(np.array(ys) - np.exp(-0.01 * np.arange(101))[:, None]
                       ).max() < 1e-10
+
+
+def root_offset(layout, ham, traj):
+    """The largest |stored lambda - nearest fiber root| / (1 + |lambda|)
+    over a trajectory's rows."""
+    x, y, lam = (np.concatenate([getattr(s, a) for s in traj.states])
+                 for a in ("x", "y", "lam"))
+    root = spectral._track_roots(layout, ham, x, y, lam)
+    return (np.abs(root - lam) / (1 + np.abs(lam))).max()
 
 
 def planted(family, curve, seed):
