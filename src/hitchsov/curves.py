@@ -656,11 +656,14 @@ def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target):
 
 
 def lattice_reduce(theta_data: ThetaData, v):
-    """Reduce a vector modulo the lattice Z^g + tau Z^g (nearest lattice point)."""
+    """Reduce a vector of shape (g,), or each row of one of shape (m, g),
+    modulo the lattice Z^g + tau Z^g (nearest lattice point), in one solve."""
     tau = theta_data.tau
     g = tau.shape[0]
     basis = np.hstack([np.eye(g), tau])
     real_basis = np.vstack([basis.real, basis.imag])  # 2g x 2g
-    rhs = np.concatenate([np.real(v), np.imag(v)])
-    coeff = np.linalg.solve(real_basis, rhs)
-    return np.asarray(v) - basis @ np.round(coeff)
+    v = np.asarray(v)
+    rhs = np.concatenate([np.real(v), np.imag(v)], axis=-1)
+    coeff = np.linalg.solve(real_basis, rhs.T).T
+    # einsum, not a matrix product, rounds a row as it does alone
+    return v - np.einsum('...k,jk->...j', np.round(coeff), basis)

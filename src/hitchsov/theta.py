@@ -15,7 +15,11 @@ the recurrence of the exponential, so theta(v0 + A(z)) is one weighted
 sum of those series for each phi, and its logarithm follows by the
 matching recurrence.  The contour route samples theta and its gradient
 on the circle instead and shares no step with it after the Abel series
-(``curves.abel_series``).
+(``curves.abel_series``).  Its samples are the radius times roots of
+unity, so the Abel series reaches them by one inverse FFT of its
+coefficients folded modulo the sample count, and the residues are
+coefficients of the FFT of d ln theta: O(n log n) a circle, with no table
+of powers.
 
 Theta sums are truncated to a lattice built once for a batch of arguments
 (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
@@ -81,14 +85,30 @@ def _lattice_points(tau, zs, order):
     lo = np.floor(centers.min(axis=0) - radius).astype(int)
     hi = np.ceil(centers.max(axis=0) + radius).astype(int)
     pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
-    # q(n - c) = n.Y.n - 2 n.Y.c + c.Y.c for every point n and center c,
-    # summed in place: (npts, m) can be large
-    yc = centers @ y
-    quad = pts @ (-2.0 * yc.T)
-    quad += np.einsum('ij,jk,ik->i', pts, y, pts)[:, None]
+    # in the Y-norm, a point within r - delta of the centers' mean lies in
+    # every ellipsoid and one beyond r + delta in none, for r the ellipsoids'
+    # radius and delta the centers' largest distance from their mean; only
+    # the shell between is tested against every center, with margins that
+    # leave no point to roundoff
+    mean = centers.mean(axis=0)
+    delta = np.sqrt(_quad_form(centers - mean, y).max())
+    r = np.sqrt(lam_min) * radius
+    dist = np.sqrt(_quad_form(pts - mean, y))
+    keep = dist <= (r - delta) * (1 - 1e-12)
+    shell = ~keep & (dist <= (r + delta) * (1 + 1e-12))
+    # q(n - c) = n.Y.n - 2 n.Y.c + c.Y.c for every shell point n and center
+    # c, summed in place: (npts, m) can be large
+    sp, yc = pts[shell], centers @ y
+    quad = sp @ (-2.0 * yc.T)
+    quad += _quad_form(sp, y)[:, None]
     quad += np.einsum('ij,ij->i', yc, centers)[None, :]
-    keep = (quad <= lam_min * radius ** 2).any(axis=1)
+    keep[shell] = (quad <= lam_min * radius ** 2).any(axis=1)
     return pts[keep] if keep.any() else pts
+
+
+def _quad_form(d, m):
+    """d.M.d for every row of d."""
+    return np.einsum('ij,jk,ik->i', d, m, d)
 
 
 def _lattice_terms(zs, tau, order=0):
@@ -96,7 +116,7 @@ def _lattice_terms(zs, tau, order=0):
     rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r])."""
     pts = _lattice_points(tau, zs, order)
     expo = zs @ (2j * np.pi * pts).T  # updated in place, like quad above
-    expo += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
+    expo += np.pi * 1j * _quad_form(pts, tau)
     return pts, np.exp(expo, out=expo)
 
 
@@ -118,7 +138,7 @@ def _theta_and_gradient(v0, shifts, tau):
     """
     pts = _lattice_points(tau, v0 + shifts, 1)
     base = 2j * np.pi * (pts @ v0)
-    base += np.pi * 1j * np.einsum('ij,jk,ik->i', pts, tau, pts)
+    base += np.pi * 1j * _quad_form(pts, tau)
     terms = np.exp(base, out=base)
     for s, col in enumerate(pts.T.astype(int)):
         lo = col.min()  # phase[r, j] = exp(2 pi i (lo + j) shifts[r, s])
@@ -201,9 +221,8 @@ def sigma_series(curve, theta_data, phi, k):
     n = 2 * k + 1
     kvec = theta_data.riemann_constants
     phis = np.asarray(phi, dtype=complex)
-    rows = [lattice_reduce(theta_data, -row - kvec)
-            for row in np.atleast_2d(phis)]
-    pts, terms = _lattice_terms(np.array([*rows, np.zeros(g)]), tau, 2 * k)
+    rows = lattice_reduce(theta_data, -np.atleast_2d(phis) - kvec)
+    pts, terms = _lattice_terms(np.vstack([rows, np.zeros(g)]), tau, 2 * k)
     th = terms.sum(axis=1)
     for r, ratio in enumerate(np.abs(th[:-1]) / abs(th[-1])):
         if ratio < 1e-10:
@@ -227,12 +246,38 @@ def sigma_series(curve, theta_data, phi, k):
     return np.array(sigmas) if phis.ndim == 2 else sigmas[0]
 
 
+def _on_circle(coeffs, nn):
+    """sum_l coeffs[:, l] w^(l j) for w = exp(2 pi i / nn) at j = 0..nn-1,
+    shape (nn, rows): the coefficients folded modulo nn, since w^nn = 1,
+    then one inverse FFT of length nn."""
+    rows, n = coeffs.shape
+    folded = np.zeros((rows, n + -n % nn), dtype=complex)
+    folded[:, :n] = coeffs
+    folded = folded.reshape(rows, -1, nn).sum(axis=1)
+    return (nn * np.fft.ifft(folded, axis=1)).T
+
+
+def _residues(dlog, radius, k):
+    """r_j = mean of dlog z^(1 - 2j), j = 1..k, over every other one of the
+    n samples z = radius w^i of a circle and over all of them, from the one
+    FFT F of dlog: F[m] + F[m + n/2] for m = (2j - 1) mod n/2 and
+    F[(2j - 1) mod n], each times radius^(1 - 2j) / n."""
+    n, j = len(dlog), np.arange(1, k + 1)
+    f = np.fft.fft(dlog) / n
+    scale = radius ** (1.0 - 2 * j)
+    half = (2 * j - 1) % (n // 2)
+    return (f[half] + f[half + n // 2]) * scale, f[(2 * j - 1) % n] * scale
+
+
 def sigma_contour(curve, theta_data, phi, k):
     """sigma_1..sigma_k(phi), less their additive constants, by the
     residues of x^j d ln theta at infinity.
 
     Samples a z-chart circle at 2 _CONTOUR_SAMPLES points by the trapezoid
-    rule.  The sum is the residue at infinity only with no zero of
+    rule.  The samples are the circle's radius times roots of unity, so the
+    Abel series and its derivative reach them by one folded inverse FFT,
+    and the residues at both sample counts are coefficients of one FFT of
+    d ln theta.  The sum is the residue at infinity only with no zero of
     theta(v0 + A(z)) inside, so the circle, first of half the chart radius,
     is halved until theta winds 0 times on it and min |theta| >= 1e-2
     |theta(centre)| (the samples' mean); then the samples double until
@@ -242,16 +287,18 @@ def sigma_contour(curve, theta_data, phi, k):
     """
     radius = 0.5 * _chart_radius(curve)
     a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
-    w = a_coeff[:, 1:] * np.arange(1, SERIES_TERMS + 1)  # dA/dz = sum w_l z^l
-    v0 = -np.asarray(phi, dtype=complex) - theta_data.riemann_constants
-    v0 = v0 + (lattice_reduce(theta_data, v0) - v0)
+    g = len(a_coeff)
+    # rows of A and of dA/dz = sum_l (l + 1) a_(l+1) z^l, one transform
+    series = np.vstack([a_coeff, np.zeros_like(a_coeff)])
+    series[g:, :-1] = a_coeff[:, 1:] * np.arange(1, SERIES_TERMS + 1)
+    v0 = lattice_reduce(theta_data, -np.asarray(phi, dtype=complex)
+                        - theta_data.riemann_constants)
     nsamples, halvings, doublings = _CONTOUR_SAMPLES, 0, 0
     while True:
         # the 2n-point circle; its even-indexed samples are the n-point one
         nn = 2 * nsamples
-        zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
-        zp = zs[:, None] ** np.arange(SERIES_TERMS + 1)  # (nn, SERIES_TERMS + 1)
-        th, grad = _theta_and_gradient(v0, zp @ a_coeff.T, theta_data.tau)
+        circle = _on_circle(series * radius ** np.arange(SERIES_TERMS + 1), nn)
+        th, grad = _theta_and_gradient(v0, circle[:, :g], theta_data.tau)
         if not np.abs(th).min() >= 1e-2 * abs(th.mean()) or round(
                 np.angle(np.roll(th, -1) / th).sum() / (2 * np.pi)):
             if halvings == 6:
@@ -259,12 +306,8 @@ def sigma_contour(curve, theta_data, phi, k):
                                    f"radius {radius:.3e} at {nn} samples")
             radius, halvings = 0.5 * radius, halvings + 1
             continue
-        daz = zp[:, :SERIES_TERMS] @ w.T  # dA/dz at the samples
-        dlog = np.sum(grad * daz, axis=1) / th
-        # one contiguous row per j, each with its own integer power of z
-        terms = np.array([dlog * zs ** (1 - 2 * j) for j in range(1, k + 1)])
-        r1 = np.sum(terms[:, ::2], axis=1) / nsamples
-        r2 = np.sum(terms, axis=1) / nn
+        dlog = np.sum(grad * circle[:, g:], axis=1) / th
+        r1, r2 = _residues(dlog, radius, k)
         shifted = (np.abs(r1 - r2) / np.maximum(1.0, np.abs(r2))).max()
         if shifted <= 1e-6:
             return -r2

@@ -466,6 +466,19 @@ class TestAbel:
         red = lattice_reduce(theta15, v + shift)
         assert np.abs(red - v).max() < 1e-8
 
+    def test_lattice_reduce_rows(self, theta15, curve_c):
+        """An (m, g) array reduces, in one solve, to its rows' one-row
+        results."""
+        rng = np.random.default_rng(2)
+        for td in (theta15, period_matrix(curve_c)):
+            g = td.tau.shape[0]
+            vs = (rng.uniform(-3, 3, (6, g))
+                  + rng.uniform(-3, 3, (6, g)) @ td.tau.T)
+            red = lattice_reduce(td, vs)
+            assert red.shape == (6, g)
+            np.testing.assert_array_equal(
+                red, np.array([lattice_reduce(td, v) for v in vs]))
+
     def test_differential_series_length_capped(self, curve15, theta15):
         w = curves.differential_series(curve15, theta15.normalization,
                                        curves.SERIES_TERMS)

@@ -401,14 +401,41 @@ class TestContourGuard:
         assert rows == batches  # the first circle was halved
 
 
+def power_sum(coeffs, radius, nn):
+    """sum_l coeffs[:, l] z^l at the nn samples z of the circle of the given
+    radius, by a table of powers: the reference for ``theta._on_circle``."""
+    zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
+    return (zs[:, None] ** np.arange(coeffs.shape[1])) @ coeffs.T
+
+
 def contour_circle(curve, td, phi, radius, nn=128):
     """v0 and the Abel-series shifts at the nn samples of sigma_contour's
     circle of the given radius."""
     a = abel_series(curve, td, curves.SERIES_TERMS)
     v0 = lattice_reduce(td, -np.asarray(phi, dtype=complex)
                         - td.riemann_constants)
-    zs = radius * np.exp(2j * np.pi * np.arange(nn) / nn)
-    return v0, (zs[:, None] ** np.arange(curves.SERIES_TERMS + 1)) @ a.T
+    return v0, power_sum(a, radius, nn)
+
+
+def union_lattice(tau, zs, order):
+    """The union of the ellipsoids (n - c).Y.(n - c) <= lam_min radius^2
+    about every centre c of the rows zs, radius from ``lattice_radius``,
+    each point of the bounding box tested against all centres: the
+    reference for the shell test of ``theta._lattice_points``."""
+    radius = lattice_radius(tau, zs, order)
+    y = np.ascontiguousarray(tau.imag)
+    g = y.shape[0]
+    centers = -np.linalg.solve(y, np.imag(zs).T).T
+    lam_min = np.linalg.eigvalsh(y).min()
+    lo = np.floor(centers.min(axis=0) - radius).astype(int)
+    hi = np.ceil(centers.max(axis=0) + radius).astype(int)
+    pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
+    yc = centers @ y
+    quad = pts @ (-2.0 * yc.T)
+    quad += np.einsum('ij,jk,ik->i', pts, y, pts)[:, None]
+    quad += np.einsum('ij,ij->i', yc, centers)[None, :]
+    keep = (quad <= lam_min * radius ** 2).any(axis=1)
+    return pts[keep] if keep.any() else pts
 
 
 def assert_circle_is_lattice_sum(curve, td, phi):
@@ -441,6 +468,101 @@ class TestCircleTerms:
         coeffs, phi, _, _ = CONTOUR_ZEROS[job]
         curve = build_curve(coeffs)
         assert_circle_is_lattice_sum(curve, period_matrix(curve), phi)
+
+
+class TestCircleFFT:
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_on_circle_is_the_power_sum(self, name, period_data):
+        """The Abel series and its derivative at the samples of the first
+        circle and its two halvings, by the fold and one inverse FFT, within
+        1e-14 of the largest value of the power table's sums; 97 terms fold
+        onto 4 and 64 samples and are padded to 128 and 256."""
+        curve, td = period_data[name]
+        a = abel_series(curve, td, curves.SERIES_TERMS)
+        w = a[:, 1:] * np.arange(1, curves.SERIES_TERMS + 1)
+        for halvings in range(3):
+            radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
+            for coeffs in (a, w):
+                scaled = coeffs * radius ** np.arange(coeffs.shape[1])
+                for nn in (4, 64, 128, 256):
+                    ref = power_sum(coeffs, radius, nn)
+                    got = theta._on_circle(scaled, nn)
+                    assert got.shape == ref.shape == (nn, curve.genus)
+                    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 128])
+    def test_residues_are_the_mean(self, n):
+        """r_j = mean of dlog z^(1 - 2j) on every other one of the n
+        samples and on all of them, for j <= 3: at n = 2 the FFT indices
+        2j - 1 wrap modulo n and n/2."""
+        rng = np.random.default_rng(n)
+        dlog = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        radius = 0.3
+        zs = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        half, full = theta._residues(dlog, radius, 3)
+        assert half.shape == full.shape == (3,)
+        for j in range(1, 4):
+            terms = dlog * zs ** (1 - 2 * j)
+            for got, ref in ((half[j - 1], terms[::2]), (full[j - 1], terms)):
+                assert abs(got - ref.mean()) <= 1e-14 * np.abs(ref).max()
+
+
+class TestShellLattice:
+    """``theta._lattice_points`` tests only the shell between R - delta and
+    R + delta about the centres' mean; the points and their order are those
+    of the all-centres test."""
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_pentagon",
+                                      "curve_g3"])
+    def test_circle_lattice_is_the_union(self, name, period_data):
+        curve, td = period_data[name]
+        g = curve.genus
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            phi = rng.uniform(0, 1, g) + td.tau @ rng.uniform(0, 1, g)
+            for halvings in range(3):
+                radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
+                v0, shifts = contour_circle(curve, td, phi, radius)
+                zs = v0 + shifts
+                for order in (0, 1, 2 * g):
+                    np.testing.assert_array_equal(
+                        theta._lattice_points(td.tau, zs, order),
+                        union_lattice(td.tau, zs, order))
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_series_rows_are_the_union(self, name, period_data):
+        """sigma_series' rows: v0 of three phis, and 0."""
+        curve, td = period_data[name]
+        g = curve.genus
+        rng = np.random.default_rng(7)
+        phis = rng.uniform(0, 1, (3, g)) + rng.uniform(0, 1, (3, g)) @ td.tau.T
+        zs = np.vstack([lattice_reduce(td, -phis - td.riemann_constants),
+                        np.zeros(g)])
+        for order in (0, 1, 2 * g):
+            np.testing.assert_array_equal(
+                theta._lattice_points(td.tau, zs, order),
+                union_lattice(td.tau, zs, order))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_spread_rows_are_the_union(self, g):
+        """Centres 12 apart put the ellipsoids' radius below the centres'
+        largest distance from their mean, so that no point is kept
+        untested and the whole box within it is shell."""
+        rng = np.random.default_rng(50 + g)
+        for spread in (0.01, 1.0, 12.0):
+            tau = random_tau(g, rng)
+            zs = spread_rows(tau, rng, 5, spread)
+            y = tau.imag
+            centres = -np.linalg.solve(y, zs.imag.T).T
+            d = centres - centres.mean(axis=0)
+            delta = np.sqrt(np.einsum('ij,jk,ik->i', d, y, d).max())
+            for order in (0, 1, 2 * g):
+                r = np.sqrt(np.linalg.eigvalsh(y).min()) \
+                    * lattice_radius(tau, zs, order)
+                assert (r < delta) == (spread == 12.0)
+                np.testing.assert_array_equal(
+                    theta._lattice_points(tau, zs, order),
+                    union_lattice(tau, zs, order))
 
 
 def _smul(a, b, n):
@@ -498,10 +620,13 @@ def taylor_sigma_series(curve, theta_data, phi, k):
 
 @pytest.fixture(scope="module")
 def period_data(curve15, theta15, curve_c):
-    """Curve and period data by name: the two genus-2 fixtures and the
-    genus-3 curve with branch points 0..5 and 6.5."""
+    """Curve and period data by name: the two genus-2 fixtures, the regular
+    pentagon of radius 1.5 turned by 0.3 rad and the genus-3 curve with
+    branch points 0..5 and 6.5."""
     data = {"curve15": (curve15, theta15)}
+    pentagon = 1.5 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j)
     for name, curve in [("curve_c", curve_c),
+                        ("curve_pentagon", make_curve(pentagon)),
                         ("curve_g3", make_curve([0, 1, 2, 3, 4, 5, 6.5]))]:
         data[name] = (curve, period_matrix(curve))
     return data
