@@ -85,24 +85,13 @@ def _lattice_points(tau, zs, order):
     lo = np.floor(centers.min(axis=0) - radius).astype(int)
     hi = np.ceil(centers.max(axis=0) + radius).astype(int)
     pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
-    # in the Y-norm, a point within r - delta of the centers' mean lies in
-    # every ellipsoid and one beyond r + delta in none, for r the ellipsoids'
-    # radius and delta the centers' largest distance from their mean; only
-    # the shell between is tested against every center, with margins that
-    # leave no point to roundoff
-    mean = centers.mean(axis=0)
-    delta = np.sqrt(_quad_form(centers - mean, y).max())
-    r = np.sqrt(lam_min) * radius
-    dist = np.sqrt(_quad_form(pts - mean, y))
-    keep = dist <= (r - delta) * (1 - 1e-12)
-    shell = ~keep & (dist <= (r + delta) * (1 + 1e-12))
-    # q(n - c) = n.Y.n - 2 n.Y.c + c.Y.c for every shell point n and center
-    # c, summed in place: (npts, m) can be large
-    sp, yc = pts[shell], centers @ y
-    quad = sp @ (-2.0 * yc.T)
-    quad += _quad_form(sp, y)[:, None]
+    # q(n - c) = n.Y.n - 2 n.Y.c + c.Y.c for every point n and center c,
+    # summed in place: (npts, m) can be large
+    yc = centers @ y
+    quad = pts @ (-2.0 * yc.T)
+    quad += _quad_form(pts, y)[:, None]
     quad += np.einsum('ij,ij->i', yc, centers)[None, :]
-    keep[shell] = (quad <= lam_min * radius ** 2).any(axis=1)
+    keep = (quad <= lam_min * radius ** 2).any(axis=1)
     return pts[keep] if keep.any() else pts
 
 
@@ -259,14 +248,13 @@ def _on_circle(coeffs, nn):
 
 def _residues(dlog, radius, k):
     """r_j = mean of dlog z^(1 - 2j), j = 1..k, over every other one of the
-    n samples z = radius w^i of a circle and over all of them, from the one
-    FFT F of dlog: F[m] + F[m + n/2] for m = (2j - 1) mod n/2 and
-    F[(2j - 1) mod n], each times radius^(1 - 2j) / n."""
-    n, j = len(dlog), np.arange(1, k + 1)
-    f = np.fft.fft(dlog) / n
+    n samples z = radius w^i of a circle and over all of them: coefficient
+    (2j - 1) mod its length of the FFT of dlog[::2] and of dlog, times
+    radius^(1 - 2j)."""
+    j = np.arange(1, k + 1)
     scale = radius ** (1.0 - 2 * j)
-    half = (2 * j - 1) % (n // 2)
-    return (f[half] + f[half + n // 2]) * scale, f[(2 * j - 1) % n] * scale
+    return tuple(np.fft.fft(d)[(2 * j - 1) % len(d)] / len(d) * scale
+                 for d in (dlog[::2], dlog))
 
 
 def sigma_contour(curve, theta_data, phi, k):
@@ -276,13 +264,13 @@ def sigma_contour(curve, theta_data, phi, k):
     Samples a z-chart circle at 2 _CONTOUR_SAMPLES points by the trapezoid
     rule.  The samples are the circle's radius times roots of unity, so the
     Abel series and its derivative reach them by one folded inverse FFT,
-    and the residues at both sample counts are coefficients of one FFT of
-    d ln theta.  The sum is the residue at infinity only with no zero of
-    theta(v0 + A(z)) inside, so the circle, first of half the chart radius,
-    is halved until theta winds 0 times on it and min |theta| >= 1e-2
-    |theta(centre)| (the samples' mean); then the samples double until
-    every other sample's sum agrees with the full one, r_j, to 1e-6
-    max(1, |r_j|).  ThetaDivisor (6 halvings) and ResidueUnstable
+    and the residues at each sample count are coefficients of the FFT of
+    d ln theta on those samples.  The sum is the residue at infinity only
+    with no zero of theta(v0 + A(z)) inside, so the circle, first of half
+    the chart radius, is halved until theta winds 0 times on it and
+    min |theta| >= 1e-2 |theta(centre)| (the samples' mean); then the
+    samples double until every other sample's sum agrees with the full
+    one, r_j, to 1e-6 max(1, |r_j|).  ThetaDivisor (6 halvings) and ResidueUnstable
     (3 doublings) name radius and samples.
     """
     radius = 0.5 * _chart_radius(curve)

@@ -417,27 +417,6 @@ def contour_circle(curve, td, phi, radius, nn=128):
     return v0, power_sum(a, radius, nn)
 
 
-def union_lattice(tau, zs, order):
-    """The union of the ellipsoids (n - c).Y.(n - c) <= lam_min radius^2
-    about every centre c of the rows zs, radius from ``lattice_radius``,
-    each point of the bounding box tested against all centres: the
-    reference for the shell test of ``theta._lattice_points``."""
-    radius = lattice_radius(tau, zs, order)
-    y = np.ascontiguousarray(tau.imag)
-    g = y.shape[0]
-    centers = -np.linalg.solve(y, np.imag(zs).T).T
-    lam_min = np.linalg.eigvalsh(y).min()
-    lo = np.floor(centers.min(axis=0) - radius).astype(int)
-    hi = np.ceil(centers.max(axis=0) + radius).astype(int)
-    pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
-    yc = centers @ y
-    quad = pts @ (-2.0 * yc.T)
-    quad += np.einsum('ij,jk,ik->i', pts, y, pts)[:, None]
-    quad += np.einsum('ij,ij->i', yc, centers)[None, :]
-    keep = (quad <= lam_min * radius ** 2).any(axis=1)
-    return pts[keep] if keep.any() else pts
-
-
 def assert_circle_is_lattice_sum(curve, td, phi):
     """theta and its gradient from base terms and phases agree with the
     termwise exponentials of _lattice_terms at every sample of the first
@@ -494,7 +473,7 @@ class TestCircleFFT:
     def test_residues_are_the_mean(self, n):
         """r_j = mean of dlog z^(1 - 2j) on every other one of the n
         samples and on all of them, for j <= 3: at n = 2 the FFT indices
-        2j - 1 wrap modulo n and n/2."""
+        2j - 1 wrap modulo the lengths 1 and 2 of dlog[::2] and dlog."""
         rng = np.random.default_rng(n)
         dlog = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         radius = 0.3
@@ -505,64 +484,6 @@ class TestCircleFFT:
             terms = dlog * zs ** (1 - 2 * j)
             for got, ref in ((half[j - 1], terms[::2]), (full[j - 1], terms)):
                 assert abs(got - ref.mean()) <= 1e-14 * np.abs(ref).max()
-
-
-class TestShellLattice:
-    """``theta._lattice_points`` tests only the shell between R - delta and
-    R + delta about the centres' mean; the points and their order are those
-    of the all-centres test."""
-
-    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_pentagon",
-                                      "curve_g3"])
-    def test_circle_lattice_is_the_union(self, name, period_data):
-        curve, td = period_data[name]
-        g = curve.genus
-        rng = np.random.default_rng(6)
-        for _ in range(2):
-            phi = rng.uniform(0, 1, g) + td.tau @ rng.uniform(0, 1, g)
-            for halvings in range(3):
-                radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
-                v0, shifts = contour_circle(curve, td, phi, radius)
-                zs = v0 + shifts
-                for order in (0, 1, 2 * g):
-                    np.testing.assert_array_equal(
-                        theta._lattice_points(td.tau, zs, order),
-                        union_lattice(td.tau, zs, order))
-
-    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
-    def test_series_rows_are_the_union(self, name, period_data):
-        """sigma_series' rows: v0 of three phis, and 0."""
-        curve, td = period_data[name]
-        g = curve.genus
-        rng = np.random.default_rng(7)
-        phis = rng.uniform(0, 1, (3, g)) + rng.uniform(0, 1, (3, g)) @ td.tau.T
-        zs = np.vstack([lattice_reduce(td, -phis - td.riemann_constants),
-                        np.zeros(g)])
-        for order in (0, 1, 2 * g):
-            np.testing.assert_array_equal(
-                theta._lattice_points(td.tau, zs, order),
-                union_lattice(td.tau, zs, order))
-
-    @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_spread_rows_are_the_union(self, g):
-        """Centres 12 apart put the ellipsoids' radius below the centres'
-        largest distance from their mean, so that no point is kept
-        untested and the whole box within it is shell."""
-        rng = np.random.default_rng(50 + g)
-        for spread in (0.01, 1.0, 12.0):
-            tau = random_tau(g, rng)
-            zs = spread_rows(tau, rng, 5, spread)
-            y = tau.imag
-            centres = -np.linalg.solve(y, zs.imag.T).T
-            d = centres - centres.mean(axis=0)
-            delta = np.sqrt(np.einsum('ij,jk,ik->i', d, y, d).max())
-            for order in (0, 1, 2 * g):
-                r = np.sqrt(np.linalg.eigvalsh(y).min()) \
-                    * lattice_radius(tau, zs, order)
-                assert (r < delta) == (spread == 12.0)
-                np.testing.assert_array_equal(
-                    theta._lattice_points(tau, zs, order),
-                    union_lattice(tau, zs, order))
 
 
 def _smul(a, b, n):
@@ -620,13 +541,10 @@ def taylor_sigma_series(curve, theta_data, phi, k):
 
 @pytest.fixture(scope="module")
 def period_data(curve15, theta15, curve_c):
-    """Curve and period data by name: the two genus-2 fixtures, the regular
-    pentagon of radius 1.5 turned by 0.3 rad and the genus-3 curve with
-    branch points 0..5 and 6.5."""
+    """Curve and period data by name: the two genus-2 fixtures and the
+    genus-3 curve with branch points 0..5 and 6.5."""
     data = {"curve15": (curve15, theta15)}
-    pentagon = 1.5 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j)
     for name, curve in [("curve_c", curve_c),
-                        ("curve_pentagon", make_curve(pentagon)),
                         ("curve_g3", make_curve([0, 1, 2, 3, 4, 5, 6.5]))]:
         data[name] = (curve, period_matrix(curve))
     return data
