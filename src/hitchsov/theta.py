@@ -270,8 +270,8 @@ def sigma_contour(curve, theta_data, phi, k):
     the chart radius, is halved until theta winds 0 times on it and
     min |theta| >= 1e-2 |theta(centre)| (the samples' mean); then the
     samples double until every other sample's sum agrees with the full
-    one, r_j, to 1e-6 max(1, |r_j|).  ThetaDivisor (6 halvings) and ResidueUnstable
-    (3 doublings) name radius and samples.
+    one, r_j, to 1e-6 max(1, |r_j|).  ThetaDivisor (6 halvings) and
+    ResidueUnstable (3 doublings) name radius and samples.
     """
     radius = 0.5 * _chart_radius(curve)
     a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
