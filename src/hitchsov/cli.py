@@ -435,8 +435,8 @@ def flow_run(data, seed, t_end, dt, scheme, direction, route, plot):
                value) for key, value in angle_error.items()]
     if route != "both":
         return artifacts, report, stages
-    dist, _ = match_states(trajs["fiber"].states[-1],
-                           trajs["poisson"].states[-1])
+    dist = match_states(trajs["fiber"].states[-1],
+                        trajs["poisson"].states[-1])
     artifacts["flow_compare.json"] = {
         "t_end": t_end, "dt": dt, "scheme": scheme,
         "max_point_set_distance": float(dist),
@@ -598,7 +598,7 @@ def parabolic_local(data):
         "orders": report["orders"],
         "factor_degrees": list(report["factor_degrees"]),
         "distinguished": report["distinguished"],
-        "residuals": [str(r.as_expr()) for r in report["residuals"]],
+        "residuals": [pb.residual_str(r) for r in report["residuals"]],
     }
     if "matches_expected" in report:
         payload["matches_expected"] = report["matches_expected"]

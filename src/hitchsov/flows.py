@@ -26,7 +26,6 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linear_sum_assignment
 
 from .curves import _GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio
 from .errors import (BranchLocus, IllConditioned, StepRejected,
@@ -69,11 +68,6 @@ _MIN_STEP = 1e-12
 # about 15% longer, for their extra per-call overhead.
 _ANGLE_TOL = 1e-13
 _ANGLE_SEGMENTS = 128
-
-
-def angle_integrand(layout, curve, ham, j, pt: SpectralPoint):
-    """dx-density of the j-th angle differential at a spectral point."""
-    return _integrand_vector(layout, ham, pt)[..., j]
 
 
 def _integrand_vector(layout, ham, pt):
@@ -341,12 +335,12 @@ def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="dopri5"):
 
 
 def match_states(cfg_a, cfg_b):
-    """Optimal pairing distance between two unordered point sets."""
+    """Largest distance in (x, y, lambda) between the i-th points of two
+    configurations.  Every route carries point i from input row i, so a
+    swap of two points counts as a difference."""
     pa = np.column_stack((cfg_a.x, cfg_a.y, cfg_a.lam))
     pb = np.column_stack((cfg_b.x, cfg_b.y, cfg_b.lam))
-    cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return cost[rows, cols].max(), cols
+    return np.linalg.norm(pa - pb, axis=1).max()
 
 
 def _density_panels(layout, curve, ham, a, b, start):

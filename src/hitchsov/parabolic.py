@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-import sympy
-
 from .errors import (IndeterminateDimension, TruncationInsufficient,
                      NotIntegral, ValidationError)
 
@@ -203,17 +201,48 @@ def newton_polygon(f: LocalCharPoly):
 
 def _segment_residual(f, j1, v1, p, q, deg):
     """Residual polynomial of the polygon segment from (j1, v1) of slope
-    p/q in lowest terms: degree deg in u, with coefficients the
+    p/q in lowest terms: its deg + 1 coefficients in u, leading first, the
     t^(v1 + k p)-coefficients of a_(j1 + k q).  Every v1 + k p is at most
     the segment's end valuation, which lies below the truncation.
     """
-    u = sympy.symbols('u')
-    poly = sympy.Integer(0)
     coeffs_full = [series([1], f.trunc)] + f.coeffs
-    for k in range(deg + 1):
-        c = coeffs_full[j1 + k * q][v1 + k * p]
-        poly += sympy.Rational(c) * u ** (deg - k)
-    return sympy.Poly(poly, u)
+    return [coeffs_full[j1 + k * q][v1 + k * p] for k in range(deg + 1)]
+
+
+def _poly_gcd(a, b):
+    """Euclid's gcd over Q of two coefficient lists, leading first and
+    with nonzero leading coefficients."""
+    while b:
+        while len(a) >= len(b):         # a <- a mod b
+            f = a[0] / b[0]
+            a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+            while a and a[0] == 0:
+                a = a[1:]
+        a, b = b, a
+    return a
+
+
+def residual_str(c):
+    """The nonzero polynomial in u with rational coefficients c (leading
+    first), as ``str(sympy.Poly(c, u).as_expr())`` prints it:
+    ``-u**3/2 + 3*u/2 - 1``, save that of two terms a positive constant
+    goes first when the other is negative (``1 - u**2``)."""
+    terms = []                          # (coefficient, |term| text)
+    for power, a in zip(range(len(c) - 1, -1, -1), c):
+        if a == 0:
+            continue
+        text = str(abs(a))
+        if power:
+            mono = "u" if power == 1 else f"u**{power}"
+            num, den = abs(a.numerator), a.denominator
+            text = mono if num == 1 else f"{num}*{mono}"
+            text += "" if den == 1 else f"/{den}"
+        terms.append((a, text))
+    if len(terms) == 2 and terms[0][0] < 0 < c[-1]:
+        terms.reverse()
+    (lead, text), *rest = terms
+    return ("-" if lead < 0 else "") + text + "".join(
+        (" - " if a < 0 else " + ") + text for a, text in rest)
 
 
 def newton_eisenstein_check(f: LocalCharPoly, expected_mu=None):
@@ -243,7 +272,8 @@ def newton_eisenstein_check(f: LocalCharPoly, expected_mu=None):
         degrees.extend([q] * nfactors)
         if p != 1:
             distinguished = False     # constant terms have valuation p > 1
-        if sympy.degree(sympy.gcd(res, res.diff())) > 0:
+        deriv = [(nfactors - k) * a for k, a in enumerate(res[:-1])]
+        if len(_poly_gcd(res, deriv)) > 1:
             distinguished = False     # repeated residual root
     degrees.sort(reverse=True)
     report = {

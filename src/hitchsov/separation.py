@@ -112,11 +112,30 @@ def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
             else:
                 break
             if np.abs(ev.value).max() < _NEWTON_TOL * scale:
-                return ham
+                return _polish(layout, curve, cfg, ham, ev)
         best = min(best, np.abs(ev.value).max())
     raise NewtonDivergence(
         f"no Newton start reached residual {_NEWTON_TOL * scale:.2e} "
         f"({_NEWTON_STARTS} starts, best {best:.2e})")
+
+
+def _polish(layout, curve, cfg, ham, ev):
+    """Full Newton steps from a converged ham while the residual still
+    falls, so that every caller's H sits at roundoff, not merely below
+    ``_NEWTON_TOL``: the two flow routes solve H from different starts,
+    and a gap of the tolerance's size between them grows along the flow
+    with cond(dR/dH)."""
+    resid = np.abs(ev.value).max()
+    while True:
+        try:
+            trial = ham - np.linalg.solve(ev.grad_h, ev.value)
+        except np.linalg.LinAlgError:
+            return ham
+        ev = eval_R(layout, curve, trial, cfg)
+        trial_resid = np.abs(ev.value).max()
+        if not trial_resid < resid:
+            return ham
+        ham, resid = trial, trial_resid
 
 
 def implicit_gradients(layout, curve, cfg, ham):

@@ -179,14 +179,6 @@ def theta_deriv_table(z, tau, max_order):
     return table
 
 
-def q_series_theta(z, tau):
-    """Genus-1 oracle: theta = sum_(|n| <= 60) q^(n^2) e^(2 pi i n z)."""
-    q = np.exp(np.pi * 1j * complex(np.asarray(tau).ravel()[0]))
-    n = np.arange(-60, 61)
-    zz = complex(np.asarray(z).ravel()[0])
-    return np.sum(q ** (n ** 2) * np.exp(2j * np.pi * n * zz))
-
-
 def riemann_constants(curve, theta_data, rng=None):
     """Vector K with theta(A(D) + K) = 0 for effective degree-(g-1) D, as
     ``curves.period_matrix`` stores it on theta_data.  curve and rng are

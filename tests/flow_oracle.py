@@ -7,7 +7,8 @@ one Newton step on R = 0 before the 1e-3 residual gate.  ``angle_shift``
 is the angle check before ``flows.angle_increments``: the trapezoid in t
 on the stored states.  ``integrand_vector`` is the angle densities as
 they were read off ``eval_R``'s gradient, before they were built from the
-lambda-coefficient blocks.
+lambda-coefficient blocks.  ``angle_integrand`` is one of the densities
+that ``flows`` builds from those blocks.
 """
 
 import numpy as np
@@ -44,6 +45,11 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
     states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
                        scheme, reproject)
     return Trajectory(np.arange(len(states)) * dt, states)
+
+
+def angle_integrand(layout, ham, j, pt: SpectralPoint):
+    """dx-density of the j-th angle differential at a spectral point."""
+    return _integrand_vector(layout, ham, pt)[..., j]
 
 
 def angle_shift(layout, curve, ham, trajectory: Trajectory):

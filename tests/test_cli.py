@@ -309,12 +309,12 @@ class TestTimeOptions:
         assert len(times) == 3
 
 
-# SO_even(2) systems on which a Poisson route that re-solved H from H = 0
-# at every stage landed on another solution of the quadratic separation
-# system and ended O(1) from the fiber route: curve coefficients, the
-# points as (x, y, lambda) and the flow direction, each complex number as
-# [re, im].
-SO_EVEN_BRANCH_JUMPS = {
+# SO_even(2) systems on which the two routes once disagreed: curve
+# coefficients, the points as (x, y, lambda) and the flow direction, each
+# complex number as [re, im].  On the first two, a Poisson route that
+# re-solved H from H = 0 at every stage landed on another solution of the
+# quadratic separation system and ended O(1) from the fiber route.
+SO_EVEN_SYSTEMS = {
     "t0.073": (
         [[0.47773614804160214, 2.262808287536835], [6.049336414647739, 1.423340322662479], [-5.865119371919823, -2.9202170140857056], [2.8933069992596394, -0.008186389794143656], [-2.274221748185, 0.47743284153325377], [1.0, 0.0]],
         [[[-0.863089849862279, -1.7878911393196912], [6.501499473863254, 2.7894008064990445], [1.2077388731347098, 2.5647021565418884]], [[-0.09437641390560866, 0.18738236714858153], [-1.2776642151272295, -1.3840083471838929], [0.16259846297100633, -1.0588623722333033]], [[0.7200855987008574, -0.6024985945775277], [1.6749801505130673, 0.8098865416198193], [1.2335365030613799, -1.9202418223021867]], [[0.7578622352697523, -0.20149019702280002], [-1.5766763623043423, -0.6084854394894348], [-0.6387715999973806, -1.7318548266631617]], [[-0.7506307798299908, -1.150707407055702], [4.509977872395488, -0.5929093427695952], [0.6413680542620894, 1.8546518313356077]], [[0.09397417556331848, -1.7670587038252745], [0.9597669672816075, 0.8927846430762051], [0.012586749671694156, 3.076336655704819]]],
@@ -324,6 +324,13 @@ SO_EVEN_BRANCH_JUMPS = {
         [[-0.11511276712699459, 2.009545222859625], [-2.5604982144659587, -3.5625573814280234], [5.82215649103074, 1.8067303522844613], [-4.552824492229196, 3.544782478326622], [-0.941212386206084, -3.4518364714230723], [1.0, 0.0]],
         [[[0.4780638620861113, 0.46306834137625374], [-0.48760769242008223, -0.6226643646783051], [1.0513315776638046, 1.1218284240707745]], [[0.4746305071012126, -0.46472434898528664], [-0.012123152388746708, 0.6368180446250442], [0.8414753697635853, 0.19528882506717762]], [[-0.3011579175051875, -0.8628679285156342], [0.9779784226024134, 3.9536679849617187], [-0.1956747891360716, 0.7087185476009739]], [[-1.6880756247006783, 0.40281379910213344], [2.9304601692743324, -3.881932976746813], [1.8388740243564614, -0.5026752464739909]], [[0.16902791773804943, -0.46423710059756074], [-0.19195593526227017, -1.5999163662128222], [0.44704689703516093, 0.24031210366682548]], [[-0.25761001839174175, -0.8219586473105056], [0.8431116629261786, 3.678326783362701], [-0.16793956672589228, 0.6741929495798592]]],
         [[-0.0271070842111796, 0.01686642243950788], [-0.01011651095033617, 0.01599794703505196], [0.005762754552696128, -0.013922809807759241], [-0.04757915740520953, -0.051941082501595334], [-0.0636423239692042, -0.018928505900062415], [0.03063569761213021, -0.011501375571850214]],
+    ),
+    # flow_full seed 3 job 230 (bench/workloads.py): while each route took
+    # H only to the Newton tolerance, their end states lay 1.7e-6 apart.
+    "seed3-job230": (
+        [[-1.1488951395592366, -1.0088044132202902], [0.8277819000173614, -1.8918353375539243], [0.7180609607022438, -3.272100711726286], [-2.832750755288405, -0.9882329740005869], [0.35628079043879013, 2.556504059151809], [1.0, 0.0]],
+        [[[0.16461898295528168, -0.36931995900805414], [-0.4478683739035216, 1.4998604560763418], [-0.9854976353516967, -0.9530090894661766]], [[2.4484276096614033, -0.4481237218764461], [9.39010764331427, -1.4756034035531205], [1.940431025431207, -1.3240209296819108]], [[-1.1632733524044976, 0.982641583694619], [3.786262046358363, -3.674729988948019], [-0.32922684255512136, -2.385569614610825]], [[1.230195457288615, 0.6226919228551124], [-1.9375216643640734, 2.8686488001906874], [-1.218476339976561, 2.2513746616385903]], [[-0.6020773745510728, 1.2688193112930288], [0.050199569237148196, -5.273343540182027], [1.0311935029458963, 2.319711558294497]], [[-0.4923228917373038, -0.23324959120459765], [0.12383427577203124, -1.1702368255213986], [0.6387684707157056, 0.9245695311053741]]],
+        [[0.015824799840251515, 0.008546122607731896], [-0.025607063617396016, -0.01105963299619852], [0.002959618851967951, 0.01660714764164195], [-0.007668162335997302, 0.010885789349843529], [0.01646861592044668, -0.02948873236348218], [-0.020617277211645524, 0.005017584608861672]],
     ),
 }
 
@@ -361,11 +368,12 @@ class TestFlowRun:
         assert f"at x={complex(x0)}" in res.output
         assert not (tmp_path / "flow_fiber.csv").exists()
 
-    @pytest.mark.parametrize("name", sorted(SO_EVEN_BRANCH_JUMPS))
+    @pytest.mark.parametrize("name", sorted(SO_EVEN_SYSTEMS))
     def test_so_even_poisson_keeps_branch(self, name, tmp_path):
         """The Poisson route's Newton solves start from the previous
-        stage's H, so both routes agree to t = 0.25 past the jump."""
-        coeffs, points, direction = SO_EVEN_BRANCH_JUMPS[name]
+        stage's H, and both routes polish H to roundoff, so the routes
+        agree to t = 0.25: past a jump, and on job 230."""
+        coeffs, points, direction = SO_EVEN_SYSTEMS[name]
         f = tmp_path / "system.json"
         f.write_text(json.dumps({
             "curve": {"coeffs": coeffs},
@@ -626,6 +634,31 @@ class TestSl2Demo:
         assert not (tmp_path / "sl2_report.json").exists()
 
 
+# The residuals and distinguished flags that `parabolic local` printed
+# while sympy built the residual polynomials: on the inputs of
+# test_parabolic.py, and on rational inputs whose residuals take sympy's
+# constant-first order or have fractional coefficients.
+LOCAL_RESIDUALS = [
+    ([[0, 1], [0, 3], [0, 0, 1], [0, 0, 2]], ["u**2 + 3*u + 2"], True),
+    ([[0], [0, 2], [0], [0, 0, 1]], ["u**2 + 2*u + 1"], False),
+    ([[0], [0, 0, 0, -1]], ["u - 1"], False),
+    ([[0], [0, 1]], ["u + 1"], True),
+    ([[0], [0], [0], [0], [0, 1]], ["u + 1"], True),
+    ([[0, "-4/7", "-3"], [0, 0, 0, 0, "2/7", "-7/2"]],
+     ["u - 4/7", "2/7 - 4*u/7"], False),
+    ([[0, "-7/3"], [0, 0, 0, -1, -5, 3]], ["u - 7/3", "-7*u/3 - 1"], False),
+    ([[0, "-1/7"], [0, -3], [0, 0, 0, "5/2", "-5/3", "8/3"], [0, 0, 0, "4/7"]],
+     ["u - 3", "4/7 - 3*u**2"], True),
+    ([[0, 0, 0, 0, "-7/2"], [0, 0, 0, 0, "-3/2", "-5/2"],
+      [0, -1, "-5/2", 2], [0, 0, 0, "4/7", "7/3", 2]],
+     ["u - 1", "4/7 - u"], False),
+    ([[0, "7/2", "-4/3"], [0, 0, 0, 0, "8/3", 1, 7], [0, 0, 0, -7],
+      [0, 0, 0, 0, "1/2"]], ["u**4 + 7*u**3/2 - 7*u + 1/2"], True),
+    ([[0, 0, "-1/7"], [0, 0, 0, 0, "-9/2", "8/7", "-3/2"]],
+     ["u**2 - u/7 - 9/2"], False),
+]
+
+
 class TestParabolicCli:
     def test_dims(self, tmp_path):
         f = tmp_path / "p.json"
@@ -660,6 +693,19 @@ class TestParabolicCli:
         out = json.loads((tmp_path / "parabolic_local.json").read_text())
         assert out["factor_degrees"] == [2, 2]
         assert out["distinguished"] and out["matches_expected"]
+
+    @pytest.mark.parametrize("coeffs, residuals, distinguished",
+                             LOCAL_RESIDUALS)
+    def test_local_residuals(self, tmp_path, coeffs, residuals,
+                             distinguished):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"local": {"coeffs": coeffs}}))
+        res = runner.invoke(main, ["parabolic", "local", "--input", str(f),
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        out = json.loads((tmp_path / "parabolic_local.json").read_text())
+        assert out["residuals"] == residuals
+        assert out["distinguished"] is distinguished
 
 
 # The options of each command besides --input and --output: --seed where

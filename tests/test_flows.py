@@ -11,8 +11,8 @@ from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
 from hitchsov.errors import (StepRejected, BranchLocus, IllConditioned,
                              SingularJacobian, BranchCollision,
                              NewtonDivergence)
-from hitchsov.flows import (angle_integrand, jacobi_matrix, flow_fiber,
-                            flow_poisson, match_states, angle_increments,
+from hitchsov.flows import (jacobi_matrix, flow_fiber, flow_poisson,
+                            match_states, angle_increments,
                             hamiltonian_drift, discriminant_zero_count,
                             integrate, Trajectory, _integrand_vector,
                             _continue_sheets)
@@ -39,10 +39,21 @@ class TestTwoRoutes:
         t_end, dt = 0.2, 1e-3
         tf = flow_fiber(gl2, curve_c, ham, cfg, c, t_end, dt)
         tp = flow_poisson(gl2, curve_c, cfg, c, t_end, dt)
-        dist, _ = match_states(tf.states[-1], tp.states[-1])
+        dist = match_states(tf.states[-1], tp.states[-1])
         assert dist < 1e-8
         assert hamiltonian_drift(gl2, curve_c, tf) < 1e-8
         assert hamiltonian_drift(gl2, curve_c, tp) < 1e-8
+
+    def test_swap_fails_gate(self, curve_c, gl2, system):
+        """Points are compared row by row, so the Poisson end state with
+        two rows swapped reads far above the two-route gate of 1e-6."""
+        ham, cfg, c = system
+        tf = flow_fiber(gl2, curve_c, ham, cfg, c, 0.05, 1e-3)
+        end = flow_poisson(gl2, curve_c, cfg, c, 0.05, 1e-3).states[-1]
+        order = np.r_[1, 0, 2:len(end.x)]
+        swapped = SpectralPoint(end.x[order], end.y[order], end.lam[order])
+        assert match_states(tf.states[-1], end) < 1e-6
+        assert match_states(tf.states[-1], swapped) > 1e-6
 
     def test_euler_first_order(self, curve_c, gl2, system):
         ham, cfg, c = system
@@ -53,14 +64,14 @@ class TestTwoRoutes:
                         scheme="euler")
         e2 = flow_fiber(gl2, curve_c, ham, cfg, c, t_end, 1e-3,
                         scheme="euler")
-        d1, _ = match_states(e1.states[-1], ref.states[-1])
-        d2, _ = match_states(e2.states[-1], ref.states[-1])
+        d1 = match_states(e1.states[-1], ref.states[-1])
+        d2 = match_states(e2.states[-1], ref.states[-1])
         assert 1.8 < d1 / d2 < 2.2
 
     def test_motion_happens(self, curve_c, gl2, system):
         ham, cfg, c = system
         traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.2, 1e-3)
-        dist, _ = match_states(traj.states[0], traj.states[-1])
+        dist = match_states(traj.states[0], traj.states[-1])
         assert dist > 1e-3
 
 
@@ -260,10 +271,10 @@ class TestPrymParity:
             y = np.sqrt(complex(curve_c.p(x)))
             lam = 1.0 + rng.random() + 1j * rng.random()
             for j in range(layout.h):
-                plus = angle_integrand(layout, curve_c, ham, j,
-                                       SpectralPoint(x, y, lam))
-                minus = angle_integrand(layout, curve_c, ham, j,
-                                        SpectralPoint(x, y, -lam))
+                plus = flow_oracle.angle_integrand(
+                    layout, ham, j, SpectralPoint(x, y, lam))
+                minus = flow_oracle.angle_integrand(
+                    layout, ham, j, SpectralPoint(x, y, -lam))
                 worst = max(worst,
                             abs(plus + minus) / (1 + abs(plus)))
         assert worst < 1e-12

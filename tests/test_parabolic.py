@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from hitchsov import parabolic as pb
@@ -81,6 +82,42 @@ def synthesize_eisenstein(mu, rng, trunc=pb.DEFAULT_TRUNCATION):
     for fac in factors[1:]:
         prod = poly_mul(prod, fac, trunc)
     return pb.LocalCharPoly(prod, sum(mu), trunc)
+
+
+def random_rational_poly(rng):
+    """A rational polynomial of degree 1-5, leading first: a product of
+    factors of degree 1 or 2, each once or squared, or (one time in three)
+    free coefficients of which some are zero."""
+    def rational():
+        return Fraction(int(rng.integers(-9, 10)),
+                        int(rng.choice([1, 1, 2, 3, 7])))
+
+    if rng.random() < 1 / 3:
+        deg = int(rng.integers(1, 6))
+        c = [rational() * (rng.random() < 0.6) for _ in range(deg + 1)]
+        c[0] = c[0] or Fraction(int(rng.choice([-2, -1, 1, 3])))
+        return c
+    c = [Fraction(1)]
+    while len(c) < 2 or rng.random() < 0.5:
+        deg = int(rng.integers(1, 3))
+        factor = [rational() or Fraction(-1)] + [rational()
+                                                 for _ in range(deg)]
+        for _ in range(int(rng.integers(1, 3))):
+            if len(c) + deg > 6:
+                break
+            c = list(np.convolve(c, factor))
+    return c
+
+
+def sympy_residual(c):
+    """The residual string that sympy prints for c, and whether sympy
+    finds c squarefree."""
+    u = sympy.Symbol("u")
+    poly = sympy.Poly([sympy.Rational(a.numerator, a.denominator)
+                       for a in c], u)
+    return (str(poly.as_expr()),
+            sympy.degree(sympy.gcd(poly, poly.diff())) == 0)
+
 
 class TestPartitions:
     def test_dual_examples(self):
@@ -286,6 +323,54 @@ class TestNewtonEisenstein:
             rep = pb.newton_eisenstein_check(f, expected_mu=mu)
             assert rep["matches_expected"], (mu, rep["factor_degrees"])
             checked += 1
+
+
+class TestResidualOracle:
+    """Residual strings and the squarefree test against sympy."""
+
+    @pytest.mark.parametrize("c, text", [
+        ([-1, 0, 1], "1 - u**2"),
+        ([-2, 5], "5 - 2*u"),
+        (["-1/2", 1], "1 - u/2"),
+        ([-1, 1, 0], "-u**2 + u"),
+        ([-1, 0, 1, 3], "-u**3 + u + 3"),
+        ([1, -1], "u - 1"),
+        (["-1/2", 0, "3/2", -1], "-u**3/2 + 3*u/2 - 1"),
+        (["1/7", 0, "-1/3"], "u**2/7 - 1/3"),
+        ([-3, 0, 0, 0], "-3*u**3"),
+    ])
+    def test_examples(self, c, text):
+        c = [Fraction(a) for a in c]
+        assert pb.residual_str(c) == text == sympy_residual(c)[0]
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(31)
+        squares = constant_first = 0
+        for _ in range(500):
+            c = random_rational_poly(rng)
+            text, squarefree = sympy_residual(c)
+            assert pb.residual_str(c) == text, c
+            derivative = [(len(c) - 1 - k) * a for k, a in enumerate(c[:-1])]
+            assert (len(pb._poly_gcd(c, derivative)) == 1) == squarefree, c
+            squares += not squarefree
+            constant_first += sum(map(bool, c)) == 2 and c[0] < 0 < c[-1]
+        assert squares > 100 and constant_first > 5
+
+    def test_distinguished_by_squarefree_residual(self):
+        """One slope-1 segment whose residual is a monic c: the report is
+        distinguished exactly when sympy finds c squarefree."""
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            c = random_rational_poly(rng)
+            if c[-1] == 0:
+                continue
+            c = [a / c[0] for a in c]
+            f = pb.LocalCharPoly.from_lists(
+                [[0] * k + [a] for k, a in enumerate(c[1:], start=1)])
+            rep = pb.newton_eisenstein_check(f)
+            assert rep["vertices"] == [(0, 0), (len(c) - 1, len(c) - 1)]
+            assert rep["residuals"] == [c]
+            assert rep["distinguished"] == sympy_residual(c)[1], c
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -91,11 +94,9 @@ def test_no_unused_parameters():
 # it stays.
 UNCALLED_PUBLIC = {
     "riemann_theta": "acceptance criterion 8 (quasi-periodicity)",
-    "q_series_theta": "acceptance criterion 8 (genus-1 q-series)",
     "jacobi_inversion_check": "acceptance criterion 8 (Jacobi inversion)",
     "riemann_constants": "bench/workloads.py `Inversion.setup` calls it",
     "hamiltonian_drift": "acceptance criterion 4 (two-route flow)",
-    "angle_integrand": "acceptance criterion 6 (Prym parity)",
     "discriminant_zero_count": "acceptance criterion 7 (branch count)",
     "skew_defect": "acceptance criterion 9 (SL2 skew x)",
     "so6_relations": "acceptance criterion 9 (SL2 so(6) brackets)",
@@ -159,3 +160,37 @@ def test_no_dead_private_constants():
     used = sum((_referenced(tree) for tree in trees), Counter())
     assert names
     assert [name for name in names if not used[name]] == []
+
+
+# The only modules from outside the standard library that the package
+# imports, with their submodules.
+THIRD_PARTY = ("numpy", "scipy.linalg", "scipy.special", "click")
+
+
+def test_third_party_imports():
+    """Every absolute import in the package is of the standard library or
+    of THIRD_PARTY (numpy.polynomial counts as numpy)."""
+    modules = {name for tree in _trees() for node in ast.walk(tree)
+               for name in ([a.name for a in node.names]
+                            if isinstance(node, ast.Import)
+                            else [node.module]
+                            if isinstance(node, ast.ImportFrom)
+                            and node.level == 0 else [])}
+    assert modules
+    assert sorted(m for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names
+                  and not any(m == t or m.startswith(t + ".")
+                              for t in THIRD_PARTY)) == []
+
+
+def test_cli_import_loads_no_sympy_or_optimize():
+    """A fresh ``import hitchsov.cli`` leaves sympy and scipy.optimize out
+    of sys.modules: the CLI's start-up pays for neither."""
+    code = ("import sys, hitchsov.cli; print([m for m in "
+            "('sympy', 'scipy.optimize') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

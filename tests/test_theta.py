@@ -14,9 +14,17 @@ from hitchsov.curves import (abel_map, abel_series, build_curve,
 from hitchsov.errors import (TruncationOverflow, ThetaDivisor,
                              ResidueUnstable)
 import half_period_oracle
-from hitchsov.theta import (riemann_theta, theta_deriv_table, q_series_theta,
+from hitchsov.theta import (riemann_theta, theta_deriv_table,
                             riemann_constants, sigma_series, sigma_contour,
                             jacobi_inversion_check)
+
+
+def q_series_theta(z, tau):
+    """Genus-1 oracle: theta = sum_(|n| <= 60) q^(n^2) e^(2 pi i n z)."""
+    q = np.exp(np.pi * 1j * complex(np.asarray(tau).ravel()[0]))
+    n = np.arange(-60, 61)
+    zz = complex(np.asarray(z).ravel()[0])
+    return np.sum(q ** (n ** 2) * np.exp(2j * np.pi * n * zz))
 
 
 def random_tau(g, rng):
