@@ -62,10 +62,10 @@ _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # a step below this share of the run's span stalls the integration
 _MIN_STEP = 1e-12
 # angle_increments: the absolute tolerance of each segment's integral, and
-# the segments per _adaptive_gl call, which bounds the call's memory (21
-# nodes a segment).  The densities take no matrix product over the nodes,
-# so the block size does not meet OpenBLAS threading; 64-segment blocks took
-# about 15% longer, for their extra per-call overhead.
+# the segments per _adaptive_gl call, which bounds the call's memory: the
+# panel sums hold (segments x 21) node values per density column.  64-segment
+# blocks cost flow jobs about 7% more time for their per-call overhead (15%
+# when first timed, with sympy loaded and glibc's heap-trim threshold raised).
 _ANGLE_TOL = 1e-13
 _ANGLE_SEGMENTS = 128
 
@@ -89,14 +89,14 @@ def _value_slope(coeffs, lam):
     return val, der
 
 
-def _densities(layout, x, y, lam, blocks, coeffs):
-    """The (n, h) angle densities -dR/dH / (R_lambda y) at n points, from
-    the blocks and lambda coefficients of ``spectral._lambda_blocks`` at
-    (x, y): on block j, lambda^(d - d_j) x^k / (R_lambda y), times y on its
-    y-part and 2 B_j on the squared so(2n) block, negated.  Raises
+def _density_factors(layout, x, y, lam, blocks, coeffs):
+    """Each column slice of the h angle densities -dR/dH / (R_lambda y) at
+    n points with its (n,) factor, from the blocks and lambda coefficients
+    of ``spectral._lambda_blocks`` at (x, y); column k of a slice is the
+    factor times x^k.  On block j: -lambda^(d - d_j) / (R_lambda y), times
+    2 B_j on the squared so(2n) block, and times y on its y-part.  Raises
     BranchLocus where |R_lambda| < 1e-10."""
     spec = layout.spec
-    xpow = x[:, None] ** np.arange(max(layout.x_sizes))
     d_lambda = _value_slope(coeffs, lam)[1]
     small = np.abs(d_lambda) < 1e-10
     if np.any(small):
@@ -104,16 +104,21 @@ def _densities(layout, x, y, lam, blocks, coeffs):
         raise BranchLocus(f"|dR/dlambda| = {abs(d_lambda[i]):.2e}"
                           f" at x={x[i]}")
     inv = -1.0 / (d_lambda * y)
-    dens = np.empty((len(x), layout.h), dtype=complex)
     for j, dj in enumerate(spec.dees):
         fac = lam ** (spec.d - dj) * inv
         if spec.square_last and j == len(spec.dees) - 1:
             fac = fac * 2.0 * blocks[j]
-        dens[:, layout.x_slice(j)] = \
-            fac[:, None] * xpow[:, :layout.x_sizes[j]]
+        yield layout.x_slice(j), fac
         if layout.y_sizes[j]:
-            dens[:, layout.y_slice(j)] = \
-                (fac * y)[:, None] * xpow[:, :layout.y_sizes[j]]
+            yield layout.y_slice(j), fac * y
+
+
+def _densities(layout, x, y, lam, blocks, coeffs):
+    """The (n, h) angle densities at n points (``_density_factors``)."""
+    xpow = x[:, None] ** np.arange(max(layout.x_sizes))
+    dens = np.empty((len(x), layout.h), dtype=complex)
+    for cols, fac in _density_factors(layout, x, y, lam, blocks, coeffs):
+        dens[:, cols] = fac[:, None] * xpow[:, :cols.stop - cols.start]
     return dens
 
 
@@ -354,7 +359,9 @@ def _density_panels(layout, curve, ham, a, b, start):
     ``angle_increments`` reads.  At the nodes, four Newton steps from
     start's polish it, the panels being short next to the root spacing (a
     node that Newton takes to another root leaves the panel's K21 and G10
-    sums apart, so ``_adaptive_gl`` splits it).
+    sums apart, so ``_adaptive_gl`` splits it).  A density column's sums
+    are its block's factor (``_density_factors``) on the (n, 21) nodes,
+    times x once per column, against the K21 and G10 weights.
     """
     half, xs = _panel_nodes(a, b)
     ys = start[:, :1] * _sheet_ratio(curve, a[:, None], xs)
@@ -366,8 +373,11 @@ def _density_panels(layout, curve, ham, a, b, start):
     for _ in range(4):
         val, der = _value_slope(coeffs, lams)
         lams = lams - val / der
-    dens = _densities(layout, xs, ys, lams, blocks, coeffs)
-    sums = _GK_WEIGHTS @ dens.reshape(len(a), -1, layout.h)
+    sums = np.empty((len(a), 2, layout.h), dtype=complex)
+    for cols, fac in _density_factors(layout, xs, ys, lams, blocks, coeffs):
+        for k in range(cols.start, cols.stop):
+            sums[:, :, k] = fac.reshape(len(a), -1) @ _GK_WEIGHTS.T
+            fac = fac * xs
     return sums * half[:, None], end
 
 

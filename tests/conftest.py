@@ -1,3 +1,10 @@
+import os
+
+# BLAS on one thread before numpy loads, as in bench/run.py: numpy's complex
+# products on many rows can run threaded, and far slower, on a busy host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hitchsov import flows, separation, spectral
+from hitchsov.curves import _GK_WEIGHTS, _panel_nodes
 from hitchsov.spectral import (FAMILIES, resolve_type, coefficient_layout,
                                SpectralPoint, lambda_poly, lambda_roots)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
@@ -180,13 +182,34 @@ class TestAngles:
         angle_increments(gl2, curve_c, ham, traj)
         assert calls["roots"] == calls["panels"] > 0
 
-    def test_blocks_add_up(self, curve_c, gl2, system, monkeypatch):
-        ham, cfg, c = system
-        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.02, 1e-3)
-        whole = angle_increments(gl2, curve_c, ham, traj)
-        monkeypatch.setattr(flows, "_ANGLE_SEGMENTS", 15)   # 3 rows each
-        blocks = angle_increments(gl2, curve_c, ham, traj)
+    # GL(2) has x-blocks only, SP(2) a y-part, SO_even(2) the squared block
+    @pytest.mark.parametrize("family", ["GL", "SP", "SO_even"])
+    def test_blocks_add_up(self, curve_c, gl2, system, monkeypatch, family):
+        if family == "GL":
+            layout, (ham, cfg, c) = gl2, system
+        else:
+            layout, ham, cfg, c = planted(family, curve_c, 8)
+        traj = flow_fiber(layout, curve_c, ham, cfg, c, 0.02, 1e-3)
+        whole = angle_increments(layout, curve_c, ham, traj)
+        # 15 segments: 3 rows a block for GL(2), 2 for SO_even(2), 1 for SP(2)
+        monkeypatch.setattr(flows, "_ANGLE_SEGMENTS", 15)
+        blocks = angle_increments(layout, curve_c, ham, traj)
         assert np.abs(blocks - whole).max() <= 1e-15 * np.abs(whole).max()
+
+    def test_peak_memory(self, curve_c):
+        # the panel sums hold no (nodes x h) array: one call on 101 SP(2)
+        # rows in 128-segment blocks peaks near 0.87 MB (1.68 MB when the
+        # sums were taken from the whole (21 n, h) density array)
+        layout, ham, cfg, c = planted("SP", curve_c, 8)
+        traj = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
+        assert len(traj.states) == 101 and flows._ANGLE_SEGMENTS == 128
+        tracemalloc.start()
+        try:
+            angle_increments(layout, curve_c, ham, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
 
     def test_one_panel_call_per_block(self, curve_c, gl2, system,
                                       monkeypatch):
@@ -255,6 +278,44 @@ class TestDensities:
             with pytest.raises(BranchLocus,
                                match=re.escape(f"at x={x[1]}")):
                 densities()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_panel_sums_match_densities(self, curve_c, family, monkeypatch):
+        # the column-by-column sums against the weights times the (21 n, h)
+        # density array, on the nodes and polished lambda the panels used
+        layout, ham, pts = self.system(curve_c, family)
+        rng = np.random.default_rng(62)
+        a = pts.x.ravel()
+        b = a + 0.05 * (rng.standard_normal(a.size)
+                        + 1j * rng.standard_normal(a.size))
+        start = np.stack((pts.y.ravel(), pts.lam.ravel()), axis=1)
+        seen = []
+        factors = flows._density_factors
+
+        def spy(*args):
+            seen.append(args)
+            return factors(*args)
+        monkeypatch.setattr(flows, "_density_factors", spy)
+        sums, _ = flows._density_panels(layout, curve_c, ham, a, b, start)
+        half, nodes = _panel_nodes(a, b)
+        args = seen[0]
+        assert np.array_equal(args[1], nodes[:, :-1].ravel())
+        dens = flows._densities(*args).reshape(a.size, -1, layout.h)
+        ref = half[:, None] * (_GK_WEIGHTS @ dens)
+        assert sums.shape == ref.shape == (a.size, 2, layout.h)
+        scale = np.abs(ref).max(axis=-1, keepdims=True)
+        assert (np.abs(sums - ref) <= 1e-14 * scale).all()
+
+    def test_panel_branch_locus(self, curve_c, gl2):
+        # R = (lambda - 1)^2 + x - x0 has the double root 1 at the panel's
+        # middle node x0, where four Newton steps from 1 + 1e-12 leave
+        # lambda next to it and dR/dlambda below the gate
+        a, b = np.array([0.2 + 0.1j]), np.array([0.3 + 0.2j])
+        x0 = 0.5 * (a[0] + b[0])
+        ham = np.array([-2.0, 0.0, 1.0 - x0, 1.0, 0.0])
+        start = np.array([[np.sqrt(curve_c.p(a[0])), 1.0 + 1e-12]])
+        with pytest.raises(BranchLocus, match=re.escape(f"at x={x0}")):
+            flows._density_panels(gl2, curve_c, ham, a, b, start)
 
 
 class TestPrymParity:
