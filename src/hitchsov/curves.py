@@ -143,6 +143,12 @@ def _horner(c, x):
     return c0
 
 
+def _binomials(n):
+    """The exact binomials C(j, k), j, k = 0..n, at [k, j] (0 for k > j)."""
+    return np.array([[math.comb(j, k) for j in range(n + 1)]
+                     for k in range(n + 1)])
+
+
 def build_curve(coeffs, genus_one_ok=False) -> HyperellipticCurve:
     """Validate coefficients and locate the branch points.
 
@@ -236,8 +242,7 @@ def _sheet_ratio(curve, a, x):
     cannot cross the negative real axis, so its principal square root is
     the continuous one.  Broadcasts over a and x; nothing is sampled.
     """
-    e = curve.branch_points
-    return np.sqrt((x[..., None] - e) / (a[..., None] - e)).prod(axis=-1)
+    return math.prod(np.sqrt((x - e) / (a - e)) for e in curve.branch_points)
 
 
 def _off_curve(curve, x, y):

@@ -63,7 +63,8 @@ class BranchLocus(HitchsovError):
 
 
 class IllConditioned(HitchsovError):
-    """Matrix condition estimate exceeds the configured cap."""
+    """A matrix is singular, or its exact 1-norm condition number (never
+    below LAPACK's estimate, zgecon) exceeds the cap."""
 
 
 class StepRejected(HitchsovError):

@@ -25,17 +25,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .curves import _GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio
-from .errors import (BranchLocus, IllConditioned, StepRejected,
-                     BranchCollision)
+from .errors import BranchCollision, BranchLocus, IllConditioned, StepRejected
 from .spectral import SpectralPoint, _lambda_blocks, _track_roots
 from .separation import implicit_gradients, solve_hamiltonians
-
-# zgesv is zgetrf then zgetrs in one call; its solution matches
-# np.linalg.solve bit for bit, separate getrf and getrs calls do not
-_gesv, _gecon = lapack.get_lapack_funcs(("gesv", "gecon"), dtype=complex)
 
 # Dormand-Prince 5(4) (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
 # the stage rows, the last of which holds the 5th-order weights (first
@@ -63,9 +57,8 @@ _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 _MIN_STEP = 1e-12
 # angle_increments: the absolute tolerance of each segment's integral, and
 # the segments per _adaptive_gl call, which bounds the call's memory: the
-# panel sums hold (segments x 21) node values per density column.  64-segment
-# blocks cost flow jobs about 7% more time for their per-call overhead (15%
-# when first timed, with sympy loaded and glibc's heap-trim threshold raised).
+# panel sums hold (segments x 21) node values per density column; 64-segment
+# blocks cost flow jobs about 7% more time for their per-call overhead.
 _ANGLE_TOL = 1e-13
 _ANGLE_SEGMENTS = 128
 
@@ -80,10 +73,10 @@ def _integrand_vector(layout, ham, pt):
 
 
 def _value_slope(coeffs, lam):
-    """R and dR/dlambda at lam, by Horner on the (n, d + 1) ascending
-    lambda coefficients."""
-    val, der = coeffs[:, -1], 0.0
-    for ck in coeffs[:, -2::-1].T:
+    """R and dR/dlambda at lam, by Horner on the list of the d + 1
+    ascending lambda coefficients."""
+    val, der = coeffs[-1], 0.0
+    for ck in coeffs[-2::-1]:
         der = der * lam + val
         val = val * lam + ck
     return val, der
@@ -123,24 +116,25 @@ def _densities(layout, x, y, lam, blocks, coeffs):
 
 
 def _jacobi_solve(layout, ham, cfg, rhs):
-    """J (as in ``jacobi_matrix``) and the solution v of J v = rhs, from
-    one LU factorization (zgesv), on which LAPACK estimates the 1-norm
-    condition number (zgecon).  Raises IllConditioned when that estimate
-    passes 1e12."""
+    """J and the solution v of J v = rhs, from one LU factorization that also
+    gives J^-1.  Raises IllConditioned when J is singular or its exact 1-norm
+    condition number (never below LAPACK's estimate, zgecon) passes 1e12."""
     jm = _integrand_vector(layout, ham, cfg).T
-    lu, _, v, _ = _gesv(jm, rhs)
-    rcond, _ = _gecon(lu, np.abs(jm).sum(axis=0).max())
-    if not rcond > 1e-12:
-        raise IllConditioned("Jacobi matrix condition estimate above 1e12")
-    return jm, v
+    try:
+        sol = np.linalg.solve(jm, np.column_stack((rhs, np.eye(len(rhs)))))
+        cond = np.linalg.norm(jm, 1) * np.linalg.norm(sol[:, 1:], 1)
+    except np.linalg.LinAlgError:               # J is singular
+        cond = np.inf
+    if not cond <= 1e12:
+        raise IllConditioned(f"Jacobi matrix condition {cond:.2e} above 1e12")
+    return jm, sol[:, 0]
 
 
 def jacobi_matrix(layout, curve, ham, cfg):
     """J[j, k] = angle density j evaluated at the k-th separating point.
 
-    Raises IllConditioned when LAPACK's 1-norm condition estimate of J
-    passes 1e12.
-    """
+    Raises IllConditioned when J is singular or its exact 1-norm condition
+    number passes 1e12 (``_jacobi_solve``)."""
     return _jacobi_solve(layout, ham, cfg, np.zeros(layout.h))[0]
 
 
@@ -221,8 +215,14 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
         raise StepRejected(f"velocity of size {np.abs(k1).max():.2e} overflows "
                            f"the starting-step estimate at t=0")
     h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
-    d2 = _rms(rhs(advance(state, math.copysign(h0, dt) * k1)) - k1,
-              scale) / h0
+    while True:     # a probe that lands on a branch point backs off
+        try:
+            probe = advance(state, math.copysign(h0, dt) * k1)
+            break
+        except BranchCollision:
+            if (h0 := 0.1 * h0) < _MIN_STEP * abs(span):
+                raise
+    d2 = _rms(rhs(probe) - k1, scale) / h0
     h = min(100 * h0, (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15
             else max(1e-6, 1e-3 * h0))
     t, err, fac_max = 0.0, 0.0, _FAC_MAX

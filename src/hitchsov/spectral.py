@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom
 
-from .curves import _horner, root_cluster_margin
+from .curves import _binomials, _horner, root_cluster_margin
 from .errors import RankError, ConditioningWarning
 
 FAMILIES = ("GL", "SL", "SO_odd", "SP", "SO_even")
@@ -182,17 +181,16 @@ def _lambda_blocks(layout: CoefficientLayout, ham, x, y):
     """The blocks B_j and R's lambda coefficients at (x, y).
 
     For x and y of shape S: the list of the B_j, each of shape S, the
-    so(2n) block not yet squared, and the ascending coefficients of R as a
-    polynomial in lambda, shape S + (d + 1,).  Each B_j comes from its
-    coefficient blocks by Horner, with no matrix product: numpy's complex
-    matrix-vector products on many rows can run threaded, and far slower,
-    on a busy host.
+    so(2n) block not yet squared, and the d + 1 ascending coefficients of R
+    in lambda, a list of arrays of shape S and 0 or 1 where constant.  Each
+    B_j comes from its coefficient blocks by Horner, with no matrix product:
+    numpy's complex matrix-vector products on many rows can run threaded,
+    and far slower, on a busy host.
     """
     spec = layout.spec
     ham = np.asarray(ham, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    coeffs = np.zeros(x.shape + (spec.d + 1,), dtype=complex)
-    coeffs[..., spec.d] = 1.0
+    coeffs = [0.0] * spec.d + [1.0]
     blocks = []
     for j, dj in enumerate(spec.dees):
         b = _horner(ham[layout.x_slice(j)], x)
@@ -201,7 +199,7 @@ def _lambda_blocks(layout: CoefficientLayout, ham, x, y):
             b = b + _horner(hy, x) * y
         blocks.append(b)
         squared = spec.square_last and j == len(spec.dees) - 1
-        coeffs[..., spec.d - dj] += b * b if squared else b
+        coeffs[spec.d - dj] = b * b if squared else b
     return blocks, coeffs
 
 
@@ -210,7 +208,8 @@ def lambda_poly(layout: CoefficientLayout, ham, x, y):
 
     x and y of shape S give shape S + (d + 1,); scalars give (d + 1,).
     """
-    return _lambda_blocks(layout, ham, x, y)[1]
+    return np.stack(np.broadcast_arrays(*_lambda_blocks(layout, ham, x, y)[1]),
+                    axis=-1)
 
 
 def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):
@@ -271,7 +270,7 @@ def _track_roots(layout: CoefficientLayout, ham, x, y, lam0):
     c = lambda_poly(layout, ham, x, y)[..., None]          # (n, d + 1, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         shift = lam0[:, None, None] ** np.maximum(k - k[:, None], 0) \
-            * binom(k, k[:, None])                     # C(j, k) lam0^(j - k)
+            * _binomials(d)                            # C(j, k) lam0^(j - k)
         a = (shift @ c)[..., 0]
         b = (np.abs(shift) @ np.abs(c))[..., 0]
         value_slope = np.zeros(a.shape + (2,), dtype=complex)

@@ -37,13 +37,13 @@ comes with the period data (``curves.period_matrix``).
 """
 
 import itertools
+import math
 
 import numpy as np
-from scipy.special import binom, gamma, gammaincc
 
 from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
-from .curves import (SERIES_TERMS, _chart_radius, abel_map, abel_series,
-                     lattice_reduce)
+from .curves import (SERIES_TERMS, _binomials, _chart_radius, abel_map,
+                     abel_series, lattice_reduce)
 
 # points on the sigma contour's first circle: 2 _CONTOUR_SAMPLES samples
 _CONTOUR_SAMPLES = 64
@@ -63,8 +63,8 @@ def _lattice_points(tau, zs, order):
     Deconinck et al. (sec. 4): (2 pi)^N g/2 (2/rho)^g sum_(i=0..N) C(N, i)
     rho^-i |c|^(N - i) Gamma((g + i)/2, (R - rho/2)^2), for |c| the largest
     center norm and rho = sqrt(pi lam_min) <= |sqrt(pi) T n|, Y = T^T T, on
-    every n != 0.  Raises TruncationOverflow when no R / rho up to 60 does.
-    """
+    every n != 0, Gamma in closed form (``_upper_gammas``).  Raises
+    TruncationOverflow when no R / rho up to 60 does."""
     y = np.ascontiguousarray(tau.imag)
     g = y.shape[0]
     centers = -np.linalg.solve(y, np.imag(zs).T).T  # (m, g)
@@ -75,8 +75,8 @@ def _lattice_points(tau, zs, order):
     rs = rho / 2 + np.sqrt(g + order) + np.arange(0.0, 16.0, 0.1)
     i, c = np.arange(order + 1)[:, None], np.linalg.norm(centers, axis=1).max()
     bound = (2 * np.pi) ** order * g / 2 * (2 / rho) ** g * np.sum(
-        binom(order, i) * rho ** -i * c ** (order - i) * gamma((g + i) / 2)
-        * gammaincc((g + i) / 2, (rs - rho / 2) ** 2), axis=0)
+        _binomials(order)[:, -1:] * rho ** -i * c ** (order - i)
+        * _upper_gammas(g + order, (rs - rho / 2) ** 2)[g - 1:], axis=0)
     met = (bound <= 1e-18) & (rs <= 60.0 * rho)
     if not met.any():
         raise TruncationOverflow(f"no radius up to {min(60, rs[-1] / rho):.1f} "
@@ -93,6 +93,16 @@ def _lattice_points(tau, zs, order):
     quad += np.einsum('ij,ij->i', yc, centers)[None, :]
     keep = (quad <= lam_min * radius ** 2).any(axis=1)
     return pts[keep] if keep.any() else pts
+
+
+def _upper_gammas(n, x):
+    """Gamma(m/2, x) for m = 1..n (rows): sqrt(pi) erfc(sqrt(x)), e^-x, then
+    Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x, a sum of positive terms."""
+    rows = [np.sqrt(np.pi) * np.array([*map(math.erfc, np.sqrt(x).tolist())]),
+            np.exp(-x)]
+    for m in range(1, n - 1):
+        rows.append(m / 2 * rows[-2] + x ** (m / 2) * rows[1])
+    return np.array(rows[:n])
 
 
 def _quad_form(d, m):

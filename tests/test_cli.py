@@ -335,6 +335,16 @@ SO_EVEN_SYSTEMS = {
 }
 
 
+# flow seed 9101 job 7 (bench/workloads.py), SP(2): the Poisson route's
+# starting-step probe, an Euler step of 0.01 d0/d1, landed 5.5e-4 from the
+# branch point -0.0299-0.1809i, inside its exclusion radius of 5.7e-4
+SP_PROBE_SYSTEM = (
+    [[0.12380700666784324, 0.11226666954986428], [1.0975556935317876, -0.6375720548589924], [0.04872867523216795, -2.6486164795050273], [-3.1659053528362118, -0.9258232109852532], [-0.2096918747732044, 2.5390292419433056], [1.0, 0.0]],
+    [[[-1.303720505893887, 1.0205737131434478], [-4.909728526616463, 3.361017361174558], [-1.3507104635444334, 0.2707120228851817]], [[-0.6087285900771553, 1.3362299136011384], [0.05218505562642032, -5.641680774028132], [1.973659168786537, 0.8111737555602534]], [[0.46741541147450927, -0.9800621689366347], [-0.47394042229243105, -0.8074538752264168], [1.3277876226528103, 1.3562250375965]], [[-0.6895078561031114, -0.4980833546141085], [-0.010808285023100755, 0.7142173401016559], [0.6462822789915685, 0.2577839116318929]], [[-0.8156381632902475, -0.14686897315949426], [0.5773460228342194, 0.5949188488943394], [-0.20827154988045998, -1.1184493469678463]], [[0.7331389005730463, 0.518903400142153], [1.9914749199205355, -0.9587756888622075], [0.33369608505790066, -1.5661051204955887]], [[-0.025448269295729593, -0.18135947758339374], [-0.0473548611943896, 0.025323441128259242], [-0.7416886092760803, -1.006864354461016]], [[0.6207359431006104, 0.8973990697571781], [-3.384613655670538, 0.29615196349079165], [-1.5125579376772502, 0.7539585486031298]], [[0.4162096799388107, 0.0487335383679974], [0.8059810100554371, -0.3845247165013413], [-0.671434386743356, -0.9288158871896702]], [[-0.51182122051425, -0.09489014487258746], [0.17209451666660833, 0.3247737102322259], [0.06089498586776237, -0.7456316392171706]]],
+    [[0.3116236072894324, -0.2635600358612036], [-0.109257474843557, 0.02361860800482732], [-0.0028810759289795915, -0.021033589257825433], [-0.15656825197467894, 0.07921057882915566], [0.025965696579689574, -0.0860406835675373], [-0.020765153531589017, 0.0775251187559115], [0.04048870756755649, -0.036683624838519814], [-0.017206365345709858, 0.0011862026178890896], [-0.07248617397403877, 0.05592959193299253], [0.070809829698052, -0.0028244291350358044]],
+)
+
+
 class TestFlowRun:
     def test_branch_locus_exits_4(self, tmp_path):
         """GL(2) whose fiber above the first point is (lambda - a)^2."""
@@ -386,6 +396,25 @@ class TestFlowRun:
             "flow", "run", "--input", str(f), "--output", str(tmp_path),
             "--route", "both", "--strict", "--t-end", "0.25",
             "--dt", "0.001"])
+        assert res.exit_code == 0, res.output
+        cmp_report = json.loads((tmp_path / "flow_compare.json").read_text())
+        assert cmp_report["max_point_set_distance"] < 1e-6
+
+    def test_probe_backs_off_a_branch_point(self, tmp_path):
+        """The starting-step probe that would hit a branch point is retried
+        at a tenth of its step, and the run passes the strict gate."""
+        coeffs, points, direction = SP_PROBE_SYSTEM
+        f = tmp_path / "system.json"
+        f.write_text(json.dumps({
+            "curve": {"coeffs": coeffs},
+            "lie_type": {"family": "SP", "rank": 2},
+            "points": [{"x": x, "y": y, "lambda": lam}
+                       for x, y, lam in points],
+            "flow": {"direction": direction},
+        }))
+        res = runner.invoke(main, [
+            "flow", "run", "--input", str(f), "--output", str(tmp_path),
+            "--route", "both", "--strict", "--t-end", "0.1", "--dt", "0.001"])
         assert res.exit_code == 0, res.output
         cmp_report = json.loads((tmp_path / "flow_compare.json").read_text())
         assert cmp_report["max_point_set_distance"] < 1e-6

@@ -430,6 +430,38 @@ class TestExactSheets:
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
         assert abs(y_end - y_ref) <= 1e-11 * abs(y_ref)
 
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_sheet_ratio_is_the_stacked_product(self, name, request):
+        """The running product over the branch points equals the product
+        over a stacked (..., 2g + 1) array of the factors, to a few ulps a
+        factor: numpy's reduction multiplies in another order."""
+        curve = request.getfixturevalue(name)
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))
+        x = a + 0.1 * (rng.standard_normal((7, 22))
+                       + 1j * rng.standard_normal((7, 22)))
+        e = curve.branch_points
+        ref = np.sqrt((x[..., None] - e) / (a[..., None] - e)).prod(axis=-1)
+        np.testing.assert_allclose(curves._sheet_ratio(curve, a, x), ref,
+                                   rtol=4 * len(e) * np.finfo(float).eps)
+        # no (..., 2g + 1) stack: the temporaries have the size of x
+        tracemalloc.start()
+        try:
+            curves._sheet_ratio(curve, a, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * x.nbytes
+
+    def test_binomials_follow_pascal(self):
+        for n in range(13):
+            table = curves._binomials(n)
+            assert table.shape == (n + 1, n + 1)
+            assert (table[0] == 1).all() and (table[1:, 0] == 0).all()
+            # C(j, k) = C(j - 1, k - 1) + C(j - 1, k)
+            np.testing.assert_array_equal(
+                table[1:, 1:], table[:-1, :-1] + table[1:, :-1])
+
     def test_path_through_branch_point_raises(self, curve15):
         y0 = np.sqrt(complex(curve15.p(2.5)))
         with pytest.raises(BranchProximity, match=r"forced through x=\(2\.99"):

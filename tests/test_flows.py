@@ -434,6 +434,38 @@ class TestIntegrate:
         assert 1 - 1e-6 < reached < 1
         assert "last error estimate" in str(info.value)
 
+    def test_dopri5_probe_backs_off(self):
+        """A starting-step probe whose advance raises BranchCollision is
+        retried at a tenth of its step, and the run goes on as before."""
+        incrs = []
+
+        def advance(y, d):
+            incrs.append(d)
+            if len(incrs) == 1:
+                raise BranchCollision("probe on the branch locus")
+            return y + d
+        ys = integrate(lambda y: self.A @ y, advance, self.Y0, 0.01, 100,
+                       "dopri5")
+        np.testing.assert_allclose(incrs[1], 0.1 * incrs[0], rtol=1e-15)
+        assert max(np.abs(y - self.exact(k * 0.01)).max()
+                   for k, y in enumerate(ys)) < 1e-10
+
+    def test_dopri5_probe_floor(self):
+        """A probe that collides at every size re-raises BranchCollision
+        once its step falls below _MIN_STEP of the span."""
+        steps = []
+        k1 = np.abs(self.A @ self.Y0).max()
+
+        def advance(y, d):
+            steps.append(np.abs(d).max() / k1)
+            raise BranchCollision("probe on the branch locus")
+        with pytest.raises(BranchCollision, match="probe on the branch"):
+            integrate(lambda y: self.A @ y, advance, self.Y0, 0.01, 100,
+                      "dopri5")
+        np.testing.assert_allclose(np.array(steps[1:]) / steps[:-1], 0.1)
+        floor = flows._MIN_STEP * 1.0
+        assert 0.1 * steps[-1] < floor <= steps[-1]
+
     def test_dopri5_rows_in_one_batch(self):
         # advance and after see each step's rows as one (m, n) batch
         seen = []
@@ -490,6 +522,34 @@ class TestTypedErrors:
         copies = PhaseConfiguration([cfg.points[0]] * gl2.h)
         with pytest.raises(IllConditioned, match="above 1e12"):
             jacobi_matrix(gl2, curve_c, ham, copies)
+
+    def test_singular_solve(self, curve_c, gl2, system):
+        """B2 = 0 puts lambda = 0 on every fiber, where block 1's densities
+        vanish: J has zero rows, np.linalg.solve raises LinAlgError, and
+        the gate reports an infinite condition number."""
+        ham = np.zeros(gl2.h, dtype=complex)
+        ham[:2] = 0.7 - 0.2j, 0.4 + 0.5j
+        cfg = PhaseConfiguration([SpectralPoint(x, np.sqrt(curve_c.p(x)), 0j)
+                                  for x in system[1].x])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(_integrand_vector(gl2, ham, cfg).T, np.eye(gl2.h))
+        with pytest.raises(IllConditioned, match="condition inf above 1e12"):
+            jacobi_matrix(gl2, curve_c, ham, cfg)
+
+    def test_exact_condition_number(self, curve_c, gl2, system):
+        """Two points 1e-13 apart: the solve goes through, and the gate
+        reads the exact 1-norm condition number ||J||_1 ||J^-1||_1."""
+        ham, cfg, _ = system
+        pts = cfg.points
+        pts[1] = SpectralPoint(pts[0].x + 1e-13, pts[0].y, pts[0].lam)
+        jm = _integrand_vector(gl2, ham, PhaseConfiguration(pts)).T
+        cond = np.linalg.cond(jm, 1)
+        assert 1e12 < cond < np.inf
+        with pytest.raises(IllConditioned, match="above 1e12") as info:
+            jacobi_matrix(gl2, curve_c, ham, PhaseConfiguration(pts))
+        got = float(re.search(r"condition (\S+) above", str(info.value))[1])
+        assert got == pytest.approx(cond, rel=1e-2)
+        assert np.linalg.cond(jacobi_matrix(gl2, curve_c, ham, cfg), 1) < 1e12
 
     def test_singular_jacobian(self, curve_c, gl2, system):
         ham, cfg, _ = system

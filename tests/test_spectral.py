@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,6 +282,28 @@ class TestArrayForms:
             got = (ev.value[i], ev.d_lambda[i], ev.grad_h[i], ev.d_x[i])
             for r, g in zip(ref, got):
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("family, rank", ARRAY_TYPES)
+    def test_lambda_blocks_hold_no_coefficient_array(self, family, rank,
+                                                     curve_c):
+        """R's lambda coefficients come as the blocks themselves, with 0
+        and 1 where constant: at 2,520 points (an angle-check block of 120
+        panels) no (n, d + 1) array is built, and the peak stays within the
+        blocks and three Horner temporaries of x's size."""
+        rng = np.random.default_rng(37)
+        layout = coefficient_layout(resolve_type(family, rank), curve_c)
+        ham = rng.standard_normal(layout.h) \
+            + 1j * rng.standard_normal(layout.h)
+        x, y, _ = random_points(curve_c, rng, 2520)
+        tracemalloc.start()
+        try:
+            blocks, coeffs = spectral._lambda_blocks(layout, ham, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(blocks) + 3.5) * x.nbytes
+        assert len(coeffs) == layout.spec.d + 1 and coeffs[-1] == 1.0
+        assert all(np.shape(c) in ((), x.shape) for c in coeffs)
 
     def test_scalar_point_gives_scalars(self, curve_c):
         layout = coefficient_layout(resolve_type("SP", 2), curve_c)

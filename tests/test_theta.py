@@ -142,6 +142,49 @@ def spread_rows(tau, rng, m, spread):
     return rng.standard_normal((m, g)) - 1j * centres @ tau.imag
 
 
+# The inversion workload's pool curves (bench/workloads.py) and the genus-3
+# fixture; and for one argument row on each, the lattice radius R / rho and
+# point count of ``theta._lattice_points`` at orders 0, 1, 4 and 6, as the
+# search gave them with scipy's gamma * gammaincc in the bound.
+LATTICE_CURVES = {
+    "real": [1.0, 2.0, 3.0, 4.0, 5.0],
+    "complex": [0.0, 1.0, -1.2, 2.0 + 0.5j, -0.3 - 1.1j],
+    "pentagon": 1.5 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j),
+    "g3": [0, 1, 2, 3, 4, 5, 6.5],
+}
+PINNED_LATTICES = {
+    "real": [(5.204560327888788, 51), (5.4341021567152925, 59),
+             (5.952236037340231, 66), (6.298124268536826, 73)],
+    "complex": [(5.680697738865487, 57), (5.9334709526612555, 61),
+                (6.58357307209232, 75), (6.964467832148366, 86)],
+    "pentagon": [(6.6913842008613305, 69), (6.895295681122095, 74),
+                 (7.660477884709557, 91), (8.202405315109578, 103)],
+    "g3": [(5.588561179018343, 291), (5.79109617133025, 323),
+           (6.430374960454735, 430), (6.77372831743444, 526)],
+}
+
+
+class TestUpperGamma:
+    def test_matches_mpmath(self):
+        """Gamma(a, x) for every a = (g + i) / 2 the radius search uses
+        (genus 1 to 3, orders up to 2g) at every x of its grid, against
+        mpmath's incomplete gamma, to 1e-12 relative."""
+        x = np.unique(np.concatenate([
+            (np.sqrt(n) + np.arange(0.0, 16.0, 0.1)) ** 2
+            for n in range(1, 10)]))
+        got = theta._upper_gammas(9, x)
+        assert got.shape == (9, len(x))
+        for m, row in enumerate(got, start=1):
+            ref = np.array([float(mpmath.gammainc(m / 2, v)) for v in x])
+            assert np.all(np.abs(row - ref) <= 1e-12 * ref)
+
+    def test_first_rows(self):
+        x = np.array([0.5, 3.0, 40.0])
+        assert theta._upper_gammas(1, x).shape == (1, 3)
+        np.testing.assert_allclose(theta._upper_gammas(2, x)[1], np.exp(-x),
+                                   rtol=0)
+
+
 class TestBatchedTheta:
     @pytest.mark.parametrize("g", [1, 2, 3])
     @pytest.mark.parametrize("spread", [1.0, 12.0])
@@ -657,6 +700,25 @@ class TestTruncationBound:
                 weights = np.exp(log_terms - log_terms.max()) * (
                     2 * np.pi * np.linalg.norm(box, axis=1)) ** order
                 assert weights[tail].sum() <= 1e-18
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_CURVES))
+    def test_pinned_radius_and_count(self, name):
+        """The one-row lattice at orders 0, 1, 4 and 6 is the product
+        lattice at the pinned radius, with the pinned count, and mpmath's
+        radius walk finds that radius too."""
+        curve = make_curve(LATTICE_CURVES[name])
+        td = period_matrix(curve)
+        g = curve.genus
+        rng = np.random.default_rng(5)
+        z = (rng.uniform(-1, 1, g) + td.tau @ rng.uniform(-1, 1, g))[None, :]
+        for order, (radius, count) in zip((0, 1, 4, 6),
+                                          PINNED_LATTICES[name]):
+            pts = theta._lattice_points(td.tau, z, order)
+            assert len(pts) == count
+            np.testing.assert_array_equal(
+                pts, product_lattice(td.tau, z[0], radius))
+            assert lattice_radius(td.tau, z, order) == pytest.approx(
+                radius, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
     def test_sigma_series_matches_a_wider_lattice(self, name, period_data,
