@@ -81,12 +81,22 @@ class CurvePoint:
 
 @dataclass
 class ThetaData:
-    """Period data of a curve: tau, a-period normalization, and the Riemann
-    constant vector."""
+    """Read-only period data from ``period_matrix``: tau, the normalization,
+    K, and the per-curve data of abel_map, abel_series and lattice_reduce."""
 
     tau: np.ndarray
     normalization: np.ndarray
     riemann_constants: np.ndarray
+    chain: np.ndarray            # the branch points in chain order
+    others: np.ndarray           # row k: the chain less its point k
+    characteristics: np.ndarray  # m, n of _chain_characteristics
+    series: np.ndarray           # the Abel series at infinity to SERIES_TERMS
+    basis: np.ndarray            # the lattice basis [I, tau]
+    real_basis: np.ndarray       # its real and imaginary parts, stacked
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
 class HyperellipticCurve:
@@ -517,7 +527,7 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     normalized against the a-cycles: sum_k N[s,k] x^k dx/y has a_j-period
     delta_sj; tau is the matrix of its b-periods.  K is the sum of A(e_k)
     over odd k (Mumford's set U, ``_chain_characteristics``), the
-    half-period (m + tau n) / 2.
+    half-period (m + tau n) / 2.  The rest of ``ThetaData`` comes along.
 
     Postconditions (Riemann bilinear relations), else CycleDegenerate: tau
     is symmetric to |tau - tau^T| < 1e-6 (1 + |tau|) and is returned
@@ -527,9 +537,16 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     g = curve.genus
     periods = _chain_periods(curve)
     tau, norm = _normalized_tau(periods[:, :g], periods[:, g:])
-    m, n = (c[::2].sum(axis=0) % 2 for c in _chain_characteristics(g))
-    return ThetaData(tau=tau, normalization=norm,
-                     riemann_constants=0.5 * (m + tau @ n))
+    chain, chars = _branch_chain(curve), np.array(_chain_characteristics(g))
+    m, n = chars[:, ::2].sum(axis=1) % 2
+    others = np.array([np.delete(chain, j) for j in range(2 * g + 1)])
+    w = differential_series(curve, norm, SERIES_TERMS)
+    basis = np.hstack([np.eye(g), tau])
+    return ThetaData(
+        tau=tau, normalization=norm, riemann_constants=0.5 * (m + tau @ n),
+        chain=chain, others=others, characteristics=chars,
+        series=np.hstack([np.zeros((g, 1)), w / np.arange(1, SERIES_TERMS + 1)]),
+        basis=basis, real_basis=np.vstack([basis.real, basis.imag]))
 
 
 def _normalized_tau(pa, pb):
@@ -595,12 +612,13 @@ def abel_series(curve: HyperellipticCurve, theta_data: ThetaData, nterms):
     """Vector power series A(z) of the Abel map from infinity in z.
 
     Returns out with A_s(z) = sum_l out[s, l] z^l for l = 0..nterms, where
-    out[s, l] = W[s, l-1] / l = phi_s^(l) / l (W of differential_series).
+    out[s, l] = W[s, l-1] / l = phi_s^(l) / l (W of differential_series),
+    read off ``theta_data.series`` (curve is not read).  Raises ValueError
+    for nterms above SERIES_TERMS.
     """
-    w = differential_series(curve, theta_data.normalization, nterms)
-    out = np.zeros((w.shape[0], nterms + 1), dtype=complex)
-    out[:, 1:] = w / np.arange(1, nterms + 1)[None, :]
-    return out
+    if nterms > SERIES_TERMS:
+        raise ValueError(f"nterms {nterms} exceeds SERIES_TERMS = {SERIES_TERMS}")
+    return theta_data.series[:, :nterms + 1]
 
 
 def _chart_radius(curve):
@@ -645,16 +663,15 @@ def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target):
     if off.any():
         raise ContinuationAmbiguity(
             f"target y does not lie on the curve above x={x[off][0]}")
-    chain = _branch_chain(curve)
-    k = np.abs(x[:, None] - chain).argmin(axis=1)
-    e, rest = chain[k], np.array([np.delete(chain, j) for j in k])
+    k = np.abs(x[:, None] - theta_data.chain).argmin(axis=1)
+    e, rest = theta_data.chain[k], theta_data.others[k]
     # y(P) = +-sqrt(P - e_k) q, exact near e_k, with the sign nearest y
     root, q = np.sqrt(x - e), np.sqrt(x[:, None] - rest).prod(axis=1)
     sign = np.where(np.abs(root * q - y) <= np.abs(root * q + y), 2.0, -2.0)
     ints, _ = _adaptive_gl(partial(_branch_panels, e, x, rest, sign * root / q),
                            np.zeros(len(x)), np.ones(len(x)),
                            np.arange(len(x)), tol=1e-10)
-    m, n = _chain_characteristics(curve.genus)
+    m, n = theta_data.characteristics
     images = (0.5 * (m[k] + n[k] @ theta_data.tau.T)
               + ints @ np.asarray(theta_data.normalization, dtype=complex).T)
     return images[0] if isinstance(target, CurvePoint) else images
@@ -663,12 +680,8 @@ def abel_map(curve: HyperellipticCurve, theta_data: ThetaData, target):
 def lattice_reduce(theta_data: ThetaData, v):
     """Reduce a vector of shape (g,), or each row of one of shape (m, g),
     modulo the lattice Z^g + tau Z^g (nearest lattice point), in one solve."""
-    tau = theta_data.tau
-    g = tau.shape[0]
-    basis = np.hstack([np.eye(g), tau])
-    real_basis = np.vstack([basis.real, basis.imag])  # 2g x 2g
     v = np.asarray(v)
     rhs = np.concatenate([np.real(v), np.imag(v)], axis=-1)
-    coeff = np.linalg.solve(real_basis, rhs.T).T
+    coeff = np.linalg.solve(theta_data.real_basis, rhs.T).T
     # einsum, not a matrix product, rounds a row as it does alone
-    return v - np.einsum('...k,jk->...j', np.round(coeff), basis)
+    return v - np.einsum('...k,jk->...j', np.round(coeff), theta_data.basis)

@@ -11,7 +11,7 @@ a y-part sum_s H1[j,s] x^s y.  For so(2n) the last block enters squared.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class CoefficientLayout:
     x_offsets: tuple
     y_offsets: tuple
     h: int
+    binomials: np.ndarray = field(compare=False, repr=False)  # C(j, k), j <= d
 
     def x_slice(self, j):
         return slice(self.x_offsets[j], self.x_offsets[j] + self.x_sizes[j])
@@ -99,7 +100,8 @@ def coefficient_layout(spec: LieTypeSpec, curve) -> CoefficientLayout:
         pos += ys
     return CoefficientLayout(spec=spec, genus=g, x_sizes=tuple(x_sizes),
                              y_sizes=tuple(y_sizes), x_offsets=tuple(x_off),
-                             y_offsets=tuple(y_off), h=pos)
+                             y_offsets=tuple(y_off), h=pos,
+                             binomials=_binomials(spec.d))
 
 
 @dataclass
@@ -270,7 +272,7 @@ def _track_roots(layout: CoefficientLayout, ham, x, y, lam0):
     c = lambda_poly(layout, ham, x, y)[..., None]          # (n, d + 1, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         shift = lam0[:, None, None] ** np.maximum(k - k[:, None], 0) \
-            * _binomials(d)                            # C(j, k) lam0^(j - k)
+            * layout.binomials                         # C(j, k) lam0^(j - k)
         a = (shift @ c)[..., 0]
         b = (np.abs(shift) @ np.abs(c))[..., 0]
         value_slope = np.zeros(a.shape + (2,), dtype=complex)

@@ -25,25 +25,27 @@ Theta sums are truncated to a lattice built once for a batch of arguments
 (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing Riemann theta
 functions*, Math. Comp. 73, 2004): the union of the ellipsoids
 (n - c).Y.(n - c) <= lam_min r^2 about the centres c = -Y^{-1} Im z of all
-rows z, Y = Im tau, of the least radius at which their bound for derivatives
-of order N puts the tail at 1e-18 of the peak: N = 0 for values, 1 for the
-contour's gradient, N for ``theta_deriv_table`` and 2k for ``sigma_series``.
-For one row the lattice is that row's own ellipsoid; for many it holds every
-term any row would have summed alone, and each row also sums terms of its
-own tail.  The contour route evaluates theta and its gradient on all samples
-of a circle from one lattice, each term the base term at the centre v0
-times one tabled phase per coordinate.  The vector of Riemann constants
-comes with the period data (``curves.period_matrix``).
+rows z, Y = Im tau, of the least radius on a 0.1 grid, found by bisection in
+floats, at which their bound for derivatives of order N puts the tail at
+1e-18 of the peak: N = 0 for values, 1 for the contour's gradient, N for
+``theta_deriv_table`` and 2k for ``sigma_series``.  For one row the lattice
+is that row's own ellipsoid; for many it holds every term any row would have
+summed alone, and each row also sums terms of its own tail.  The contour
+route evaluates theta and its gradient on all samples of a circle from one
+lattice, each term the base term at the centre v0 times one tabled phase
+per coordinate.  The Riemann constants, the Abel series at infinity and the
+lattice basis come with the period data (``curves.period_matrix``), once.
 """
 
+import bisect
 import itertools
 import math
 
 import numpy as np
 
 from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
-from .curves import (SERIES_TERMS, _binomials, _chart_radius, abel_map,
-                     abel_series, lattice_reduce)
+from .curves import (SERIES_TERMS, _chart_radius, abel_map, abel_series,
+                     lattice_reduce)
 
 # points on the sigma contour's first circle: 2 _CONTOUR_SAMPLES samples
 _CONTOUR_SAMPLES = 64
@@ -63,8 +65,8 @@ def _lattice_points(tau, zs, order):
     Deconinck et al. (sec. 4): (2 pi)^N g/2 (2/rho)^g sum_(i=0..N) C(N, i)
     rho^-i |c|^(N - i) Gamma((g + i)/2, (R - rho/2)^2), for |c| the largest
     center norm and rho = sqrt(pi lam_min) <= |sqrt(pi) T n|, Y = T^T T, on
-    every n != 0, Gamma in closed form (``_upper_gammas``).  Raises
-    TruncationOverflow when no R / rho up to 60 does."""
+    every n != 0.  ``_radius`` finds R by bisection on that grid; raises
+    TruncationOverflow when no R / rho up to 60 meets the bound."""
     y = np.ascontiguousarray(tau.imag)
     g = y.shape[0]
     centers = -np.linalg.solve(y, np.imag(zs).T).T  # (m, g)
@@ -72,16 +74,7 @@ def _lattice_points(tau, zs, order):
     if lam_min <= 0:
         raise ValueError("Im tau not positive definite")
     rho = np.sqrt(np.pi * lam_min)
-    rs = rho / 2 + np.sqrt(g + order) + np.arange(0.0, 16.0, 0.1)
-    i, c = np.arange(order + 1)[:, None], np.linalg.norm(centers, axis=1).max()
-    bound = (2 * np.pi) ** order * g / 2 * (2 / rho) ** g * np.sum(
-        _binomials(order)[:, -1:] * rho ** -i * c ** (order - i)
-        * _upper_gammas(g + order, (rs - rho / 2) ** 2)[g - 1:], axis=0)
-    met = (bound <= 1e-18) & (rs <= 60.0 * rho)
-    if not met.any():
-        raise TruncationOverflow(f"no radius up to {min(60, rs[-1] / rho):.1f} "
-                                 f"meets the 1e-18 bound of order {order}")
-    radius = rs[met.argmax()] / rho  # the first R that meets it
+    radius = _radius(g, order, rho, np.linalg.norm(centers, axis=1).max())
     lo = np.floor(centers.min(axis=0) - radius).astype(int)
     hi = np.ceil(centers.max(axis=0) + radius).astype(int)
     pts = (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
@@ -95,14 +88,36 @@ def _lattice_points(tau, zs, order):
     return pts[keep] if keep.any() else pts
 
 
+def _radius(g, order, rho, c):
+    """R_j / rho, R_j = rho/2 + sqrt(g + N) + 0.1 j, for the least j < 160
+    whose bound (``_lattice_points``) is at most 1e-18, if R_j <= 60 rho.
+    Its terms are weights (numpy scalars, so inf past double precision)
+    times Gamma(a, (R - rho/2)^2): the R_j that pass are a suffix, bisected
+    in at most 8 bounds on floats."""
+    start, half = float(rho / 2 + np.sqrt(g + order)), float(rho / 2)
+    scale = float((2 * np.pi) ** order * g / 2 * (2 / rho) ** g)
+    weights = [float(math.comb(order, i) * rho ** -i * c ** (order - i))
+               for i in range(order + 1)]
+
+    def met(j):
+        d = start + 0.1 * j - half
+        gammas = _upper_gammas(g + order, d * d)[g - 1:]
+        return scale * sum(w * gam for w, gam in zip(weights, gammas)) <= 1e-18
+
+    j = bisect.bisect_left(range(160), True, key=met)
+    if j == 160 or start + 0.1 * j > 60.0 * rho:
+        raise TruncationOverflow(f"no radius up to {min(60, (start + 15.9) / rho):.1f} "
+                                 f"meets the 1e-18 bound of order {order}")
+    return (start + 0.1 * j) / rho
+
+
 def _upper_gammas(n, x):
-    """Gamma(m/2, x) for m = 1..n (rows): sqrt(pi) erfc(sqrt(x)), e^-x, then
-    Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x, a sum of positive terms."""
-    rows = [np.sqrt(np.pi) * np.array([*map(math.erfc, np.sqrt(x).tolist())]),
-            np.exp(-x)]
+    """Gamma(m/2, x), m = 1..n, at a float x: sqrt(pi) erfc(sqrt(x)), e^-x,
+    then Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x, a sum of positive terms."""
+    gammas = [math.sqrt(math.pi) * math.erfc(math.sqrt(x)), math.exp(-x)]
     for m in range(1, n - 1):
-        rows.append(m / 2 * rows[-2] + x ** (m / 2) * rows[1])
-    return np.array(rows[:n])
+        gammas.append(m / 2 * gammas[-2] + x ** (m / 2) * gammas[1])
+    return gammas[:n]
 
 
 def _quad_form(d, m):

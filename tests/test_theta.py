@@ -81,9 +81,27 @@ class TestLatticeSum:
             assert abs(tab[key] - fd) < 1e-6 * (1 + abs(fd))
 
     def test_truncation_overflow(self):
+        """The bound is met on the grid, first at an R beyond 60 rho."""
         tau = np.array([[1e-5j]])
-        with pytest.raises(TruncationOverflow):
+        rs, rho, bound = grid_bound(tau, np.array([[0.3]]), 0)
+        assert (bound <= 1e-18).any()
+        assert rs[np.argmax(bound <= 1e-18)] > 60.0 * rho
+        with pytest.raises(TruncationOverflow, match=r"^no radius up to 60\.0 "
+                           r"meets the 1e-18 bound of order 0$"):
             riemann_theta(np.array([0.3]), tau)
+
+    def test_truncation_overflow_at_no_radius(self):
+        """A centre norm of 1e40 at order 2g: no R of the grid meets the
+        bound, and the message names the grid's last R / rho."""
+        tau = np.array([[1.0j, 0.2], [0.2, 1.5j]])
+        zs = np.array([[0.1 + 1e40j, 0.2]])
+        _, _, bound = grid_bound(tau, zs, 4)
+        assert not (bound <= 1e-18).any()
+        message = r"^no radius up to 10\.9 meets the 1e-18 bound of order 4$"
+        with pytest.raises(TruncationOverflow, match=message):
+            grid_radius(tau, zs, 4)
+        with pytest.raises(TruncationOverflow, match=message):
+            theta._lattice_points(tau, zs, 4)
 
     def test_overflowing_terms_raise(self):
         # the peak term at 0.3 +- 20i is about e^(400 pi), past double
@@ -101,7 +119,7 @@ class TestLatticeSum:
 def lattice_radius(tau, zs, order):
     """The lattice radius R / rho of ``theta._lattice_points`` for the rows
     zs, by a scalar walk over R in steps of 0.1 with mpmath's incomplete
-    gamma: the reference for the array search."""
+    gamma: the reference for the bisection of ``theta._radius``."""
     y = tau.imag
     g = y.shape[0]
     lam_min = float(np.linalg.eigvalsh(y).min())
@@ -118,6 +136,43 @@ def lattice_radius(tau, zs, order):
             assert r <= 60.0 * rho
             return r / rho
     raise AssertionError("no radius meets the bound")
+
+
+def grid_upper_gammas(n, x):
+    """Gamma(m/2, x) for m = 1..n (rows) at every x of an array, by the
+    recursion of ``theta._upper_gammas``."""
+    rows = [np.sqrt(np.pi) * np.array([*map(math.erfc, np.sqrt(x).tolist())]),
+            np.exp(-x)]
+    for m in range(1, n - 1):
+        rows.append(m / 2 * rows[-2] + x ** (m / 2) * rows[1])
+    return np.array(rows[:n])
+
+
+def grid_bound(tau, zs, order):
+    """The radii R_j = rho/2 + sqrt(g + N) + 0.1 j, j < 160, rho, and the
+    bound of ``theta._lattice_points`` at every R_j, in one array pass."""
+    y = np.ascontiguousarray(tau.imag)
+    g = y.shape[0]
+    centers = -np.linalg.solve(y, np.imag(zs).T).T
+    rho = np.sqrt(np.pi * np.linalg.eigvalsh(y).min())
+    rs = rho / 2 + np.sqrt(g + order) + np.arange(0.0, 16.0, 0.1)
+    i, c = np.arange(order + 1)[:, None], np.linalg.norm(centers, axis=1).max()
+    binomials = np.array([math.comb(order, k) for k in range(order + 1)])
+    bound = (2 * np.pi) ** order * g / 2 * (2 / rho) ** g * np.sum(
+        binomials[:, None] * rho ** -i * c ** (order - i)
+        * grid_upper_gammas(g + order, (rs - rho / 2) ** 2)[g - 1:], axis=0)
+    return rs, rho, bound
+
+
+def grid_radius(tau, zs, order):
+    """The lattice radius by the bound on the whole grid: the first R_j
+    that meets it, if R_j <= 60 rho; the oracle for the bisection."""
+    rs, rho, bound = grid_bound(tau, zs, order)
+    met = (bound <= 1e-18) & (rs <= 60.0 * rho)
+    if not met.any():
+        raise TruncationOverflow(f"no radius up to {min(60, rs[-1] / rho):.1f} "
+                                 f"meets the 1e-18 bound of order {order}")
+    return rs[met.argmax()] / rho
 
 
 def product_lattice(tau, z, radius):
@@ -172,17 +227,54 @@ class TestUpperGamma:
         x = np.unique(np.concatenate([
             (np.sqrt(n) + np.arange(0.0, 16.0, 0.1)) ** 2
             for n in range(1, 10)]))
-        got = theta._upper_gammas(9, x)
+        got = np.array([theta._upper_gammas(9, v) for v in x.tolist()]).T
         assert got.shape == (9, len(x))
         for m, row in enumerate(got, start=1):
             ref = np.array([float(mpmath.gammainc(m / 2, v)) for v in x])
             assert np.all(np.abs(row - ref) <= 1e-12 * ref)
 
     def test_first_rows(self):
-        x = np.array([0.5, 3.0, 40.0])
-        assert theta._upper_gammas(1, x).shape == (1, 3)
-        np.testing.assert_allclose(theta._upper_gammas(2, x)[1], np.exp(-x),
-                                   rtol=0)
+        for x in (0.5, 3.0, 40.0):
+            assert len(theta._upper_gammas(1, x)) == 1
+            assert theta._upper_gammas(2, x)[1] == math.exp(-x)
+
+
+class TestRadiusSearch:
+    @staticmethod
+    def cases():
+        """(tau, rows, order): random tau of genus 1 to 3 and the period
+        matrices of LATTICE_CURVES, at every order 0..2g + 2, with one
+        reduced row and with 4 rows up to 12 apart."""
+        rng = np.random.default_rng(17)
+        taus = [random_tau(g, rng) for g in (1, 2, 3) for _ in range(4)]
+        taus += [period_matrix(make_curve(roots)).tau
+                 for roots in LATTICE_CURVES.values()]
+        for tau in taus:
+            g = tau.shape[0]
+            for order in range(2 * g + 3):
+                yield tau, spread_rows(tau, rng, 1, 1.0), order
+                yield tau, spread_rows(tau, rng, 4, 12.0), order
+
+    def test_bisection_is_the_grid_search(self, monkeypatch):
+        """The bisection returns the grid search's radius, to the bit, and
+        the lattice is built at it."""
+        found = []
+        real = theta._radius
+
+        def recorded(*args):
+            found.append(real(*args))
+            return found[-1]
+
+        monkeypatch.setattr(theta, "_radius", recorded)
+        checked = 0
+        for tau, zs, order in self.cases():
+            pts = theta._lattice_points(tau, zs, order)
+            assert found[-1] == grid_radius(tau, zs, order)
+            if len(zs) == 1:
+                np.testing.assert_array_equal(
+                    pts, product_lattice(tau, zs[0], found[-1]))
+            checked += 1
+        assert checked >= 200
 
 
 class TestBatchedTheta:
@@ -668,6 +760,48 @@ class TestSeriesAtInfinity:
         refs = [curve.point(0.2 - 0.7j), curve.point(1.3 + 0.9j)]
         jacobi_inversion_check(curve, td, pts, refs)
         assert builds == [curves.SERIES_TERMS // 2 + 2]
+
+
+class TestPeriodData:
+    @pytest.mark.parametrize("name", ["curve15", "curve_g3"])
+    def test_inversion_reads_only_period_data(self, name, period_data,
+                                              monkeypatch):
+        """Jacobi inversion rebuilds no chain, characteristic or series at
+        infinity: period_matrix stored them."""
+        curve, td = period_data[name]
+
+        def rebuilt(*args):
+            raise AssertionError("per-curve data rebuilt after period_matrix")
+
+        for fn in ("_branch_chain", "differential_series",
+                   "_chain_characteristics"):
+            monkeypatch.setattr(curves, fn, rebuilt)
+        rng = np.random.default_rng(31)
+        xs = rng.standard_normal((2, curve.genus)) \
+            + 1j * rng.standard_normal((2, curve.genus))
+        pts, refs = ([curve.point(x) for x in row] for row in xs)
+        report = jacobi_inversion_check(curve, td, pts, refs)
+        assert report["error"] < 1e-5 and report["route_gap"] < 1e-6
+
+    def test_arrays_are_read_only(self):
+        td = period_matrix(make_curve(LATTICE_CURVES["pentagon"]))
+        for name, value in vars(td).items():
+            assert isinstance(value, np.ndarray), name
+            with pytest.raises(ValueError, match="read-only"):
+                value[(0,) * value.ndim] = 1
+
+    def test_abel_series_is_a_prefix(self, curve15, theta15):
+        """abel_series(n) is W / l from differential_series(n), bit for bit,
+        for every n up to SERIES_TERMS, and raises past it."""
+        norm = theta15.normalization
+        for n in range(curves.SERIES_TERMS + 1):
+            a = abel_series(curve15, theta15, n)
+            assert a.shape == (2, n + 1) and not a[:, 0].any()
+            np.testing.assert_array_equal(
+                a[:, 1:], curves.differential_series(curve15, norm, n)
+                / np.arange(1, n + 1))
+        with pytest.raises(ValueError, match="SERIES_TERMS"):
+            abel_series(curve15, theta15, curves.SERIES_TERMS + 1)
 
 
 class TestTruncationBound:
