@@ -5,8 +5,12 @@ so there is a single point at infinity.  The module provides analytic
 continuation of ``y`` along paths in the ``x``-plane, holomorphic
 differentials ``x^(k-1) dx / y``, period matrices, and the Abel map.
 y is continued along straight segments exactly, as
-y = prod_k (x - e_k)^(1/2) (``_sheet_ratio``), and path integrals run on
-one level-synchronous adaptive Gauss-Kronrod integrator (``_adaptive_gl``).
+y = prod_k (x - e_k)^(1/2) (``_sheet_ratio``).  Where only the sheet of y
+is wanted, ``_sheet_root`` takes +-sqrt(P(x)) with the sign nearest the
+segment's start value, which a short segment's certificate proves to be
+the continued one, and runs the product only where the certificate
+fails.  Path integrals run on one level-synchronous adaptive
+Gauss-Kronrod integrator (``_adaptive_gl``).
 The homology basis lies on the chain of the branch points in (real, imag)
 order: every cycle is a loop about a run of the chain, its period a sum
 of integrals along the chain's edges (the cuts), each two half-edges
@@ -251,8 +255,35 @@ def _sheet_ratio(curve, a, x):
     every branch point, each ratio (x - e_k) / (a - e_k) starts at 1 and
     cannot cross the negative real axis, so its principal square root is
     the continuous one.  Broadcasts over a and x; nothing is sampled.
+    ``continue_y`` and the Abel panels run it everywhere, ``_sheet_root``
+    only where its certificate fails.
     """
     return math.prod(np.sqrt((x - e) / (a - e)) for e in curve.branch_points)
+
+
+def _sheet_root(curve, a, ya, x):
+    """+-sqrt(P(x)) on the sheet that y reaches when it is continued from
+    y(a) = ya along the straight segment from a to x: a and ya of shape
+    (n,) or (n, 1), and x of the broadcast shape.
+
+    Where rho = |x - a| sum_k 1 / |a - e_k| <= 1, each factor
+    (x - e_k) / (a - e_k) stays in the disc of radius
+    rho_k = |x - a| / |a - e_k| < 1 about 1, so
+    |arg y(x) / y(a)| <= sum_k asin(rho_k) / 2 <= (pi / 4) rho <= pi / 4:
+    the root within pi/2 of ya is the continued one, by a margin of
+    cos(pi/4), far above roundoff.  Where rho > 1 the sign is the one
+    nearest ya times the exact ``_sheet_ratio``, run at those points
+    alone.  The sum is taken at a, never over the nodes x.
+    """
+    far = np.abs(x - a) * (1.0 / np.abs(a[..., None] - curve.branch_points)
+                           ).sum(axis=-1) > 1
+    ref = np.conj(ya)
+    if far.any():
+        ref = np.array(np.broadcast_to(ref, x.shape))
+        ref[far] *= np.conj(_sheet_ratio(
+            curve, np.broadcast_to(a, x.shape)[far], x[far]))
+    s = np.sqrt(curve.p(x))
+    return np.negative(s, out=s, where=(s * ref).real < 0)
 
 
 def _off_curve(curve, x, y):

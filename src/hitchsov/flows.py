@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .curves import _GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_ratio
+from .curves import _GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_root
 from .errors import BranchCollision, BranchLocus, IllConditioned, StepRejected
 from .spectral import SpectralPoint, _lambda_blocks, _track_roots
 from .separation import implicit_gradients, solve_hamiltonians
@@ -272,18 +272,17 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
 
 def _continue_sheets(curve, xs_prev, ys_prev, xs):
     """+-sqrt(P(xs)), each on the sheet that y continued along the straight
-    step from (xs_prev, ys_prev) reaches: the one nearer to ys_prev times
-    the exact step ratio, i.e. at an angle of at most pi/2 from it.  xs of
-    shape (m, n) continues xs_prev, of shape (n,), to m rows at once."""
+    step from (xs_prev, ys_prev) reaches (``curves._sheet_root``): the one
+    within pi/2 of ys_prev where the step is short next to the branch
+    points, else the one nearer to ys_prev times the exact step ratio.  xs
+    of shape (m, n) continues xs_prev, of shape (n,), to m rows at once."""
     near = curve.nearest_branch_distance(xs) < curve.exclusion_radius
     if near.any():
         i = np.argmax(near)
         raise BranchCollision(
             f"separating point {i % xs.shape[-1]} hit the branch locus at "
             f"x={xs.flat[i]}")
-    s = np.sqrt(curve.p(xs))
-    pred = ys_prev * _sheet_ratio(curve, xs_prev, xs)
-    return np.where((s * pred.conj()).real >= 0, s, -s)
+    return _sheet_root(curve, xs_prev, ys_prev, xs)
 
 
 @dataclass
@@ -321,8 +320,9 @@ def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="dopri5"):
 
     def velocity(state):
         nonlocal ham  # each stage's Newton starts from the last stage's H
-        ham = solve_hamiltonians(layout, curve, state, start=ham)
-        dh_dlam, dh_dx = implicit_gradients(layout, curve, state, ham)
+        ham, ev = solve_hamiltonians(layout, curve, state, start=ham,
+                                     with_eval=True)
+        dh_dlam, dh_dx = implicit_gradients(layout, curve, state, ham, ev)
         return np.concatenate((state.y * (c @ dh_dlam),
                                -state.y * (c @ dh_dx)))
 
@@ -353,7 +353,10 @@ def _density_panels(layout, curve, ham, a, b, start):
     (y, lambda) at a_i: the (n, 2, h) K21 and G10 integrals and (y, lambda)
     at each b_i.
 
-    y is continued by the exact segment ratio.  lambda at b_i is the root
+    y at the nodes and at b_i is +-sqrt(P(x)) on the sheet continued from
+    start's y (``curves._sheet_root``: the exact segment ratio runs only
+    where the panel is too long for the sheet's certificate, next to the
+    distances from a_i to the branch points).  lambda at b_i is the root
     that ``_track_roots`` certifies nearest start's; it starts the next
     panel, and at a segment's end it is the lambda that the sheet gate of
     ``angle_increments`` reads.  At the nodes, four Newton steps from
@@ -364,7 +367,7 @@ def _density_panels(layout, curve, ham, a, b, start):
     times x once per column, against the K21 and G10 weights.
     """
     half, xs = _panel_nodes(a, b)
-    ys = start[:, :1] * _sheet_ratio(curve, a[:, None], xs)
+    ys = _sheet_root(curve, a[:, None], start[:, :1], xs)
     end = np.stack((ys[:, -1], _track_roots(layout, ham, xs[:, -1],
                                             ys[:, -1], start[:, 1])), axis=1)
     xs, ys = xs[:, :-1].ravel(), ys[:, :-1].ravel()

@@ -56,7 +56,7 @@ def validate_configuration(cfg, curve, layout):
 
 
 def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
-                       rng=None, start=None):
+                       rng=None, start=None, with_eval=False):
     """Coefficient vector H with R(gamma_i; H) = 0 for every point.
 
     Types with all blocks linear in H reduce to one linear solve, and
@@ -65,6 +65,11 @@ def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
     ``start`` (H = 0 when None) and then from random starts.  A start near
     a known solution, such as the previous stage's H along a flow, keeps
     that solution's branch.
+
+    With ``with_eval`` the result is (H, ev): for so(2n) ev is the
+    ``eval_R`` at (cfg, H) that the Newton accepted last, which
+    ``implicit_gradients`` takes in place of its own; for the linear types,
+    which evaluate R at H = 0 only, it is None.
     """
     validate_configuration(cfg, curve, layout)
     spec = layout.spec
@@ -83,7 +88,7 @@ def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
         if not np.isfinite(resid) or resid > 1e-6 * scale:
             raise SingularConfiguration(
                 f"linear solve residual {resid:.2e} above tolerance")
-        return ham
+        return (ham, None) if with_eval else ham
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -112,7 +117,8 @@ def solve_hamiltonians(layout, curve, cfg: SpectralPoint,
             else:
                 break
             if np.abs(ev.value).max() < _NEWTON_TOL * scale:
-                return _polish(layout, curve, cfg, ham, ev)
+                ham, ev = _polish(layout, curve, cfg, ham, ev)
+                return (ham, ev) if with_eval else ham
         best = min(best, np.abs(ev.value).max())
     raise NewtonDivergence(
         f"no Newton start reached residual {_NEWTON_TOL * scale:.2e} "
@@ -124,27 +130,30 @@ def _polish(layout, curve, cfg, ham, ev):
     falls, so that every caller's H sits at roundoff, not merely below
     ``_NEWTON_TOL``: the two flow routes solve H from different starts,
     and a gap of the tolerance's size between them grows along the flow
-    with cond(dR/dH)."""
+    with cond(dR/dH).  Returns the last accepted H and its evaluation."""
     resid = np.abs(ev.value).max()
     while True:
         try:
             trial = ham - np.linalg.solve(ev.grad_h, ev.value)
         except np.linalg.LinAlgError:
-            return ham
-        ev = eval_R(layout, curve, trial, cfg)
-        trial_resid = np.abs(ev.value).max()
+            return ham, ev
+        ev_trial = eval_R(layout, curve, trial, cfg)
+        trial_resid = np.abs(ev_trial.value).max()
         if not trial_resid < resid:
-            return ham
-        ham, resid = trial, trial_resid
+            return ham, ev
+        ham, ev, resid = trial, ev_trial, trial_resid
 
 
-def implicit_gradients(layout, curve, cfg, ham):
+def implicit_gradients(layout, curve, cfg, ham, ev=None):
     """Per-point derivatives of the coefficients along the configuration.
 
     Returns (dh_dlam, dh_dx), each h x h with column m the derivative of H
-    with respect to lambda_m resp. x_m (y following x on the curve).
+    with respect to lambda_m resp. x_m (y following x on the curve).  ev,
+    when given, is ``eval_R`` at (cfg, ham), as ``solve_hamiltonians``
+    returns it, and R is not evaluated again.
     """
-    ev = eval_R(layout, curve, ham, cfg)
+    if ev is None:
+        ev = eval_R(layout, curve, ham, cfg)
     try:
         minv = np.linalg.inv(ev.grad_h)
     except np.linalg.LinAlgError as exc:

@@ -210,8 +210,12 @@ def lambda_poly(layout: CoefficientLayout, ham, x, y):
 
     x and y of shape S give shape S + (d + 1,); scalars give (d + 1,).
     """
-    return np.stack(np.broadcast_arrays(*_lambda_blocks(layout, ham, x, y)[1]),
-                    axis=-1)
+    coeffs = _lambda_blocks(layout, ham, x, y)[1]
+    out = np.empty(np.broadcast_shapes(*map(np.shape, coeffs))
+                   + (len(coeffs),), dtype=complex)
+    for k, c in enumerate(coeffs):
+        out[..., k] = c
+    return out
 
 
 def lambda_roots(layout: CoefficientLayout, curve, ham, x, y):

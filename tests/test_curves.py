@@ -400,6 +400,94 @@ def random_abel_paths(curve, n, seed):
         yield curves.route_path(curve, x0, x), y0
 
 
+class TestSheetRoot:
+    """+-sqrt(P(x)) on the continued sheet (``curves._sheet_root``): the
+    sign certified against y(a) where rho = |x - a| sum_k 1 / |a - e_k|
+    <= 1, and the product rule of ``_sheet_ratio`` elsewhere."""
+
+    @staticmethod
+    def product_rule(curve, a, ya, x):
+        """The sign nearest ya times the exact segment ratio."""
+        s = np.sqrt(curve.p(x))
+        pred = ya * curves._sheet_ratio(curve, a, x)
+        return np.where((s * pred.conj()).real >= 0, s, -s)
+
+    @staticmethod
+    def reach(curve, a):
+        """The |x - a| at which rho reaches 1."""
+        return 1 / (1 / np.abs(a[..., None] - curve.branch_points)).sum(-1)
+
+    @staticmethod
+    def counted_ratio(monkeypatch):
+        """Record the size of x at every _sheet_ratio call."""
+        sizes, real = [], curves._sheet_ratio
+
+        def counted(curve, a, x):
+            sizes.append(np.size(x))
+            return real(curve, a, x)
+        monkeypatch.setattr(curves, "_sheet_ratio", counted)
+        return sizes
+
+    def segments(self, curve, rng, rho, n=64):
+        """n starts a, shape (n, 1), and 22 points x about each at rho up
+        to the given value, in all directions."""
+        a = 2 * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
+        ya = np.sqrt(curve.p(a)) * rng.choice([-1.0, 1.0], a.shape)
+        x = a + rho * self.reach(curve, a) * rng.random((n, 22)) \
+            * np.exp(2j * np.pi * rng.random((n, 22)))
+        return a, ya, x
+
+    @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
+    def test_certified_sign_is_the_product_rule(self, name, request,
+                                                monkeypatch):
+        curve = request.getfixturevalue(name)
+        a, ya, x = self.segments(curve, np.random.default_rng(35), 0.99)
+        ref = self.product_rule(curve, a, ya, x)
+        sizes = self.counted_ratio(monkeypatch)
+        assert np.array_equal(curves._sheet_root(curve, a, ya, x), ref)
+        assert sizes == []
+
+    def test_swing_round_a_branch_point_takes_the_product(self, curve15,
+                                                          monkeypatch):
+        """From 1 + 0.1i to 0.98 - 0.1i y turns by 96 degrees round the
+        branch point 1, so the root nearest y(a) lies on the other sheet:
+        only the product rule reaches the continued one."""
+        a, b = np.array([1 + 0.1j]), np.array([0.98 - 0.1j])
+        ya = np.sqrt(curve15.p(a))
+        assert abs(np.angle(curves._sheet_ratio(curve15, a, b))) > np.pi / 2
+        _, xs = curves._panel_nodes(a, b)
+        ref = self.product_rule(curve15, a[:, None], ya[:, None], xs)
+        sizes = self.counted_ratio(monkeypatch)
+        got = curves._sheet_root(curve15, a[:, None], ya[:, None], xs)
+        assert np.array_equal(got, ref)
+        assert (got[0, -1] * ya.conj()).real < 0
+        assert len(sizes) == 1 and 0 < sizes[0] < xs.size
+
+    @pytest.mark.parametrize("rho, calls", [(1 - 1e-9, []), (1 + 1e-9, [1])])
+    def test_fallback_starts_past_rho_one(self, curve_c, monkeypatch, rho,
+                                          calls):
+        a = np.array([0.3 + 0.2j])
+        x = a + rho * self.reach(curve_c, a) * np.exp(0.7j)
+        ya = np.sqrt(curve_c.p(a))
+        ref = self.product_rule(curve_c, a, ya, x)
+        sizes = self.counted_ratio(monkeypatch)
+        assert np.array_equal(curves._sheet_root(curve_c, a, ya, x), ref)
+        assert sizes == calls
+
+    def test_temporaries_have_the_size_of_x(self, curve_c):
+        # an angle-check block of 128 panels: the sum over the branch
+        # points is taken at a, so no (..., 2g + 1) stack of the nodes
+        a, ya, x = self.segments(curve_c, np.random.default_rng(36), 0.5,
+                                 n=128)
+        tracemalloc.start()
+        try:
+            curves._sheet_root(curve_c, a, ya, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
+
+
 class TestExactSheets:
     """The product rule and the level-synchronous driver against the
     nearest-value tracking and depth-first recursion they replaced."""

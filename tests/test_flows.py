@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hitchsov import flows, separation, spectral
+from hitchsov import curves, flows, separation, spectral
 from hitchsov.curves import _GK_WEIGHTS, _panel_nodes
 from hitchsov.spectral import (FAMILIES, resolve_type, coefficient_layout,
                                SpectralPoint, lambda_poly, lambda_roots)
@@ -618,6 +618,52 @@ class TestCallCounts:
                     flow_poisson(layout, curve_c, cfg, c, n * dt, dt, "rk4")
                 assert counts == {"lambda_roots": 0, **{
                     name: k * n for name, k in per_step.items()}}
+
+    @pytest.mark.parametrize("family", ["GL", "SP"])
+    def test_no_sheet_ratio_on_short_steps(self, curve_c, gl2, system,
+                                           monkeypatch, family):
+        """Both routes and the angle check put y on its sheet by the
+        certificate of ``curves._sheet_root`` alone: their steps and
+        panels are short next to the branch points, so the exact product
+        of ``_sheet_ratio`` never runs."""
+        if family == "GL":
+            layout, (ham, cfg, c) = gl2, system
+        else:
+            layout, ham, cfg, c = planted(family, curve_c, 8)
+        calls = []
+        real = curves._sheet_ratio
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+        for mod in (curves, flows):     # flows too, were it bound there
+            monkeypatch.setattr(mod, "_sheet_ratio", counted, raising=False)
+        for traj in (flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3),
+                     flow_poisson(layout, curve_c, cfg, c, 0.1, 1e-3)):
+            assert len(traj.states) == 101
+            angle_increments(layout, curve_c, ham, traj)
+        assert calls == []
+
+    def test_so_even_poisson_stage(self, curve_c, monkeypatch):
+        """On so(2n) each Poisson stage solves H once, and its implicit
+        gradients read the Newton's last accepted evaluation: every eval_R
+        call is made inside the stage's solve."""
+        layout, _, cfg, c = planted("SO_even", curve_c, 8)
+        counts = self.counted(monkeypatch)
+        per_solve = []
+        real = flows.solve_hamiltonians
+
+        def solving(*args, **kwargs):
+            before = counts["eval_R"]
+            out = real(*args, **kwargs)
+            per_solve.append(counts["eval_R"] - before)
+            return out
+        monkeypatch.setattr(flows, "solve_hamiltonians", solving)
+        n = 5
+        flow_poisson(layout, curve_c, cfg, c, n * 1e-3, 1e-3, "rk4")
+        assert len(per_solve) == 4 * n
+        assert counts["eval_R"] == sum(per_solve)
+        assert counts["lambda_roots"] == 0
 
     def test_one_eval_per_newton_trial(self, curve_c, monkeypatch):
         """The so(2n) Newton evaluates R once at each start and trial H; the

@@ -305,6 +305,23 @@ class TestArrayForms:
         assert len(coeffs) == layout.spec.d + 1 and coeffs[-1] == 1.0
         assert all(np.shape(c) in ((), x.shape) for c in coeffs)
 
+    @pytest.mark.parametrize("family, rank", ARRAY_TYPES)
+    def test_lambda_poly_is_the_broadcast_stack(self, family, rank, curve_c):
+        """The filled (S, d + 1) array equals the stack of the broadcast
+        coefficient list bit for bit, its constant 0 and 1 included."""
+        rng = np.random.default_rng(35)
+        layout = coefficient_layout(resolve_type(family, rank), curve_c)
+        ham = rng.standard_normal(layout.h) \
+            + 1j * rng.standard_normal(layout.h)
+        x, y, _ = random_points(curve_c, rng, 12)
+        for xs, ys in ((x[0], y[0]), (x, y), (x.reshape(3, 4),
+                                              y.reshape(3, 4))):
+            coeffs = spectral._lambda_blocks(layout, ham, xs, ys)[1]
+            ref = np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+            got = lambda_poly(layout, ham, xs, ys)
+            assert got.shape == np.shape(xs) + (layout.spec.d + 1,)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     def test_scalar_point_gives_scalars(self, curve_c):
         layout = coefficient_layout(resolve_type("SP", 2), curve_c)
         ham = np.arange(layout.h) * (0.3 - 0.1j)
