@@ -16,9 +16,9 @@ order: every cycle is a loop about a run of the chain, its period a sum
 of integrals along the chain's edges (the cuts), each two half-edges
 from its ends to its midpoint, with y on the chain's one right-hand
 bank.  Each chain point's Abel image is a fixed half-period: the Abel
-map starts from the nearest one, on the half-edges' panels.  Every
-series at infinity, in the local parameter ``z`` with ``x = z^-2``, is
-read from one expansion of ``1/sqrt(Q(z^2))`` held by the curve.
+map starts from the nearest one, on the half-edges' panels.  The chain
+and the Abel series at infinity (in ``z``, ``x = z^-2``) are built once,
+on the read-only ``ThetaData`` of ``period_matrix``; a curve holds none.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -86,7 +86,7 @@ class CurvePoint:
 @dataclass
 class ThetaData:
     """Read-only period data from ``period_matrix``: tau, the normalization,
-    K, and the per-curve data of abel_map, abel_series and lattice_reduce."""
+    K, and the per-curve data that abel_map, theta and lattice_reduce read."""
 
     tau: np.ndarray
     normalization: np.ndarray
@@ -136,17 +136,6 @@ class HyperellipticCurve:
         """Distance from x (scalar or array) to the nearest branch point."""
         return np.abs(np.asarray(x)[..., None] - self.branch_points).min(axis=-1)
 
-    @cached_property
-    def invsqrt_series(self):
-        """1/sqrt(Q(u)) to SERIES_TERMS // 2 + 2 terms in u = z^2, where
-        Q(u) = u^(2g+1) P(1/u), so y = z^-(2g+1) sqrt(Q(z^2)).  Built on
-        first use, once per curve, and read-only: every caller shares it."""
-        n_u = SERIES_TERMS // 2 + 2
-        q = np.pad(self.coeffs[::-1], (0, max(0, n_u - len(self.coeffs))))
-        series = _series_invsqrt(q[:n_u], n_u)
-        series.flags.writeable = False
-        return series
-
 
 def _horner(c, x):
     """sum_k c[k] x^k by the recurrence of numpy's ``polyval``, so the
@@ -163,13 +152,12 @@ def _binomials(n):
                      for k in range(n + 1)])
 
 
-def build_curve(coeffs, genus_one_ok=False) -> HyperellipticCurve:
+def build_curve(coeffs) -> HyperellipticCurve:
     """Validate coefficients and locate the branch points.
 
     ``coeffs`` are ascending-power coefficients of a monic polynomial of odd
-    degree 2g+1 >= 5 (or 3 when ``genus_one_ok`` is set, for elliptic test
-    cases).  Roots come from the companion-matrix eigensolve and are polished
-    with two Newton steps.
+    degree 2g+1 >= 5.  Roots come from the companion-matrix eigensolve and
+    are polished with two Newton steps.
 
     Raises ``DuplicateBranchPoint`` unless ``root_cluster_margin`` certifies
     the polished roots as pairwise distinct, i.e. their Newton inclusion
@@ -183,9 +171,8 @@ def build_curve(coeffs, genus_one_ok=False) -> HyperellipticCurve:
     if coeffs.size and coeffs[-1] == 0:
         raise DegreeError("leading coefficient must be nonzero")
     deg = len(coeffs) - 1
-    min_deg = 3 if genus_one_ok else 5
-    if deg < min_deg or deg % 2 == 0:
-        raise DegreeError(f"degree must be odd and >= {min_deg}, got {deg}")
+    if deg < 5 or deg % 2 == 0:
+        raise DegreeError(f"degree must be odd and >= 5, got {deg}")
     if abs(coeffs[-1] - 1.0) > 1e-12:
         coeffs = coeffs / coeffs[-1]
     roots = npoly.polyroots(coeffs)
@@ -369,12 +356,12 @@ def _unit(v):
     return v / abs(v)
 
 
-def _arc_angles(a0, am, a2, n=12):
-    """Angles from a0 to a2 passing through am."""
+def _arc_angles(a0, am, a2):
+    """13 angles from a0 to a2 passing through am, 6 steps on each side."""
     d1 = np.angle(np.exp(1j * (am - a0)))
     d2 = np.angle(np.exp(1j * (a2 - am)))
     return np.concatenate(
-        [a0 + np.linspace(0, d1, n // 2 + 1), am + np.linspace(0, d2, n // 2 + 1)[1:]]
+        [a0 + np.linspace(0, d1, 7), am + np.linspace(0, d2, 7)[1:]]
     )
 
 
@@ -492,9 +479,10 @@ def _bank_values(curve, chain):
                       np.sqrt(curve.p(mids[0])))[at]
 
 
-def _edge_integrals(chain, ys):
+def _edge_integrals(chain, others, ys):
     """(g, 2g) integrals of x^k dx / y, k < g, over the edges [e_j, e_{j+1}]
-    of the chain, with y(m_j) = ys[j] at the edge midpoint m_j.
+    of the chain, with y(m_j) = ys[j] at the edge midpoint m_j; others[k]
+    is the chain less its point k.
 
     Each edge is two half-edges, int_{e_j}^{m_j} - int_{e_{j+1}}^{m_j},
     each from its branch point e under x = e + (m_j - e) s^2 as in
@@ -504,9 +492,8 @@ def _edge_integrals(chain, ys):
     n = len(ys)
     k = np.r_[0:n, 1:n + 1]  # the branch point each half-edge starts from
     e, mids = chain[k], np.tile(0.5 * (chain[:-1] + chain[1:]), 2)
-    rest = np.array([np.delete(chain, j) for j in k])
     coef = 2 * (mids - e) / np.tile(ys, 2)
-    ints, _ = _adaptive_gl(partial(_branch_panels, e, mids, rest, coef),
+    ints, _ = _adaptive_gl(partial(_branch_panels, e, mids, others[k], coef),
                            np.zeros(2 * n), np.ones(2 * n), np.arange(2 * n),
                            tol=1e-10)
     return (ints[:n] - ints[n:]).T
@@ -520,11 +507,10 @@ def _branch_chain(curve):
     return e[np.lexsort((e.imag, column))]
 
 
-def _chain_periods(curve):
+def _chain_periods(curve, chain, others):
     """(g, 2g) periods of x^k dx / y, k < g, on the cycles a_1..a_g,
-    b_1..b_g of the branch-point chain (see ``period_matrix``)."""
-    chain = _branch_chain(curve)
-    edges = 2 * _edge_integrals(chain, _bank_values(curve, chain))
+    b_1..b_g of the chain (``period_matrix``; others: ``_edge_integrals``)."""
+    edges = 2 * _edge_integrals(chain, others, _bank_values(curve, chain))
     pa = edges[:, 0::2]
     pb = np.cumsum(edges[:, :0:-2], axis=1)[:, ::-1]
     sign = 1.0 if pa[0, 0].real > 0 else -1.0  # the sheet with Re of a_1 > 0
@@ -558,7 +544,8 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     normalized against the a-cycles: sum_k N[s,k] x^k dx/y has a_j-period
     delta_sj; tau is the matrix of its b-periods.  K is the sum of A(e_k)
     over odd k (Mumford's set U, ``_chain_characteristics``), the
-    half-period (m + tau n) / 2.  The rest of ``ThetaData`` comes along.
+    half-period (m + tau n) / 2.  The rest of ``ThetaData`` is built here,
+    once per curve, the Abel series at infinity by ``_series_at_infinity``.
 
     Postconditions (Riemann bilinear relations), else CycleDegenerate: tau
     is symmetric to |tau - tau^T| < 1e-6 (1 + |tau|) and is returned
@@ -566,17 +553,17 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     (tau -> -tau) for the opposite orientation convention.
     """
     g = curve.genus
-    periods = _chain_periods(curve)
-    tau, norm = _normalized_tau(periods[:, :g], periods[:, g:])
-    chain, chars = _branch_chain(curve), np.array(_chain_characteristics(g))
-    m, n = chars[:, ::2].sum(axis=1) % 2
+    chain = _branch_chain(curve)
     others = np.array([np.delete(chain, j) for j in range(2 * g + 1)])
-    w = differential_series(curve, norm, SERIES_TERMS)
+    periods = _chain_periods(curve, chain, others)
+    tau, norm = _normalized_tau(periods[:, :g], periods[:, g:])
+    chars = np.array(_chain_characteristics(g))
+    m, n = chars[:, ::2].sum(axis=1) % 2
     basis = np.hstack([np.eye(g), tau])
     return ThetaData(
         tau=tau, normalization=norm, riemann_constants=0.5 * (m + tau @ n),
         chain=chain, others=others, characteristics=chars,
-        series=np.hstack([np.zeros((g, 1)), w / np.arange(1, SERIES_TERMS + 1)]),
+        series=_series_at_infinity(curve, norm),
         basis=basis, real_basis=np.vstack([basis.real, basis.imag]))
 
 
@@ -622,34 +609,21 @@ def _series_invsqrt(q, nterms):
     return t[:nterms]
 
 
-def differential_series(curve: HyperellipticCurve, normalization, nterms):
-    """Series in z of the normalized differentials at infinity.
-
-    Returns W with ω_s = (sum_m W[s, m] z^m) dz for m < nterms in the chart
-    x = z^-2, y = z^-(2g+1) (1 + O(z^2)).  Raises ValueError for nterms
-    above SERIES_TERMS, the length of the curve's series.
-    """
-    if nterms > SERIES_TERMS:
-        raise ValueError(f"nterms {nterms} exceeds SERIES_TERMS = {SERIES_TERMS}")
-    g = curve.genus
-    w = np.zeros((g, nterms), dtype=complex)
+def _series_at_infinity(curve, normalization):
+    """The (g, SERIES_TERMS + 1) Abel series from infinity in the chart
+    x = z^-2, y = z^-(2g+1) S(z^2), S = sqrt(Q(u)), Q(u) = u^(2g+1) P(1/u):
+    A_s(z) = sum_l out[s, l] z^l, out[s, l] = W[s, l - 1] / l for the
+    normalized differentials omega_s = (sum_m W[s, m] z^m) dz, from S^-1
+    to SERIES_TERMS // 2 + 2 terms in u = z^2."""
+    g, n_u = curve.genus, SERIES_TERMS // 2 + 2
+    q = np.pad(curve.coeffs[::-1], (0, max(0, n_u - len(curve.coeffs))))
+    inv_s = _series_invsqrt(q[:n_u], n_u)
+    w = np.zeros((g, SERIES_TERMS), dtype=complex)
     for k in range(1, g + 1):  # monomial x^(k-1) dx / y = -2 z^(2(g-k)) S^-1(z^2) dz
         row = w[k - 1, 2 * (g - k)::2]
-        row[:] = -2.0 * curve.invsqrt_series[:row.size]
-    return np.asarray(normalization, dtype=complex) @ w
-
-
-def abel_series(curve: HyperellipticCurve, theta_data: ThetaData, nterms):
-    """Vector power series A(z) of the Abel map from infinity in z.
-
-    Returns out with A_s(z) = sum_l out[s, l] z^l for l = 0..nterms, where
-    out[s, l] = W[s, l-1] / l = phi_s^(l) / l (W of differential_series),
-    read off ``theta_data.series`` (curve is not read).  Raises ValueError
-    for nterms above SERIES_TERMS.
-    """
-    if nterms > SERIES_TERMS:
-        raise ValueError(f"nterms {nterms} exceeds SERIES_TERMS = {SERIES_TERMS}")
-    return theta_data.series[:, :nterms + 1]
+        row[:] = -2.0 * inv_s[:row.size]
+    return np.hstack([np.zeros((g, 1)),
+                      normalization @ w / np.arange(1, SERIES_TERMS + 1)])
 
 
 def _chart_radius(curve):

@@ -64,11 +64,15 @@ _ANGLE_SEGMENTS = 128
 
 
 def _integrand_vector(layout, ham, pt):
-    """The h angle densities at pt: shape (h,), or S + (h,) for points of
-    shape S."""
+    """The h angle densities at pt (``_density_factors``): shape (h,), or
+    S + (h,) for points of shape S."""
     x, y, lam = (np.ravel(np.asarray(v, dtype=complex))
                  for v in (pt.x, pt.y, pt.lam))
-    dens = _densities(layout, x, y, lam, *_lambda_blocks(layout, ham, x, y))
+    xpow = x[:, None] ** np.arange(max(layout.x_sizes))
+    dens = np.empty((len(x), layout.h), dtype=complex)
+    for cols, fac in _density_factors(layout, x, y, lam,
+                                      *_lambda_blocks(layout, ham, x, y)):
+        dens[:, cols] = fac[:, None] * xpow[:, :cols.stop - cols.start]
     return dens.reshape(np.shape(pt.x) + (layout.h,))
 
 
@@ -104,15 +108,6 @@ def _density_factors(layout, x, y, lam, blocks, coeffs):
         yield layout.x_slice(j), fac
         if layout.y_sizes[j]:
             yield layout.y_slice(j), fac * y
-
-
-def _densities(layout, x, y, lam, blocks, coeffs):
-    """The (n, h) angle densities at n points (``_density_factors``)."""
-    xpow = x[:, None] ** np.arange(max(layout.x_sizes))
-    dens = np.empty((len(x), layout.h), dtype=complex)
-    for cols, fac in _density_factors(layout, x, y, lam, blocks, coeffs):
-        dens[:, cols] = fac[:, None] * xpow[:, :cols.stop - cols.start]
-    return dens
 
 
 def _jacobi_solve(layout, ham, cfg, rhs):

@@ -86,8 +86,8 @@ class CoefficientLayout:
 
 
 def coefficient_layout(spec: LieTypeSpec, curve) -> CoefficientLayout:
-    """Coefficient blocks for a given curve (or integer genus)."""
-    g = curve if isinstance(curve, int) else curve.genus
+    """Coefficient blocks for a given curve."""
+    g = curve.genus
     x_sizes, y_sizes = [], []
     for dl in spec.deltas:
         x_sizes.append(dl * (g - 1) + 1)

@@ -15,7 +15,7 @@ the recurrence of the exponential, so theta(v0 + A(z)) is one weighted
 sum of those series for each phi, and its logarithm follows by the
 matching recurrence.  The contour route samples theta and its gradient
 on the circle instead and shares no step with it after the Abel series
-(``curves.abel_series``).  Its samples are the radius times roots of
+(``ThetaData.series``).  Its samples are the radius times roots of
 unity, so the Abel series reaches them by one inverse FFT of its
 coefficients folded modulo the sample count, and the residues are
 coefficients of the FFT of d ln theta: O(n log n) a circle, with no table
@@ -44,8 +44,7 @@ import math
 import numpy as np
 
 from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
-from .curves import (SERIES_TERMS, _chart_radius, abel_map, abel_series,
-                     lattice_reduce)
+from .curves import SERIES_TERMS, _chart_radius, abel_map, lattice_reduce
 
 # points on the sigma contour's first circle: 2 _CONTOUR_SAMPLES samples
 _CONTOUR_SAMPLES = 64
@@ -125,7 +124,7 @@ def _quad_form(d, m):
     return np.einsum('ij,jk,ik->i', d, m, d)
 
 
-def _lattice_terms(zs, tau, order=0):
+def _lattice_terms(zs, tau, order):
     """Lattice points and the exponential terms of the theta sums at the
     rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r])."""
     pts = _lattice_points(tau, zs, order)
@@ -220,8 +219,10 @@ def sigma_series(curve, theta_data, phi, k):
     the one series to order 2k.  phi of shape (g,) gives (k,); phi of shape
     (m, g) gives (m, k), every row from one lattice, at the radius of a
     derivative of order 2k, that holds the rows v0 = -phi - K (reduced) and
-    0, the scale of the divisor test.
+    0, the scale of the divisor test.  ValueError for 2k > SERIES_TERMS.
     """
+    if 2 * k > SERIES_TERMS:
+        raise ValueError(f"2k = {2 * k} exceeds SERIES_TERMS = {SERIES_TERMS}")
     tau = theta_data.tau
     g = tau.shape[0]
     n = 2 * k + 1
@@ -236,7 +237,7 @@ def sigma_series(curve, theta_data, phi, k):
                                f"below 1e-10 at row {r} of phi")
     # ja[i, j] = j a_j for a(z) = 2 pi i n_i.A(z); exp(a) = sum_m e_m z^m
     # by m e_m = sum_j j a_j e_(m-j)
-    ja = (2j * np.pi * pts) @ abel_series(curve, theta_data, 2 * k) * np.arange(n)
+    ja = (2j * np.pi * pts) @ theta_data.series[:, :n] * np.arange(n)
     e = np.zeros_like(ja)
     e[:, 0] = 1.0
     for m in range(1, n):
@@ -291,7 +292,7 @@ def sigma_contour(curve, theta_data, phi, k):
     ResidueUnstable (3 doublings) name radius and samples.
     """
     radius = 0.5 * _chart_radius(curve)
-    a_coeff = abel_series(curve, theta_data, SERIES_TERMS)
+    a_coeff = theta_data.series
     g = len(a_coeff)
     # rows of A and of dA/dz = sum_l (l + 1) a_(l+1) z^l, one transform
     series = np.vstack([a_coeff, np.zeros_like(a_coeff)])

@@ -118,7 +118,10 @@ def _chart_exit(curve, z0):
     q = curve.coeffs[::-1]
     u = z0**2
     s_val = np.sqrt(np.polynomial.polynomial.polyval(u, q))
-    s_series = 1.0 / np.polynomial.polynomial.polyval(u, curve.invsqrt_series)
+    n_u = curves.SERIES_TERMS // 2 + 2
+    inv_s = curves._series_invsqrt(np.pad(q, (0, max(0, n_u - len(q))))[:n_u],
+                                   n_u)
+    s_series = 1.0 / np.polynomial.polynomial.polyval(u, inv_s)
     if abs(s_val - s_series) > abs(s_val + s_series):
         s_val = -s_val
     return z0 ** (-2.0), z0 ** (-(2 * curve.genus + 1)) * s_val
@@ -129,8 +132,7 @@ def abel_map(curve, theta_data, target):
     the Abel series out to |z| equal to the chart radius, then the
     monomials along the path routed from the chart exit to target."""
     z0 = curves._chart_radius(curve)
-    series_part = curves.abel_series(curve, theta_data, curves.SERIES_TERMS) @ (
-        z0 ** np.arange(curves.SERIES_TERMS + 1))
+    series_part = theta_data.series @ z0 ** np.arange(curves.SERIES_TERMS + 1)
     x_start, y_start = _chart_exit(curve, z0)
     way = curves.route_path(curve, x_start, target.x)
     x_part, y_end = curves.integrate_monomials(curve, way, y_start)

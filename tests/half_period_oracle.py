@@ -41,7 +41,7 @@ def riemann_constants(curve, theta_data, rng=None):
     zs = np.array([np.zeros(g, dtype=complex)]
                   + [lattice_reduce(theta_data, a + k)
                      for k in halves for a in divisors])
-    _, terms = _lattice_terms(zs, tau)
+    _, terms = _lattice_terms(zs, tau, 0)
     vals = np.abs(terms.sum(axis=1))
     scores = vals[1:].reshape(len(halves), len(divisors)).max(axis=1)
     best_at = int(np.argmin(scores))  # the first of equal scores

@@ -300,7 +300,8 @@ class TestDensities:
         half, nodes = _panel_nodes(a, b)
         args = seen[0]
         assert np.array_equal(args[1], nodes[:, :-1].ravel())
-        dens = flows._densities(*args).reshape(a.size, -1, layout.h)
+        dens = _integrand_vector(layout, ham, SpectralPoint(*args[1:4]))
+        dens = dens.reshape(a.size, -1, layout.h)
         ref = half[:, None] * (_GK_WEIGHTS @ dens)
         assert sums.shape == ref.shape == (a.size, 2, layout.h)
         scale = np.abs(ref).max(axis=-1, keepdims=True)

@@ -21,6 +21,18 @@ def test_no_global_statements():
     assert found == []
 
 
+def test_no_cached_properties():
+    """No object gains state after construction: the package caches no
+    property on first use (``functools.cached_property``)."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "cached_property" in (getattr(node, "id", None),
+                                      getattr(node, "attr", None),
+                                      getattr(node, "name", None))]
+    assert found == []
+
+
 def _referenced(node, modules=None):
     """Names read anywhere under node: bare names in load context (not a
     dataclass field), and attributes, every one or (given modules) only

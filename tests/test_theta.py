@@ -9,8 +9,8 @@ import pytest
 
 from conftest import disc_curves, make_curve
 from hitchsov import curves, theta
-from hitchsov.curves import (abel_map, abel_series, build_curve,
-                             lattice_reduce, period_matrix)
+from hitchsov.curves import (abel_map, build_curve, lattice_reduce,
+                             period_matrix)
 from hitchsov.errors import (TruncationOverflow, ThetaDivisor,
                              ResidueUnstable)
 import half_period_oracle
@@ -554,10 +554,9 @@ def power_sum(coeffs, radius, nn):
 def contour_circle(curve, td, phi, radius, nn=128):
     """v0 and the Abel-series shifts at the nn samples of sigma_contour's
     circle of the given radius."""
-    a = abel_series(curve, td, curves.SERIES_TERMS)
     v0 = lattice_reduce(td, -np.asarray(phi, dtype=complex)
                         - td.riemann_constants)
-    return v0, power_sum(a, radius, nn)
+    return v0, power_sum(td.series, radius, nn)
 
 
 def assert_circle_is_lattice_sum(curve, td, phi):
@@ -600,7 +599,7 @@ class TestCircleFFT:
         1e-14 of the largest value of the power table's sums; 97 terms fold
         onto 4 and 64 samples and are padded to 128 and 256."""
         curve, td = period_data[name]
-        a = abel_series(curve, td, curves.SERIES_TERMS)
+        a = td.series
         w = a[:, 1:] * np.arange(1, curves.SERIES_TERMS + 1)
         for halvings in range(3):
             radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
@@ -661,7 +660,7 @@ def taylor_sigma_series(curve, theta_data, phi, k):
     n = 2 * k + 1
     kvec = theta_data.riemann_constants
     v0 = lattice_reduce(theta_data, -np.asarray(phi, dtype=complex) - kvec)
-    a = abel_series(curve, theta_data, 2 * k)
+    a = theta_data.series
     table = theta_deriv_table(v0, tau, 2 * k)
     comp = np.zeros(n, dtype=complex)
     powers = {}
@@ -773,7 +772,7 @@ class TestPeriodData:
         def rebuilt(*args):
             raise AssertionError("per-curve data rebuilt after period_matrix")
 
-        for fn in ("_branch_chain", "differential_series",
+        for fn in ("_branch_chain", "_series_at_infinity",
                    "_chain_characteristics"):
             monkeypatch.setattr(curves, fn, rebuilt)
         rng = np.random.default_rng(31)
@@ -790,18 +789,25 @@ class TestPeriodData:
             with pytest.raises(ValueError, match="read-only"):
                 value[(0,) * value.ndim] = 1
 
-    def test_abel_series_is_a_prefix(self, curve15, theta15):
-        """abel_series(n) is W / l from differential_series(n), bit for bit,
-        for every n up to SERIES_TERMS, and raises past it."""
-        norm = theta15.normalization
-        for n in range(curves.SERIES_TERMS + 1):
-            a = abel_series(curve15, theta15, n)
-            assert a.shape == (2, n + 1) and not a[:, 0].any()
-            np.testing.assert_array_equal(
-                a[:, 1:], curves.differential_series(curve15, norm, n)
-                / np.arange(1, n + 1))
+    def test_sigma_series_length_capped(self, curve15, theta15):
+        """sigma_series reads the stored Abel series to order 2k: a k past
+        SERIES_TERMS // 2 raises."""
         with pytest.raises(ValueError, match="SERIES_TERMS"):
-            abel_series(curve15, theta15, curves.SERIES_TERMS + 1)
+            sigma_series(curve15, theta15, np.array([0.1, 0.2j]),
+                         curves.SERIES_TERMS // 2 + 1)
+
+    def test_curve_gains_no_state(self):
+        """period_matrix and Jacobi inversion leave the curve's attributes
+        as build_curve made them: the per-curve arrays live on ThetaData."""
+        curve = make_curve([1.0, 2.0, 3.0, 4.0, 5.0])
+        before = dict(vars(curve))
+        td = period_matrix(curve)
+        pts = [curve.point(0.4 + 0.3j), curve.point(-1.1 - 0.2j)]
+        refs = [curve.point(0.2 - 0.7j), curve.point(1.3 + 0.9j)]
+        jacobi_inversion_check(curve, td, pts, refs)
+        assert vars(curve).keys() == before.keys()
+        assert all(vars(curve)[name] is value
+                   for name, value in before.items())
 
 
 class TestTruncationBound:
