@@ -40,36 +40,46 @@ from .errors import (
 )
 
 
-def _gauss_kronrod():
-    """The Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK's qk21; Piessens
-    et al., 1983): the 21 nodes, ascending, and the (2, 21) weights of
-    K21, then of G10, which vanish at the 11 Kronrod-only nodes."""
-    # the nodes in [0, 1], descending; every second one is a G10 node
-    x = np.array([
-        0.995657163025808080735527280689, 0.973906528517171720077964012084,
-        0.930157491355708226001207180059, 0.865063366688984510732096688423,
-        0.780817726586416897063717578345, 0.679409568299024406234327365114,
-        0.562757134668604683339000099272, 0.433395394129247190799265943165,
-        0.294392862701460198131126603103, 0.148874338981631210884826001129,
-        0.0])
-    w = np.zeros((2, 11))
-    w[0] = [
-        0.011694638867371874278064396062, 0.032558162307964727478818972459,
-        0.054755896574351996031381300244, 0.075039674810919952767043140916,
-        0.093125454583697605535065465083, 0.109387158802297641899210590325,
-        0.123491976262065851077923342716, 0.134709217311473325928054001771,
-        0.142775938577060080797094273138, 0.147739104901338491374841515972,
-        0.149445554002916905664936468389,
-    ]
-    w[1, 1::2] = [
-        0.066671344308688137593568809893, 0.149451349150580593145776339657,
-        0.219086362515982043995534934228, 0.269266719309996355091226921569,
-        0.295524224714752870173892994651,
-    ]
+def _gauss_kronrod(x, kronrod, gauss):
+    """A Gauss-Kronrod pair on [-1, 1] from its nodes in [0, 1], descending
+    to 0, every second one a Gauss node: the nodes, ascending, and the
+    weights of the Kronrod rule, then of the Gauss rule, which vanish at
+    the Kronrod-only nodes."""
+    w = np.zeros((2, len(x)))
+    w[0], w[1, 1::2] = kronrod, gauss
+    x = np.array(x)
     return np.r_[-x[:-1], x[::-1]], np.hstack((w[:, :-1], w[:, ::-1]))
 
 
-_GK_NODES, _GK_WEIGHTS = _gauss_kronrod()
+# the 10/21 pair, K21 and G10 (QUADPACK's qk21; Piessens et al., 1983)
+_GK_NODES, _GK_WEIGHTS = _gauss_kronrod([
+    0.995657163025808080735527280689, 0.973906528517171720077964012084,
+    0.930157491355708226001207180059, 0.865063366688984510732096688423,
+    0.780817726586416897063717578345, 0.679409568299024406234327365114,
+    0.562757134668604683339000099272, 0.433395394129247190799265943165,
+    0.294392862701460198131126603103, 0.148874338981631210884826001129,
+    0.0,
+], [
+    0.011694638867371874278064396062, 0.032558162307964727478818972459,
+    0.054755896574351996031381300244, 0.075039674810919952767043140916,
+    0.093125454583697605535065465083, 0.109387158802297641899210590325,
+    0.123491976262065851077923342716, 0.134709217311473325928054001771,
+    0.142775938577060080797094273138, 0.147739104901338491374841515972,
+    0.149445554002916905664936468389,
+], [
+    0.066671344308688137593568809893, 0.149451349150580593145776339657,
+    0.219086362515982043995534934228, 0.269266719309996355091226921569,
+    0.295524224714752870173892994651,
+])
+# the 3/7 pair, K7 and G3 (Kronrod, 1965): G3's nodes 0 and +-sqrt(3/5),
+# and the roots of the Stieltjes polynomial x^4 - 10/9 x^2 + 155/891
+_GK7_NODES, _GK7_WEIGHTS = _gauss_kronrod([
+    0.960491268708020283423507092629, 0.774596669241483377035853079956,
+    0.434243749346802558002071502845, 0.0,
+], [
+    0.104656226026467265193823857192, 0.268488089868333440728569280667,
+    0.401397414775962222905051818618, 0.450916538658474142345110087046,
+], [5 / 9, 8 / 9])
 
 # terms in z of the series at infinity: the longest any caller reads
 SERIES_TERMS = 96
@@ -86,7 +96,10 @@ class CurvePoint:
 @dataclass
 class ThetaData:
     """Read-only period data from ``period_matrix``: tau, the normalization,
-    K, and the per-curve data that abel_map, theta and lattice_reduce read."""
+    K, and the per-curve data that abel_map, theta and lattice_reduce read:
+    the chain, the Abel series (with dA/dz and the chart radius for
+    ``theta.sigma_contour``), the lattice basis, and Im tau with its least
+    eigenvalue for the theta lattices."""
 
     tau: np.ndarray
     normalization: np.ndarray
@@ -95,8 +108,12 @@ class ThetaData:
     others: np.ndarray           # row k: the chain less its point k
     characteristics: np.ndarray  # m, n of _chain_characteristics
     series: np.ndarray           # the Abel series at infinity to SERIES_TERMS
+    contour_series: np.ndarray   # its rows, then the rows of its dA/dz
+    chart_radius: np.ndarray     # of the z-chart at infinity, 0-d
     basis: np.ndarray            # the lattice basis [I, tau]
     real_basis: np.ndarray       # its real and imaginary parts, stacked
+    im_tau: np.ndarray           # Im tau, contiguous
+    im_tau_least: np.ndarray     # its least eigenvalue, 0-d
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -379,18 +396,19 @@ def integrate_monomials(curve: HyperellipticCurve, waypoints, y_start, tol=1e-10
     return vals.sum(axis=0), ys[-1]
 
 
-def _panel_nodes(a, b):
-    """Half-widths (n, 1) of the panels [a_i, b_i], and their 21
-    Gauss-Kronrod nodes followed by b_i, shape (n, 22)."""
+def _panel_nodes(a, b, nodes):
+    """Half-widths (n, 1) of the panels [a_i, b_i], and the Gauss-Kronrod
+    nodes (on [-1, 1]) mapped onto them, followed by b_i: shape (n, m + 1)
+    for m nodes."""
     half = (0.5 * (b - a))[:, None]
     mid = (0.5 * (a + b))[:, None]
-    return half, np.concatenate((mid + half * _GK_NODES, b[:, None]), axis=1)
+    return half, np.concatenate((mid + half * nodes, b[:, None]), axis=1)
 
 
 def _monomial_panels(curve, a, b, ya):
     """Panels [a_i, b_i] of x^(k-1) / y from y(a_i) = ya_i: the (n, 2, g)
     K21 and G10 integrals and y at each b_i."""
-    half, xs = _panel_nodes(a, b)
+    half, xs = _panel_nodes(a, b, _GK_NODES)
     ys = ya[:, None] * _sheet_ratio(curve, a[:, None], xs)
     powers = np.vander(xs[:, :-1].ravel(), curve.genus, increasing=True)
     sums = _GK_WEIGHTS @ (powers.reshape(len(a), -1, curve.genus)
@@ -410,11 +428,14 @@ def _adaptive_gl(panel, a, b, start, tol):
 
     panel(a, b, start) -> (sums (n, 2, m), end) integrates n panels at
     once from start, the datum at each a continued along the path (y, or
-    y and a fiber root), by K21 (sums[:, 0], "fine") and G10 (sums[:, 1],
-    "coarse") on one set of 21 nodes (``_GK_NODES``, ``_GK_WEIGHTS``), and
-    returns the datum at each b.  A panel at depth d is accepted, with its
-    K21 value, when max |fine - coarse|, the G10 error, is at most
-    tol / 2^d or _ULP_FLOOR max |fine|.  Each level splits only the
+    y and a fiber root), by the Kronrod rule (sums[:, 0], "fine") and the
+    Gauss rule (sums[:, 1], "coarse") of one Gauss-Kronrod pair on one set
+    of nodes, and returns the datum at each b.  Each panel function fixes
+    its pair: 10/21 (``_GK_NODES``, ``_GK_WEIGHTS``) for the Abel and
+    monomial panels, 3/7 (``_GK7_NODES``, ``_GK7_WEIGHTS``) for the angle
+    densities of ``flows``.  A panel at depth d is accepted, with its
+    Kronrod value, when max |fine - coarse|, the Gauss rule's error, is at
+    most tol / 2^d or _ULP_FLOOR max |fine|.  Each level splits only the
     rejected panels, in two batched calls: left halves from their parents'
     start data, then right halves from the left halves' end data.
     Returns the (len(a), m) segment integrals and the datum at each b_i;
@@ -560,11 +581,18 @@ def period_matrix(curve: HyperellipticCurve) -> ThetaData:
     chars = np.array(_chain_characteristics(g))
     m, n = chars[:, ::2].sum(axis=1) % 2
     basis = np.hstack([np.eye(g), tau])
+    series = _series_at_infinity(curve, norm)
+    # rows of A and of dA/dz = sum_l (l + 1) a_(l+1) z^l, one transform
+    contour_series = np.vstack([series, np.zeros_like(series)])
+    contour_series[g:, :-1] = series[:, 1:] * np.arange(1, SERIES_TERMS + 1)
+    im_tau, least = _im_tau(tau)
     return ThetaData(
         tau=tau, normalization=norm, riemann_constants=0.5 * (m + tau @ n),
-        chain=chain, others=others, characteristics=chars,
-        series=_series_at_infinity(curve, norm),
-        basis=basis, real_basis=np.vstack([basis.real, basis.imag]))
+        chain=chain, others=others, characteristics=chars, series=series,
+        contour_series=contour_series,
+        chart_radius=np.array(_chart_radius(curve)),
+        basis=basis, real_basis=np.vstack([basis.real, basis.imag]),
+        im_tau=im_tau, im_tau_least=np.array(least))
 
 
 def _normalized_tau(pa, pb):
@@ -589,6 +617,18 @@ def _normalized_tau(pa, pb):
         raise CycleDegenerate(
             f"Im tau not positive definite (least eigenvalue {least:.3e})")
     return tau, norm
+
+
+def _im_tau(tau):
+    """Im tau, contiguous, and its least eigenvalue: what every theta
+    lattice of tau reads (``theta._lattice_points``).  ``period_matrix``
+    stores both on ThetaData; bare-tau callers take them here.  ValueError
+    when Im tau is not positive definite."""
+    y = np.ascontiguousarray(tau.imag)
+    least = np.linalg.eigvalsh(y).min()
+    if least <= 0:
+        raise ValueError("Im tau not positive definite")
+    return y, least
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +684,7 @@ def _branch_panels(e, x, rest, coef, a, b, idx):
     P = x of idx_i under x = e_k + (P - e_k) s^2, where y = y(P) s prod_m
     ((x - e_m) / (P - e_m))^(1/2) over the other branch points (rest) and
     coef = 2 (P - e_k) / y(P): the (n, 2, g) K21 and G10 sums, and idx."""
-    half, nodes = _panel_nodes(a, b)
+    half, nodes = _panel_nodes(a, b, _GK_NODES)
     e, x, rest, coef = e[idx, None], x[idx, None], rest[idx], coef[idx]
     xs = e + (x - e) * nodes[:, :-1] ** 2
     ratio = np.sqrt((xs[..., None] - rest[:, None]) / (x - rest)[:, None])

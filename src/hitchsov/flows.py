@@ -16,8 +16,9 @@ steps, so their distance measures the time integration as well as the
 algebra (Jacobi matrix, separation solve, implicit gradients); under the
 fixed-step schemes both take the same stages and it certifies the algebra
 alone.  ``angle_increments`` checks a route against the exact flow: its
-angle coordinates must move as phi(0) + c t, and its sheet gate reads
-the end lambda that each segment's last panel certified.
+angle coordinates, integrated along each segment between stored rows by
+the Gauss-Kronrod 3/7 pair, must move as phi(0) + c t, and its sheet
+gate reads the end lambda that each segment's last panel certified.
 """
 
 import math
@@ -26,7 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .curves import _GK_WEIGHTS, _adaptive_gl, _panel_nodes, _sheet_root
+from .curves import (_GK7_NODES, _GK7_WEIGHTS, _adaptive_gl, _panel_nodes,
+                     _sheet_root)
 from .errors import BranchCollision, BranchLocus, IllConditioned, StepRejected
 from .spectral import SpectralPoint, _lambda_blocks, _track_roots
 from .separation import implicit_gradients, solve_hamiltonians
@@ -56,11 +58,13 @@ _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # a step below this share of the run's span stalls the integration
 _MIN_STEP = 1e-12
 # angle_increments: the absolute tolerance of each segment's integral, and
-# the segments per _adaptive_gl call, which bounds the call's memory: the
-# panel sums hold (segments x 21) node values per density column; 64-segment
-# blocks cost flow jobs about 7% more time for their per-call overhead.
+# the segments per _adaptive_gl call, which bound its memory as a node
+# budget: the panel sums hold (segments x 7) node values per density
+# column, and 384 segments hold 2,688 nodes, as 128 did on 21 nodes.
+# Blocks of 128 segments on 7 nodes take the angle check a fifth longer,
+# for their per-call overhead.
 _ANGLE_TOL = 1e-13
-_ANGLE_SEGMENTS = 128
+_ANGLE_SEGMENTS = 384
 
 
 def _integrand_vector(layout, ham, pt):
@@ -345,8 +349,8 @@ def match_states(cfg_a, cfg_b):
 
 def _density_panels(layout, curve, ham, a, b, start):
     """Panels [a_i, b_i] of the h angle densities, from start_i =
-    (y, lambda) at a_i: the (n, 2, h) K21 and G10 integrals and (y, lambda)
-    at each b_i.
+    (y, lambda) at a_i: the (n, 2, h) integrals by the Gauss-Kronrod 3/7
+    pair, K7 and G3 (``curves._GK7_NODES``), and (y, lambda) at each b_i.
 
     y at the nodes and at b_i is +-sqrt(P(x)) on the sheet continued from
     start's y (``curves._sheet_root``: the exact segment ratio runs only
@@ -356,25 +360,27 @@ def _density_panels(layout, curve, ham, a, b, start):
     panel, and at a segment's end it is the lambda that the sheet gate of
     ``angle_increments`` reads.  At the nodes, four Newton steps from
     start's polish it, the panels being short next to the root spacing (a
-    node that Newton takes to another root leaves the panel's K21 and G10
+    node that Newton takes to another root leaves the panel's K7 and G3
     sums apart, so ``_adaptive_gl`` splits it).  A density column's sums
-    are its block's factor (``_density_factors``) on the (n, 21) nodes,
-    times x once per column, against the K21 and G10 weights.
+    are its block's factor (``_density_factors``) on the (n, 7) nodes,
+    times x once per column, against the K7 and G3 weights.  These
+    segments pass the 3/7 pair on their first panel as they passed the
+    10/21 pair, at a third of the nodes.
     """
-    half, xs = _panel_nodes(a, b)
+    half, xs = _panel_nodes(a, b, _GK7_NODES)
     ys = _sheet_root(curve, a[:, None], start[:, :1], xs)
     end = np.stack((ys[:, -1], _track_roots(layout, ham, xs[:, -1],
                                             ys[:, -1], start[:, 1])), axis=1)
     xs, ys = xs[:, :-1].ravel(), ys[:, :-1].ravel()
     blocks, coeffs = _lambda_blocks(layout, ham, xs, ys)
-    lams = np.repeat(start[:, 1], _GK_WEIGHTS.shape[1])
+    lams = np.repeat(start[:, 1], len(_GK7_NODES))
     for _ in range(4):
         val, der = _value_slope(coeffs, lams)
         lams = lams - val / der
     sums = np.empty((len(a), 2, layout.h), dtype=complex)
     for cols, fac in _density_factors(layout, xs, ys, lams, blocks, coeffs):
         for k in range(cols.start, cols.stop):
-            sums[:, :, k] = fac.reshape(len(a), -1) @ _GK_WEIGHTS.T
+            sums[:, :, k] = fac.reshape(len(a), -1) @ _GK7_WEIGHTS.T
             fac = fac * xs
     return sums * half[:, None], end
 
@@ -385,8 +391,9 @@ def angle_increments(layout, curve, ham, trajectory: Trajectory):
     Each point's h angle densities are integrated along the straight
     segment between its consecutive stored positions, with y and lambda
     continued from the stored row at the segment's start: every point and
-    segment of a block of rows in one ``_adaptive_gl`` call, a block
-    holding at most _ANGLE_SEGMENTS segments.  Raises BranchLocus where
+    segment of a block of rows in one ``_adaptive_gl`` call on the 3/7
+    pair (``_density_panels``), a block holding at most _ANGLE_SEGMENTS
+    segments (384: 2,688 nodes on a first pass).  Raises BranchLocus where
     that continuation does not arrive on the next stored row's sheet, or
     where the end lambda that ``_density_panels`` certified lies more than
     1e-6 (1 + |lambda|) from the next row's stored lambda and, where it

@@ -33,8 +33,10 @@ is that row's own ellipsoid; for many it holds every term any row would have
 summed alone, and each row also sums terms of its own tail.  The contour
 route evaluates theta and its gradient on all samples of a circle from one
 lattice, each term the base term at the centre v0 times one tabled phase
-per coordinate.  The Riemann constants, the Abel series at infinity and the
-lattice basis come with the period data (``curves.period_matrix``), once.
+per coordinate.  The Riemann constants, the Abel series at infinity (with
+the contour's dA/dz rows and chart radius), the lattice basis, and Im tau
+with its least eigenvalue come with the period data
+(``curves.period_matrix``), once.
 """
 
 import bisect
@@ -44,21 +46,22 @@ import math
 import numpy as np
 
 from .errors import TruncationOverflow, ThetaDivisor, ResidueUnstable
-from .curves import SERIES_TERMS, _chart_radius, abel_map, lattice_reduce
+from .curves import SERIES_TERMS, _im_tau, abel_map, lattice_reduce
 
 # points on the sigma contour's first circle: 2 _CONTOUR_SAMPLES samples
 _CONTOUR_SAMPLES = 64
 
 
-def _lattice_points(tau, zs, order):
+def _lattice_points(y, lam_min, zs, order):
     """Integer points covering the significant Gaussian mass of the sums at
     all rows of zs (shape (m, g)) and of their derivatives up to order N:
     0 for values, 1 for the contour's gradient, N for ``theta_deriv_table``
     and 2k for ``sigma_series``.
 
-    The sum at z peaks at c = -Y^{-1} Im z for Y = Im tau.  A point is kept
-    when it lies in the ellipsoid (n - c).Y.(n - c) <= lam_min (R / rho)^2
-    about any row's center.  R is the least radius, in steps of 0.1 from
+    The sum at z peaks at c = -Y^{-1} Im z for Y = Im tau (y, contiguous,
+    with its least eigenvalue lam_min > 0: ``curves._im_tau``).  A point
+    is kept when it lies in the ellipsoid (n - c).Y.(n - c) <=
+    lam_min (R / rho)^2 about any row's center.  R is the least radius, in steps of 0.1 from
     rho/2 + sqrt(g + N) (where the bound holds), at which the tail of the
     terms times (2 pi |n|)^N is at most 1e-18 of the peak by the bound of
     Deconinck et al. (sec. 4): (2 pi)^N g/2 (2/rho)^g sum_(i=0..N) C(N, i)
@@ -66,12 +69,8 @@ def _lattice_points(tau, zs, order):
     center norm and rho = sqrt(pi lam_min) <= |sqrt(pi) T n|, Y = T^T T, on
     every n != 0.  ``_radius`` finds R by bisection on that grid; raises
     TruncationOverflow when no R / rho up to 60 meets the bound."""
-    y = np.ascontiguousarray(tau.imag)
     g = y.shape[0]
     centers = -np.linalg.solve(y, np.imag(zs).T).T  # (m, g)
-    lam_min = np.linalg.eigvalsh(y).min()
-    if lam_min <= 0:
-        raise ValueError("Im tau not positive definite")
     rho = np.sqrt(np.pi * lam_min)
     radius = _radius(g, order, rho, np.linalg.norm(centers, axis=1).max())
     lo = np.floor(centers.min(axis=0) - radius).astype(int)
@@ -124,19 +123,20 @@ def _quad_form(d, m):
     return np.einsum('ij,jk,ik->i', d, m, d)
 
 
-def _lattice_terms(zs, tau, order):
+def _lattice_terms(zs, tau, y, lam_min, order):
     """Lattice points and the exponential terms of the theta sums at the
-    rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r])."""
-    pts = _lattice_points(tau, zs, order)
+    rows of zs: terms[r, i] = exp(pi i n_i.tau.n_i + 2 pi i n_i.zs[r]),
+    with y = Im tau and lam_min as ``_lattice_points`` reads them."""
+    pts = _lattice_points(y, lam_min, zs, order)
     expo = zs @ (2j * np.pi * pts).T  # updated in place, like quad above
     expo += np.pi * 1j * _quad_form(pts, tau)
     return pts, np.exp(expo, out=expo)
 
 
-def _theta_and_gradient(v0, shifts, tau):
+def _theta_and_gradient(v0, shifts, tau, y, lam_min):
     """theta and its gradient at the rows v0 + shifts (shifts of shape
     (m, g)), summed over their union lattice with the radius of a first
-    derivative.
+    derivative (y = Im tau and lam_min as ``_lattice_points`` reads them).
 
     Each term exp(pi i n.tau.n + 2 pi i n.(v0 + shift)) is the base term
     at v0 times one phase exp(2 pi i n_s shift_s) per coordinate s, and
@@ -149,7 +149,7 @@ def _theta_and_gradient(v0, shifts, tau):
     far apart (``sigma_series``, ``theta_deriv_table``) go through
     ``_lattice_terms``.
     """
-    pts = _lattice_points(tau, v0 + shifts, 1)
+    pts = _lattice_points(y, lam_min, v0 + shifts, 1)
     base = 2j * np.pi * (pts @ v0)
     base += np.pi * 1j * _quad_form(pts, tau)
     terms = np.exp(base, out=base)
@@ -184,7 +184,7 @@ def theta_deriv_table(z, tau, max_order):
     tau = np.asarray(tau, dtype=complex)
     g = len(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        pts, terms = _lattice_terms(z[None, :], tau, max_order)
+        pts, terms = _lattice_terms(z[None, :], tau, *_im_tau(tau), max_order)
         terms = terms[0]
         factors = 2j * np.pi * pts  # (npts, g)
         table = {}
@@ -229,7 +229,9 @@ def sigma_series(curve, theta_data, phi, k):
     kvec = theta_data.riemann_constants
     phis = np.asarray(phi, dtype=complex)
     rows = lattice_reduce(theta_data, -np.atleast_2d(phis) - kvec)
-    pts, terms = _lattice_terms(np.vstack([rows, np.zeros(g)]), tau, 2 * k)
+    pts, terms = _lattice_terms(np.vstack([rows, np.zeros(g)]), tau,
+                                theta_data.im_tau, theta_data.im_tau_least,
+                                2 * k)
     th = terms.sum(axis=1)
     for r, ratio in enumerate(np.abs(th[:-1]) / abs(th[-1])):
         if ratio < 1e-10:
@@ -291,12 +293,9 @@ def sigma_contour(curve, theta_data, phi, k):
     one, r_j, to 1e-6 max(1, |r_j|).  ThetaDivisor (6 halvings) and
     ResidueUnstable (3 doublings) name radius and samples.
     """
-    radius = 0.5 * _chart_radius(curve)
-    a_coeff = theta_data.series
-    g = len(a_coeff)
-    # rows of A and of dA/dz = sum_l (l + 1) a_(l+1) z^l, one transform
-    series = np.vstack([a_coeff, np.zeros_like(a_coeff)])
-    series[g:, :-1] = a_coeff[:, 1:] * np.arange(1, SERIES_TERMS + 1)
+    radius = 0.5 * theta_data.chart_radius
+    series = theta_data.contour_series
+    g = len(theta_data.series)
     v0 = lattice_reduce(theta_data, -np.asarray(phi, dtype=complex)
                         - theta_data.riemann_constants)
     nsamples, halvings, doublings = _CONTOUR_SAMPLES, 0, 0
@@ -304,7 +303,9 @@ def sigma_contour(curve, theta_data, phi, k):
         # the 2n-point circle; its even-indexed samples are the n-point one
         nn = 2 * nsamples
         circle = _on_circle(series * radius ** np.arange(SERIES_TERMS + 1), nn)
-        th, grad = _theta_and_gradient(v0, circle[:, :g], theta_data.tau)
+        th, grad = _theta_and_gradient(v0, circle[:, :g], theta_data.tau,
+                                       theta_data.im_tau,
+                                       theta_data.im_tau_least)
         if not np.abs(th).min() >= 1e-2 * abs(th.mean()) or round(
                 np.angle(np.roll(th, -1) / th).sum() / (2 * np.pi)):
             if halvings == 6:

@@ -8,12 +8,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+import hitchsov
 from hitchsov.curves import build_curve, period_matrix
 from hitchsov.spectral import (resolve_type, coefficient_layout,
                                SpectralPoint, lambda_roots)
 from hitchsov.separation import PhaseConfiguration
 
 npoly = np.polynomial.polynomial
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src ahead of PYTHONPATH,
+    # so name the tree under test
+    return f"hitchsov: {hitchsov.__file__}"
 
 
 def make_curve(roots):

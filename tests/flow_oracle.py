@@ -8,15 +8,24 @@ is the angle check before ``flows.angle_increments``: the trapezoid in t
 on the stored states.  ``integrand_vector`` is the angle densities as
 they were read off ``eval_R``'s gradient, before they were built from the
 lambda-coefficient blocks.  ``angle_integrand`` is one of the densities
-that ``flows`` builds from those blocks.
+that ``flows`` builds from those blocks.  ``angle_increments`` is
+``flows.angle_increments`` on the Gauss-Kronrod 10/21 pair, before the
+angle check moved to the 3/7 pair, without its sheet gate.
 """
+
+from functools import partial
 
 import numpy as np
 
+from hitchsov.curves import _GK_NODES, _GK_WEIGHTS, _adaptive_gl, \
+    _panel_nodes, _sheet_root
 from hitchsov.errors import BranchLocus, StepRejected
-from hitchsov.flows import (Trajectory, _continue_sheets, _integrand_vector,
-                            integrate, jacobi_matrix)
-from hitchsov.spectral import SpectralPoint, eval_R, lambda_roots
+from hitchsov.flows import (_ANGLE_TOL, Trajectory, _continue_sheets,
+                            _integrand_vector, integrate, jacobi_matrix)
+from hitchsov.spectral import (SpectralPoint, _track_roots, eval_R,
+                               lambda_poly, lambda_roots)
+
+npoly = np.polynomial.polynomial
 
 
 def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
@@ -77,3 +86,37 @@ def integrand_vector(layout, curve, ham, pt):
         raise BranchLocus(f"|dR/dlambda| = {abs(np.ravel(ev.d_lambda)[i]):.2e}"
                           f" at x={np.ravel(pt.x)[i]}")
     return -ev.grad_h / np.asarray(ev.d_lambda * pt.y)[..., None]
+
+
+def density_panels(layout, curve, ham, a, b, start):
+    """``flows._density_panels`` on the 10/21 pair: the (n, 2, h) K21 and
+    G10 sums of the densities at the 21 nodes, with lambda polished there
+    by four Newton steps from start's, and (y, lambda) at each b_i."""
+    half, xs = _panel_nodes(a, b, _GK_NODES)
+    ys = _sheet_root(curve, a[:, None], start[:, :1], xs)
+    end = np.stack((ys[:, -1], _track_roots(layout, ham, xs[:, -1],
+                                            ys[:, -1], start[:, 1])), axis=1)
+    xs, ys = xs[:, :-1], ys[:, :-1]
+    coeffs = np.moveaxis(lambda_poly(layout, ham, xs, ys), -1, 0)
+    lams = np.repeat(start[:, 1:], xs.shape[1], axis=1)
+    for _ in range(4):
+        lams = lams - npoly.polyval(lams, coeffs, tensor=False) \
+            / npoly.polyval(lams, npoly.polyder(coeffs), tensor=False)
+    dens = _integrand_vector(layout, ham, SpectralPoint(xs, ys, lams))
+    return half[:, None] * (_GK_WEIGHTS @ dens), end
+
+
+def angle_increments(layout, curve, ham, trajectory: Trajectory):
+    """phi(t_k) - phi(0) by ``density_panels``, in blocks of 128 segments."""
+    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
+                    for a in ("x", "y", "lam"))       # (rows, points) each
+    rows = max(1, 128 // xs.shape[1])
+    steps = [np.zeros((1, layout.h), dtype=complex)]
+    for k in range(0, len(xs) - 1, rows):
+        x, y, lam = (a[k:k + rows + 1] for a in (xs, ys, lams))
+        start = np.stack((y[:-1].ravel(), lam[:-1].ravel()), axis=1)
+        parts, _ = _adaptive_gl(
+            partial(density_panels, layout, curve, ham), x[:-1].ravel(),
+            x[1:].ravel(), start, _ANGLE_TOL)
+        steps.append(parts.reshape(x[1:].shape + (layout.h,)).sum(axis=1))
+    return np.cumsum(np.concatenate(steps), axis=0)

@@ -9,7 +9,7 @@ import numpy as np
 
 from hitchsov.curves import CurvePoint, abel_map, lattice_reduce
 from hitchsov.errors import CycleDegenerate
-from hitchsov.theta import _lattice_terms
+from hitchsov.theta import _im_tau, _lattice_terms
 
 
 def riemann_constants(curve, theta_data, rng=None):
@@ -41,7 +41,7 @@ def riemann_constants(curve, theta_data, rng=None):
     zs = np.array([np.zeros(g, dtype=complex)]
                   + [lattice_reduce(theta_data, a + k)
                      for k in halves for a in divisors])
-    _, terms = _lattice_terms(zs, tau, 0)
+    _, terms = _lattice_terms(zs, tau, *_im_tau(tau), 0)
     vals = np.abs(terms.sum(axis=1))
     scores = vals[1:].reshape(len(halves), len(divisors)).max(axis=1)
     best_at = int(np.argmin(scores))  # the first of equal scores

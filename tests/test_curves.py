@@ -270,6 +270,21 @@ class TestGaussKronrod:
         assert err[0, :32].max() <= 1e-15 and err[1, :20].max() <= 1e-15
         assert err[0, 32] > 1e-13 and err[1, 20] > 1e-7
 
+    def test_seven_point_pair(self):
+        # G3 is Gauss-Legendre on 3 nodes; K7 integrates x^k on [-1, 1]
+        # exactly for k <= 11, G3 for k <= 5, and neither beyond
+        nodes, weights = np.polynomial.legendre.leggauss(3)
+        gauss = curves._GK7_WEIGHTS[1] != 0
+        assert gauss.sum() == 3 and len(curves._GK7_NODES) == 7
+        assert np.abs(curves._GK7_NODES[gauss] - nodes).max() <= 1e-15
+        assert np.abs(curves._GK7_WEIGHTS[1, gauss] - weights).max() <= 1e-15
+        k = np.arange(14)
+        exact = (1 - (-1.0) ** (k + 1)) / (k + 1)
+        err = np.abs(curves._GK7_WEIGHTS @ curves._GK7_NODES[:, None] ** k
+                     - exact)
+        assert err[0, :12].max() <= 1e-15 and err[1, :6].max() <= 1e-15
+        assert err[0, 12] > 1e-5 and err[1, 6] > 1e-3
+
 
 class TestTauPostconditions:
     def test_asymmetric_tau_rejected(self):
@@ -434,13 +449,13 @@ class TestSheetRoot:
         monkeypatch.setattr(curves, "_sheet_ratio", counted)
         return sizes
 
-    def segments(self, curve, rng, rho, n=64):
-        """n starts a, shape (n, 1), and 22 points x about each at rho up
+    def segments(self, curve, rng, rho, n=64, m=22):
+        """n starts a, shape (n, 1), and m points x about each at rho up
         to the given value, in all directions."""
         a = 2 * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
         ya = np.sqrt(curve.p(a)) * rng.choice([-1.0, 1.0], a.shape)
-        x = a + rho * self.reach(curve, a) * rng.random((n, 22)) \
-            * np.exp(2j * np.pi * rng.random((n, 22)))
+        x = a + rho * self.reach(curve, a) * rng.random((n, m)) \
+            * np.exp(2j * np.pi * rng.random((n, m)))
         return a, ya, x
 
     @pytest.mark.parametrize("name", ["curve15", "curve_c", "curve_g3"])
@@ -461,7 +476,7 @@ class TestSheetRoot:
         a, b = np.array([1 + 0.1j]), np.array([0.98 - 0.1j])
         ya = np.sqrt(curve15.p(a))
         assert abs(np.angle(curves._sheet_ratio(curve15, a, b))) > np.pi / 2
-        _, xs = curves._panel_nodes(a, b)
+        _, xs = curves._panel_nodes(a, b, curves._GK_NODES)
         ref = self.product_rule(curve15, a[:, None], ya[:, None], xs)
         sizes = self.counted_ratio(monkeypatch)
         got = curves._sheet_root(curve15, a[:, None], ya[:, None], xs)
@@ -481,10 +496,11 @@ class TestSheetRoot:
         assert sizes == calls
 
     def test_temporaries_have_the_size_of_x(self, curve_c):
-        # an angle-check block of 128 panels: the sum over the branch
-        # points is taken at a, so no (..., 2g + 1) stack of the nodes
+        # an angle-check block of 384 panels, 7 nodes and the end each:
+        # the sum over the branch points is taken at a, so no
+        # (..., 2g + 1) stack of the nodes
         a, ya, x = self.segments(curve_c, np.random.default_rng(36), 0.5,
-                                 n=128)
+                                 n=384, m=8)
         tracemalloc.start()
         try:
             curves._sheet_root(curve_c, a, ya, x)

@@ -1,11 +1,12 @@
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from hitchsov import curves, flows, separation, spectral
-from hitchsov.curves import _GK_WEIGHTS, _panel_nodes
+from hitchsov.curves import _GK7_NODES, _GK7_WEIGHTS, _panel_nodes
 from hitchsov.spectral import (FAMILIES, resolve_type, coefficient_layout,
                                SpectralPoint, lambda_poly, lambda_roots)
 from hitchsov.separation import (PhaseConfiguration, solve_hamiltonians,
@@ -198,11 +199,12 @@ class TestAngles:
 
     def test_peak_memory(self, curve_c):
         # the panel sums hold no (nodes x h) array: one call on 101 SP(2)
-        # rows in 128-segment blocks peaks near 0.87 MB (1.68 MB when the
-        # sums were taken from the whole (21 n, h) density array)
+        # rows in 384-segment blocks of 7 nodes peaks near 0.88 MB (0.87 MB
+        # in 128-segment blocks of 21 nodes; 1.68 MB when the sums were
+        # taken from the whole (21 n, h) density array)
         layout, ham, cfg, c = planted("SP", curve_c, 8)
         traj = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
-        assert len(traj.states) == 101 and flows._ANGLE_SEGMENTS == 128
+        assert len(traj.states) == 101 and flows._ANGLE_SEGMENTS == 384
         tracemalloc.start()
         try:
             angle_increments(layout, curve_c, ham, traj)
@@ -216,7 +218,7 @@ class TestAngles:
         # each segment of a smooth trajectory passes on its first
         # Gauss-Kronrod panel, so a block of rows costs one panel call
         ham, cfg, c = system
-        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.05, 1e-3)
+        traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.2, 1e-3)
         calls = []
         panels = flows._density_panels
 
@@ -225,14 +227,31 @@ class TestAngles:
             return panels(*args)
         monkeypatch.setattr(flows, "_density_panels", counted)
         angle_increments(gl2, curve_c, ham, traj)
-        rows = flows._ANGLE_SEGMENTS // gl2.h         # 25 rows a block
-        assert calls == [rows * gl2.h] * (50 // rows)
+        rows = flows._ANGLE_SEGMENTS // gl2.h         # 76 rows a block
+        assert len(calls) == -(-200 // rows)
+        assert calls == [min(rows, 200 - k) * gl2.h
+                         for k in range(0, 200, rows)]
 
     def test_single_row(self, curve_c, gl2, system):
         ham, cfg, c = system
         traj = Trajectory(np.zeros(1), [cfg])
         assert np.array_equal(angle_increments(gl2, curve_c, ham, traj),
                               np.zeros((1, gl2.h)))
+
+    # GL(2) has x-blocks only, SP(2) a y-part, SO_even(2) the squared
+    # block; the last is a long fast flow, c x 10 to t = 1
+    @pytest.mark.parametrize("family, speed, t_end", [
+        ("GL", 1, 0.1), ("SP", 1, 0.1), ("SO_even", 1, 0.1), ("GL", 10, 1.0)])
+    def test_match_the_21_point_pair(self, curve_c, gl2, system, family,
+                                     speed, t_end):
+        if family == "GL":
+            layout, (ham, cfg, c) = gl2, system
+        else:
+            layout, ham, cfg, c = planted(family, curve_c, 8)
+        traj = flow_fiber(layout, curve_c, ham, cfg, speed * c, t_end, 1e-3)
+        got = angle_increments(layout, curve_c, ham, traj)
+        ref = flow_oracle.angle_increments(layout, curve_c, ham, traj)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestDensities:
@@ -281,7 +300,7 @@ class TestDensities:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_panel_sums_match_densities(self, curve_c, family, monkeypatch):
-        # the column-by-column sums against the weights times the (21 n, h)
+        # the column-by-column sums against the weights times the (7 n, h)
         # density array, on the nodes and polished lambda the panels used
         layout, ham, pts = self.system(curve_c, family)
         rng = np.random.default_rng(62)
@@ -297,12 +316,12 @@ class TestDensities:
             return factors(*args)
         monkeypatch.setattr(flows, "_density_factors", spy)
         sums, _ = flows._density_panels(layout, curve_c, ham, a, b, start)
-        half, nodes = _panel_nodes(a, b)
+        half, nodes = _panel_nodes(a, b, _GK7_NODES)
         args = seen[0]
         assert np.array_equal(args[1], nodes[:, :-1].ravel())
         dens = _integrand_vector(layout, ham, SpectralPoint(*args[1:4]))
         dens = dens.reshape(a.size, -1, layout.h)
-        ref = half[:, None] * (_GK_WEIGHTS @ dens)
+        ref = half[:, None] * (_GK7_WEIGHTS @ dens)
         assert sums.shape == ref.shape == (a.size, 2, layout.h)
         scale = np.abs(ref).max(axis=-1, keepdims=True)
         assert (np.abs(sums - ref) <= 1e-14 * scale).all()
@@ -317,6 +336,31 @@ class TestDensities:
         start = np.array([[np.sqrt(curve_c.p(a[0])), 1.0 + 1e-12]])
         with pytest.raises(BranchLocus, match=re.escape(f"at x={x0}")):
             flows._density_panels(gl2, curve_c, ham, a, b, start)
+
+    def test_newton_on_another_root_splits(self, curve_c, gl2):
+        # R = lambda^2 - (x - x0)^2 / 4, whose roots +-(x - x0) / 2 turn by
+        # 152 degrees along [a, b], which passes 0.05 from x0: four Newton
+        # steps from (a - x0) / 2 land on the other root at the far nodes
+        # and at b, and the K7 and G3 sums part.  Each half turns by 76
+        # degrees, so the split panels keep the continued root.
+        x0 = 0.4 + 0.3j
+        ham = np.array([0, 0, -x0**2 / 4, x0 / 2, -0.25])
+        a, b = np.array([x0 - 0.2 - 0.05j]), np.array([x0 + 0.2 - 0.05j])
+        start = np.array([[np.sqrt(curve_c.p(a[0])), (a[0] - x0) / 2]])
+        panel = partial(flows._density_panels, gl2, curve_c, ham)
+        sums, end = panel(a, b, start)
+        assert abs(end[0, 1] + (b[0] - x0) / 2) < 1e-15
+        assert np.abs(sums[0, 0] - sums[0, 1]).max() > 0.1
+        got, end = curves._adaptive_gl(panel, a, b, start, flows._ANGLE_TOL)
+        assert abs(end[0, 1] - (b[0] - x0) / 2) < 1e-15
+        # 40 pieces, each started from the continued root
+        s = np.linspace(a[0], b[0], 41)
+        ys = curves.continue_y(curve_c, s, start[0, 0])
+        ref, _ = curves._adaptive_gl(
+            panel, s[:-1], s[1:], np.stack((ys[:-1], (s[:-1] - x0) / 2), 1),
+            flows._ANGLE_TOL)
+        ref = ref.sum(axis=0)
+        assert np.abs(got[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestPrymParity:

@@ -322,3 +322,19 @@ class TestLaxVelocity:
         got = sl2.lax_drift(states, z6, 0.3)
         ref = oracle.drift(states, z6, 0.5 * 0.3 + 0.25j)
         assert np.abs(got - ref).max() < 1e-13
+
+    def test_drift_bits_of_the_three_operand_einsum(self, z6):
+        # x from the products q_a p_b, then KLEIN, gives the bits of one
+        # 3-operand einsum, so sl2_demo.csv keeps its last digits
+        rng = np.random.default_rng(23)
+        states, _ = sl2.lax_flow(random_point(rng), z6, 0.3, 4, 0.2, 1e-3)
+        q, p = sl2._homogeneous(np.array([s.qa for s in states]),
+                                np.array([s.pa for s in states]),
+                                [s.chart for s in states])
+        x = np.einsum('na,ijab,nb->nij', q, sl2.KLEIN, p)
+        hams = sl2._hamiltonians(x, z6)
+        spectra = np.sort_complex(np.linalg.eigvals(
+            (0.5 * 0.3 + 0.25j) * x + np.diag(z6)))
+        ref = np.column_stack((np.abs(hams - hams[0]).max(axis=1),
+                               np.abs(spectra - spectra[0]).max(axis=1)))
+        assert np.array_equal(sl2.lax_drift(states, z6, 0.3), ref)

@@ -101,7 +101,7 @@ class TestLatticeSum:
         with pytest.raises(TruncationOverflow, match=message):
             grid_radius(tau, zs, 4)
         with pytest.raises(TruncationOverflow, match=message):
-            theta._lattice_points(tau, zs, 4)
+            theta._lattice_points(*theta._im_tau(tau), zs, 4)
 
     def test_overflowing_terms_raise(self):
         # the peak term at 0.3 +- 20i is about e^(400 pi), past double
@@ -268,7 +268,7 @@ class TestRadiusSearch:
         monkeypatch.setattr(theta, "_radius", recorded)
         checked = 0
         for tau, zs, order in self.cases():
-            pts = theta._lattice_points(tau, zs, order)
+            pts = theta._lattice_points(*theta._im_tau(tau), zs, order)
             assert found[-1] == grid_radius(tau, zs, order)
             if len(zs) == 1:
                 np.testing.assert_array_equal(
@@ -286,7 +286,7 @@ class TestBatchedTheta:
         rng = np.random.default_rng(10 * g + int(spread))
         tau = random_tau(g, rng)
         zs = spread_rows(tau, rng, 5, spread)
-        pts, terms = theta._lattice_terms(zs, tau, 1)
+        pts, terms = theta._lattice_terms(zs, tau, *theta._im_tau(tau), 1)
         th, grad = terms.sum(axis=1), 2j * np.pi * (terms @ pts)
         assert th.shape == (5,) and grad.shape == (5, g)
         for z, t, gr in zip(zs, th, grad):
@@ -305,7 +305,7 @@ class TestBatchedTheta:
             z = spread_rows(tau, rng, 1, 4.0)
             for order in (0, 1, 2 * g):
                 np.testing.assert_array_equal(
-                    theta._lattice_points(tau, z, order),
+                    theta._lattice_points(*theta._im_tau(tau), z, order),
                     product_lattice(tau, z[0], lattice_radius(tau, z, order)))
 
     def test_rows_share_the_union_lattice(self):
@@ -315,7 +315,8 @@ class TestBatchedTheta:
         zs = spread_rows(tau, rng, 3, 12.0)
         for order in (0, 4):
             radius = lattice_radius(tau, zs, order)
-            union = {tuple(p) for p in theta._lattice_points(tau, zs, order)}
+            union = {tuple(p) for p in theta._lattice_points(
+                *theta._im_tau(tau), zs, order)}
             own = [{tuple(p) for p in product_lattice(tau, z, radius)}
                    for z in zs]
             assert union == set().union(*own)
@@ -328,9 +329,9 @@ class TestBatchedTheta:
         builds = []
         real = theta._lattice_points
 
-        def counted(tau, zs, *args):
+        def counted(y, lam_min, zs, *args):
             builds.append(len(zs))
-            return real(tau, zs, *args)
+            return real(y, lam_min, zs, *args)
 
         monkeypatch.setattr(theta, "_lattice_points", counted)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
@@ -451,8 +452,8 @@ class TestSigma:
         real = theta._theta_and_gradient
         rng = np.random.default_rng(0)
 
-        def noisy(v0, shifts, tau):
-            th, grad = real(v0, shifts, tau)
+        def noisy(v0, shifts, *lattice):
+            th, grad = real(v0, shifts, *lattice)
             return th, grad * (1 + 1e-3 * rng.standard_normal(grad.shape))
 
         monkeypatch.setattr(theta, "_theta_and_gradient", noisy)
@@ -479,9 +480,9 @@ class TestSigma:
         rows = []
         real = theta._theta_and_gradient
 
-        def counted(v0, shifts, tau):
+        def counted(v0, shifts, *lattice):
             rows.append(len(shifts))
-            return real(v0, shifts, tau)
+            return real(v0, shifts, *lattice)
 
         monkeypatch.setattr(theta, "_theta_and_gradient", counted)
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
@@ -532,9 +533,9 @@ class TestContourGuard:
         rows = []
         real = theta._theta_and_gradient
 
-        def counted(v0, shifts, tau):
+        def counted(v0, shifts, *lattice):
             rows.append(len(shifts))
-            return real(v0, shifts, tau)
+            return real(v0, shifts, *lattice)
 
         monkeypatch.setattr(theta, "_theta_and_gradient", counted)
         series = sigma_series(curve, td, phi, k)
@@ -566,8 +567,10 @@ def assert_circle_is_lattice_sum(curve, td, phi):
     for halvings in range(3):
         radius = 0.5 ** (halvings + 1) * curves._chart_radius(curve)
         v0, shifts = contour_circle(curve, td, phi, radius)
-        th, grad = theta._theta_and_gradient(v0, shifts, td.tau)
-        pts, terms = theta._lattice_terms(v0 + shifts, td.tau, 1)
+        th, grad = theta._theta_and_gradient(v0, shifts, td.tau, td.im_tau,
+                                             td.im_tau_least)
+        pts, terms = theta._lattice_terms(v0 + shifts, td.tau, td.im_tau,
+                                          td.im_tau_least, 1)
         ref, ref_grad = terms.sum(axis=1), 2j * np.pi * (terms @ pts)
         assert np.abs(th - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(grad - ref_grad).max() \
@@ -827,7 +830,8 @@ class TestTruncationBound:
         y = td.tau.imag
         for z in zs:
             for order in (0, 1, 2 * g):
-                pts = theta._lattice_points(td.tau, z[None, :], order)
+                pts = theta._lattice_points(td.im_tau, td.im_tau_least,
+                                            z[None, :], order)
                 lo = pts.min(axis=0).astype(int) - 8
                 hi = pts.max(axis=0).astype(int) + 8
                 box = np.indices(hi - lo + 1).reshape(g, -1).T + lo
@@ -853,7 +857,7 @@ class TestTruncationBound:
         z = (rng.uniform(-1, 1, g) + td.tau @ rng.uniform(-1, 1, g))[None, :]
         for order, (radius, count) in zip((0, 1, 4, 6),
                                           PINNED_LATTICES[name]):
-            pts = theta._lattice_points(td.tau, z, order)
+            pts = theta._lattice_points(td.im_tau, td.im_tau_least, z, order)
             assert len(pts) == count
             np.testing.assert_array_equal(
                 pts, product_lattice(td.tau, z[0], radius))
@@ -872,8 +876,8 @@ class TestTruncationBound:
         got = sigma_series(curve, td, phis, g)
         real = theta._lattice_points
 
-        def wider(tau, zs, order):
-            pts = real(tau, zs, order)
+        def wider(y, lam_min, zs, order):
+            pts = real(y, lam_min, zs, order)
             lo = pts.min(axis=0).astype(int) - 2
             hi = pts.max(axis=0).astype(int) + 2
             return (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
