@@ -50,12 +50,13 @@ def _finite(v, path):
 
 
 def _cplx(v, path):
-    if isinstance(v, (int, float)):
-        return complex(_finite(v, path))
-    if isinstance(v, (list, tuple)) and len(v) == 2 \
-            and all(isinstance(u, (int, float)) for u in v):
-        return complex(_finite(v[0], path), _finite(v[1], path))
-    raise ValidationError(f"expected number or [re, im] pair", path)
+    """v, a JSON number or [re, im] pair of numbers (not booleans), as a
+    complex."""
+    pair = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0)
+    if any(isinstance(u, bool) or not isinstance(u, (int, float))
+           for u in pair):
+        raise ValidationError("expected number or [re, im] pair", path)
+    return complex(_finite(pair[0], path), _finite(pair[1], path))
 
 
 def _num(v, path, kind=int, lo=-np.inf, hi=np.inf):
@@ -82,6 +83,17 @@ def _cvec(v, path):
                      for i, u in enumerate(_list(v, path))])
 
 
+def _fractions(v, path):
+    """v, a JSON list of numbers and fraction strings ("1/3"), as
+    Fractions; a boolean is not a number."""
+    if any(isinstance(u, bool) for u in _list(v, path)):
+        raise ValidationError("expected numbers, not booleans", path)
+    try:
+        return [Fraction(u) for u in v]
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValidationError(str(exc), path)
+
+
 def _pair(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -91,8 +103,11 @@ def _pairs(vec):
     return [_pair(z) for z in np.asarray(vec).ravel()]
 
 
-def _fmt(x):
-    return f"{float(x):.17e}"
+def _csv(header, line, table):
+    """header, then one line per row of the 2-d table, each row's values
+    formatted by the %-format line."""
+    return (header + "\n" + (line + "\n") * len(table)
+            % tuple(np.ravel(table).tolist()))
 
 
 def _field(data, name, path="$"):
@@ -309,9 +324,9 @@ def ham_check(data, seed):
     """Pairwise Poisson brackets of the coefficients, as a CSV matrix."""
     cv, layout, cfg, hamv = _parse_system(data, seed)
     br, scale = involution_check(layout, cv, cfg, hamv)
-    lines = [",".join(f"H{k + 1}" for k in range(layout.h))]
-    lines += [",".join(_fmt(v) for v in row) for row in br]
-    return ({"bracket_check.csv": "\n".join(lines) + "\n"},
+    return ({"bracket_check.csv": _csv(
+                ",".join(f"H{k + 1}" for k in range(layout.h)),
+                ",".join(["%.17e"] * layout.h), br)},
             [("max normalized bracket", float((br / scale).max()))])
 
 
@@ -322,17 +337,15 @@ def flow():
 
 def _traj_csv(traj):
     """One line per time and point i: t, i, then re and im of x_i, y_i
-    and lambda_i, formatted as %.12g, %d and %.17e (``_fmt``)."""
-    vals = np.stack([np.array([getattr(s, a) for s in traj.states],
-                              dtype=complex) for a in ("x", "y", "lam")],
-                    axis=-1).view(float)                  # (times, n, 6)
-    n_times, n = vals.shape[:2]
-    table = np.column_stack((np.repeat(np.asarray(traj.times, float), n),
-                             np.tile(np.arange(1.0, n + 1), n_times),
-                             vals.reshape(-1, 6)))
-    line = "%.12g,%d" + ",%.17e" * 6 + "\n"
-    return ("t,i,re_x,im_x,re_y,im_y,re_lambda,im_lambda\n"
-            + line * len(table) % tuple(table.ravel().tolist()))
+    and lambda_i, formatted as %.12g, %d and %.17e."""
+    s = traj.states
+    vals = np.stack((s.x, s.y, s.lam), axis=-1).astype(complex).view(float)
+    n_times, n = vals.shape[:2]                           # (times, n, 6)
+    return _csv("t,i,re_x,im_x,re_y,im_y,re_lambda,im_lambda",
+                "%.12g,%d" + ",%.17e" * 6, np.column_stack((
+                    np.repeat(np.asarray(traj.times, float), n),
+                    np.tile(np.arange(1.0, n + 1), n_times),
+                    vals.reshape(-1, 6))))
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -342,7 +355,7 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 def _svg(trajectory):
     """SVG polylines of Re x_i(t) with a legend; deterministic layout."""
     times = np.asarray(trajectory.times, dtype=float)
-    series = np.array([s.x.real for s in trajectory.states])  # (n, h)
+    series = np.real(trajectory.states.x)                     # (n, h)
     width, height, margin = 640.0, 400.0, 50.0
     t_lo, t_hi = times.min(), max(times.max(), times.min() + 1e-12)
     v_lo, v_hi = series.min(), series.max()
@@ -466,9 +479,9 @@ def theta_sigma(data):
         raise ValidationError(f"phi must have length g={cv.genus}", "$.phi")
     const = _num(data.get("const", 0.0), "$.const", float)
     td = period_matrix(cv)
-    series = sigma_series(cv, td, phi, k)[k - 1]
+    series = sigma_series(td, phi, k)[k - 1]
     s_series = series + const
-    s_contour = sigma_contour(cv, td, phi, k)[k - 1] + const
+    s_contour = sigma_contour(td, phi, k)[k - 1] + const
     gap = abs(s_series - s_contour)
     return {"theta_sigma.json": {
         "k": k,
@@ -510,14 +523,12 @@ def sl2_demo(data, t_end, dt, level):
     pp0 = sl2.GeomPhasePoint(qa, pa,
                              _num(data.get("chart", 3), "$.chart", lo=0, hi=3))
     states, report = sl2.lax_flow(pp0, z6, zeta, level, t_end, dt)
-    stride = max(1, len(states) // 200)
-    drift = sl2.lax_drift(states[::stride], z6, zeta)
-    lines = ["t,ham_drift,eig_drift"]
-    for kk, (hd, ed) in zip(range(0, len(states), stride), drift):
-        lines.append(f"{kk * dt:.12g},{_fmt(hd)},{_fmt(ed)}")
+    rows = np.arange(0, len(states.qa), max(1, len(states.qa) // 200))
+    drift = sl2.lax_drift(states[rows], z6, zeta)
     resid = float(sl2.lax_residual(pp0, z6, zeta, zeta + 0.21, level))
     return {
-        "sl2_demo.csv": "\n".join(lines) + "\n",
+        "sl2_demo.csv": _csv("t,ham_drift,eig_drift", "%.12g,%.17e,%.17e",
+                             np.column_stack((rows * dt, drift))),
         "sl2_report.json": {
             "level": level, "t_end": t_end, "dt": dt,
             "eigenvalue_drift": report["eigenvalue_drift"],
@@ -540,11 +551,7 @@ def _parse_ptype(data):
         part = _list(_field(p, "partition", path), f"{path}.partition")
         part = [_num(m, f"{path}.partition[{j}]", lo=1)
                 for j, m in enumerate(part)]
-        try:
-            weights = [Fraction(w) for w in
-                       _list(p.get("weights", []), f"{path}.weights")]
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ValidationError(str(exc), f"{path}.weights")
+        weights = _fractions(p.get("weights", []), f"{path}.weights")
         pts.append(pb.MarkedPoint(tuple(part), tuple(weights)))
     return pb.ParabolicType(_num(_field(data, "genus"), "$.genus"),
                             _num(_field(data, "rank"), "$.rank"), pts)
@@ -582,12 +589,8 @@ def parabolic_local(data):
         raise ValidationError("expected at least one series", "$.local.coeffs")
     trunc = _num(local.get("truncation", pb.DEFAULT_TRUNCATION),
                  "$.local.truncation", lo=1)
-    try:
-        coeff_lists = [[Fraction(c) for c in series]
-                       for series in raw]
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValidationError(str(exc), "$.local.coeffs")
-    f = pb.LocalCharPoly.from_lists(coeff_lists, trunc)
+    f = pb.LocalCharPoly.from_lists(
+        [_fractions(series, "$.local.coeffs") for series in raw], trunc)
     path = "$.local.expected_mu"
     expected = [_num(m, f"{path}[{i}]") for i, m in
                 enumerate(_list(local.get("expected_mu", []), path))]

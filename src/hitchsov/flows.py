@@ -8,7 +8,8 @@ fails; route 2 integrates the canonical equations of the Hamiltonian
 c . H through the implicit gradients, re-solving H at every stage from
 the previous stage's H, so that on so(2n), whose quadratic system has
 several solutions, the route keeps its branch.  Both carry the h
-separating points as one stacked SpectralPoint.
+separating points as one stacked SpectralPoint, and store their run as
+one SpectralPoint of (times, h) arrays.
 
 The two routes integrate the same vector field (J^{-1} c equals
 y c dH/dlambda).  Under the default ``dopri5`` each route chooses its own
@@ -22,7 +23,7 @@ gate reads the end lambda that each segment's last panel certified.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -140,7 +141,7 @@ def jacobi_matrix(layout, curve, ham, cfg):
 def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
               size=np.abs):
     """The nsteps + 1 states at t = k dt, k = 0..nsteps, by explicit Euler,
-    classical RK4 or Dormand-Prince 5(4).
+    classical RK4 or Dormand-Prince 5(4), as one state (``_stack``).
 
     rhs(state) is the velocity vector and advance(state, incr) the state
     moved by incr; after(state), when given, turns each step's
@@ -178,7 +179,19 @@ def integrate(rhs, advance, state, dt, nsteps, scheme="rk4", after=None,
             if after is not None:
                 state = after(state)
             states.append(state)
-    return states
+    return _stack(states)
+
+
+def _stack(states, batches=()):
+    """The states, then the rows of each batch, as one state whose first
+    axis counts them: an array, or a dataclass whose type is called on its
+    fields stacked one by one (so not a PhaseConfiguration)."""
+    if is_dataclass(states[0]):
+        return type(states[0])(*(
+            _stack([getattr(s, f.name) for s in states],
+                   [getattr(b, f.name) for b in batches])
+            for f in fields(states[0])))
+    return np.concatenate((states, *batches))
 
 
 def _rms(v, scale):
@@ -194,16 +207,16 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
     velocity that is not finite fails it too.  The states at t = k dt that
     a step passes come from its continuous extension (II.6) through one
     advance(start, incrs) call, incrs of shape (m,) + incr.shape, then one
-    after(rows) call, so both take a batch of m rows and return one
-    object whose [i] is row i; after also sees each step's end state.
-    Raises StepRejected, with the time reached and the last error
-    estimate, when a step would fall below _MIN_STEP of the span, and at
-    t=0 when the velocity is not finite or too large to scale.
+    after(rows) call, so both take a batch of m rows and return it as one
+    state whose first axis counts the rows; after also sees each step's
+    end state.  Raises StepRejected, with the time reached and the last
+    error estimate, when a step would fall below _MIN_STEP of the span,
+    and at t=0 when the velocity is not finite or too large to scale.
     """
-    states = [state]
+    start, batches, stored = state, [], 1
     span = nsteps * dt
     if nsteps == 0:
-        return states
+        return _stack([start])
     k1 = rhs(state)
     if not np.isfinite(k1).all():
         raise StepRejected("non-finite velocity at t=0")
@@ -225,7 +238,7 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
     h = min(100 * h0, (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15
             else max(1e-6, 1e-3 * h0))
     t, err, fac_max = 0.0, 0.0, _FAC_MAX
-    while len(states) <= nsteps:
+    while stored <= nsteps:
         last = abs(h) >= abs(span - t)
         h = span - t if last else math.copysign(h, dt)
         if abs(h) < _MIN_STEP * abs(span):
@@ -248,7 +261,7 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
             fac_max = 1.0       # no growth right after a rejection
             continue
-        theta = (np.arange(len(states), nsteps + 1) * dt - t) / h
+        theta = (np.arange(stored, nsteps + 1) * dt - t) / h
         if not last:
             theta = theta[:np.searchsorted(theta, 1.0, side="right")]
         if len(theta):
@@ -257,16 +270,15 @@ def _dopri5(rhs, advance, state, dt, nsteps, after, size):
             rest = incr - h * ks[6] - bspl
             rows = advance(state, th * (incr + th1 * (
                 bspl + th * (rest + th1 * h * (_DP_D @ ks)))))
-            if after is not None:
-                rows = after(rows)
-            states += [rows[i] for i in range(len(theta))]
+            batches.append(rows if after is None else after(rows))
+            stored += len(theta)
         state = end if after is None else after(end)
         k1 = ks[6] if state is end else rhs(state)
         t = span if last else t + h
         h *= min(fac_max, max(_FAC_MIN, _SAFETY * err ** -0.2)) if err > 0 \
             else fac_max
         fac_max = _FAC_MAX
-    return states
+    return _stack([start], batches)
 
 
 def _continue_sheets(curve, xs_prev, ys_prev, xs):
@@ -286,8 +298,9 @@ def _continue_sheets(curve, xs_prev, ys_prev, xs):
 
 @dataclass
 class Trajectory:
+    """A flow run: times t_k, and states of (times, h) arrays, row k at t_k."""
     times: np.ndarray
-    states: list              # one stacked SpectralPoint per time
+    states: SpectralPoint
 
 
 def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="dopri5"):
@@ -307,9 +320,10 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="dopri5"):
                             np.broadcast_to(state.lam, xs.shape).ravel())
         return SpectralPoint(xs, ys, lams.reshape(xs.shape))
 
-    states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
+    start = SpectralPoint(cfg0.x, cfg0.y, cfg0.lam)    # not a subclass
+    states = integrate(velocity, advance, start, dt, int(round(t_end / dt)),
                        scheme, size=lambda s: np.abs(s.x))
-    return Trajectory(np.arange(len(states)) * dt, states)
+    return Trajectory(np.arange(len(states.x)) * dt, states)
 
 
 def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="dopri5"):
@@ -333,9 +347,10 @@ def flow_poisson(layout, curve, cfg0, c, t_end, dt, scheme="dopri5"):
         return SpectralPoint(xs, _continue_sheets(curve, state.x, state.y, xs),
                              state.lam + incr[..., n:])
 
-    states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
+    start = SpectralPoint(cfg0.x, cfg0.y, cfg0.lam)    # not a subclass
+    states = integrate(velocity, advance, start, dt, int(round(t_end / dt)),
                        scheme, size=lambda s: np.abs(np.r_[s.x, s.lam]))
-    return Trajectory(np.arange(len(states)) * dt, states)
+    return Trajectory(np.arange(len(states.x)) * dt, states)
 
 
 def match_states(cfg_a, cfg_b):
@@ -400,8 +415,8 @@ def angle_increments(layout, curve, ham, trajectory: Trajectory):
     does, from the fiber root nearest that.  On the exact flow of c, row k
     is c t_k.
     """
-    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
-                    for a in ("x", "y", "lam"))       # (rows, points) each
+    states = trajectory.states
+    xs, ys, lams = states.x, states.y, states.lam     # (rows, points) each
     rows = max(1, _ANGLE_SEGMENTS // xs.shape[1])
     steps = [np.zeros((1, layout.h), dtype=complex)]
     for k in range(0, len(xs) - 1, rows):
@@ -431,13 +446,13 @@ def hamiltonian_drift(layout, curve, trajectory):
     ham0 = solve_hamiltonians(layout, curve, trajectory.states[0])
     scale = np.abs(ham0).max()
     worst = 0.0
-    for cfg in trajectory.states[1:]:
-        ham = solve_hamiltonians(layout, curve, cfg)
+    for k in range(1, len(trajectory.times)):
+        ham = solve_hamiltonians(layout, curve, trajectory.states[k])
         worst = max(worst, np.abs(ham - ham0).max() / scale)
     return worst
 
 
-def discriminant_zero_count(layout, curve, ham):
+def discriminant_zero_count(layout, ham):
     """Zeros (with multiplicity) on the curve of the d=2 fiber discriminant.
 
     For a rank-2 layout with polynomial blocks, R = lambda^2 + B1 lambda

@@ -84,10 +84,11 @@ def plucker_relation(pi):
 
 @dataclass
 class GeomPhasePoint:
-    """Point of T*P^3 in an affine chart.
+    """Point of T*P^3 in an affine chart, or m such points as rows.
 
     qa are the three affine coordinates (homogeneous coordinate `chart`
-    set to 1) and pa the conjugate momenta.
+    set to 1) and pa the conjugate momenta: of shape (3,) with an int
+    chart for one point, of shape (m, 3) with m charts for m rows.
     """
     qa: np.ndarray
     pa: np.ndarray
@@ -97,18 +98,28 @@ class GeomPhasePoint:
         self.qa = np.asarray(self.qa, dtype=complex)
         self.pa = np.asarray(self.pa, dtype=complex)
 
+    def __getitem__(self, k):
+        """Row k, or the rows that k selects, of m rows."""
+        return GeomPhasePoint(self.qa[k], self.pa[k], self.chart[k])
+
     def homogeneous(self):
-        """Homogeneous (q, p) with the incidence p.q = 0."""
-        q, p = _homogeneous(self.qa[None], self.pa[None], [self.chart])
-        return q[0], p[0]
+        """Homogeneous (q, p) with the incidence p.q = 0: shape (4,) each,
+        or (m, 4) for m rows."""
+        q, p = _chart_qp(self.qa, self.pa)
+        at = _AT[self.chart]
+        return np.take_along_axis(q, at, -1), np.take_along_axis(p, at, -1)
 
     def to_chart(self, chart):
+        """The point in chart, or each row in its own of the m charts:
+        q over its chart coordinate s, p times s.  Raises ChartSingularity
+        where s vanishes."""
         q, p = self.homogeneous()
-        s = q[chart]
-        if abs(s) < 1e-12:
+        s = np.take_along_axis(q, np.expand_dims(chart, -1), -1)
+        if np.any(np.abs(s) < 1e-12):
             raise ChartSingularity(f"q_{chart} vanishes")
         keep = _ORDER[chart, :3]
-        return GeomPhasePoint(q[keep] / s, p[keep] * s, chart)
+        return GeomPhasePoint(np.take_along_axis(q, keep, -1) / s,
+                              np.take_along_axis(p, keep, -1) * s, chart)
 
 
 def _chart_qp(qa, pa):
@@ -196,20 +207,8 @@ def lax_pair(pp, z6, zeta, zeta_p, l):
     return lz, m
 
 
-@dataclass
-class _Rows:
-    """The flat state of the Lax flow: m rows v[k] = qa ++ pa, each in its
-    own chart[k]; one state is a batch of one row."""
-    v: np.ndarray           # (m, 6)
-    chart: np.ndarray       # (m,)
-
-    def __getitem__(self, k):
-        """Row k, as a batch of one."""
-        return _Rows(self.v[k, None], self.chart[k, None])
-
-
 def _lax_velocity(z6, zeta, l):
-    """Flow of {tr L(zeta)^l, .} on a one-row state: qdot = -F_p,
+    """Flow of {tr L(zeta)^l, .} at a phase point: qdot = -F_p,
     pdot = F_q.
 
     x_ij = q_a KLEIN_ijab p_b makes d tr L^l = l zeta (dq.B p + q.B dp)
@@ -220,59 +219,37 @@ def _lax_velocity(z6, zeta, l):
     diag = np.diag(np.asarray(z6, dtype=complex))
     scale = l * zeta * np.repeat([1, -1], 3)
 
-    def rhs(state):
-        v, chart = state.v[0], state.chart[0]
-        q, p = _chart_qp(v[:3], v[3:])
-        lpow = np.linalg.matrix_power(zeta * _x(q, p, chart) + diag, l - 1)
-        b = (lpow.T.ravel() @ _KLEIN_AT[chart]).reshape(4, 4)
+    def rhs(pp):
+        q, p = _chart_qp(pp.qa, pp.pa)
+        lpow = np.linalg.matrix_power(zeta * _x(q, p, pp.chart) + diag, l - 1)
+        b = (lpow.T.ravel() @ _KLEIN_AT[pp.chart]).reshape(4, 4)
         qb, bp = q @ b, b @ p
-        return scale * (qb[3] * v - np.concatenate((qb[:3], bp[:3])))
+        return scale * (qb[3] * np.concatenate((pp.qa, pp.pa))
+                        - np.concatenate((qb[:3], bp[:3])))
     return rhs
 
 
-def _state(pp):
-    """The one-row state of a phase point."""
-    return _Rows(np.concatenate((pp.qa, pp.pa))[None], np.array([pp.chart]))
+def _advance(pp, incr):
+    """The phase point moved by incr = (dqa, dpa), or by each row of incr
+    to m rows in its chart."""
+    return GeomPhasePoint(pp.qa + incr[..., :3], pp.pa + incr[..., 3:],
+                          np.broadcast_to(pp.chart, incr.shape[:-1]))
 
 
-def _point(state):
-    """The phase point of a one-row state."""
-    return GeomPhasePoint(state.v[0, :3], state.v[0, 3:], int(state.chart[0]))
-
-
-def _advance(state, incr):
-    """The one-row state moved by incr, or by each row of incr."""
-    v = state.v + incr
-    return _Rows(v, np.repeat(state.chart, len(v)))
-
-
-def _homogeneous(qa, pa, chart):
-    """Homogeneous (q, p), shape (m, 4) each, of m rows (qa, pa) in their
-    charts."""
-    q, p = _chart_qp(qa, pa)
-    at = _AT[chart]
-    return np.take_along_axis(q, at, 1), np.take_along_axis(p, at, 1)
-
-
-def _recenter(rows):
-    """Switch each row whose affine coordinates pass 1e3 to the chart of
-    its largest homogeneous coordinate."""
-    far = np.abs(rows.v[:, :3]).max(axis=1) > 1e3
+def _recenter(pp):
+    """Move the point, or each row, whose affine coordinates pass 1e3 to
+    the chart of its largest homogeneous coordinate, and every other row
+    to its own chart, whose coordinate is 1."""
+    far = np.abs(pp.qa).max(axis=-1) > 1e3
     if not far.any():
-        return rows
-    q, p = _homogeneous(rows.v[far, :3], rows.v[far, 3:], rows.chart[far])
-    chart = np.abs(q).argmax(axis=1)
-    s = np.take_along_axis(q, chart[:, None], 1)    # |s| > 1e3
-    keep = _ORDER[chart, :3]
-    v, charts = rows.v.copy(), rows.chart.copy()
-    v[far] = np.concatenate((np.take_along_axis(q, keep, 1) / s,
-                             np.take_along_axis(p, keep, 1) * s), axis=1)
-    charts[far] = chart
-    return _Rows(v, charts)
+        return pp
+    return pp.to_chart(np.where(far, np.abs(pp.homogeneous()[0]).argmax(-1),
+                                pp.chart))
 
 
 def lax_drift(states, z6, zeta):
-    """Drift from states[0] along states, one row per state.
+    """Drift from row 0 along the m rows of the phase point states, one
+    row per state.
 
     Column 0 is max_i |H_i - H_i(0)| of the quadratic Hamiltonians and
     column 1 the largest move of the sorted eigenvalues of L(probe), at
@@ -280,9 +257,7 @@ def lax_drift(states, z6, zeta):
     """
     probe = 0.5 * zeta + 0.25j
     z6 = np.asarray(z6, dtype=complex)
-    q, p = _homogeneous(np.array([s.qa for s in states]),
-                        np.array([s.pa for s in states]),
-                        [s.chart for s in states])
+    q, p = states.homogeneous()
     # x_ij = sum_ab (q_a p_b) KLEIN_ijab: bit for bit the one 3-operand
     # einsum, in two thirds of its time; a matmul on the (n, 16) products
     # moves the drift CSV's last digits
@@ -300,18 +275,16 @@ def lax_flow(pp0: GeomPhasePoint, z6, zeta, l, t_end, dt):
     their own sizes; the states at t = k dt come from the continuous
     extension, so dt is only their spacing.  Each row whose affine
     coordinates grow large moves to another chart.  Returns (states,
-    report) with the two drifts of lax_drift from the first to the last
-    state.
+    report): states is one GeomPhasePoint whose row k is the state at
+    t = k dt, and report holds the two drifts of lax_drift from the first
+    to the last row.
     """
-    states = [_point(s) for s in integrate(
-        _lax_velocity(z6, zeta, l), _advance, _state(pp0), dt,
-        int(round(t_end / dt)), "dopri5", _recenter, lambda s: np.abs(s.v))]
-    ham_drift, eig_drift = lax_drift([states[0], states[-1]], z6, zeta)[-1]
-    report = {
-        "eigenvalue_drift": float(eig_drift),
-        "hamiltonian_drift": float(ham_drift),
-    }
-    return states, report
+    states = integrate(_lax_velocity(z6, zeta, l), _advance, pp0, dt,
+                       int(round(t_end / dt)), "dopri5", _recenter,
+                       lambda pp: np.abs(np.concatenate((pp.qa, pp.pa))))
+    ham_drift, eig_drift = lax_drift(states[[0, -1]], z6, zeta)[-1]
+    return states, {"eigenvalue_drift": float(eig_drift),
+                    "hamiltonian_drift": float(ham_drift)}
 
 
 def lax_residual(pp, z6, zeta, zeta_p, l):
@@ -320,7 +293,7 @@ def lax_residual(pp, z6, zeta, zeta_p, l):
     x is bilinear in chart-ordered (q, p), so dx/dt = x(dq, p) + x(q, dp)
     with dq = (dqa, 0) and dp = (dpa, -(dpa.qa + pa.dqa)).
     """
-    dqa, dpa = np.split(_lax_velocity(z6, zeta, l)(_state(pp)), 2)
+    dqa, dpa = np.split(_lax_velocity(z6, zeta, l)(pp), 2)
     q, p = _chart_qp(pp.qa, pp.pa)
     dq = np.append(dqa, 0.0)
     dp = np.append(dpa, -(dpa @ pp.qa + pp.pa @ dqa))

@@ -211,9 +211,10 @@ def riemann_constants(curve, theta_data, rng=None):
     return theta_data.riemann_constants
 
 
-def sigma_series(curve, theta_data, phi, k):
+def sigma_series(theta_data, phi, k):
     """sigma_1..sigma_k(phi), less their additive constants, via the Taylor
-    coefficients of ln theta at infinity.
+    coefficients of ln theta at infinity.  theta_data holds all that is
+    read of the curve: tau, K and the Abel series (``period_matrix``).
 
     sigma_j = const_j - 2j [z^(2j)] ln theta(A(z) - phi - K), every j from
     the one series to order 2k.  phi of shape (g,) gives (k,); phi of shape
@@ -277,9 +278,11 @@ def _residues(dlog, radius, k):
                  for d in (dlog[::2], dlog))
 
 
-def sigma_contour(curve, theta_data, phi, k):
+def sigma_contour(theta_data, phi, k):
     """sigma_1..sigma_k(phi), less their additive constants, by the
-    residues of x^j d ln theta at infinity.
+    residues of x^j d ln theta at infinity.  theta_data holds all that is
+    read of the curve: tau, K, the chart radius and the contour's Abel
+    series (``period_matrix``).
 
     Samples a z-chart circle at 2 _CONTOUR_SAMPLES points by the trapezoid
     rule.  The samples are the circle's radius times roots of unity, so the
@@ -337,10 +340,10 @@ def jacobi_inversion_check(curve, theta_data, points, ref_points):
     phi, ref_phi = images[:len(points)].sum(0), images[len(points):].sum(0)
     truth = np.array([sum(p.x ** k for p in ref_points)
                       for k in range(1, g + 1)])
-    ref_series, series = sigma_series(curve, theta_data, [ref_phi, phi], g)
+    ref_series, series = sigma_series(theta_data, [ref_phi, phi], g)
     const = truth - ref_series
     sigmas = series + const
-    sigmas_contour = sigma_contour(curve, theta_data, phi, g) + const
+    sigmas_contour = sigma_contour(theta_data, phi, g) + const
     # Newton's identities: e_1..e_g from the power sums
     e = [1.0 + 0.0j]
     for m in range(1, g + 1):

@@ -51,9 +51,10 @@ def flow_fiber(layout, curve, ham, cfg0, c, t_end, dt, scheme="rk4"):
             raise StepRejected(f"fiber residual {resid:.2e}")
         return state
 
-    states = integrate(velocity, advance, cfg0, dt, int(round(t_end / dt)),
-                       scheme, reproject)
-    return Trajectory(np.arange(len(states)) * dt, states)
+    states = integrate(velocity, advance,
+                       SpectralPoint(cfg0.x, cfg0.y, cfg0.lam), dt,
+                       int(round(t_end / dt)), scheme, reproject)
+    return Trajectory(np.arange(len(states.x)) * dt, states)
 
 
 def angle_integrand(layout, ham, j, pt: SpectralPoint):
@@ -65,9 +66,9 @@ def angle_shift(layout, curve, ham, trajectory: Trajectory):
     """phi(t_k) - phi(0) along the trajectory's own deformation path, by
     the trapezoid in t on the stored states: its error is the quadrature's
     O(dt^2), not the flow's."""
-    n, h = len(trajectory.states), layout.h
-    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
-                    for a in ("x", "y", "lam"))            # (n, h) each
+    n, h = len(trajectory.times), layout.h
+    s = trajectory.states
+    xs, ys, lams = s.x, s.y, s.lam                         # (n, h) each
     dens = _integrand_vector(layout, ham, SpectralPoint(
         xs.ravel(), ys.ravel(), lams.ravel())).reshape(n, h, h)
     # trapezoid on each step, dens[k, point, j] against that point's dx
@@ -108,8 +109,8 @@ def density_panels(layout, curve, ham, a, b, start):
 
 def angle_increments(layout, curve, ham, trajectory: Trajectory):
     """phi(t_k) - phi(0) by ``density_panels``, in blocks of 128 segments."""
-    xs, ys, lams = (np.array([getattr(s, a) for s in trajectory.states])
-                    for a in ("x", "y", "lam"))       # (rows, points) each
+    s = trajectory.states
+    xs, ys, lams = s.x, s.y, s.lam                    # (rows, points) each
     rows = max(1, 128 // xs.shape[1])
     steps = [np.zeros((1, layout.h), dtype=complex)]
     for k in range(0, len(xs) - 1, rows):

@@ -4,9 +4,9 @@
 ``sl2.SIGMA`` from a search over all candidates.  ``trace_power_gradient``
 is the chart gradient of tr L(zeta)^l by the direct route: L^(l-1)
 contracted with the (6, 6, 3) gradients of x.  ``flow`` is the integration
-of ``sl2.lax_flow`` driven by that gradient on GeomPhasePoint states, one
-state at a time, and ``drift`` the columns of ``sl2.lax_drift`` computed
-one state at a time.
+of ``sl2.lax_flow`` driven by that gradient, with each row moved to a new
+chart one at a time, and ``drift`` the columns of ``sl2.lax_drift``
+computed one row at a time.
 """
 
 import itertools
@@ -79,27 +79,37 @@ def trace_power_gradient(pp, z6, zeta, l):
     return fq, fp
 
 
+def to_chart(pp, chart):
+    """One phase point in another chart: q over q_chart, p times it."""
+    q, p = homogeneous(pp)
+    keep = [a for a in range(4) if a != chart]
+    return sl2.GeomPhasePoint(q[keep] / q[chart], p[keep] * q[chart], chart)
+
+
 def flow(pp0, z6, zeta, l, t_end, dt):
     """States of the dopri5 flow of tr L(zeta)^l, switching to the chart of
-    the largest homogeneous coordinate once |qa| passes 1e3.  A batch of
-    rows is a list of GeomPhasePoint states, shifted and recentered one by
-    one."""
+    the largest homogeneous coordinate once |qa| passes 1e3.  The rows of
+    a batch are recentered one by one."""
     def rhs(pp):
         fq, fp = trace_power_gradient(pp, z6, zeta, l)
         return np.concatenate((-fp, fq))
 
     def shift(pp, incr):
-        if incr.ndim == 2:
-            return [shift(pp, row) for row in incr]
-        return sl2.GeomPhasePoint(pp.qa + incr[:3], pp.pa + incr[3:],
-                                  pp.chart)
+        return sl2.GeomPhasePoint(pp.qa + incr[..., :3], pp.pa + incr[..., 3:],
+                                  np.full(incr.shape[:-1], pp.chart))
+
+    def recenter_one(pp):
+        if np.abs(pp.qa).max() > 1e3:
+            return to_chart(pp, int(np.argmax(np.abs(homogeneous(pp)[0]))))
+        return pp
 
     def recenter(pp):
-        if isinstance(pp, list):
-            return [recenter(row) for row in pp]
-        if np.abs(pp.qa).max() > 1e3:
-            return pp.to_chart(int(np.argmax(np.abs(homogeneous(pp)[0]))))
-        return pp
+        if pp.qa.ndim == 1:
+            return recenter_one(pp)
+        rows = [recenter_one(pp[k]) for k in range(len(pp.qa))]
+        return sl2.GeomPhasePoint(np.array([r.qa for r in rows]),
+                                  np.array([r.pa for r in rows]),
+                                  np.array([r.chart for r in rows]))
 
     return integrate(rhs, shift, pp0, dt, int(round(t_end / dt)), "dopri5",
                      recenter, lambda pp: np.abs(np.r_[pp.qa, pp.pa]))
@@ -107,11 +117,11 @@ def flow(pp0, z6, zeta, l, t_end, dt):
 
 def drift(states, z6, probe):
     """max_i |H_i - H_i(0)| and the largest move of the sorted eigenvalues
-    of L(probe), per state."""
+    of L(probe), per row of states."""
     z6 = np.asarray(z6, dtype=complex)
     hams, spectra = [], []
-    for pp in states:
-        x = klein_x(pp, sl2.KLEIN)
+    for k in range(len(states.qa)):
+        x = klein_x(states[k], sl2.KLEIN)
         hams.append([sum(x[i, j] ** 2 / (z6[i] - z6[j])
                          for j in range(6) if j != i) for i in range(6)])
         spectra.append(np.sort_complex(np.linalg.eigvals(

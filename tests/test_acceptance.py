@@ -178,7 +178,7 @@ def swapped(layout, curve, ham, centre, radius, sheet, steps=400):
 
 def test_criterion_7_branch_count(curve_c, gl2, gl2_flow):
     ham = gl2_flow[0]
-    count = discriminant_zero_count(gl2, curve_c, ham)
+    count = discriminant_zero_count(gl2, ham)
     assert count == 8
     ghat = 2 * curve_c.genus - 1 + count // 4
     assert ghat == 4 * (curve_c.genus - 1) + 1 == 5

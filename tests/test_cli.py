@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hitchsov.cli import main, _svg, _traj_csv
+from hitchsov import sl2
+from hitchsov.cli import main, _parse_system, _svg, _traj_csv
 from hitchsov.errors import StepRejected
 from hitchsov.flows import Trajectory, flow_fiber
 from hitchsov.spectral import SpectralPoint
-from hitchsov.separation import PhaseConfiguration
+from hitchsov.separation import involution_check
 
 npoly = np.polynomial.polynomial
 
@@ -80,6 +81,21 @@ class TestHam:
         lines = (tmp_path / "bracket_check.csv").read_text().splitlines()
         assert lines[0].startswith("H1,")
         assert len(lines) == 6      # header + 5x5 matrix
+
+    def test_check_csv_same_bytes_as_per_value_formatter(self, gl2_input,
+                                                         tmp_path):
+        """bracket_check.csv against one f-string per value of the bracket
+        matrix, solved as the command solves it."""
+        path, _ = gl2_input
+        res = runner.invoke(main, ["ham", "check", "--input", str(path),
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        cv, layout, cfg, hamv = _parse_system(json.loads(path.read_text()), 0)
+        br, _ = involution_check(layout, cv, cfg, hamv)
+        lines = [",".join(f"H{k + 1}" for k in range(layout.h))]
+        lines += [",".join(f"{float(v):.17e}" for v in row) for row in br]
+        assert (tmp_path / "bracket_check.csv").read_text() \
+            == "\n".join(lines) + "\n"
 
     def test_check_strict_fails_on_impossible_tolerance(self, gl2_input,
                                                         tmp_path):
@@ -242,6 +258,23 @@ class TestMalformedFields:
                                   + [[1, 10 ** 400]]}}, "$.curve.coeffs[5]"),
         ("theta sigma", {"curve": CURVE15, "k": 1, "const": -10 ** 400,
                          "phi": [[0.1, 0.0], [0.2, 0.0]]}, "$.const"),
+        # a JSON boolean is not the number 1 in any kind of numeric field:
+        # a complex number, either half of an [re, im] pair, a fraction
+        ("curve info", {"curve": {"coeffs": [True, 0, 0, 0, 0, 1]}},
+         "$.curve.coeffs[0]"),
+        ("curve info", {"curve": {"coeffs": CURVE15["coeffs"][:5]
+                                  + [[1, False]]}}, "$.curve.coeffs[5]"),
+        ("ham solve", dict(GL2, points=[dict(GL2["points"][0], x=[True, 0]),
+                                        *GL2["points"][1:]]),
+         "$.points[0].x"),
+        ("sl2 demo", dict(SL2, q=[True] + SL2["q"][1:]), "$.q[0]"),
+        ("sl2 demo", dict(SL2, zeta=True), "$.zeta"),
+        ("parabolic dims", {"genus": 2, "rank": 2, "points": [
+            {"partition": [1, 1], "weights": [True, 0]}]},
+         "$.points[0].weights"),
+        ("parabolic local", {"local": {"coeffs": [[0, True]]}},
+         "$.local.coeffs"),
+        ("parabolic local", {"local": {"coeffs": ["12"]}}, "$.local.coeffs"),
     ])
     def test_exit_3_with_path(self, tmp_path, command, data, path):
         f = tmp_path / "in.json"
@@ -509,7 +542,8 @@ def traj_csv_per_value(traj):
     """The trajectory CSV as _traj_csv wrote it before it formatted each
     line with one format string: one f-string per value."""
     lines = ["t,i,re_x,im_x,re_y,im_y,re_lambda,im_lambda"]
-    for t, s in zip(traj.times, traj.states):
+    for k, t in enumerate(traj.times):
+        s = traj.states[k]
         rows = np.column_stack((s.x, s.y, s.lam)).astype(complex).view(float)
         for i, row in enumerate(rows):
             lines.append(",".join([f"{float(t):.12g}", str(i + 1)]
@@ -523,12 +557,10 @@ class TestTrajCsv:
         layout, ham, cfg, c = planted("GL", curve_c, 8)
         traj = flow_fiber(layout, curve_c, ham, cfg, c, -0.01, -1e-3)
         assert str(traj.times[0]) == "-0.0"          # a backward run
-        s = traj.states[3]
-        x, lam = s.x.copy(), s.lam.copy()
-        x[0] = complex(-0.0, -0.0)
-        x[1] = complex(1e-310, -1e300)               # subnormal, huge
-        lam[2] = complex(0.0, -0.0)
-        traj.states[3] = SpectralPoint(x, s.y, lam)
+        s = traj.states
+        s.x[3, 0] = complex(-0.0, -0.0)
+        s.x[3, 1] = complex(1e-310, -1e300)          # subnormal, huge
+        s.lam[3, 2] = complex(0.0, -0.0)
         text = _traj_csv(traj)
         assert text == traj_csv_per_value(traj)
         assert "-0.00000000000000000e+00" in text
@@ -536,9 +568,9 @@ class TestTrajCsv:
 
 class TestExportPlot:
     def _traj(self, series, times):
-        states = [PhaseConfiguration(
-            [SpectralPoint(x, 1.0, 0.0) for x in row]) for row in series]
-        return Trajectory(np.array(times), states)
+        x = np.array(series, dtype=complex)
+        return Trajectory(np.array(times),
+                          SpectralPoint(x, np.ones_like(x), np.zeros_like(x)))
 
     def test_constant_trajectory_horizontal(self):
         traj = self._traj([[0.5, -0.25]] * 3, [0.0, 0.5, 1.0])
@@ -643,6 +675,33 @@ class TestSl2Demo:
         assert rep["lax_residual"] < 1e-6
         lines = (tmp_path / "sl2_demo.csv").read_text().splitlines()
         assert lines[0] == "t,ham_drift,eig_drift"
+
+    def test_csv_same_bytes_as_per_value_formatter(self, tmp_path):
+        """sl2_demo.csv of a backward run to t = -0.5, whose first t prints
+        as -0 and whose 501 states are written every second one, against
+        one f-string per value over lax_drift's rows."""
+        rng = np.random.default_rng(5)
+        z6, qa, pa = (0.5 * (rng.standard_normal(n)
+                             + 1j * rng.standard_normal(n)) for n in (6, 3, 3))
+        f = tmp_path / "sl2.json"
+        f.write_text(json.dumps({"z6": [_pair(z) for z in z6],
+                                 "q": [_pair(z) for z in qa],
+                                 "p": [_pair(z) for z in pa]}))
+        t_end, dt = -0.5, -1e-3
+        res = runner.invoke(main, ["sl2", "demo", "--input", str(f),
+                                   "--output", str(tmp_path), "--t-end",
+                                   str(t_end), "--dt", str(dt)])
+        assert res.exit_code == 0, res.output
+        states, _ = sl2.lax_flow(sl2.GeomPhasePoint(qa, pa), z6, 0.3, 4,
+                                 t_end, dt)
+        rows = range(0, 501, 2)
+        drift = sl2.lax_drift(states[::2], z6, 0.3)
+        lines = ["t,ham_drift,eig_drift"]
+        lines += [f"{k * dt:.12g},{float(hd):.17e},{float(ed):.17e}"
+                  for k, (hd, ed) in zip(rows, drift, strict=True)]
+        text = (tmp_path / "sl2_demo.csv").read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert lines[1].startswith("-0,") and lines[2].startswith("-0.002,")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_exits_4(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from functools import partial
@@ -107,10 +108,7 @@ class TestAngles:
         monkeypatch.setattr(flows, "_ANGLE_SEGMENTS", segments)
         ham, cfg, c = system
         traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.01, 1e-3)
-        s = traj.states[4]
-        flipped = s.y.copy()
-        flipped[2] *= -1
-        traj.states[4] = SpectralPoint(s.x, flipped, s.lam)
+        traj.states.y[4, 2] *= -1
         with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
             angle_increments(gl2, curve_c, ham, traj)
 
@@ -124,9 +122,7 @@ class TestAngles:
         traj = flow_fiber(gl2, curve_c, ham, cfg, c, 0.01, 1e-3)
         s = traj.states[4]
         roots = lambda_roots(gl2, None, ham, s.x[2:3], s.y[2:3])[0]
-        swapped = s.lam.copy()
-        swapped[2] = roots[np.argmax(np.abs(roots - s.lam[2]))]
-        traj.states[4] = SpectralPoint(s.x, s.y, swapped)
+        traj.states.lam[4, 2] = roots[np.argmax(np.abs(roots - s.lam[2]))]
         with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
             angle_increments(gl2, curve_c, ham, traj)
 
@@ -157,9 +153,7 @@ class TestAngles:
         assert err > 1e-5
         s = traj.states[4]
         roots = lambda_roots(gl2, None, ham, s.x[2:3], s.y[2:3])[0]
-        swapped = s.lam.copy()
-        swapped[2] = roots[np.argmax(np.abs(roots - s.lam[2]))]
-        traj.states[4] = SpectralPoint(s.x, s.y, swapped)
+        traj.states.lam[4, 2] = roots[np.argmax(np.abs(roots - s.lam[2]))]
         with pytest.raises(BranchLocus, match="point 2 .* rows 3 and 4"):
             angle_increments(gl2, curve_c, ham, traj)
 
@@ -204,7 +198,8 @@ class TestAngles:
         # taken from the whole (21 n, h) density array)
         layout, ham, cfg, c = planted("SP", curve_c, 8)
         traj = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
-        assert len(traj.states) == 101 and flows._ANGLE_SEGMENTS == 384
+        assert traj.states.x.shape == (101, layout.h)
+        assert flows._ANGLE_SEGMENTS == 384
         tracemalloc.start()
         try:
             angle_increments(layout, curve_c, ham, traj)
@@ -234,7 +229,8 @@ class TestAngles:
 
     def test_single_row(self, curve_c, gl2, system):
         ham, cfg, c = system
-        traj = Trajectory(np.zeros(1), [cfg])
+        traj = Trajectory(np.zeros(1),
+                          SpectralPoint(cfg.x[None], cfg.y[None], cfg.lam[None]))
         assert np.array_equal(angle_increments(gl2, curve_c, ham, traj),
                               np.zeros((1, gl2.h)))
 
@@ -389,7 +385,7 @@ class TestPrymParity:
 class TestDiscriminant:
     def test_branch_count_gl2(self, curve_c, gl2, system):
         ham, _, _ = system
-        count = discriminant_zero_count(gl2, curve_c, ham)
+        count = discriminant_zero_count(gl2, ham)
         assert count == 8
         # Riemann-Hurwitz for the double cover of the base curve: the 8
         # weighted zeros sit at count/4 = 2 x-values, i.e. 4 simple branch
@@ -409,7 +405,7 @@ class TestIntegrate:
                        1.0 / n, n, scheme)
         c, s = np.cos(2.0), np.sin(2.0)
         exact = np.exp(-0.5) * np.array([[c, s], [-s, c]]) @ self.Y0
-        assert len(ys) == n + 1 and ys[0] is self.Y0
+        assert ys.shape == (n + 1, 2) and np.array_equal(ys[0], self.Y0)
         return np.abs(ys[-1] - exact).max()
 
     @pytest.mark.parametrize("scheme, order", [("euler", 1), ("rk4", 4)])
@@ -425,13 +421,36 @@ class TestIntegrate:
             return y
         ys = integrate(lambda y: -y, lambda y, d: y + d, np.ones(2), 0.1, 5,
                        after=after)
-        assert len(seen) == 5 and all(a is b for a, b in zip(seen, ys[1:]))
+        assert len(seen) == 5 and np.array_equal(seen, ys[1:])
 
     def test_non_finite_velocity_rejected(self):
         # the velocity is NaN beyond y = 1, first met by a stage of step 2
         with pytest.raises(StepRejected, match="step 2"):
             integrate(lambda y: np.where(y > 1.0, np.nan, 1.0),
                       lambda y, d: y + d, np.zeros(1), 0.5, 10)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "dopri5"])
+    def test_dataclass_states_stacked(self, scheme):
+        """A dataclass state comes back as one state of its type, each
+        field stacked on a first axis of times: the start row as given,
+        then the rows of the array run."""
+        @dataclasses.dataclass
+        class Pair:
+            a: np.ndarray
+            b: np.ndarray
+
+        def rhs(s):
+            return self.A @ np.array([s.a, s.b])
+
+        def advance(s, d):
+            return Pair(s.a + d[..., 0], s.b + d[..., 1])
+        got = integrate(rhs, advance, Pair(*self.Y0), 0.05, 20, scheme,
+                        size=lambda s: np.abs(np.array([s.a, s.b])))
+        ref = integrate(lambda y: self.A @ y, lambda y, d: y + d, self.Y0,
+                        0.05, 20, scheme)
+        assert type(got) is Pair and got.a.shape == got.b.shape == (21,)
+        assert got.a[0] == self.Y0[0] and got.b[0] == self.Y0[1]
+        assert np.array_equal(np.column_stack((got.a, got.b)), ref)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -450,7 +469,7 @@ class TestIntegrate:
             calls.append(None)
             return self.A @ y
         ys = integrate(rhs, lambda y, d: y + d, self.Y0, dt, n, "dopri5")
-        assert len(ys) == n + 1 and ys[0] is self.Y0
+        assert ys.shape == (n + 1, 2) and np.array_equal(ys[0], self.Y0)
         return ys, len(calls)
 
     @pytest.mark.parametrize("dt, n", [(1e-3, 1000), (0.01, 100),
@@ -522,15 +541,14 @@ class TestIntegrate:
                        100, "dopri5", after)
         rows = [shape[0] for shape in seen if len(shape) == 2]
         assert sum(rows) == 100 and len(rows) < 50
-        assert np.abs(np.array(ys) - np.exp(-0.01 * np.arange(101))[:, None]
+        assert np.abs(ys - np.exp(-0.01 * np.arange(101))[:, None]
                       ).max() < 1e-10
 
 
 def root_offset(layout, ham, traj):
     """The largest |stored lambda - nearest fiber root| / (1 + |lambda|)
     over a trajectory's rows."""
-    x, y, lam = (np.concatenate([getattr(s, a) for s in traj.states])
-                 for a in ("x", "y", "lam"))
+    x, y, lam = (getattr(traj.states, a).ravel() for a in ("x", "y", "lam"))
     root = spectral._track_roots(layout, ham, x, y, lam)
     return (np.abs(root - lam) / (1 + np.abs(lam))).max()
 
@@ -685,7 +703,7 @@ class TestCallCounts:
             monkeypatch.setattr(mod, "_sheet_ratio", counted, raising=False)
         for traj in (flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3),
                      flow_poisson(layout, curve_c, cfg, c, 0.1, 1e-3)):
-            assert len(traj.states) == 101
+            assert traj.states.x.shape == (101, layout.h)
             angle_increments(layout, curve_c, ham, traj)
         assert calls == []
 
@@ -760,16 +778,36 @@ class TestStackedStates:
         assert long - short == 3 * 4
         assert short <= 2 * 5
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk4", "dopri5"])
+    @pytest.mark.parametrize("t_end", [0.0, 2e-3])
+    def test_runs_are_plain_stacked_points(self, curve_c, gl2, system,
+                                           scheme, t_end):
+        """Both routes return one plain SpectralPoint of (times, h) arrays
+        from a PhaseConfiguration start, whose row 0 is the start; with
+        t_end = 0 that row alone."""
+        ham, cfg, c = system
+        for traj in (flow_fiber(gl2, curve_c, ham, cfg, c, t_end, 1e-3,
+                                scheme),
+                     flow_poisson(gl2, curve_c, cfg, c, t_end, 1e-3, scheme)):
+            assert type(traj.states) is SpectralPoint
+            assert np.array_equal(traj.times, np.arange(len(traj.times))
+                                  * 1e-3)
+            for name in ("x", "y", "lam"):
+                rows = getattr(traj.states, name)
+                assert rows.shape == (len(traj.times), gl2.h)
+                assert np.array_equal(rows[0], getattr(cfg, name))
+            assert len(traj.times) == round(t_end / 1e-3) + 1
+
     @pytest.mark.parametrize("family", ["GL", "SP"])
     def test_angle_shift_matches_state_loop(self, curve_c, family):
         layout, ham, cfg, c = planted(family, curve_c, 8)
         traj = flow_fiber(layout, curve_c, ham, cfg, c, 0.05, 1e-3)
         # the per-state loop that angle_shift replaced
-        n, h = len(traj.states), layout.h
+        n, h = len(traj.times), layout.h
         dens = np.empty((n, h, h), dtype=complex)      # (time, j, point)
-        for k, s in enumerate(traj.states):
-            dens[k] = _integrand_vector(layout, ham, s).T
-        xs = np.array([s.x for s in traj.states])
+        for k in range(n):
+            dens[k] = _integrand_vector(layout, ham, traj.states[k]).T
+        xs = traj.states.x
         expect = np.zeros((n, h), dtype=complex)
         for k in range(1, n):
             avg = 0.5 * (dens[k - 1] + dens[k])
@@ -786,8 +824,7 @@ class TestFiberOracle:
         layout, ham, cfg, c = planted(family, curve_c, 8)
         got = flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3, "rk4")
         ref = flow_oracle.flow_fiber(layout, curve_c, ham, cfg, c, 0.1, 1e-3)
-        assert len(got.states) == len(ref.states) == 101
-        for a, b in zip(got.states, ref.states):
-            for name in ("x", "y", "lam"):
-                assert np.abs(getattr(a, name)
-                              - getattr(b, name)).max() < 1e-12
+        assert got.states.x.shape == ref.states.x.shape == (101, layout.h)
+        for name in ("x", "y", "lam"):
+            assert np.abs(getattr(got.states, name)
+                          - getattr(ref.states, name)).max() < 1e-12

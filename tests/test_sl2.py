@@ -242,17 +242,17 @@ class TestLax:
 def rk4_states(pp, z6, t_end, dt):
     """States of lax_flow's level-4 velocity at zeta = 0.3 by fixed RK4
     steps, on integrate's fixed-step path."""
-    rows = integrate(sl2._lax_velocity(z6, 0.3, 4), sl2._advance,
-                     sl2._state(pp), dt, int(round(t_end / dt)),
-                     after=sl2._recenter)
-    return [sl2._point(r) for r in rows]
+    return integrate(sl2._lax_velocity(z6, 0.3, 4), sl2._advance, pp, dt,
+                     int(round(t_end / dt)), after=sl2._recenter)
 
 
 def state_error(states, ref):
-    """Largest gap between two state lists, relative to the state size."""
-    assert [s.chart for s in states] == [s.chart for s in ref]
-    return max(np.abs(np.r_[a.qa - b.qa, a.pa - b.pa]).max()
-               / np.abs(np.r_[b.qa, b.pa]).max() for a, b in zip(states, ref))
+    """Largest gap between the rows of two runs, each relative to its
+    reference row's size."""
+    assert np.array_equal(states.chart, ref.chart)
+    gap = np.concatenate((states.qa - ref.qa, states.pa - ref.pa), axis=1)
+    size = np.concatenate((ref.qa, ref.pa), axis=1)
+    return (np.abs(gap).max(axis=1) / np.abs(size).max(axis=1)).max()
 
 
 class TestLaxVelocity:
@@ -266,7 +266,7 @@ class TestLaxVelocity:
             pp.chart = chart
             for l in (4, 5):    # tr L^2 and tr L^3 are constant: x is skew
                                 # with isotropic columns
-                got = sl2._lax_velocity(z6, 0.3, l)(sl2._state(pp))
+                got = sl2._lax_velocity(z6, 0.3, l)(pp)
                 fq, fp = oracle.trace_power_gradient(pp, z6, 0.3, l)
                 ref = np.concatenate((-fp, fq))
                 assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
@@ -281,10 +281,10 @@ class TestLaxVelocity:
             x = sl2.x_matrix(sl2.GeomPhasePoint(v[:3], v[3:], pp.chart))
             return np.trace(np.linalg.matrix_power(0.3 * x + np.diag(z6), 4))
 
-        v0, h = sl2._state(pp).v[0], 1e-6
+        v0, h = np.concatenate((pp.qa, pp.pa)), 1e-6
         grad = np.array([(trace_power(v0 + h * e) - trace_power(v0 - h * e))
                          / (2 * h) for e in np.eye(6)])
-        got = sl2._lax_velocity(z6, 0.3, 4)(sl2._state(pp))
+        got = sl2._lax_velocity(z6, 0.3, 4)(pp)
         ref = np.concatenate((-grad[3:], grad[:3]))
         assert np.abs(got - ref).max() < 1e-7 * np.abs(ref).max()
 
@@ -294,7 +294,7 @@ class TestLaxVelocity:
         pp = sl2.GeomPhasePoint(np.array([999.0, 2.0 - 1.0j, 0.5j]),
                                 np.array([1e-6, 1e-3, 1e-3j]))
         states, _ = sl2.lax_flow(pp, z6, 0.3, 4, 0.02, 1e-3)
-        assert [s.chart for s in states[:3]] == [3, 0, 0]
+        assert states.chart[:3].tolist() == [3, 0, 0]
         assert state_error(states, oracle.flow(pp, z6, 0.3, 4, 0.02, 1e-3)) \
             < 1e-12
 
@@ -308,7 +308,7 @@ class TestLaxVelocity:
         pp = sl2.GeomPhasePoint(qa, pa)
         states, _ = sl2.lax_flow(pp, z6, 0.3, 4, 0.2, 1e-3)
         ref = rk4_states(pp, z6, 0.2, 1e-4)[::10]
-        assert len(states) == len(ref) == 201
+        assert len(states.qa) == len(ref.qa) == 201
         assert state_error(states, ref) < 1e-10
 
     def test_batched_drift_matches_loop(self, z6):
@@ -317,8 +317,10 @@ class TestLaxVelocity:
         # mixed charts in one batch; chart 0 alone would not catch a wrong
         # ordering, since swapping coordinates (0, 1) with (2, 3) in both q
         # and p leaves the drift unchanged
-        states[20] = states[20].to_chart(0)
-        states[30] = states[30].to_chart(1)
+        charts = states.chart.copy()
+        charts[20], charts[30] = 0, 1
+        states = states.to_chart(charts)
+        assert states.chart.tolist().count(3) == len(charts) - 2
         got = sl2.lax_drift(states, z6, 0.3)
         ref = oracle.drift(states, z6, 0.5 * 0.3 + 0.25j)
         assert np.abs(got - ref).max() < 1e-13
@@ -328,9 +330,7 @@ class TestLaxVelocity:
         # 3-operand einsum, so sl2_demo.csv keeps its last digits
         rng = np.random.default_rng(23)
         states, _ = sl2.lax_flow(random_point(rng), z6, 0.3, 4, 0.2, 1e-3)
-        q, p = sl2._homogeneous(np.array([s.qa for s in states]),
-                                np.array([s.pa for s in states]),
-                                [s.chart for s in states])
+        q, p = states.homogeneous()
         x = np.einsum('na,ijab,nb->nij', q, sl2.KLEIN, p)
         hams = sl2._hamiltonians(x, z6)
         spectra = np.sort_complex(np.linalg.eigvals(

@@ -388,8 +388,8 @@ class TestSigma:
                              -np.sqrt(complex(curve15.p(-1.1 - 0.2j))))]
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
         for k in (1, 2):
-            a = sigma_series(curve15, theta15, phi, k)
-            b = sigma_contour(curve15, theta15, phi, k)
+            a = sigma_series(theta15, phi, k)
+            b = sigma_contour(theta15, phi, k)
             assert a.shape == b.shape == (k,)
             assert np.all(np.abs(a - b) < 1e-6 * (1 + np.abs(a)))
 
@@ -399,8 +399,8 @@ class TestSigma:
         td = period_matrix(curve_c)
         pts = [curve_c.point(0.4 + 0.3j), curve_c.point(-1.1 - 0.2j)]
         phi = abel_map(curve_c, td, pts).sum(axis=0)
-        a = sigma_series(curve_c, td, phi, 2)
-        b = sigma_contour(curve_c, td, phi, 2)
+        a = sigma_series(td, phi, 2)
+        b = sigma_contour(td, phi, 2)
         assert np.all(np.abs(a - b) < 1e-6 * (1 + np.abs(a)))
 
     def test_constant_is_configuration_independent(self, curve15, theta15):
@@ -414,7 +414,7 @@ class TestSigma:
                 pts.append(curve15.point(x, y))
             phi = sum(abel_map(curve15, theta15, p) for p in pts)
             truth = [sum(p.x ** j for p in pts) for j in (1, 2)]
-            consts.append(truth - sigma_series(curve15, theta15, phi, 2))
+            consts.append(truth - sigma_series(theta15, phi, 2))
         assert np.all(np.abs(consts[0] - consts[1])
                       < 1e-5 * (1 + np.abs(consts[0])))
 
@@ -442,10 +442,10 @@ class TestSigma:
         with pytest.raises(ThetaDivisor, match=(
                 r"^\|theta\(-phi-K\)\|/\|theta\(0\)\| = \S+ below 1e-10 "
                 r"at row 0 of phi$")):
-            sigma_series(curve15, theta15, phi, 1)
+            sigma_series(theta15, phi, 1)
         with pytest.raises(ThetaDivisor, match=(
                 r"in or near the circle of radius \S+ at 128 samples$")):
-            sigma_contour(curve15, theta15, phi, 1)
+            sigma_contour(theta15, phi, 1)
 
     def test_residue_unstable(self, curve15, theta15, monkeypatch):
         # noise in the gradient keeps the sums apart at every sample count
@@ -462,15 +462,15 @@ class TestSigma:
         with pytest.raises(ResidueUnstable, match=(
                 r"sample doubling on the circle of radius \S+ at 1024 "
                 r"samples")):
-            sigma_contour(curve15, theta15, phi, 1)
+            sigma_contour(theta15, phi, 1)
 
     def test_few_samples_double(self, curve15, theta15, monkeypatch):
         # 4 samples do not resolve the residue; the doubling gets there
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
         monkeypatch.setattr(theta, "_CONTOUR_SAMPLES", 2)
-        few = sigma_contour(curve15, theta15, phi, 1)
-        ref = sigma_series(curve15, theta15, phi, 1)
+        few = sigma_contour(theta15, phi, 1)
+        ref = sigma_series(theta15, phi, 1)
         assert np.abs(few - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_contour_evaluates_circle_once(self, curve15, theta15,
@@ -488,7 +488,7 @@ class TestSigma:
         pts = [curve15.point(0.4 + 0.3j), curve15.point(-1.1 - 0.2j)]
         phi = sum(abel_map(curve15, theta15, p) for p in pts)
         monkeypatch.setattr(theta, "_CONTOUR_SAMPLES", 32)
-        sigma_contour(curve15, theta15, phi, 1)
+        sigma_contour(theta15, phi, 1)
         assert rows == [64]
 
 
@@ -538,8 +538,8 @@ class TestContourGuard:
             return real(v0, shifts, *lattice)
 
         monkeypatch.setattr(theta, "_theta_and_gradient", counted)
-        series = sigma_series(curve, td, phi, k)
-        contour = sigma_contour(curve, td, phi, k)
+        series = sigma_series(td, phi, k)
+        contour = sigma_contour(td, phi, k)
         assert abs(series[-1] - contour[-1]) < 1e-6  # the strict gate
         assert np.all(np.abs(contour - series) <= 1e-12 * np.abs(series))
         assert rows == batches  # the first circle was halved
@@ -704,7 +704,7 @@ class TestSeriesAtInfinity:
         for _ in range(3):
             phi = rng.uniform(0, 1, g) + td.tau @ rng.uniform(0, 1, g)
             for k in range(1, g + 1):
-                got = sigma_series(curve, td, phi, k)
+                got = sigma_series(td, phi, k)
                 assert got.shape == (k,)
                 for j in range(1, k + 1):
                     ref = taylor_sigma_series(curve, td, phi, j)
@@ -718,10 +718,10 @@ class TestSeriesAtInfinity:
         g = curve.genus
         rng = np.random.default_rng(4)
         phis = rng.uniform(0, 1, (3, g)) + rng.uniform(0, 1, (3, g)) @ td.tau.T
-        got = sigma_series(curve, td, phis, g)
+        got = sigma_series(td, phis, g)
         assert got.shape == (3, g)
         for row, phi in zip(got, phis):
-            ref = sigma_series(curve, td, phi, g)
+            ref = sigma_series(td, phi, g)
             assert np.all(np.abs(row - ref) <= 1e-12 * np.abs(ref))
 
     def test_divisor_row_of_a_batch(self, curve15, theta15):
@@ -731,7 +731,7 @@ class TestSeriesAtInfinity:
                        curve15.point(x, np.sqrt(complex(curve15.p(x)))))
         phis = np.array([[0.3 + 0.1j, -0.2 + 0.4j], on, [0.1j, 0.5]])
         with pytest.raises(ThetaDivisor, match=r"at row 1 of phi$"):
-            sigma_series(curve15, theta15, phis, 2)
+            sigma_series(theta15, phis, 2)
 
     def test_contour_stable_at_large_sigma(self, period_data):
         """|sigma_3| is about 6e6 here, and sample doubling moves it by
@@ -742,8 +742,8 @@ class TestSeriesAtInfinity:
         curve, td = period_data["curve_g3"]
         phi = np.array([-0.871632 - 0.115301j, -0.584472 - 0.421544j,
                         -0.035001 + 0.162805j])
-        series = sigma_series(curve, td, phi, 3)
-        contour = sigma_contour(curve, td, phi, 3)
+        series = sigma_series(td, phi, 3)
+        contour = sigma_contour(td, phi, 3)
         assert abs(series[2]) > 1e6
         assert np.all(np.abs(contour - series) <= 1e-12 * np.abs(series))
 
@@ -796,7 +796,7 @@ class TestPeriodData:
         """sigma_series reads the stored Abel series to order 2k: a k past
         SERIES_TERMS // 2 raises."""
         with pytest.raises(ValueError, match="SERIES_TERMS"):
-            sigma_series(curve15, theta15, np.array([0.1, 0.2j]),
+            sigma_series(theta15, np.array([0.1, 0.2j]),
                          curves.SERIES_TERMS // 2 + 1)
 
     def test_curve_gains_no_state(self):
@@ -873,7 +873,7 @@ class TestTruncationBound:
         g = curve.genus
         rng = np.random.default_rng(11)
         phis = rng.uniform(0, 1, (3, g)) + rng.uniform(0, 1, (3, g)) @ td.tau.T
-        got = sigma_series(curve, td, phis, g)
+        got = sigma_series(td, phis, g)
         real = theta._lattice_points
 
         def wider(y, lam_min, zs, order):
@@ -883,5 +883,5 @@ class TestTruncationBound:
             return (np.indices(hi - lo + 1).reshape(g, -1).T + lo).astype(float)
 
         monkeypatch.setattr(theta, "_lattice_points", wider)
-        ref = sigma_series(curve, td, phis, g)
+        ref = sigma_series(td, phis, g)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1, np.abs(ref)))
